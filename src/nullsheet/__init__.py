@@ -96,4 +96,30 @@ from .surface import (
     wrap_offset_from_curve,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CharacteristicMap", "burgers_residual_grid", "map_from_callables",
+    "map_from_initial_data",
+    "carlson_rf", "complete_elliptic_k", "elliptic_f", "jacobi_amplitude",
+    "ConfigError", "CoverageError", "DegenerateDataError", "DomainError",
+    "ExpressionError", "MapBreakdownError", "MapInversionError",
+    "NullsheetError", "OracleMismatchError",
+    "DriftReport", "Event", "GeodesicState", "GeodesicTrajectory",
+    "SolverOptions", "conserved_along", "geodesic_rhs", "integrate",
+    "tangent_norm",
+    "ConservedSet", "InitialCurve", "MonotoneReport", "check_monotone",
+    "conserved_from_data", "curve_from_callables", "curve_from_expressions",
+    "curve_from_samples", "delta_expanded_schwarzschild", "lambda0",
+    "lambda0_schwarzschild", "lightlikeness_residual", "validate_curve",
+    "OracleKind", "OracleParams", "check_oracle_consistency", "make_oracle",
+    "CaseLabel", "CubicProfile", "QuadratureTable", "cubic_coefficients",
+    "example2_coefficients", "example2_roots", "example3_roots",
+    "profile_from_data", "quadrature_t_tau", "rt_squared", "solve_cubic",
+    "InducedMetric", "SchwarzschildParams", "Spacetime", "christoffel_fd",
+    "induced_metric", "minkowski", "minkowski_spherical", "schwarzschild",
+    "DeltaReport", "SurfaceMesh", "build_surface", "delta_monitor",
+    "export_csv", "export_json", "import_csv", "import_json", "mesh_to_rows",
+    "rows_to_csv_text", "wrap_offset_from_curve",
+    # the submodules
+    "characteristics", "elliptic", "errors", "expressions", "geodesic",
+    "initial_data", "oracles", "reduction", "spacetime", "surface",
+]

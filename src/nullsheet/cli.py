@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +23,12 @@ from .config import (
     build_spacetime,
     load_config,
 )
-from .errors import ConfigError, NullsheetError, OracleMismatchError
+from .errors import (
+    ConfigError,
+    ExpressionError,
+    NullsheetError,
+    OracleMismatchError,
+)
 from .geodesic import (
     GeodesicState,
     GeodesicTrajectory,
@@ -60,7 +64,7 @@ class PipelineResult:
     mesh: SurfaceMesh
 
 
-def run_pipeline(cfg: RunConfig, threads: int = 1) -> PipelineResult:
+def run_pipeline(cfg: RunConfig) -> PipelineResult:
     """Solve the Cauchy problem described by the configuration."""
     spacetime = build_spacetime(cfg)
     curve = build_curve(cfg)
@@ -81,11 +85,7 @@ def run_pipeline(cfg: RunConfig, threads: int = 1) -> PipelineResult:
         )
         return integrate(spacetime, state0, cfg.solver.t_end, opts)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trajectories = list(pool.map(solve_one, char_thetas))
-    else:
-        trajectories = [solve_one(v) for v in char_thetas]
+    trajectories = [solve_one(v) for v in char_thetas]
 
     t_grid = np.linspace(0.0, cfg.solver.t_end, cfg.output.t_samples)
     if cfg.output.theta_samples is None:
@@ -184,7 +184,7 @@ def cmd_solve(args) -> int:
                 file=sys.stderr,
             )
             return 1
-    result = run_pipeline(cfg, threads=args.threads)
+    result = run_pipeline(cfg)
     if cfg.output.format == "csv":
         export_csv(result.mesh, cfg.output.path)
     else:
@@ -232,7 +232,7 @@ def cmd_compare(args) -> int:
     check_oracle_consistency(
         oracle, SchwarzschildParams(m=cfg.spacetime.mass), curve
     )
-    result = run_pipeline(cfg, threads=args.threads)
+    result = run_pipeline(cfg)
     mesh = result.mesh
 
     coord_names = ("tau", "r", "alpha", "beta")
@@ -338,8 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", required=True, help="YAML run configuration")
-        p.add_argument("--threads", type=int, default=1,
-                       help="parallel characteristic integrations")
         p.add_argument("--force", action="store_true",
                        help="skip initial-data validation gates")
 
@@ -380,7 +378,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ExpressionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except OracleMismatchError as exc:

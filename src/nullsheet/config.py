@@ -41,7 +41,6 @@ class InitialDataConfig:
     theta_range: tuple[float, float] = (0.0, 2.0 * math.pi)
     samples: int = 64
     periodic: bool = False
-    signs: tuple[int, ...] = (1, 1)
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,6 @@ class RunConfig:
     output: OutputConfig
     oracle: OracleBlockConfig | None
     compare: CompareConfig
-    seed: int = 0
 
 
 _KNOWN_BLOCKS = {
@@ -92,7 +90,6 @@ _KNOWN_BLOCKS = {
     "output",
     "oracle",
     "compare",
-    "seed",
 }
 
 
@@ -177,16 +174,12 @@ def parse_config(raw: dict) -> RunConfig:
     if samples < 4:
         raise ConfigError("initial_data.samples", "need at least 4 characteristics")
     periodic = _as_bool(id_raw.get("periodic", False), "initial_data.periodic")
-    signs_raw = id_raw.get("signs", [1, 1])
-    if not isinstance(signs_raw, list) or not all(s in (1, -1) for s in signs_raw):
-        raise ConfigError("initial_data.signs", "expected a list of +1/-1 flags")
     initial_cfg = InitialDataConfig(
         phi=phi,
         psi=psi,
         theta_range=theta_range,
         samples=samples,
         periodic=periodic,
-        signs=tuple(signs_raw),
     )
 
     sv_raw = _check_mapping(raw.get("solver", {}), "solver")
@@ -235,8 +228,6 @@ def parse_config(raw: dict) -> RunConfig:
     cmp_raw = _check_mapping(raw.get("compare", {}), "compare")
     compare_cfg = CompareConfig(tol=_as_float(cmp_raw.get("tol", 1e-6), "compare.tol"))
 
-    seed = _as_int(raw.get("seed", 0), "seed")
-
     return RunConfig(
         spacetime=spacetime_cfg,
         initial_data=initial_cfg,
@@ -244,7 +235,6 @@ def parse_config(raw: dict) -> RunConfig:
         output=output_cfg,
         oracle=oracle_cfg,
         compare=compare_cfg,
-        seed=seed,
     )
 
 

@@ -385,7 +385,6 @@ class TestCriterion10Determinism:
             },
             "solver": {"t_end": 10.0},
             "output": {"format": "csv", "path": "", "t_samples": 6},
-            "seed": 0,
         }
         outputs = []
         for out in (out1, out2):
