@@ -64,10 +64,10 @@ class PipelineResult:
     mesh: SurfaceMesh
 
 
-def run_pipeline(cfg: RunConfig) -> PipelineResult:
-    """Solve the Cauchy problem described by the configuration."""
-    spacetime = build_spacetime(cfg)
-    curve = build_curve(cfg)
+def run_pipeline(
+    cfg: RunConfig, spacetime: Spacetime, curve: InitialCurve
+) -> PipelineResult:
+    """Solve the Cauchy problem for ``curve`` in ``spacetime``, built from ``cfg``."""
     cmap = map_from_initial_data(curve, spacetime)
     char_thetas = curve.grid(cfg.initial_data.samples)
 
@@ -184,7 +184,7 @@ def cmd_solve(args) -> int:
                 file=sys.stderr,
             )
             return 1
-    result = run_pipeline(cfg)
+    result = run_pipeline(cfg, spacetime, curve)
     if cfg.output.format == "csv":
         export_csv(result.mesh, cfg.output.path)
     else:
@@ -232,7 +232,7 @@ def cmd_compare(args) -> int:
     check_oracle_consistency(
         oracle, SchwarzschildParams(m=cfg.spacetime.mass), curve
     )
-    result = run_pipeline(cfg)
+    result = run_pipeline(cfg, build_spacetime(cfg), curve)
     mesh = result.mesh
 
     coord_names = ("tau", "r", "alpha", "beta")

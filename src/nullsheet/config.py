@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -83,14 +83,7 @@ class RunConfig:
     compare: CompareConfig
 
 
-_KNOWN_BLOCKS = {
-    "spacetime",
-    "initial_data",
-    "solver",
-    "output",
-    "oracle",
-    "compare",
-}
+_KNOWN_BLOCKS = {f.name for f in fields(RunConfig)}
 
 
 def _require(mapping: dict, key: str, path: str):
@@ -132,6 +125,15 @@ def _check_mapping(value, path: str) -> dict:
     return value
 
 
+def _block(raw: dict, name: str, cls) -> dict:
+    """The mapping under ``name``, rejecting keys that ``cls`` has no field for."""
+    block = _check_mapping(raw.get(name), name)
+    unknown = set(block) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"{name}.{sorted(unknown)[0]}", "unknown key")
+    return block
+
+
 def parse_config(raw: dict) -> RunConfig:
     """Validate a raw mapping against the schema, applying defaults."""
     raw = _check_mapping(raw, "<root>")
@@ -139,7 +141,7 @@ def parse_config(raw: dict) -> RunConfig:
     if unknown:
         raise ConfigError(sorted(unknown)[0], "unknown top-level key")
 
-    st_raw = _check_mapping(raw.get("spacetime", {}), "spacetime")
+    st_raw = _block(raw, "spacetime", SpacetimeConfig)
     st_type = st_raw.get("type", "schwarzschild")
     if st_type not in ("schwarzschild", "minkowski_spherical"):
         raise ConfigError("spacetime.type", f"unknown spacetime {st_type!r}")
@@ -150,7 +152,7 @@ def parse_config(raw: dict) -> RunConfig:
             raise ConfigError("spacetime.mass", f"must be positive, got {mass}")
     spacetime_cfg = SpacetimeConfig(type=st_type, mass=mass)
 
-    id_raw = _check_mapping(raw.get("initial_data", {}), "initial_data")
+    id_raw = _block(raw, "initial_data", InitialDataConfig)
     phi = _require(id_raw, "phi", "initial_data")
     psi = _require(id_raw, "psi", "initial_data")
     for name, value in (("phi", phi), ("psi", psi)):
@@ -182,7 +184,7 @@ def parse_config(raw: dict) -> RunConfig:
         periodic=periodic,
     )
 
-    sv_raw = _check_mapping(raw.get("solver", {}), "solver")
+    sv_raw = _block(raw, "solver", SolverConfig)
     solver_cfg = SolverConfig(
         rel_tol=_as_float(sv_raw.get("rel_tol", 1e-10), "solver.rel_tol"),
         abs_tol=_as_float(sv_raw.get("abs_tol", 1e-12), "solver.abs_tol"),
@@ -194,7 +196,7 @@ def parse_config(raw: dict) -> RunConfig:
     if solver_cfg.t_end <= 0:
         raise ConfigError("solver.t_end", "must be positive")
 
-    out_raw = _check_mapping(raw.get("output", {}), "output")
+    out_raw = _block(raw, "output", OutputConfig)
     out_format = out_raw.get("format", "csv")
     if out_format not in ("csv", "json"):
         raise ConfigError("output.format", f"unknown format {out_format!r}")
@@ -212,7 +214,7 @@ def parse_config(raw: dict) -> RunConfig:
 
     oracle_cfg = None
     if raw.get("oracle") is not None:
-        or_raw = _check_mapping(raw["oracle"], "oracle")
+        or_raw = _block(raw, "oracle", OracleBlockConfig)
         example = _as_int(_require(or_raw, "example", "oracle"), "oracle.example")
         if example not in (1, 2, 3):
             raise ConfigError("oracle.example", f"must be 1, 2 or 3, got {example}")
@@ -225,7 +227,7 @@ def parse_config(raw: dict) -> RunConfig:
             params=_check_mapping(or_raw.get("params", {}), "oracle.params"),
         )
 
-    cmp_raw = _check_mapping(raw.get("compare", {}), "compare")
+    cmp_raw = _block(raw, "compare", CompareConfig)
     compare_cfg = CompareConfig(tol=_as_float(cmp_raw.get("tol", 1e-6), "compare.tol"))
 
     return RunConfig(
@@ -278,7 +280,7 @@ def build_spacetime(cfg: RunConfig) -> Spacetime:
 def _load_samples(path: str, field_path: str) -> tuple[np.ndarray, np.ndarray]:
     try:
         data = np.loadtxt(path, delimiter=",", ndmin=2)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(field_path, f"cannot read sample file {path!r}: {exc}")
     if data.shape[1] != 5:
         raise ConfigError(
@@ -302,7 +304,10 @@ def build_curve(cfg: RunConfig) -> InitialCurve:
             raise ConfigError(
                 "initial_data.psi", "sample grids of phi and psi files differ"
             )
-        return curve_from_samples(th_phi, phi_vals, psi_vals, periodic=idc.periodic)
+        try:
+            return curve_from_samples(th_phi, phi_vals, psi_vals, periodic=idc.periodic)
+        except ValueError as exc:
+            raise ConfigError("initial_data", f"cannot build curve: {exc}") from exc
     try:
         return curve_from_expressions(
             [str(e) for e in idc.phi],

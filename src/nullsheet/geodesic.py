@@ -81,7 +81,6 @@ class SolverOptions:
     max_steps: int = 100_000
     eps_horizon: float = 1e-8
     eps_axis: float = 1e-8
-    max_step: float = math.inf
 
 
 @dataclass
@@ -232,7 +231,6 @@ def integrate(
     events: list[Event] = []
 
     h = _initial_step(rhs, t, w, f, opts.rel_tol, opts.abs_tol, t_end)
-    h = min(h, opts.max_step)
     err_prev = 1.0
     n_steps = 0
     K = np.empty((7, 2 * dim))
@@ -336,7 +334,7 @@ def integrate(
         ts.append(t)
         states.append(GeodesicState(y=w[:dim].copy(), v=w[dim:].copy(), t=t))
         interp_q.append(q)
-        h = min(h * factor, opts.max_step)
+        h *= factor
 
         if t >= t_end:
             events.append(Event(kind="t_max", t=t, state=states[-1]))

@@ -161,6 +161,8 @@ def curve_from_samples(
     n, dim = phi_samples.shape
     if n < 5:
         raise ValueError("need at least 5 samples")
+    if not all(np.isfinite(a).all() for a in (thetas, phi_samples, psi_samples)):
+        raise ValueError("samples must be finite")
     h = thetas[1] - thetas[0]
     if not np.allclose(np.diff(thetas), h, rtol=0, atol=1e-12 * max(1.0, abs(h))):
         raise ValueError("samples must be uniform in vartheta")

@@ -15,6 +15,16 @@ Elliptic branches are exposed both as residual evaluators of the
 alpha <-> u relation and as solved coordinate functions of (t, vartheta);
 the latter invert the quadrature t(xi) with bracketed Newton so they remain
 independent of the Runge-Kutta integration they are used to check.
+
+On a branch the roots, and so u(xi) and the modulus k, are the same for
+every characteristic; vartheta enters only through K and E.  With the unit
+quadratures, taken from the branch start and signed to grow along it,
+
+    T(xi)   = int c / (u^2 sqrt(1 - k^2 sin^2(xi/2))) dxi,
+    Tau(xi) = int c / (u^2 (1 - 2mu) sqrt(1 - k^2 sin^2(xi/2))) dxi,
+
+t = T / sqrt(K) and tau = tau_init + (E / sqrt(K)) Tau, so one table of T
+and Tau serves every characteristic of an oracle.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -123,7 +134,104 @@ class RadialNullOracle:
         )
 
 
-class PhotonSphereOracle:
+@dataclass(frozen=True)
+class _ExampleData:
+    """Initial data of example 2 or 3 and the first integrals it fixes.
+
+    ``tau_init``, ``alpha_init`` and ``beta_of`` give each characteristic's
+    starting point as functions of vartheta.
+    """
+
+    initial_curve: Callable[[], InitialCurve]
+    conserved: Callable[[float], ConservedSet]
+    tau_init: Callable[[float], float]
+    alpha_init: Callable[[float], float]
+    beta_of: Callable[[float], float]
+
+
+def _example2_data(params: OracleParams, r0: float) -> _ExampleData:
+    """Turning-point data: launched tangentially at r0 with tau_t = f(vartheta)."""
+    m = params.m
+    if params.sign_alpha not in (1, -1):
+        raise ValueError("sign_alpha must be +1 or -1")
+    f_expr = _as_curve_expression(params.f)
+    alpha0 = _as_curve_expression(params.alpha0)
+    if not alpha0.is_constant():
+        raise ValueError("alpha0 must be constant for turning-point data")
+    alpha0_val = alpha0(0.0)
+    s = params.sign_alpha
+    coef = math.sqrt(r0 * (r0 - 2.0 * m)) / (r0 * r0)
+
+    def conserved(v: float) -> ConservedSet:
+        f = f_expr(v)
+        E = (1.0 - 2.0 * m / r0) * f
+        K = r0 * (r0 - 2.0 * m) * f * f
+        C = (K * (r0 - 2.0 * m) - 2.0 * m * E * E * r0 * r0) / (
+            r0 * r0 * (r0 - 2.0 * m)
+        )
+        return ConservedSet(E=E, L=0.0, K=K, C=C)
+
+    def initial_curve() -> InitialCurve:
+        return curve_from_callables(
+            phi=lambda v: np.array([params.tau0, r0, alpha0_val, v]),
+            psi=lambda v: np.array([f_expr(v), 0.0, s * coef * abs(f_expr(v)), 0.0]),
+            phi_prime=lambda v: np.array([0.0, 0.0, 0.0, 1.0]),
+            theta_range=params.theta_range,
+            periodic=params.periodic,
+        )
+
+    return _ExampleData(
+        initial_curve=initial_curve,
+        conserved=conserved,
+        tau_init=lambda v: params.tau0,
+        alpha_init=lambda v: alpha0_val,
+        beta_of=lambda v: v,
+    )
+
+
+def _example3_data(params: OracleParams, r0: float) -> _ExampleData:
+    """Boosted data: psi = phi' along the curve (tau, r, alpha) = (v, r0, s c v)."""
+    m = params.m
+    if params.sign_alpha not in (1, -1):
+        raise ValueError("sign_alpha must be +1 or -1")
+    s = params.sign_alpha
+    coef = math.sqrt(2.0 * m * (r0 - 2.0 * m)) / (r0 * r0)  # = 1/(8m) at r0 = 4m
+
+    def conserved(v: float) -> ConservedSet:
+        return ConservedSet(
+            E=1.0 - 2.0 * m / r0, L=0.0, K=2.0 * m * (r0 - 2.0 * m), C=0.0
+        )
+
+    def initial_curve() -> InitialCurve:
+        def tangent(v: float) -> np.ndarray:
+            return np.array([1.0, 0.0, s * coef, 0.0])
+
+        return curve_from_callables(
+            phi=lambda v: np.array([v, r0, s * coef * v, params.beta0]),
+            psi=tangent,
+            phi_prime=tangent,
+            theta_range=params.theta_range,
+            periodic=False,
+        )
+
+    return _ExampleData(
+        initial_curve=initial_curve,
+        conserved=conserved,
+        tau_init=lambda v: v,
+        alpha_init=lambda v: s * coef * v,
+        beta_of=lambda v: params.beta0,
+    )
+
+
+class _CircularOracle:
+    """A circular oracle's residual: the distance to its closed-form point."""
+
+    def relation_residual(self, t: float, x: np.ndarray, vartheta: float) -> float:
+        ref = self.evaluate(t, vartheta)
+        return float(np.max(np.abs(x - ref)))
+
+
+class PhotonSphereOracle(_CircularOracle):
     """Circular null characteristics at r = 3m with uniform polar drift."""
 
     kind = OracleKind.PHOTON_SPHERE
@@ -132,28 +240,16 @@ class PhotonSphereOracle:
         m = params.m
         if abs(params.r0 / m - 3.0) > 3.0 * CASE_TOL:
             raise ValueError("photon-sphere solution requires r0 = 3m")
-        if params.sign_alpha not in (1, -1):
-            raise ValueError("sign_alpha must be +1 or -1")
         self.params = params
         self.m = m
         self.r0 = 3.0 * m
+        data = _example2_data(params, self.r0)
+        self.conserved = data.conserved
+        self.initial_curve = data.initial_curve
         self.tau0 = params.tau0
         self.s_alpha = params.sign_alpha
         self._f = _as_curve_expression(params.f)
-        alpha0 = _as_curve_expression(params.alpha0)
-        if not alpha0.is_constant():
-            raise ValueError("alpha0 must be constant for turning-point data")
-        self.alpha0 = alpha0(0.0)
-
-    def conserved(self, vartheta: float) -> ConservedSet:
-        m, r0 = self.m, self.r0
-        f = self._f(vartheta)
-        E = (1.0 - 2.0 * m / r0) * f
-        K = r0 * (r0 - 2.0 * m) * f * f
-        C = (K * (r0 - 2.0 * m) - 2.0 * m * E * E * r0 * r0) / (
-            r0 * r0 * (r0 - 2.0 * m)
-        )
-        return ConservedSet(E=E, L=0.0, K=K, C=C)
+        self.alpha0 = data.alpha_init(0.0)
 
     def evaluate(self, t: float, vartheta: float) -> np.ndarray:
         f = self._f(vartheta)
@@ -161,26 +257,8 @@ class PhotonSphereOracle:
         alpha = self.alpha0 + self.s_alpha * abs(f) * t / (3.0 * math.sqrt(3.0) * self.m)
         return np.array([tau, self.r0, alpha, vartheta])
 
-    def relation_residual(self, t: float, x: np.ndarray, vartheta: float) -> float:
-        ref = self.evaluate(t, vartheta)
-        return float(np.max(np.abs(x - ref)))
 
-    def initial_curve(self) -> InitialCurve:
-        m, r0 = self.m, self.r0
-        f = self._f
-        s = self.s_alpha
-        coef = math.sqrt(r0 * (r0 - 2.0 * m)) / (r0 * r0)
-
-        return curve_from_callables(
-            phi=lambda v: np.array([self.tau0, r0, self.alpha0, v]),
-            psi=lambda v: np.array([f(v), 0.0, s * coef * abs(f(v)), 0.0]),
-            phi_prime=lambda v: np.array([0.0, 0.0, 0.0, 1.0]),
-            theta_range=self.params.theta_range,
-            periodic=self.params.periodic,
-        )
-
-
-class Example3CircularOracle:
+class Example3CircularOracle(_CircularOracle):
     """Time-like circular characteristics at r = 4m spanning a null surface."""
 
     kind = OracleKind.EX3_CIRCULAR
@@ -189,43 +267,18 @@ class Example3CircularOracle:
         m = params.m
         if abs(params.r0 / m - 4.0) > 4.0 * CASE_TOL:
             raise ValueError("circular boosted solution requires r0 = 4m")
-        if params.sign_alpha not in (1, -1):
-            raise ValueError("sign_alpha must be +1 or -1")
         self.params = params
         self.m = m
         self.r0 = 4.0 * m
+        data = _example3_data(params, self.r0)
+        self.conserved = data.conserved
+        self.initial_curve = data.initial_curve
         self.beta0 = params.beta0
         self.s_alpha = params.sign_alpha
-
-    def conserved(self, vartheta: float) -> ConservedSet:
-        m, r0 = self.m, self.r0
-        return ConservedSet(
-            E=1.0 - 2.0 * m / r0, L=0.0, K=2.0 * m * (r0 - 2.0 * m), C=0.0
-        )
 
     def evaluate(self, t: float, vartheta: float) -> np.ndarray:
         alpha = self.s_alpha * (t + vartheta) / (8.0 * self.m)
         return np.array([t + vartheta, self.r0, alpha, self.beta0])
-
-    def relation_residual(self, t: float, x: np.ndarray, vartheta: float) -> float:
-        ref = self.evaluate(t, vartheta)
-        return float(np.max(np.abs(x - ref)))
-
-    def initial_curve(self) -> InitialCurve:
-        m, r0 = self.m, self.r0
-        s = self.s_alpha
-        coef = math.sqrt(2.0 * m * (r0 - 2.0 * m)) / (r0 * r0)  # = 1/(8m) at r0 = 4m
-
-        def tangent(v: float) -> np.ndarray:
-            return np.array([1.0, 0.0, s * coef, 0.0])
-
-        return curve_from_callables(
-            phi=lambda v: np.array([v, r0, s * coef * v, self.beta0]),
-            psi=tangent,
-            phi_prime=tangent,
-            theta_range=self.params.theta_range,
-            periodic=False,
-        )
 
 
 class EllipticBranchOracle:
@@ -233,8 +286,9 @@ class EllipticBranchOracle:
 
     ``branch`` is "sec" for infall toward the horizon (u grows from the
     largest root) or "cos" for escape (u shrinks from the middle root).
-    The alpha <-> u relation is exact; t(xi) and tau(xi) are cumulative
-    adaptive quadratures, inverted by bracketed Newton for evaluation.
+    The alpha <-> u relation is exact; t(xi) and tau(xi) are scaled from
+    the unit quadratures T(xi) and Tau(xi), tabulated once per oracle and
+    inverted by bracketed Newton for evaluation.
     """
 
     _N_TABLE = 200
@@ -245,11 +299,7 @@ class EllipticBranchOracle:
         params: OracleParams,
         branch: str,
         roots: tuple[float, float, float],
-        alpha_init: Callable[[float], float],
-        tau_init: Callable[[float], float],
-        beta_of: Callable[[float], float],
-        conserved_of: Callable[[float], ConservedSet],
-        curve_builder: Callable[[], InitialCurve],
+        data: _ExampleData,
     ):
         self.kind = kind
         self.params = params
@@ -264,12 +314,9 @@ class EllipticBranchOracle:
             raise ValueError(f"elliptic modulus out of range: k^2 = {self.k2}")
         self.k = math.sqrt(self.k2)
         self.c = 1.0 / math.sqrt(2.0 * self.m * (hi - lo))
-        self._alpha_init = alpha_init
-        self._tau_init = tau_init
-        self._beta_of = beta_of
-        self.conserved = conserved_of
-        self.initial_curve = curve_builder
-        self._tables: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._data = data
+        self.conserved = data.conserved
+        self.initial_curve = data.initial_curve
 
         # evaluation stops slightly outside the horizon: the tau quadrature
         # has a pole at u = 1/(2m)
@@ -285,6 +332,9 @@ class EllipticBranchOracle:
             self.xi_end = self._xi_of_u_cos(u_floor)
         else:
             raise ValueError(f"unknown branch {branch!r}")
+        self._xis = np.linspace(self.xi_start, self.xi_end, self._N_TABLE)
+        # t and tau grow while xi runs from xi_start to xi_end
+        self._direction = 1.0 if branch == "sec" else -1.0
 
     # -- substitution and its inverse ------------------------------------
     def u_of_xi(self, xi: float) -> float:
@@ -313,7 +363,7 @@ class EllipticBranchOracle:
 
     # -- the exact alpha relation ----------------------------------------
     def alpha_of_xi(self, xi: float, vartheta: float) -> float:
-        base = self._alpha_init(vartheta)
+        base = self._data.alpha_init(vartheta)
         if self.branch == "sec":
             return base + self.s_alpha * 2.0 * self.c * elliptic_f(0.5 * xi, self.k)
         sweep = complete_elliptic_k(self.k) - elliptic_f(0.5 * xi, self.k)
@@ -325,178 +375,71 @@ class EllipticBranchOracle:
         return abs(x[2] - self.alpha_of_xi(xi, vartheta))
 
     # -- quadrature machinery ---------------------------------------------
-    def _dt_dxi(self, xi: float, sqrt_k: float) -> float:
+    def _dT_dxi(self, xi: float) -> float:
         u = self.u_of_xi(xi)
         root = math.sqrt(1.0 - self.k2 * math.sin(0.5 * xi) ** 2)
-        return self.c / (sqrt_k * u * u * root)
+        return self.c / (u * u * root)
 
-    def _dtau_dxi(self, xi: float, sqrt_k: float, energy: float) -> float:
-        u = self.u_of_xi(xi)
-        return self._dt_dxi(xi, sqrt_k) * energy / (1.0 - 2.0 * self.m * u)
+    def _dTau_dxi(self, xi: float) -> float:
+        return self._dT_dxi(xi) / (1.0 - 2.0 * self.m * self.u_of_xi(xi))
 
-    def _table(self, vartheta: float):
-        key = float(vartheta)
-        if key not in self._tables:
-            cs = self.conserved(vartheta)
-            sqrt_k = math.sqrt(cs.K)
-            direction = 1.0 if self.branch == "sec" else -1.0
-            xis = np.linspace(self.xi_start, self.xi_end, self._N_TABLE)
-            t_vals = [0.0]
-            tau_vals = [self._tau_init(vartheta)]
-            for i in range(1, len(xis)):
-                dt, _ = quad(
-                    lambda x: self._dt_dxi(x, sqrt_k),
-                    xis[i - 1],
-                    xis[i],
-                    epsabs=1e-14,
-                    epsrel=1e-13,
-                )
-                dtau, _ = quad(
-                    lambda x: self._dtau_dxi(x, sqrt_k, cs.E),
-                    xis[i - 1],
-                    xis[i],
-                    epsabs=0.0,
-                    epsrel=1e-12,
-                )
-                t_vals.append(t_vals[-1] + direction * dt)
-                tau_vals.append(tau_vals[-1] + direction * dtau)
-            self._tables[key] = (xis, np.array(t_vals), np.array(tau_vals))
-        return self._tables[key]
+    def _T_from(self, j: int, xi: float) -> float:
+        return self._direction * quad(
+            self._dT_dxi, self._xis[j], xi, epsabs=1e-14, epsrel=1e-13
+        )[0]
 
-    def _xi_of_t(self, t: float, vartheta: float) -> tuple[float, int]:
-        """Invert t(xi) by table bracket plus Newton with the exact derivative."""
-        xis, t_vals, _ = self._table(vartheta)
-        if t < -1e-12 or t > t_vals[-1]:
-            raise DomainError(
-                f"t = {t!r} outside the oracle's certified range [0, {t_vals[-1]!r}]"
-            )
-        cs = self.conserved(vartheta)
-        sqrt_k = math.sqrt(cs.K)
-        direction = 1.0 if self.branch == "sec" else -1.0
-        j = int(np.searchsorted(t_vals, t, side="right")) - 1
+    def _Tau_from(self, j: int, xi: float) -> float:
+        return self._direction * quad(
+            self._dTau_dxi, self._xis[j], xi, epsabs=0.0, epsrel=1e-12
+        )[0]
+
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """T and Tau at the nodes ``_xis``, each starting from 0."""
+        T, Tau = [0.0], [0.0]
+        for j, xi in enumerate(self._xis[1:]):
+            T.append(T[-1] + self._T_from(j, xi))
+            Tau.append(Tau[-1] + self._Tau_from(j, xi))
+        return np.array(T), np.array(Tau)
+
+    def _xi_of_T(self, T_target: float, tol: float) -> tuple[float, int]:
+        """Invert T(xi) to within ``tol`` by table bracket plus Newton."""
+        xis, (T, _) = self._xis, self._table
+        j = int(np.searchsorted(T, T_target, side="right")) - 1
         j = min(max(j, 0), len(xis) - 2)
         xi = float(
             xis[j]
             + (xis[j + 1] - xis[j])
-            * (t - t_vals[j])
-            / max(t_vals[j + 1] - t_vals[j], 1e-300)
+            * (T_target - T[j])
+            / max(T[j + 1] - T[j], 1e-300)
         )
+        lo, hi = min(self.xi_start, self.xi_end), max(self.xi_start, self.xi_end)
         for _ in range(60):
-            t_here = t_vals[j] + direction * quad(
-                lambda x: self._dt_dxi(x, sqrt_k),
-                xis[j],
-                xi,
-                epsabs=1e-14,
-                epsrel=1e-13,
-            )[0]
-            err = t_here - t
-            if abs(err) < 1e-13 * (1.0 + abs(t)):
+            err = T[j] + self._T_from(j, xi) - T_target
+            if abs(err) < tol:
                 break
-            slope = direction * self._dt_dxi(xi, sqrt_k)
-            xi -= err / slope
-            lo, hi = min(self.xi_start, self.xi_end), max(self.xi_start, self.xi_end)
+            xi -= err / (self._direction * self._dT_dxi(xi))
             xi = min(max(xi, lo), hi)
         return xi, j
 
     def evaluate(self, t: float, vartheta: float) -> np.ndarray:
-        xi, j = self._xi_of_t(t, vartheta)
-        xis, _, tau_vals = self._table(vartheta)
         cs = self.conserved(vartheta)
         sqrt_k = math.sqrt(cs.K)
-        direction = 1.0 if self.branch == "sec" else -1.0
-        tau = tau_vals[j] + direction * quad(
-            lambda x: self._dtau_dxi(x, sqrt_k, cs.E),
-            xis[j],
-            xi,
-            epsabs=0.0,
-            epsrel=1e-12,
-        )[0]
+        T, Tau = self._table
+        t_last = T[-1] / sqrt_k
+        if t < -1e-12 or t > t_last:
+            raise DomainError(
+                f"t = {t!r} outside the oracle's certified range [0, {t_last!r}]"
+            )
+        # stop Newton once t, not T, is within 1e-13 (1 + |t|)
+        xi, j = self._xi_of_T(t * sqrt_k, 1e-13 * (1.0 + abs(t)) * sqrt_k)
+        tau = self._data.tau_init(vartheta) + cs.E / sqrt_k * (
+            Tau[j] + self._Tau_from(j, xi)
+        )
         u = self.u_of_xi(xi)
         return np.array(
-            [tau, 1.0 / u, self.alpha_of_xi(xi, vartheta), self._beta_of(vartheta)]
+            [tau, 1.0 / u, self.alpha_of_xi(xi, vartheta), self._data.beta_of(vartheta)]
         )
-
-
-def _ex2_elliptic(params: OracleParams, inner: bool) -> EllipticBranchOracle:
-    m, r0 = params.m, params.r0
-    if params.sign_alpha not in (1, -1):
-        raise ValueError("sign_alpha must be +1 or -1")
-    f_expr = _as_curve_expression(params.f)
-    alpha0 = _as_curve_expression(params.alpha0)
-    if not alpha0.is_constant():
-        raise ValueError("alpha0 must be constant for turning-point data")
-    alpha0_val = alpha0(0.0)
-    roots = example2_roots(m, r0)
-    s = params.sign_alpha
-    coef = math.sqrt(r0 * (r0 - 2.0 * m)) / (r0 * r0)
-
-    def conserved_of(v: float) -> ConservedSet:
-        f = f_expr(v)
-        E = (1.0 - 2.0 * m / r0) * f
-        K = r0 * (r0 - 2.0 * m) * f * f
-        C = (K * (r0 - 2.0 * m) - 2.0 * m * E * E * r0 * r0) / (
-            r0 * r0 * (r0 - 2.0 * m)
-        )
-        return ConservedSet(E=E, L=0.0, K=K, C=C)
-
-    def curve_builder() -> InitialCurve:
-        return curve_from_callables(
-            phi=lambda v: np.array([params.tau0, r0, alpha0_val, v]),
-            psi=lambda v: np.array([f_expr(v), 0.0, s * coef * abs(f_expr(v)), 0.0]),
-            phi_prime=lambda v: np.array([0.0, 0.0, 0.0, 1.0]),
-            theta_range=params.theta_range,
-            periodic=params.periodic,
-        )
-
-    return EllipticBranchOracle(
-        kind=OracleKind.EX2_INNER if inner else OracleKind.EX2_OUTER,
-        params=params,
-        branch="sec" if inner else "cos",
-        roots=roots,
-        alpha_init=lambda v: alpha0_val,
-        tau_init=lambda v: params.tau0,
-        beta_of=lambda v: v,
-        conserved_of=conserved_of,
-        curve_builder=curve_builder,
-    )
-
-
-def _ex3_elliptic(params: OracleParams, inner: bool) -> EllipticBranchOracle:
-    m, r0 = params.m, params.r0
-    if params.sign_alpha not in (1, -1):
-        raise ValueError("sign_alpha must be +1 or -1")
-    roots = example3_roots(m, r0)
-    s = params.sign_alpha
-    coef = math.sqrt(2.0 * m * (r0 - 2.0 * m)) / (r0 * r0)
-
-    def conserved_of(v: float) -> ConservedSet:
-        return ConservedSet(
-            E=1.0 - 2.0 * m / r0, L=0.0, K=2.0 * m * (r0 - 2.0 * m), C=0.0
-        )
-
-    def curve_builder() -> InitialCurve:
-        def tangent(v: float) -> np.ndarray:
-            return np.array([1.0, 0.0, s * coef, 0.0])
-
-        return curve_from_callables(
-            phi=lambda v: np.array([v, r0, s * coef * v, params.beta0]),
-            psi=tangent,
-            phi_prime=tangent,
-            theta_range=params.theta_range,
-            periodic=False,
-        )
-
-    return EllipticBranchOracle(
-        kind=OracleKind.EX3_INNER if inner else OracleKind.EX3_OUTER,
-        params=params,
-        branch="sec" if inner else "cos",
-        roots=roots,
-        alpha_init=lambda v: s * coef * v,
-        tau_init=lambda v: v,
-        beta_of=lambda v: params.beta0,
-        conserved_of=conserved_of,
-        curve_builder=curve_builder,
-    )
 
 
 def make_oracle(example: int, case: str = "auto", params: OracleParams | None = None):
@@ -525,7 +468,12 @@ def make_oracle(example: int, case: str = "auto", params: OracleParams | None = 
             )
         if chosen == "I":
             return PhotonSphereOracle(p)
-        return _ex2_elliptic(p, inner=(chosen == "II"))
+        inner = chosen == "II"
+        data = _example2_data(p, r0)
+        return EllipticBranchOracle(
+            OracleKind.EX2_INNER if inner else OracleKind.EX2_OUTER,
+            p, "sec" if inner else "cos", example2_roots(m, r0), data,
+        )
 
     if example == 3:
         at_double = abs(r0 / m - 4.0) <= 4.0 * CASE_TOL
@@ -538,7 +486,12 @@ def make_oracle(example: int, case: str = "auto", params: OracleParams | None = 
             )
         if chosen == "I":
             return Example3CircularOracle(p)
-        return _ex3_elliptic(p, inner=(chosen == "III"))
+        inner = chosen == "III"
+        data = _example3_data(p, r0)
+        return EllipticBranchOracle(
+            OracleKind.EX3_INNER if inner else OracleKind.EX3_OUTER,
+            p, "sec" if inner else "cos", example3_roots(m, r0), data,
+        )
 
     raise NullsheetError(f"unknown example id {example}")
 

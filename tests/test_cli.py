@@ -69,6 +69,19 @@ class TestConfigSchema:
         with pytest.raises(ns.ConfigError):
             parse_config({"spacetme": {}})
 
+    @pytest.mark.parametrize(
+        "block, key, value", [("solver", "rel_tl", 1e-3), ("output", "t_sample", 3)]
+    )
+    def test_unknown_block_key_rejected(self, tmp_path, capsys, block, key, value):
+        raw = yaml.safe_load(write_config(tmp_path).read_text())
+        raw[block][key] = value
+        with pytest.raises(ns.ConfigError) as err:
+            parse_config(raw)
+        assert str(err.value).startswith(f"{block}.{key}:")
+        cfg = write_config(tmp_path, **{block: {key: value}})
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert f"{block}.{key}" in capsys.readouterr().err
+
     def test_wrong_phi_arity(self):
         with pytest.raises(ns.ConfigError) as err:
             parse_config(
@@ -131,6 +144,33 @@ class TestValidateCommand:
         cfg = write_config(
             tmp_path,
             initial_data={"phi": ["0", "10", alpha, "vartheta"], "periodic": False},
+        )
+        assert main(["validate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "rows, bad",
+        [(6, "1e400"), (4, None), (6, "x")],
+        ids=["non-finite", "too-few", "unparsable"],
+    )
+    def test_bad_sample_file_exit_2(self, tmp_path, capsys, rows, bad):
+        thetas = [0.1 * i for i in range(rows)]
+        phi = [[v, 0.0, 10.0, 1.5, v] for v in thetas]
+        psi = [[v, 1.25, 1.0, 0.0, 0.0] for v in thetas]
+        for name, table in (("phi", phi), ("psi", psi)):
+            text = "\n".join(",".join(repr(x) for x in row) for row in table)
+            if name == "phi" and bad is not None:
+                text = text.replace("10.0", bad, 1)
+            (tmp_path / f"{name}.csv").write_text(text + "\n")
+        cfg = write_config(
+            tmp_path,
+            initial_data={
+                "phi": str(tmp_path / "phi.csv"),
+                "psi": str(tmp_path / "psi.csv"),
+                "periodic": False,
+            },
         )
         assert main(["validate", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err

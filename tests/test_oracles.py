@@ -108,9 +108,20 @@ class TestCircularOracles:
             assert report.passed
 
 
+F_VAR = "1 + 0.25*sin(vartheta)"
 ELLIPTIC_CASES = [
     ("ex2_outer", 2, dict(m=1.0, r0=10.0, f=1.0, alpha0=1.0, sign_alpha=1), 2.0, 15.0),
     ("ex2_inner", 2, dict(m=1.0, r0=2.5, f=1.0, alpha0=1.0, sign_alpha=1), 0.4, None),
+    # a vartheta-dependent f gives each characteristic its own E and K
+    ("ex2_inner_f_1.2", 2, dict(m=1.0, r0=2.5, f=F_VAR, alpha0=1.0), 1.2, None),
+    ("ex2_inner_f_4.5", 2, dict(m=1.0, r0=2.5, f=F_VAR, alpha0=1.0), 4.5, None),
+    (
+        "ex2_outer_f_4.5",
+        2,
+        dict(m=1.0, r0=10.0, f=F_VAR, alpha0=1.0, sign_alpha=-1),
+        4.5,
+        15.0,
+    ),
     (
         "ex3_outer",
         3,
