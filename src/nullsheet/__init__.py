@@ -47,9 +47,7 @@ from .initial_data import (
     curve_from_callables,
     curve_from_expressions,
     curve_from_samples,
-    delta_expanded_schwarzschild,
     lambda0,
-    lambda0_schwarzschild,
     lightlikeness_residual,
     validate_curve,
 )
@@ -108,8 +106,7 @@ __all__ = [
     "tangent_norm",
     "ConservedSet", "InitialCurve", "MonotoneReport", "check_monotone",
     "conserved_from_data", "curve_from_callables", "curve_from_expressions",
-    "curve_from_samples", "delta_expanded_schwarzschild", "lambda0",
-    "lambda0_schwarzschild", "lightlikeness_residual", "validate_curve",
+    "curve_from_samples", "lambda0", "lightlikeness_residual", "validate_curve",
     "OracleKind", "OracleParams", "check_oracle_consistency", "make_oracle",
     "CaseLabel", "CubicProfile", "QuadratureTable", "cubic_coefficients",
     "example2_coefficients", "example2_roots", "example3_roots",

@@ -8,7 +8,6 @@ vartheta(t, theta) is found by safeguarded Newton inside a monotone bracket.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,18 +19,25 @@ from .initial_data import EPS_MONO, InitialCurve, lambda0
 from .spacetime import Spacetime
 
 
+def _residual_tol(theta):
+    return 1e-12 * (1.0 + np.abs(theta))  # invert promises |forward - theta| <= this
+
+
 @dataclass(frozen=True)
 class CharacteristicMap:
-    """The solved initial field Lambda with its derivative and domain."""
+    """The solved initial field Lambda with its derivative and domain.
 
-    lambda_fn: Callable[[float], float]
-    lambda_prime_fn: Callable[[float], float]
+    Lambda, Lambda' and the methods below take vartheta or theta as a scalar
+    or as an array; a scalar runs through the same code as a 0-d array.
+    """
+
+    lambda_fn: Callable
+    lambda_prime_fn: Callable
     theta_min: float
     theta_max: float
     periodic: bool = False
     eps_mono: float = EPS_MONO
     min_slope: float = 0.0
-    t_max: float | None = None
 
     @property
     def period(self) -> float:
@@ -41,79 +47,96 @@ class CharacteristicMap:
     def certified(self) -> bool:
         return self.min_slope >= -self.eps_mono
 
-    def forward(self, vartheta: float, t: float) -> float:
+    def forward(self, vartheta, t: float):
         """theta reached at time t by the characteristic from vartheta."""
         return vartheta + self.lambda_fn(vartheta) * t
 
-    def jacobian(self, t: float, vartheta: float) -> float:
+    def jacobian(self, t: float, vartheta):
         """d vartheta / d theta = 1 / (1 + Lambda'(vartheta) t), positive."""
         den = 1.0 + self.lambda_prime_fn(vartheta) * t
-        if den <= 0.0:
+        if np.any(den <= 0.0):
+            v, d = np.broadcast_arrays(vartheta, den)
+            v, d = float(v[d <= 0.0][0]), float(d[d <= 0.0][0])
             raise MapBreakdownError(
-                f"characteristic map broke down at t={t!r}, vartheta={vartheta!r}: "
-                f"1 + Lambda' t = {den!r}",
+                f"characteristic map broke down at t={t!r}, vartheta={v!r}: "
+                f"1 + Lambda' t = {d!r}",
                 t=t,
-                vartheta=vartheta,
+                vartheta=v,
             )
         return 1.0 / den
 
-    def invert(self, t: float, theta: float) -> float:
-        """The unique vartheta with vartheta + Lambda(vartheta) t = theta."""
+    def _in_image(self, t: float, theta) -> np.ndarray:
+        """Mask of the theta values covered at time t (all of them if periodic)."""
+        theta = np.asarray(theta, dtype=float)
+        if self.periodic:
+            return np.ones(theta.shape, dtype=bool)
+        lo, hi = self.image_interval(t)
+        tol = _residual_tol(theta)
+        return (lo - theta <= tol) & (hi - theta >= -tol)
+
+    def invert(self, t: float, theta):
+        """The unique vartheta with vartheta + Lambda(vartheta) t = theta.
+
+        Each element runs its own safeguarded Newton in its own monotone
+        bracket; all elements step together, one Lambda and one Lambda'
+        call per step.
+        """
         if t < 0:
             raise ValueError(f"t must be non-negative, got {t}")
-        lo, hi = self.theta_min, self.theta_max
+        theta = np.asarray(theta, dtype=float)
+        img_lo, img_hi = self.image_interval(t)
         if self.periodic:
             # shift theta by whole periods into the image of one fundamental domain
-            start = self.forward(lo, t)
-            theta = theta - self.period * math.floor((theta - start) / self.period)
-
-        # contract: residual < 1e-12 (1 + |theta|); Newton usually reaches
-        # machine precision, so converge to the tighter target first
-        tol = 1e-12 * (1.0 + abs(theta))
-        target = 1e-15 * (1.0 + abs(theta))
-        f_lo = self.forward(lo, t) - theta
-        f_hi = self.forward(hi, t) - theta
-        if f_lo > tol or f_hi < -tol:
+            theta = theta - self.period * np.floor((theta - img_lo) / self.period)
+        outside = ~self._in_image(t, theta)
+        if outside.any():
             raise MapInversionError(
-                f"theta = {theta!r} outside the characteristic image "
-                f"[{self.forward(lo, t)!r}, {self.forward(hi, t)!r}] at t = {t!r}"
+                f"theta = {float(theta[outside][0])!r} outside the characteristic "
+                f"image [{float(img_lo)!r}, {float(img_hi)!r}] at t = {t!r}"
             )
-        if abs(f_lo) <= target:
-            return lo
-        if abs(f_hi) <= target:
-            return hi
 
-        x = 0.5 * (lo + hi)
+        # Newton usually reaches machine precision, so converge to a target
+        # tighter than the promised residual first
+        target = 1e-15 * (1.0 + np.abs(theta))
+        at_lo = np.abs(img_lo - theta) <= target
+        at_hi = np.abs(img_hi - theta) <= target
+        lo, hi = self.theta_min, self.theta_max
+        x = np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (lo + hi)))
+        lo, hi = np.full(x.shape, lo), np.full(x.shape, hi)
+        running = ~(at_lo | at_hi)
         for _ in range(200):
             f = self.forward(x, t) - theta
-            if abs(f) <= target:
-                return x
-            if f > 0.0:
-                hi = x
-            else:
-                lo = x
-            slope = 1.0 + self.lambda_prime_fn(x) * t
-            if slope <= 0.0:
-                raise MapBreakdownError(
-                    f"non-monotone map detected at t={t!r}, vartheta={x!r}",
-                    t=t,
-                    vartheta=x,
-                )
-            step = f / slope
-            x_new = x - step
-            if not (lo < x_new < hi):
-                x_new = 0.5 * (lo + hi)  # Newton left the bracket: bisect
-            if x_new == x:
+            running &= np.abs(f) > target
+            if not running.any():
                 break
-            x = x_new
+            above = f > 0.0
+            np.copyto(hi, x, where=above)
+            np.copyto(lo, x, where=~above)
+            slope = 1.0 + self.lambda_prime_fn(x) * t
+            broken = running & (slope <= 0.0)
+            if broken.any():
+                v = float(x[broken][0])
+                raise MapBreakdownError(
+                    f"non-monotone map detected at t={t!r}, vartheta={v!r}",
+                    t=t,
+                    vartheta=v,
+                )
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x_new = np.asarray(x - f / slope)  # finished elements may divide by 0
+            # Newton left the bracket: bisect
+            np.copyto(x_new, 0.5 * (lo + hi), where=~((lo < x_new) & (x_new < hi)))
+            running &= x_new != x
+            np.copyto(x, x_new, where=running)
         f = self.forward(x, t) - theta
-        if abs(f) <= tol:
-            return x
-        raise MapInversionError(
-            f"inversion stalled at t={t!r}, theta={theta!r}, residual={f!r}"
-        )
+        stalled = ~(np.abs(f) <= _residual_tol(theta))
+        if stalled.any():
+            raise MapInversionError(
+                f"inversion stalled at t={t!r}, theta={float(theta[stalled][0])!r}, "
+                f"residual={float(f[stalled][0])!r}"
+            )
+        return x[()]
 
-    def lambda_field(self, t: float, theta: float) -> float:
+    def lambda_field(self, t: float, theta):
         """The transported field lambda(t, theta) = Lambda(vartheta(t, theta))."""
         return self.lambda_fn(self.invert(t, theta))
 
@@ -170,8 +193,8 @@ def map_from_initial_data(
     dspline = spline.derivative()
     slopes = dspline(grid)
     return CharacteristicMap(
-        lambda_fn=lambda v: float(spline(v)),
-        lambda_prime_fn=lambda v: float(dspline(v)),
+        lambda_fn=spline,
+        lambda_prime_fn=dspline,
         theta_min=curve.theta_min,
         theta_max=curve.theta_max,
         periodic=curve.periodic,

@@ -19,6 +19,10 @@ from .characteristics import CharacteristicMap, map_from_initial_data
 from .config import (
     OracleBlockConfig,
     RunConfig,
+    _as_bool,
+    _as_float,
+    _as_int,
+    _as_range,
     build_curve,
     build_spacetime,
     load_config,
@@ -42,6 +46,7 @@ from .reduction import cubic_coefficients, solve_cubic
 from .spacetime import SchwarzschildParams, Spacetime
 from .surface import (
     SurfaceMesh,
+    _fmt,
     build_surface,
     delta_monitor,
     export_csv,
@@ -50,16 +55,9 @@ from .surface import (
 )
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 @dataclass
 class PipelineResult:
-    spacetime: Spacetime
-    curve: InitialCurve
     cmap: CharacteristicMap
-    char_thetas: np.ndarray
     trajectories: list[GeodesicTrajectory]
     mesh: SurfaceMesh
 
@@ -106,14 +104,7 @@ def run_pipeline(
         spacetime,
         wrap_offset=wrap,
     )
-    return PipelineResult(
-        spacetime=spacetime,
-        curve=curve,
-        cmap=cmap,
-        char_thetas=char_thetas,
-        trajectories=trajectories,
-        mesh=mesh,
-    )
+    return PipelineResult(cmap=cmap, trajectories=trajectories, mesh=mesh)
 
 
 def cmd_validate(args) -> int:
@@ -132,15 +123,15 @@ def cmd_validate(args) -> int:
     return 0 if report.passed else 1
 
 
-def _print_solve_summary(result: PipelineResult, cfg: RunConfig) -> None:
+def _print_solve_summary(result: PipelineResult, spacetime: Spacetime) -> None:
     kinds: dict[str, int] = {}
     for traj in result.trajectories:
         for ev in traj.events:
             kinds[ev.kind] = kinds.get(ev.kind, 0) + 1
     print(f"characteristics          : {len(result.trajectories)}")
     print(f"events                   : {kinds}")
-    if result.spacetime.name == "schwarzschild":
-        params = SchwarzschildParams(m=result.spacetime.meta["mass"])
+    if spacetime.name == "schwarzschild":
+        params = SchwarzschildParams(m=spacetime.meta["mass"])
         worst = 0.0
         for traj in result.trajectories:
             worst = max(worst, conserved_along(params, traj).max_rel_drift)
@@ -151,7 +142,9 @@ def _print_solve_summary(result: PipelineResult, cfg: RunConfig) -> None:
 
 def _dump_characteristics(result: PipelineResult, path: str) -> None:
     mesh = result.mesh
-    cmap = result.cmap
+    live = ~mesh.truncated
+    lam = np.full(mesh.shape, np.nan)
+    lam[live] = result.cmap.lambda_fn(mesh.vartheta[live])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,theta,vartheta,lambda,jacobian\n")
         for i, t in enumerate(mesh.t_grid):
@@ -159,14 +152,8 @@ def _dump_characteristics(result: PipelineResult, path: str) -> None:
                 if mesh.truncated[i, j]:
                     fh.write(f"{_fmt(t)},{_fmt(theta)},,,\n")
                     continue
-                vth = mesh.vartheta[i, j]
-                fh.write(
-                    ",".join(
-                        _fmt(v)
-                        for v in (t, theta, vth, cmap.lambda_fn(vth), mesh.jacobian[i, j])
-                    )
-                    + "\n"
-                )
+                values = (t, theta, mesh.vartheta[i, j], lam[i, j], mesh.jacobian[i, j])
+                fh.write(",".join(_fmt(v) for v in values) + "\n")
 
 
 def cmd_solve(args) -> int:
@@ -193,13 +180,20 @@ def cmd_solve(args) -> int:
     if args.dump_characteristics:
         _dump_characteristics(result, args.dump_characteristics)
         print(f"wrote characteristic table to {args.dump_characteristics}")
-    _print_solve_summary(result, cfg)
+    _print_solve_summary(result, spacetime)
     failed = any(
         ev.kind == "step_failure"
         for traj in result.trajectories
         for ev in traj.events
     )
     return 1 if failed else 0
+
+
+# oracle.params fields that are not real numbers; f and alpha0 may also be
+# expressions in vartheta
+_ORACLE_PARAM_CHECKS = {
+    "sign": _as_int, "sign_alpha": _as_int, "periodic": _as_bool, "theta_range": _as_range,
+}
 
 
 def _oracle_from_config(cfg: RunConfig):
@@ -212,15 +206,19 @@ def _oracle_from_config(cfg: RunConfig):
         params["theta_range"] = cfg.initial_data.theta_range
     if "periodic" not in params:
         params["periodic"] = cfg.initial_data.periodic
-    known = set(OracleParams.__dataclass_fields__)
-    unknown = set(params) - known
+    unknown = set(params) - set(OracleParams.__dataclass_fields__)
     if unknown:
         raise ConfigError(
             f"oracle.params.{sorted(unknown)[0]}", "unknown oracle parameter"
         )
-    if "theta_range" in params:
-        params["theta_range"] = tuple(float(v) for v in params["theta_range"])
-    return make_oracle(cfg.oracle.example, cfg.oracle.case, OracleParams(**params))
+    for key, value in params.items():
+        if not (key in ("f", "alpha0") and isinstance(value, str)):
+            check = _ORACLE_PARAM_CHECKS.get(key, _as_float)
+            params[key] = check(value, f"oracle.params.{key}")
+    try:
+        return make_oracle(cfg.oracle.example, cfg.oracle.case, OracleParams(**params))
+    except ValueError as exc:
+        raise ConfigError("oracle.params", str(exc)) from exc
 
 
 def cmd_compare(args) -> int:
@@ -239,20 +237,16 @@ def cmd_compare(args) -> int:
     errors: dict[str, list[float]] = {name: [] for name in coord_names}
     residuals: list[float] = []
     skipped = 0
-    for i, t in enumerate(mesh.t_grid):
-        for j in range(len(mesh.theta_grid)):
-            if mesh.truncated[i, j]:
-                continue
-            vartheta = mesh.vartheta[i, j]
-            x = mesh.x[i, j]
-            try:
-                ref = oracle.evaluate(float(t), float(vartheta))
-                residuals.append(oracle.relation_residual(float(t), x, float(vartheta)))
-            except NullsheetError:
-                skipped += 1
-                continue
-            for name, a, b in zip(coord_names, x, ref):
-                errors[name].append(abs(a - b))
+    for i, j in zip(*np.nonzero(~mesh.truncated)):
+        t, vartheta, x = float(mesh.t_grid[i]), float(mesh.vartheta[i, j]), mesh.x[i, j]
+        try:
+            ref = oracle.evaluate(t, vartheta)
+            residuals.append(oracle.relation_residual(t, x, vartheta))
+        except NullsheetError:
+            skipped += 1
+            continue
+        for name, a, b in zip(coord_names, x, ref):
+            errors[name].append(abs(a - b))
 
     if not residuals:
         print("no comparable nodes (all truncated or out of oracle range)")

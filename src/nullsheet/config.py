@@ -105,6 +105,12 @@ def _as_float(value, path: str) -> float:
     raise ConfigError(path, f"expected a real number, got {value!r}")
 
 
+def _as_range(value, path: str) -> tuple[float, float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(path, "expected [min, max]")
+    return _as_float(value[0], f"{path}[0]"), _as_float(value[1], f"{path}[1]")
+
+
 def _as_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(path, f"expected an integer, got {value!r}")
@@ -163,12 +169,8 @@ def parse_config(raw: dict) -> RunConfig:
                 f"initial_data.{name}",
                 "expected 4 expressions or a sample-file path",
             )
-    tr_raw = id_raw.get("theta_range", [0.0, 2.0 * math.pi])
-    if not isinstance(tr_raw, (list, tuple)) or len(tr_raw) != 2:
-        raise ConfigError("initial_data.theta_range", "expected [min, max]")
-    theta_range = (
-        _as_float(tr_raw[0], "initial_data.theta_range[0]"),
-        _as_float(tr_raw[1], "initial_data.theta_range[1]"),
+    theta_range = _as_range(
+        id_raw.get("theta_range", [0.0, 2.0 * math.pi]), "initial_data.theta_range"
     )
     if not theta_range[1] > theta_range[0]:
         raise ConfigError("initial_data.theta_range", "max must exceed min")

@@ -250,30 +250,6 @@ def lightlikeness_residual(
     return induced_metric(spacetime, x, curve.psi(vartheta), curve.phi_prime(vartheta)).delta
 
 
-def delta_expanded_schwarzschild(
-    curve: InitialCurve, params: SchwarzschildParams, vartheta: float
-) -> float:
-    """delta(0, vartheta) via the expanded sum-of-cross-terms form.
-
-    For the diagonal Schwarzschild metric with weights w_i the degeneracy
-    indicator reduces to -sum_{i<j} w_i w_j (psi_i phi'_j - psi_j phi'_i)^2,
-    an independent evaluation path used to cross-check the generic pullback.
-    """
-    m = params.m
-    phi = curve.phi(vartheta)
-    psi = curve.psi(vartheta)
-    dphi = curve.phi_prime(vartheta)
-    r, alpha = phi[1], phi[2]
-    f = 1.0 - 2.0 * m / r
-    w = np.array([-f, 1.0 / f, r * r, r * r * math.sin(alpha) ** 2])
-    total = 0.0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            cross = psi[i] * dphi[j] - psi[j] * dphi[i]
-            total -= w[i] * w[j] * cross * cross
-    return total
-
-
 def lambda0(
     curve: InitialCurve,
     spacetime: Spacetime,
@@ -288,39 +264,6 @@ def lambda0(
             f"Lambda undefined at vartheta = {vartheta!r}: |g11| = {abs(ind.g11)!r}"
         )
     return -ind.g01 / ind.g11
-
-
-def lambda0_schwarzschild(
-    curve: InitialCurve,
-    params: SchwarzschildParams,
-    vartheta: float,
-    eps_g11: float = EPS_G11,
-) -> float:
-    """Lambda(vartheta) via the explicit Schwarzschild component ratio."""
-    m = params.m
-    phi = curve.phi(vartheta)
-    psi = curve.psi(vartheta)
-    dphi = curve.phi_prime(vartheta)
-    f = 1.0 - 2.0 * m / phi[1]
-    r2 = phi[1] * phi[1]
-    s2 = math.sin(phi[2]) ** 2
-    num = (
-        -f * dphi[0] * psi[0]
-        + dphi[1] * psi[1] / f
-        + r2 * dphi[2] * psi[2]
-        + r2 * s2 * dphi[3] * psi[3]
-    )
-    den = (
-        -f * dphi[0] ** 2
-        + dphi[1] ** 2 / f
-        + r2 * dphi[2] ** 2
-        + r2 * s2 * dphi[3] ** 2
-    )
-    if abs(den) <= eps_g11:
-        raise DegenerateDataError(
-            f"Lambda undefined at vartheta = {vartheta!r}: |g11| = {abs(den)!r}"
-        )
-    return -num / den
 
 
 @dataclass(frozen=True)

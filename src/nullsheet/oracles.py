@@ -450,6 +450,8 @@ def make_oracle(example: int, case: str = "auto", params: OracleParams | None = 
     """
     p = params or OracleParams()
     m, r0 = p.m, p.r0
+    if not m > 0:
+        raise ValueError(f"mass must be positive, got {m}")
     if r0 <= 2.0 * m:
         raise ValueError("r0 must exceed the horizon 2m")
     case = case.upper() if case != "auto" else "auto"

@@ -39,15 +39,18 @@ class SchwarzschildParams:
 
 @dataclass(frozen=True)
 class InducedMetric:
-    """Components of the metric induced on a 2-surface by tangents (x_t, x_theta)."""
+    """Components of the metric induced on a 2-surface by tangents (x_t, x_theta).
 
-    g00: float
-    g01: float
-    g11: float
-    delta: float
+    Each component is a float for one tangent pair, an array for rows of them.
+    """
+
+    g00: float | np.ndarray
+    g01: float | np.ndarray
+    g11: float | np.ndarray
+    delta: float | np.ndarray
 
     @classmethod
-    def from_components(cls, g00: float, g01: float, g11: float) -> "InducedMetric":
+    def from_components(cls, g00, g01, g11) -> "InducedMetric":
         return cls(g00=g00, g01=g01, g11=g11, delta=g01 * g01 - g00 * g11)
 
 
@@ -55,7 +58,9 @@ class InducedMetric:
 class Spacetime:
     """An ambient metric: component evaluators plus chart metadata.
 
-    ``metric_at`` returns the symmetric dim x dim matrix of components,
+    ``metric_at`` returns the symmetric dim x dim matrix of components at a
+    point, or a stack of them (..., dim, dim) for rows of points (..., dim);
+    a metric that does not depend on the point may return one matrix for all,
     ``christoffel_at`` the rank-(1,2) connection array Gamma[mu, nu, rho]
     (symmetric in nu, rho).  ``coordinate_domain`` returns None for an
     admissible point or a human-readable violation message.
@@ -79,6 +84,15 @@ class Spacetime:
             raise DomainError(f"{self.name}: {violation}")
 
 
+def _diagonal(*entries) -> np.ndarray:
+    """Diagonal metrics (..., n, n) from n entries broadcast over rows (...)."""
+    entries = np.broadcast_arrays(*entries)
+    g = np.zeros(entries[0].shape + (len(entries), len(entries)))
+    for k, entry in enumerate(entries):
+        g[..., k, k] = entry
+    return g
+
+
 def schwarzschild(params: SchwarzschildParams) -> Spacetime:
     """Schwarzschild exterior in (tau, r, alpha, beta) coordinates."""
     m = float(params.m)
@@ -91,18 +105,14 @@ def schwarzschild(params: SchwarzschildParams) -> Spacetime:
         return None
 
     def metric(x):
-        g = np.zeros((4, 4))
-        r, alpha = x[1], x[2]
-        if not r >= r_min:
+        r, alpha = x[..., 1], x[..., 2]
+        if not np.all(r >= r_min):
+            bad = float(np.min(r))
             raise DomainError(
-                f"schwarzschild: r = {r!r} violates r > 2m", coordinate="r", value=r
+                f"schwarzschild: r = {bad!r} violates r > 2m", coordinate="r", value=bad
             )
         f = 1.0 - 2.0 * m / r
-        g[0, 0] = -f
-        g[1, 1] = 1.0 / f
-        g[2, 2] = r * r
-        g[3, 3] = r * r * math.sin(alpha) ** 2
-        return g
+        return _diagonal(-f, 1.0 / f, r * r, r * r * np.sin(alpha) ** 2)
 
     def christoffel(x):
         r, alpha = x[1], x[2]
@@ -190,14 +200,15 @@ def minkowski_spherical() -> Spacetime:
         return None
 
     def metric(x):
-        r, alpha = x[1], x[2]
-        if not r > 0:
+        r, alpha = x[..., 1], x[..., 2]
+        if not np.all(r > 0):
+            bad = float(np.min(r))
             raise DomainError(
-                f"minkowski_spherical: r = {r!r} must be positive",
+                f"minkowski_spherical: r = {bad!r} must be positive",
                 coordinate="r",
-                value=r,
+                value=bad,
             )
-        return np.diag([-1.0, 1.0, r * r, (r * math.sin(alpha)) ** 2])
+        return _diagonal(-1.0, 1.0, r * r, (r * np.sin(alpha)) ** 2)
 
     def christoffel(x):
         r, alpha = x[1], x[2]
@@ -295,11 +306,18 @@ def christoffel_fd(
 def induced_metric(
     spacetime: Spacetime, x: np.ndarray, xt: np.ndarray, xtheta: np.ndarray
 ) -> InducedMetric:
-    """Pullback metric components for the tangent pair (x_t, x_theta)."""
+    """Pullback metric components for the tangent pair (x_t, x_theta).
+
+    ``x``, ``xt`` and ``xtheta`` are one point and its tangents (dim,) or
+    rows of them (..., dim); the components come back with shape (...).
+    """
     g = spacetime.metric_at(np.asarray(x, dtype=float))
-    xt = np.asarray(xt, dtype=float)
-    xtheta = np.asarray(xtheta, dtype=float)
-    g00 = float(xt @ g @ xt)
-    g01 = float(xt @ g @ xtheta)
-    g11 = float(xtheta @ g @ xtheta)
-    return InducedMetric.from_components(g00, g01, g11)
+    # each tangent as a (..., 1, dim) row; u @ g @ v^T keeps the summation
+    # order of the plain vector product, row by row
+    xt = np.asarray(xt, dtype=float)[..., None, :]
+    xth = np.asarray(xtheta, dtype=float)[..., None, :]
+
+    def form(u, v):
+        return (u @ g @ np.swapaxes(v, -1, -2))[..., 0, 0]
+
+    return InducedMetric.from_components(form(xt, xt), form(xt, xth), form(xth, xth))

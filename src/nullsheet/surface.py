@@ -1,8 +1,10 @@
 """Surface assembly from per-characteristic geodesics, with export round trips.
 
-A node (t, theta) of the output grid pulls back to vartheta = invert(t,
-theta); the embedding and its tangents come from sampling the geodesic
-trajectories at t and splining across characteristics:
+The mesh is assembled one t-slice at a time, as arrays.  The geodesic
+trajectories are sampled at t and splined across characteristics; one
+``invert`` call pulls every covered column theta back to vartheta, and the
+embedding, its tangents and the induced metric of all those nodes follow
+from array calls (one pullback per parameterization):
 
     x(t, theta) = y(t, vartheta),
     x_theta     = y_vartheta * dvartheta/dtheta,
@@ -24,7 +26,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .characteristics import CharacteristicMap
-from .errors import CoverageError, MapInversionError
+from .errors import CoverageError
 from .geodesic import GeodesicTrajectory
 from .initial_data import EPS_DELTA
 from .spacetime import Spacetime, induced_metric
@@ -56,10 +58,8 @@ class SurfaceMesh:
 
     t_grid: np.ndarray
     theta_grid: np.ndarray
-    char_thetas: np.ndarray
     x: np.ndarray        # (nt, ntheta, 4)
     x_t: np.ndarray      # (nt, ntheta, 4)
-    x_theta: np.ndarray  # (nt, ntheta, 4)
     vartheta: np.ndarray  # (nt, ntheta)
     jacobian: np.ndarray  # (nt, ntheta) dvartheta/dtheta
     g00: np.ndarray
@@ -80,16 +80,6 @@ def wrap_offset_from_curve(curve) -> np.ndarray:
     """Coordinate shift over one period of a periodic curve (2*pi windings)."""
     gap = curve.phi(curve.theta_max) - curve.phi(curve.theta_min)
     return 2.0 * math.pi * np.round(gap / (2.0 * math.pi))
-
-
-def _classify(g00: float, g01: float, g11: float, delta: float, eps_delta: float) -> str:
-    # scale must stay positive on null surfaces, where g00 and g01 both
-    # vanish and the naive g01^2 + |g00 g11| collapses to zero
-    scale = (abs(g00) + abs(g01) + abs(g11)) ** 2
-    threshold = max(eps_delta, 1e-6 * scale)
-    if abs(delta) <= threshold:
-        return TYPE_LIGHTLIKE
-    return TYPE_TIMELIKE if delta > 0 else TYPE_SPACELIKE
 
 
 def build_surface(
@@ -122,127 +112,85 @@ def build_surface(
     if np.any(np.diff(char_thetas) <= 0):
         raise CoverageError("characteristic varthetas must be strictly increasing")
 
-    periodic = cmap.periodic
     nt, ntheta = len(t_grid), len(theta_grid)
     dim = spacetime.dim
-    x = np.full((nt, ntheta, dim), np.nan)
-    x_t = np.full((nt, ntheta, dim), np.nan)
-    x_th = np.full((nt, ntheta, dim), np.nan)
-    vartheta_grid = np.full((nt, ntheta), np.nan)
-    jac = np.full((nt, ntheta), np.nan)
-    g00 = np.full((nt, ntheta), np.nan)
-    g01 = np.full((nt, ntheta), np.nan)
-    g11 = np.full((nt, ntheta), np.nan)
-    delta = np.full((nt, ntheta), np.nan)
-    delta_char = np.full((nt, ntheta), np.nan)
+    x, x_t = np.full((2, nt, ntheta, dim), np.nan)
+    vartheta_grid, jac, g00, g01, g11, delta, delta_char = np.full((7, nt, ntheta), np.nan)
     labels = np.full((nt, ntheta), TYPE_TRUNCATED, dtype="<U10")
     truncated = np.ones((nt, ntheta), dtype=bool)
 
     ends = np.array([traj.t_last for traj in trajectories])
-
     theta_min = cmap.theta_min
-    period = cmap.period
     if wrap_offset is None:
         trend = np.zeros(dim)
     else:
-        trend = np.asarray(wrap_offset, dtype=float) / period
-    spline_thetas = np.append(char_thetas, char_thetas[0] + period)
+        trend = np.asarray(wrap_offset, dtype=float) / cmap.period
+    spline_thetas = np.append(char_thetas, char_thetas[0] + cmap.period)
 
     for i, t in enumerate(t_grid):
         alive = ends >= t - 1e-12
-        periodic_now = periodic and bool(alive.all())
-
+        periodic_now = cmap.periodic and bool(alive.all())
+        # largest contiguous alive block; interpolation is restricted to it
+        edges = np.diff(alive, prepend=False, append=False).nonzero()[0]
+        starts, stops = edges[::2], edges[1::2]
         if periodic_now:
-            block = np.arange(n_char)
+            first, last = 0, n_char
+        elif len(starts) and (stops - starts).max() >= 4:
+            k = int(np.argmax(stops - starts))
+            first, last = starts[k], stops[k]
         else:
-            if not alive.any():
-                continue
-            # largest contiguous alive block; interpolation is restricted to it
-            best_start = best_len = 0
-            run_start = None
-            for k in range(n_char + 1):
-                if k < n_char and alive[k]:
-                    if run_start is None:
-                        run_start = k
-                else:
-                    if run_start is not None and k - run_start > best_len:
-                        best_start, best_len = run_start, k - run_start
-                    run_start = None
-            if best_len < 4:
-                continue
-            block = np.arange(best_start, best_start + best_len)
+            continue
 
-        samples = [trajectories[k].sample(t) for k in block]
-        ys = np.array([s.y for s in samples])
-        vs = np.array([s.v for s in samples])
-
+        # one spline across characteristics carries position y and velocity y_t
+        states = [trajectories[k].sample(t) for k in range(first, last)]
+        yy_t = np.array([np.concatenate([s.y, s.v]) for s in states])
         if periodic_now:
-            detrended = ys - np.outer(char_thetas - theta_min, trend)
-            det_ext = np.vstack([detrended, detrended[:1]])
-            vs_ext = np.vstack([vs, vs[:1]])
-            y_spl = CubicSpline(spline_thetas, det_ext, bc_type="periodic", axis=0)
-            v_spl = CubicSpline(spline_thetas, vs_ext, bc_type="periodic", axis=0)
+            yy_t[:, :dim] -= np.outer(char_thetas - theta_min, trend)
+            spline = CubicSpline(spline_thetas, np.vstack([yy_t, yy_t[:1]]), bc_type="periodic")
         else:
-            y_spl = CubicSpline(char_thetas[block], ys, bc_type="not-a-knot", axis=0)
-            v_spl = CubicSpline(char_thetas[block], vs, bc_type="not-a-knot", axis=0)
-        dy_spl = y_spl.derivative()
+            spline = CubicSpline(char_thetas[first:last], yy_t, bc_type="not-a-knot")
 
-        for jcol, theta in enumerate(theta_grid):
-            try:
-                v_theta = cmap.invert(t, theta)
-            except MapInversionError:
-                continue
-            if not periodic_now:
-                if not (
-                    char_thetas[block[0]] - 1e-12
-                    <= v_theta
-                    <= char_thetas[block[-1]] + 1e-12
-                ):
-                    continue
-            jac_val = cmap.jacobian(t, v_theta)
-            lam = cmap.lambda_fn(v_theta)
-            if periodic_now:
-                y_here = y_spl(v_theta) + (v_theta - theta_min) * trend
-                y_v = dy_spl(v_theta) + trend
-            else:
-                y_here = y_spl(v_theta)
-                y_v = dy_spl(v_theta)
-            y_t = v_spl(v_theta)
+        # a column has a vartheta only inside the characteristic image
+        cols = np.flatnonzero(cmap._in_image(t, theta_grid))
+        v = cmap.invert(t, theta_grid[cols])
+        if not periodic_now:
+            inside = (char_thetas[first] - 1e-12 <= v) & (v <= char_thetas[last - 1] + 1e-12)
+            cols, v = cols[inside], v[inside]
+        jac_v = cmap.jacobian(t, v)
+        lam = cmap.lambda_fn(v)
+        y, y_t = np.split(spline(v), 2, axis=1)
+        y_v = spline.derivative()(v)[:, :dim]
+        if periodic_now:
+            y += np.outer(v - theta_min, trend)
+            y_v += trend
 
-            xt_here = y_t - lam * jac_val * y_v
-            xth_here = jac_val * y_v
+        xt = y_t - (lam * jac_v)[:, None] * y_v
+        ind = induced_metric(spacetime, y, xt, jac_v[:, None] * y_v)
+        # scale stays positive on null surfaces, where g00 and g01 both
+        # vanish and the naive g01^2 + |g00 g11| collapses to zero
+        scale = (np.abs(ind.g00) + np.abs(ind.g01) + np.abs(ind.g11)) ** 2
+        lightlike = np.abs(ind.delta) <= np.maximum(eps_delta, 1e-6 * scale)
 
-            ind = induced_metric(spacetime, y_here, xt_here, xth_here)
-            ind_char = induced_metric(spacetime, y_here, y_t, y_v)
-
-            x[i, jcol] = y_here
-            x_t[i, jcol] = xt_here
-            x_th[i, jcol] = xth_here
-            vartheta_grid[i, jcol] = v_theta
-            jac[i, jcol] = jac_val
-            g00[i, jcol] = ind.g00
-            g01[i, jcol] = ind.g01
-            g11[i, jcol] = ind.g11
-            delta[i, jcol] = ind.delta
-            delta_char[i, jcol] = ind_char.delta
-            labels[i, jcol] = _classify(
-                ind.g00, ind.g01, ind.g11, ind.delta, eps_delta
-            )
-            truncated[i, jcol] = False
-
-    truncation_map = np.full(ntheta, np.inf)
-    for jcol in range(ntheta):
-        trunc_times = t_grid[truncated[:, jcol]]
-        if len(trunc_times):
-            truncation_map[jcol] = trunc_times.min()
+        x[i, cols] = y
+        x_t[i, cols] = xt
+        vartheta_grid[i, cols] = v
+        jac[i, cols] = jac_v
+        g00[i, cols] = ind.g00
+        g01[i, cols] = ind.g01
+        g11[i, cols] = ind.g11
+        delta[i, cols] = ind.delta
+        delta_char[i, cols] = induced_metric(spacetime, y, y_t, y_v).delta
+        labels[i, cols] = np.where(
+            lightlike, TYPE_LIGHTLIKE,
+            np.where(ind.delta > 0, TYPE_TIMELIKE, TYPE_SPACELIKE),
+        )
+        truncated[i, cols] = False
 
     return SurfaceMesh(
         t_grid=t_grid,
         theta_grid=theta_grid,
-        char_thetas=char_thetas,
         x=x,
         x_t=x_t,
-        x_theta=x_th,
         vartheta=vartheta_grid,
         jacobian=jac,
         g00=g00,
@@ -252,7 +200,7 @@ def build_surface(
         delta_char=delta_char,
         type_label=labels,
         truncated=truncated,
-        truncation_map=truncation_map,
+        truncation_map=np.where(truncated, t_grid[:, None], np.inf).min(axis=0),
     )
 
 

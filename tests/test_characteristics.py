@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 import nullsheet as ns
 from nullsheet.errors import MapBreakdownError, MapInversionError
@@ -170,3 +173,77 @@ class TestMapFromInitialData:
         # Lambda = -1: theta = vartheta - t
         assert cmap.forward(2.0, 3.0) == pytest.approx(-1.0, abs=1e-11)
         assert cmap.invert(3.0, 1.0) == pytest.approx(4.0, abs=1e-11)
+
+
+def sine_map(amplitude):
+    """Periodic Lambda = a sin(vartheta), monotone up to t = 1/a."""
+    return ns.map_from_callables(
+        lambda v: amplitude * np.sin(v),
+        lambda v: amplitude * np.cos(v),
+        (0.0, 2 * math.pi),
+        periodic=True,
+    )
+
+
+def spline_map():
+    """A periodic spline Lambda, the kind map_from_initial_data builds."""
+    grid = np.linspace(0.0, 2 * math.pi, 33)
+    spline = CubicSpline(
+        grid, 0.1 * np.sin(grid) + 0.05 * np.cos(2 * grid), bc_type="periodic"
+    )
+    return ns.map_from_callables(
+        spline, spline.derivative(), (0.0, 2 * math.pi), periodic=True
+    )
+
+
+ARRAY_MAPS = {
+    "arctan": ns.map_from_callables(
+        np.arctan, lambda v: 1.0 / (1.0 + v * v), (-3.0, 3.0)
+    ),
+    "sine": sine_map(0.3),
+    "spline": spline_map(),
+}
+unit = st.floats(0.0, 1.0)
+times = st.floats(0.0, 3.0)
+
+
+def image_points(cmap, t, fractions):
+    lo, hi = cmap.image_interval(t)
+    return lo + (hi - lo) * np.array(fractions)
+
+
+class TestInvertProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(ARRAY_MAPS)), t=times,
+           fractions=st.lists(unit, min_size=1, max_size=24))
+    def test_array_equals_elementwise_scalar(self, name, t, fractions):
+        cmap = ARRAY_MAPS[name]
+        thetas = image_points(cmap, t, fractions)
+        together = cmap.invert(t, thetas)
+        one_by_one = np.array([cmap.invert(t, th) for th in thetas])
+        assert together.shape == thetas.shape
+        assert together.tobytes() == one_by_one.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(ARRAY_MAPS)), t=times,
+           fractions=st.lists(unit, min_size=1, max_size=24))
+    def test_residual_contract(self, name, t, fractions):
+        cmap = ARRAY_MAPS[name]
+        thetas = image_points(cmap, t, fractions)
+        residual = cmap.forward(cmap.invert(t, thetas), t) - thetas
+        if cmap.periodic:  # theta and theta + one period are the same point
+            residual -= cmap.period * np.round(residual / cmap.period)
+        assert (np.abs(residual) <= 1e-12 * (1.0 + np.abs(thetas))).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(amplitude=st.floats(0.0, 0.3), t=times,
+           fractions=st.lists(unit, min_size=1, max_size=24),
+           shift=st.integers(-3, 3))
+    def test_whole_period_shift(self, amplitude, t, fractions, shift):
+        cmap = sine_map(amplitude)
+        thetas = image_points(cmap, t, fractions)
+        base = cmap.invert(t, thetas)
+        shifted = cmap.invert(t, thetas + shift * cmap.period)
+        # the same vartheta, up to rounding, on the circle of one period
+        gap = (shifted - base + 0.5 * cmap.period) % cmap.period - 0.5 * cmap.period
+        assert np.abs(gap).max() <= 1e-12

@@ -1,4 +1,5 @@
 import math
+import pathlib
 import textwrap
 
 import pytest
@@ -295,6 +296,20 @@ class TestCompareCommand:
         cfg = write_config(tmp_path, oracle=None)
         assert main(["compare", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize(
+        "key, value", [("sign_alpha", 2), ("r0", "abc"), ("alpha0", "vartheta")]
+    )
+    def test_bad_oracle_param_exit_2(self, tmp_path, capsys, key, value):
+        shipped = pathlib.Path(__file__).resolve().parents[1] / "configs"
+        raw = yaml.safe_load((shipped / "photon_sphere.yaml").read_text())
+        raw["oracle"]["params"][key] = value
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert main(["compare", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: oracle.params")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestClassifyCommand:
     def test_photon_sphere_rows(self, tmp_path, capsys):
@@ -321,8 +336,6 @@ class TestShippedConfigs:
 
     @pytest.mark.parametrize("name", CONFIGS)
     def test_validate_and_compare(self, name, tmp_path, monkeypatch):
-        import pathlib
-
         cfg = pathlib.Path(__file__).resolve().parents[1] / "configs" / name
         monkeypatch.chdir(tmp_path)  # configs use relative output paths
         assert main(["validate", "--config", str(cfg)]) == 0

@@ -153,6 +153,38 @@ class TestBuildSurface:
         assert mesh.truncated[-1].all()
         assert not mesh.truncated[0].any()
 
+    def test_two_alive_runs_keep_the_longer(self, schw):
+        # characteristic 5 stops at t = 0.5 and 0..4 at t = 1, so later slices
+        # see two alive runs, 0..4 and 6..15; only the longer one is splined
+        curve = ns.curve_from_expressions(
+            ["0", "10", "pi/2 + 0.3*sin(vartheta)", "vartheta"],
+            ["1.25", "1", "0", "0"],
+            (0.0, 2 * math.pi),
+        )
+        cmap = ns.map_from_initial_data(curve, schw)
+        thetas = curve.grid(16)
+        ends = np.where(np.arange(16) < 5, 1.0, 2.0)
+        ends[5] = 0.5
+        trajs = [
+            ns.integrate(
+                schw, ns.GeodesicState(y=curve.phi(v), v=curve.psi(v), t=0.0), end
+            )
+            for v, end in zip(thetas, ends)
+        ]
+        t_grid = np.array([0.0, 0.25, 0.75, 1.5])
+        theta_grid = np.linspace(0.05, 2 * math.pi - 0.05, 40)
+        mesh = ns.build_surface(trajs, thetas, cmap, t_grid, theta_grid, schw)
+        assert not mesh.truncated[:2].any()
+        # Lambda = 0, so vartheta = theta: a node is kept iff it lies in the long run
+        in_long_run = (theta_grid >= thetas[6]) & (theta_grid <= thetas[15])
+        assert in_long_run.any() and not in_long_run.all()
+        for i in (2, 3):
+            assert (mesh.truncated[i] == ~in_long_run).all()
+        assert np.isfinite(mesh.x[2:, in_long_run]).all()
+        np.testing.assert_array_equal(
+            mesh.truncation_map, np.where(in_long_run, np.inf, 0.75)
+        )
+
     def test_timelike_data_classification(self, schw):
         curve = ns.curve_from_expressions(
             ["0", "10", "pi/2", "vartheta"],
