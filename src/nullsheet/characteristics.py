@@ -211,16 +211,14 @@ def burgers_residual_grid(
     """Max |lambda_t + lambda lambda_theta| by centered differences.
 
     Both grids must be uniform; the residual is evaluated on interior nodes
-    only.  Second-order convergence of this quantity under refinement is the
+    only.  Each t row is inverted in one call, so Lambda must take arrays.  Second-order convergence of this quantity under refinement is the
     numerical witness that the transported field solves the Burgers equation.
     """
     t_values = np.asarray(t_values, dtype=float)
     theta_values = np.asarray(theta_values, dtype=float)
     dt = t_values[1] - t_values[0]
     dth = theta_values[1] - theta_values[0]
-    lam = np.array(
-        [[cmap.lambda_field(t, th) for th in theta_values] for t in t_values]
-    )
+    lam = np.array([cmap.lambda_field(t, theta_values) for t in t_values])
     lam_t = (lam[2:, 1:-1] - lam[:-2, 1:-1]) / (2 * dt)
     lam_th = (lam[1:-1, 2:] - lam[1:-1, :-2]) / (2 * dth)
     residual = lam_t + lam[1:-1, 1:-1] * lam_th

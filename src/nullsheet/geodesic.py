@@ -2,19 +2,21 @@
 
 Each surface point evolves by y''^mu + Gamma^mu_{nu rho}(y) y'^nu y'^rho = 0.
 The integrator is an embedded Dormand-Prince 5(4) pair with PI step-size
-control and the standard quartic continuous extension, so trajectories can
-be sampled densely without re-integration.  Schwarzschild runs terminate at
-the horizon (r <= 2m(1 + eps_horizon)) or the coordinate axis
-(|sin alpha| <= eps_axis); both are recorded as events, as is step-size
-underflow.
+control and the standard quartic continuous extension (Hairer, Norsett &
+Wanner, Solving ODEs I, II.6), so trajectories can be sampled densely
+without re-integration.  A trajectory is stored as stacked arrays: the node
+times, the node states [y, v] and one interpolant per step; one dense-output
+formula serves sampling (a whole t-grid per call), the event search and the
+event state.  Schwarzschild runs terminate at the horizon
+(r <= 2m(1 + eps_horizon)) or the coordinate axis (|sin alpha| <= eps_axis);
+both are recorded as events, as is step-size underflow.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
@@ -56,22 +58,27 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
+_POWERS = np.arange(1.0, 5.0)
+# smallest step, relative to max(|t|, 1), that is not lost in the roundoff of t
+_H_FLOOR = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class GeodesicState:
-    """Position, velocity and parameter time of one surface point."""
+    """Position, velocity and parameter time of one surface point.
+
+    A state sampled at an array of times holds rows: y and v are (..., dim).
+    """
 
     y: np.ndarray
     v: np.ndarray
-    t: float
+    t: float | np.ndarray
 
 
 @dataclass(frozen=True)
 class Event:
     kind: str  # horizon | axis | step_failure | t_max
     t: float
-    state: GeodesicState
 
 
 @dataclass(frozen=True)
@@ -83,25 +90,41 @@ class SolverOptions:
     eps_axis: float = 1e-8
 
 
+def _dense(w, h, q, sigma):
+    """Continuous extension w + h q [sigma, sigma^2, sigma^3, sigma^4] of a step.
+
+    ``w`` (..., 2*dim) is the state at the step start, ``h`` the step size,
+    ``q`` (..., 2*dim, 4) the step's interpolant and ``sigma`` in [0, 1] the
+    fraction of the step.  The leading axes run over rows; for rows, ``h``
+    and ``sigma`` are (..., 1) columns.
+    """
+    # float_power is libm pow for every element, like ** on a scalar sigma;
+    # ** on an array may round the powers differently
+    basis = np.float_power(sigma, _POWERS)
+    return w + h * (q @ basis[..., None])[..., 0]
+
+
 @dataclass
 class GeodesicTrajectory:
     """Dense-output solution of one characteristic's geodesic.
 
-    ``ts``/``states`` hold the accepted integration nodes; ``sample``
-    evaluates the continuous extension anywhere inside [t0, t_last].
-    ``conserved`` is filled by :func:`conserved_along` for Schwarzschild runs.
+    ``ts`` (n,) holds the accepted node times, ``nodes`` (n, 2*dim) the
+    states [y, v] at them and ``interp_q`` (n-1, 2*dim, 4) the interpolant
+    of each step; ``sample`` evaluates the continuous extension anywhere in
+    [ts[0], t_last].
     """
 
     dim: int
     ts: np.ndarray
-    states: list[GeodesicState]
+    nodes: np.ndarray
     events: list[Event]
-    interp_q: list[np.ndarray]  # per step: (2*dim, 4) interpolant matrix
-    conserved: list[ConservedSet] | None = None
+    interp_q: np.ndarray
 
     @property
-    def t0(self) -> float:
-        return float(self.ts[0])
+    def states(self) -> list[GeodesicState]:
+        """One state per node; y and v are views into ``nodes``."""
+        dim = self.dim
+        return [GeodesicState(y=w[:dim], v=w[dim:], t=t) for t, w in zip(self.ts, self.nodes)]
 
     @property
     def t_last(self) -> float:
@@ -111,33 +134,31 @@ class GeodesicTrajectory:
     def terminated_early(self) -> bool:
         return any(e.kind in ("horizon", "axis", "step_failure") for e in self.events)
 
-    def sample(self, t: float) -> GeodesicState:
-        """Dense-output state at parameter time t in [t0, t_last]."""
+    def sample(self, t) -> GeodesicState:
+        """Dense-output state at t in [ts[0], t_last]; t is a scalar or an array."""
         ts = self.ts
-        if t < ts[0] - 1e-12 or t > ts[-1] + 1e-12:
+        t = np.asarray(t, dtype=float)
+        outside = (t < ts[0] - 1e-12) | (t > ts[-1] + 1e-12)
+        if outside.any():
             raise ValueError(
-                f"t = {t!r} outside trajectory range [{ts[0]!r}, {ts[-1]!r}]"
+                f"t = {float(t[outside][0])!r} outside trajectory range "
+                f"[{ts[0]!r}, {ts[-1]!r}]"
             )
-        t = min(max(t, ts[0]), ts[-1])
-        i = bisect.bisect_right(ts, t) - 1
-        if i >= len(ts) - 1:
-            i = len(ts) - 2
-        if i < 0:
-            state = self.states[0]
-            return GeodesicState(y=state.y.copy(), v=state.v.copy(), t=t)
-        h = ts[i + 1] - ts[i]
-        sigma = (t - ts[i]) / h
-        p = np.array([sigma, sigma**2, sigma**3, sigma**4])
-        w0 = np.concatenate([self.states[i].y, self.states[i].v])
-        w = w0 + h * (self.interp_q[i] @ p)
-        return GeodesicState(y=w[: self.dim], v=w[self.dim :], t=t)
-
-    def sample_many(self, times: Sequence[float]) -> list[GeodesicState]:
-        return [self.sample(t) for t in times]
+        t = np.clip(t, ts[0], ts[-1])
+        if len(ts) == 1:  # no step was taken: every t is node 0
+            w = self.nodes[np.zeros(t.shape, dtype=int)]
+        else:
+            i = np.minimum(np.searchsorted(ts, t, side="right") - 1, len(ts) - 2)
+            h = (ts[i + 1] - ts[i])[..., None]
+            w = _dense(self.nodes[i], h, self.interp_q[i], (t - ts[i])[..., None] / h)
+        return GeodesicState(y=w[..., : self.dim], v=w[..., self.dim :], t=t[()])
 
 
 def geodesic_rhs(spacetime: Spacetime, state: GeodesicState) -> np.ndarray:
-    """Acceleration -Gamma^mu_{nu rho} v^nu v^rho from the connection array."""
+    """Acceleration -Gamma^mu_{nu rho} v^nu v^rho from the connection array.
+
+    The reference that ``Spacetime.acceleration_at`` is checked against.
+    """
     spacetime.check_admissible(state.y)
     gamma = spacetime.christoffel_at(state.y)
     return -np.einsum("mnr,n,r->m", gamma, state.v, state.v)
@@ -147,16 +168,8 @@ def _make_rhs(spacetime: Spacetime) -> Callable[[np.ndarray], np.ndarray]:
     dim = spacetime.dim
     accel = spacetime.acceleration_at
 
-    if accel is not None:
-        def rhs(w: np.ndarray) -> np.ndarray:
-            return np.concatenate([w[dim:], accel(w[:dim], w[dim:])])
-    else:
-        christoffel = spacetime.christoffel_at
-
-        def rhs(w: np.ndarray) -> np.ndarray:
-            gamma = christoffel(w[:dim])
-            v = w[dim:]
-            return np.concatenate([v, -np.einsum("mnr,n,r->m", gamma, v, v)])
+    def rhs(w: np.ndarray) -> np.ndarray:
+        return np.concatenate([w[dim:], accel(w[:dim], w[dim:])])
 
     return rhs
 
@@ -226,7 +239,7 @@ def integrate(
     f = rhs(w)
 
     ts = [t]
-    states = [GeodesicState(y=w[:dim].copy(), v=w[dim:].copy(), t=t)]
+    nodes = [w]
     interp_q: list[np.ndarray] = []
     events: list[Event] = []
 
@@ -235,22 +248,16 @@ def integrate(
     n_steps = 0
     K = np.empty((7, 2 * dim))
 
-    def record_terminal(kind: str, t_ev: float, w_ev: np.ndarray):
-        state = GeodesicState(y=w_ev[:dim].copy(), v=w_ev[dim:].copy(), t=t_ev)
-        events.append(Event(kind=kind, t=t_ev, state=state))
-
     while t < t_end:
         if n_steps >= opts.max_steps:
-            record_terminal("step_failure", t, w)
+            events.append(Event(kind="step_failure", t=t))
             break
         h = min(h, t_end - t)
-        h_floor = 16.0 * np.finfo(float).eps * max(abs(t), 1.0)
+        h_floor = _H_FLOOR * max(abs(t), 1.0)
         if h < h_floor:
-            if t_end - t < h_floor:
-                # landed within roundoff of t_end: a completed run
-                events.append(Event(kind="t_max", t=t, state=states[-1]))
-            else:
-                record_terminal("step_failure", t, w)
+            # within roundoff of t_end the run is complete; elsewhere h underflowed
+            kind = "t_max" if t_end - t < h_floor else "step_failure"
+            events.append(Event(kind=kind, t=t))
             break
 
         # stage evaluations; a domain violation mid-stage rejects the step
@@ -294,7 +301,7 @@ def integrate(
         # event check across [t, t_new] on the continuous extension; the
         # midpoint is probed as well to catch crossings inside long steps
         triggered = None
-        w_mid = w + h * (q @ np.array([0.5, 0.25, 0.125, 0.0625]))
+        w_mid = _dense(w, h, q, 0.5)
         for kind, g in guards:
             g_end = g(w_new[:dim])
             g_mid = g(w_mid[:dim])
@@ -303,8 +310,7 @@ def integrate(
             sig_hi = 0.5 if g_mid <= 0.0 else 1.0
 
             def g_sigma(sigma, g=g):
-                ww = w + h * (q @ np.array([sigma, sigma**2, sigma**3, sigma**4]))
-                return g(ww[:dim])
+                return g(_dense(w, h, q, sigma)[:dim])
 
             if g_sigma(0.0) <= 0.0:
                 sig_ev = 0.0
@@ -316,36 +322,30 @@ def integrate(
 
         if triggered is not None:
             kind, t_ev, sig_ev = triggered
+            # a crossing at the step start terminates on the existing node
             if sig_ev > 0.0:
-                p = np.array([sig_ev, sig_ev**2, sig_ev**3, sig_ev**4])
-                w_ev = w + h * (q @ p)
                 ts.append(t_ev)
-                states.append(
-                    GeodesicState(y=w_ev[:dim].copy(), v=w_ev[dim:].copy(), t=t_ev)
-                )
+                nodes.append(_dense(w, h, q, sig_ev))
                 interp_q.append(q)
-            else:
-                # crossing at the step start: terminate on the existing node
-                w_ev = w
-            record_terminal(kind, t_ev, w_ev)
+            events.append(Event(kind=kind, t=t_ev))
             break
 
         t, w, f = t_new, w_new, f_new
         ts.append(t)
-        states.append(GeodesicState(y=w[:dim].copy(), v=w[dim:].copy(), t=t))
+        nodes.append(w)
         interp_q.append(q)
         h *= factor
 
         if t >= t_end:
-            events.append(Event(kind="t_max", t=t, state=states[-1]))
+            events.append(Event(kind="t_max", t=t))
             break
 
     return GeodesicTrajectory(
         dim=dim,
         ts=np.array(ts),
-        states=states,
+        nodes=np.array(nodes),
         events=events,
-        interp_q=interp_q,
+        interp_q=np.array(interp_q).reshape(-1, 2 * dim, 4),
     )
 
 
@@ -360,60 +360,38 @@ class DriftReport:
     """Conservation drift of (E, L, K) along one trajectory."""
 
     initial: ConservedSet
-    max_abs_drift: tuple[float, float, float]
     max_rel_drift: float
-    times: np.ndarray
-    series: np.ndarray  # (n, 3) columns E, L, K
+    series: np.ndarray  # (n, 3) columns E, L, K at the nodes
 
 
-def _conserved_at(m: float, y: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
-    r, alpha = y[1], y[2]
-    sin_a, cos_a = math.sin(alpha), math.cos(alpha)
-    E = v[0] * (1.0 - 2.0 * m / r)
-    L = v[3] * r * r * sin_a * sin_a
-    K = r**4 * (v[2] ** 2 + v[3] ** 2 * sin_a * sin_a * cos_a * cos_a)
-    return float(E), float(L), float(K)
-
-
-def conserved_along(
-    params: SchwarzschildParams,
-    trajectory: GeodesicTrajectory,
-    times: Sequence[float] | None = None,
-) -> DriftReport:
-    """Recompute E, L, K at trajectory nodes and report the worst drift.
+def conserved_along(params: SchwarzschildParams, trajectory: GeodesicTrajectory) -> DriftReport:
+    """Recompute E, L, K at the trajectory nodes and report the worst drift.
 
     The relative drift is measured against max(1, |initial value|) per
-    integral.  Also caches the per-node ConservedSet series on the
-    trajectory.
+    integral; ``initial`` holds the constants, C included, at node 0.
     """
     m = params.m
-    if times is None:
-        sample_states = trajectory.states
-        ts = trajectory.ts
-    else:
-        sample_states = trajectory.sample_many(times)
-        ts = np.asarray(times, dtype=float)
-
-    series = np.array([_conserved_at(m, s.y, s.v) for s in sample_states])
+    dim = trajectory.dim
+    y, v = trajectory.nodes[:, :dim], trajectory.nodes[:, dim:]
+    r, alpha = y[:, 1], y[:, 2]
+    sin_a, cos_a = np.sin(alpha), np.cos(alpha)
+    E = v[:, 0] * (1.0 - 2.0 * m / r)
+    L = v[:, 3] * r * r * sin_a * sin_a
+    # float_power is libm pow for every element, like ** on a scalar
+    K = np.float_power(r, 4) * (
+        np.float_power(v[:, 2], 2) + np.float_power(v[:, 3], 2) * sin_a * sin_a * cos_a * cos_a
+    )
+    series = np.column_stack([E, L, K])
     drift = np.abs(series - series[0])
-    max_abs = tuple(float(d) for d in drift.max(axis=0))
     scales = np.maximum(1.0, np.abs(series[0]))
-    max_rel = float((drift / scales).max())
 
-    conserved_sets = []
-    for st, (E, L, K) in zip(sample_states, series):
-        r = st.y[1]
-        C = (st.v[1] ** 2 * r**3 + K * (r - 2.0 * m) - 2.0 * m * E * E * r * r) / (
-            r * r * (r - 2.0 * m)
-        )
-        conserved_sets.append(ConservedSet(E=E, L=L, K=max(K, 0.0), C=float(C)))
-    if times is None:
-        trajectory.conserved = conserved_sets
-
+    E0, L0, K0 = (float(c) for c in series[0])
+    r0, r_t0 = y[0, 1], v[0, 1]
+    C = (r_t0**2 * r0**3 + K0 * (r0 - 2.0 * m) - 2.0 * m * E0 * E0 * r0 * r0) / (
+        r0 * r0 * (r0 - 2.0 * m)
+    )
     return DriftReport(
-        initial=conserved_sets[0],
-        max_abs_drift=max_abs,
-        max_rel_drift=max_rel,
-        times=ts,
+        initial=ConservedSet(E=E0, L=L0, K=max(K0, 0.0), C=float(C)),
+        max_rel_drift=float((drift / scales).max()),
         series=series,
     )

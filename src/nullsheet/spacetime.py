@@ -64,10 +64,10 @@ class Spacetime:
     ``christoffel_at`` the rank-(1,2) connection array Gamma[mu, nu, rho]
     (symmetric in nu, rho).  ``coordinate_domain`` returns None for an
     admissible point or a human-readable violation message.
-    ``acceleration_at``, when present, is a fast closed-form evaluation of
-    the geodesic acceleration -Gamma^mu_{nu rho} v^nu v^rho; it must agree
-    with the contraction of ``christoffel_at`` and exists so that the two
-    can be checked against each other.
+    ``acceleration_at`` is the closed-form geodesic acceleration
+    -Gamma^mu_{nu rho} v^nu v^rho that the integrator calls; it must agree
+    with the contraction of ``christoffel_at`` (``geodesic.geodesic_rhs``),
+    against which the tests check it.
     """
 
     name: str
@@ -75,7 +75,7 @@ class Spacetime:
     metric_at: Callable[[np.ndarray], np.ndarray]
     christoffel_at: Callable[[np.ndarray], np.ndarray]
     coordinate_domain: Callable[[np.ndarray], str | None]
-    acceleration_at: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    acceleration_at: Callable[[np.ndarray, np.ndarray], np.ndarray]
     meta: Mapping[str, float] = field(default_factory=dict)
 
     def check_admissible(self, x: np.ndarray) -> None:

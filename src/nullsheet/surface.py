@@ -1,10 +1,11 @@
 """Surface assembly from per-characteristic geodesics, with export round trips.
 
-The mesh is assembled one t-slice at a time, as arrays.  The geodesic
-trajectories are sampled at t and splined across characteristics; one
-``invert`` call pulls every covered column theta back to vartheta, and the
-embedding, its tangents and the induced metric of all those nodes follow
-from array calls (one pullback per parameterization):
+The mesh is assembled one t-slice at a time, as arrays.  Each geodesic
+trajectory is sampled once, over the part of the t-grid it reaches; per
+slice, those samples are splined across characteristics, one ``invert``
+call pulls every covered column theta back to vartheta, and the embedding,
+its tangents and the induced metric of all those nodes follow from array
+calls (one pullback per parameterization):
 
     x(t, theta) = y(t, vartheta),
     x_theta     = y_vartheta * dvartheta/dtheta,
@@ -126,9 +127,19 @@ def build_surface(
     else:
         trend = np.asarray(wrap_offset, dtype=float) / cmap.period
     spline_thetas = np.append(char_thetas, char_thetas[0] + cmap.period)
+    # winding trend of each characteristic's position; none on velocities
+    detrend = np.outer(char_thetas - theta_min, np.append(trend, np.zeros(dim)))
+
+    # each trajectory sampled once over the t-grid nodes it reaches:
+    # samples[i, k] = [y, y_t] of characteristic k at t_grid[i]
+    reached = ends >= t_grid[:, None] - 1e-12
+    samples = np.full((nt, n_char, 2 * dim), np.nan)
+    for k, traj in enumerate(trajectories):
+        state = traj.sample(t_grid[reached[:, k]])
+        samples[reached[:, k], k] = np.hstack([state.y, state.v])
 
     for i, t in enumerate(t_grid):
-        alive = ends >= t - 1e-12
+        alive = reached[i]
         periodic_now = cmap.periodic and bool(alive.all())
         # largest contiguous alive block; interpolation is restricted to it
         edges = np.diff(alive, prepend=False, append=False).nonzero()[0]
@@ -142,13 +153,13 @@ def build_surface(
             continue
 
         # one spline across characteristics carries position y and velocity y_t
-        states = [trajectories[k].sample(t) for k in range(first, last)]
-        yy_t = np.array([np.concatenate([s.y, s.v]) for s in states])
         if periodic_now:
-            yy_t[:, :dim] -= np.outer(char_thetas - theta_min, trend)
+            yy_t = samples[i] - detrend
             spline = CubicSpline(spline_thetas, np.vstack([yy_t, yy_t[:1]]), bc_type="periodic")
         else:
-            spline = CubicSpline(char_thetas[first:last], yy_t, bc_type="not-a-knot")
+            spline = CubicSpline(
+                char_thetas[first:last], samples[i, first:last], bc_type="not-a-knot"
+            )
 
         # a column has a vartheta only inside the characteristic image
         cols = np.flatnonzero(cmap._in_image(t, theta_grid))

@@ -238,7 +238,7 @@ class TestCriterion6ConservedQuantities:
 class TestCriterion7BurgersTransform:
     def test_round_trip_and_residual_order(self):
         cmap = ns.map_from_callables(
-            math.atan, lambda v: 1.0 / (1.0 + v * v), (-3.0, 3.0)
+            np.arctan, lambda v: 1.0 / (1.0 + v * v), (-3.0, 3.0)
         )
         rng = np.random.default_rng(99)
         worst = 0.0

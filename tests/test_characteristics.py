@@ -12,7 +12,7 @@ from nullsheet.errors import MapBreakdownError, MapInversionError
 
 def arctan_map(theta_range=(-3.0, 3.0)):
     return ns.map_from_callables(
-        lambda v: math.atan(v),
+        np.arctan,
         lambda v: 1.0 / (1.0 + v * v),
         theta_range,
     )
@@ -197,9 +197,7 @@ def spline_map():
 
 
 ARRAY_MAPS = {
-    "arctan": ns.map_from_callables(
-        np.arctan, lambda v: 1.0 / (1.0 + v * v), (-3.0, 3.0)
-    ),
+    "arctan": arctan_map(),
     "sine": sine_map(0.3),
     "spline": spline_map(),
 }

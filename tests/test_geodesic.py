@@ -1,10 +1,19 @@
+import importlib.util
 import math
+import sys
+from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nullsheet as ns
+import nullsheet.cli
 from nullsheet.errors import DomainError
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 SQRT3 = math.sqrt(3.0)
 
@@ -95,6 +104,15 @@ class TestDenseOutput:
             assert np.abs(s.y - node.y).max() < 1e-12
             assert np.abs(s.v - node.v).max() < 1e-12
 
+    def test_single_node_trajectory(self, schw, ex1_curve):
+        state0 = ns.GeodesicState(y=ex1_curve.phi(1.3), v=ex1_curve.psi(1.3), t=0.0)
+        traj = ns.integrate(schw, state0, 1.0, ns.SolverOptions(max_steps=0))
+        assert [e.kind for e in traj.events] == ["step_failure"] and len(traj.ts) == 1
+        rows = traj.sample(np.zeros(3))
+        assert rows.y.shape == (3, 4)
+        assert (rows.y == state0.y).all() and (rows.v == state0.v).all()
+        assert (traj.sample(0.0).y == state0.y).all()
+
     def test_out_of_range_raises(self, ex1_trajectory):
         with pytest.raises(ValueError):
             ex1_trajectory.sample(21.0)
@@ -122,13 +140,15 @@ class TestToleranceScaling:
 
 
 class TestConservedAlong:
-    def test_example1_drift(self, m1_params, ex1_trajectory):
+    def test_example1_drift(self, m1_params, ex1_curve, ex1_trajectory):
         rep = ns.conserved_along(m1_params, ex1_trajectory)
         assert rep.initial.E == pytest.approx(1.0, abs=1e-13)
         assert rep.max_rel_drift < 1e-10
         assert np.abs(rep.series[:, 1]).max() == 0.0  # L identically zero
         assert np.abs(rep.series[:, 2]).max() == 0.0  # K identically zero
-        assert ex1_trajectory.conserved is not None
+        # node 0 gives the constants of the data, C included
+        data = ns.conserved_from_data(ex1_curve, m1_params, 1.3)
+        assert astuple(rep.initial) == pytest.approx(astuple(data), abs=1e-13)
 
     def test_photon_drift(self, m1_params, photon_trajectory):
         rep = ns.conserved_along(m1_params, photon_trajectory)
@@ -245,3 +265,105 @@ class TestTangentNorm:
             y=np.zeros(4), v=np.array([1.0, 1.0, 0.0, 0.0]), t=0.0
         )
         assert ns.tangent_norm(flat, state) == 0.0
+
+
+@pytest.fixture(scope="module")
+def ended(schw, ex1_trajectory):
+    """One trajectory for each way a run ends: t_max, horizon and axis."""
+    oracle = ns.make_oracle(
+        3, "auto",
+        ns.OracleParams(m=1.0, r0=3.0, sign_alpha=1,
+                        theta_range=(1.0, 2.0), periodic=False),
+    )
+    curve = oracle.initial_curve()
+    plunge = ns.GeodesicState(y=curve.phi(1.5), v=curve.psi(1.5), t=0.0)
+    to_axis = ns.GeodesicState(
+        y=np.array([0.5, 4.0, 0.05, 0.5]), v=np.array([1.0, 0.0, -1.0 / 8.0, 0.0]), t=0.0
+    )
+    return {
+        "t_max": ex1_trajectory,
+        "horizon": ns.integrate(schw, plunge, 30.0),
+        "axis": ns.integrate(schw, to_axis, 5.0),
+    }
+
+
+@st.composite
+def sample_times(draw, ts):
+    """Times on nodes, inside steps, at t_last and up to 1e-12 past it."""
+    t_last = float(ts[-1])
+    one = st.one_of(
+        st.sampled_from([float(t) for t in ts]),
+        st.floats(float(ts[0]), t_last),
+        st.just(t_last),
+        st.floats(0.0, 1e-12).map(lambda d: t_last + d),
+    )
+    return draw(st.lists(one, min_size=1, max_size=30))
+
+
+class TestSampleProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["t_max", "horizon", "axis"]))
+    def test_array_equals_elementwise_scalar(self, ended, data, kind):
+        traj = ended[kind]
+        times = np.array(data.draw(sample_times(traj.ts)))
+        together = traj.sample(times)
+        assert together.y.shape == together.v.shape == (len(times), traj.dim)
+        for j, t in enumerate(times):
+            alone = traj.sample(t)
+            assert alone.y.tobytes() == together.y[j].tobytes()
+            assert alone.v.tobytes() == together.v[j].tobytes()
+            assert alone.t == together.t[j]
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["t_max", "horizon", "axis"]),
+           beyond=st.floats(2e-12, 10.0), after=st.booleans())
+    def test_out_of_range_array_raises(self, ended, data, kind, beyond, after):
+        traj = ended[kind]
+        times = data.draw(sample_times(traj.ts))
+        bad = traj.ts[-1] + beyond if after else traj.ts[0] - beyond
+        times.insert(data.draw(st.integers(0, len(times))), bad)
+        with pytest.raises(ValueError):
+            traj.sample(np.array(times))
+
+
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTracedFields:
+    """What the benchmark's tracer (perfbench/tracer.py) reads off a trajectory."""
+
+    def test_fields_on_every_ending(self, ended):
+        for kind, traj in ended.items():
+            ts, dim = traj.ts, traj.dim
+            assert [e.kind for e in traj.events] == [kind]
+            assert (ts[1:] - ts[:-1]).min() > 0.0
+            states = traj.states
+            assert len(states) == len(ts) == len(traj.interp_q) + 1
+            for state, w in zip(states, traj.nodes):
+                assert state.y.tobytes() == w[:dim].tobytes()
+                assert state.v.tobytes() == w[dim:].tobytes()
+            nbytes = ts.nbytes + sum(s.y.nbytes + s.v.nbytes for s in states)
+            nbytes += sum(q.nbytes for q in traj.interp_q)
+            n = len(ts)
+            assert nbytes == 8 * (n * (1 + 2 * dim) + (n - 1) * 2 * dim * 4)
+
+    def test_traced_pass(self, tmp_path):
+        tracer = _load_perfbench("tracer")
+        workloads = _load_perfbench("workloads")
+        workload = workloads.make_workload("ring-dense", 0, tmp_path, small=True)
+        result = workload.run_pass(nullsheet.cli, tracer.Tracer())
+        assert result.ok, result.why
+        stats = result.summary
+        chars, steps = stats["geodesic.characteristics"], stats["geodesic.steps"]
+        assert chars == stats["geodesic.events.t_max"] == 8
+        assert steps > 0 and stats["geodesic.h_min"] > 0.0
+        assert stats["geodesic.rhs_evals"] >= 6 * steps
+        # per characteristic: n = steps + 1 nodes of (t, y, v), n - 1 interpolants
+        nbytes = 8 * ((steps + chars) * 9 + steps * 8 * 4)
+        assert stats["geodesic.trajectory_mb"] == pytest.approx(nbytes / 2**20, rel=1e-12)
+        assert stats["surface.nodes"] == 8 * 5

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import nullsheet as ns
 from nullsheet.errors import DegenerateDataError
@@ -143,6 +145,37 @@ class TestSolveCubic:
         a_coef = (r0 - 2.0) / (2.0 * r0 * r0)
         profile = ns.solve_cubic(1.0, a_coef, 0.0, u0=1.0 / r0)
         assert profile.modulus_squared() == pytest.approx(2.0 / (r0 - 2.0), rel=1e-12)
+
+
+class TestSolveCubicProperties:
+    """solve_cubic against numpy.roots on cubics 2m u^3 - u^2 + 2mA u + B.
+
+    Each cubic is built from its roots, which sum to 1/(2m); roots are kept
+    0.01 apart so that both solvers are well conditioned.
+    """
+
+    @staticmethod
+    def check(m, e2, e3):
+        # monic form u^3 - u^2/(2m) + e2 u - e3: A = e2, B = -2m e3
+        A, B = e2, -2.0 * m * e3
+        found = np.roots([2.0 * m, -1.0, 2.0 * m * A, B])
+        real = np.sort(found[np.abs(found.imag) < 1e-7].real)
+        solved = np.sort(ns.solve_cubic(m, A, B).roots)
+        assert len(solved) == len(real)
+        assert np.abs(solved - real).max() <= 1e-10 * (1.0 + np.abs(real).max())
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.floats(0.1, 3.0), u1=st.floats(-2.0, 2.0), u2=st.floats(-2.0, 2.0))
+    def test_three_real_roots(self, m, u1, u2):
+        u3 = 1.0 / (2.0 * m) - u1 - u2
+        assume(min(abs(u1 - u2), abs(u1 - u3), abs(u2 - u3)) >= 0.01)
+        self.check(m, u1 * u2 + u1 * u3 + u2 * u3, u1 * u2 * u3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.floats(0.1, 3.0), u1=st.floats(-2.0, 2.0), b=st.floats(0.01, 2.0))
+    def test_one_real_root(self, m, u1, b):
+        a = 0.5 * (1.0 / (2.0 * m) - u1)  # the complex pair is a +- ib
+        self.check(m, 2.0 * a * u1 + a * a + b * b, u1 * (a * a + b * b))
 
 
 class TestRtSquared:

@@ -117,6 +117,7 @@ class TestChristoffelFd:
             metric_at=lambda x: np.array([[1.0, 1.0], [1.0, 1.0]]),
             christoffel_at=lambda x: np.zeros((2, 2, 2)),
             coordinate_domain=lambda x: None,
+            acceleration_at=lambda y, v: np.zeros(2),
         )
         with pytest.raises(DomainError):
             ns.christoffel_fd(degenerate, np.zeros(2), h=1e-4)
