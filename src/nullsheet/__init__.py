@@ -60,13 +60,11 @@ from .oracles import (
 from .reduction import (
     CaseLabel,
     CubicProfile,
-    QuadratureTable,
     cubic_coefficients,
     example2_coefficients,
     example2_roots,
     example3_roots,
     profile_from_data,
-    quadrature_t_tau,
     rt_squared,
     solve_cubic,
 )
@@ -108,9 +106,9 @@ __all__ = [
     "conserved_from_data", "curve_from_callables", "curve_from_expressions",
     "curve_from_samples", "lambda0", "lightlikeness_residual", "validate_curve",
     "OracleKind", "OracleParams", "check_oracle_consistency", "make_oracle",
-    "CaseLabel", "CubicProfile", "QuadratureTable", "cubic_coefficients",
+    "CaseLabel", "CubicProfile", "cubic_coefficients",
     "example2_coefficients", "example2_roots", "example3_roots",
-    "profile_from_data", "quadrature_t_tau", "rt_squared", "solve_cubic",
+    "profile_from_data", "rt_squared", "solve_cubic",
     "InducedMetric", "SchwarzschildParams", "Spacetime", "christoffel_fd",
     "induced_metric", "minkowski", "minkowski_spherical", "schwarzschild",
     "DeltaReport", "SurfaceMesh", "build_surface", "delta_monitor",

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
+from ._spline import CubicSpline
 from .errors import MapBreakdownError, MapInversionError
 from .initial_data import EPS_MONO, InitialCurve, lambda0
 from .spacetime import Spacetime
@@ -185,11 +185,11 @@ def map_from_initial_data(
         grid = np.append(base, curve.theta_max)
         lam = np.array([lambda0(curve, spacetime, v) for v in base])
         lam = np.append(lam, lam[0])
-        spline = CubicSpline(grid, lam, bc_type="periodic")
+        spline = CubicSpline(grid, lam, periodic=True)
     else:
         grid = np.linspace(curve.theta_min, curve.theta_max, n_samples)
         lam = np.array([lambda0(curve, spacetime, v) for v in grid])
-        spline = CubicSpline(grid, lam, bc_type="not-a-knot")
+        spline = CubicSpline(grid, lam)
     dspline = spline.derivative()
     slopes = dspline(grid)
     return CharacteristicMap(

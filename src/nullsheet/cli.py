@@ -36,7 +36,6 @@ from .errors import (
 from .geodesic import (
     GeodesicState,
     GeodesicTrajectory,
-    SolverOptions,
     conserved_along,
     integrate,
 )
@@ -69,19 +68,11 @@ def run_pipeline(
     cmap = map_from_initial_data(curve, spacetime)
     char_thetas = curve.grid(cfg.initial_data.samples)
 
-    opts = SolverOptions(
-        rel_tol=cfg.solver.rel_tol,
-        abs_tol=cfg.solver.abs_tol,
-        max_steps=cfg.solver.max_steps,
-        eps_horizon=cfg.solver.eps_horizon,
-        eps_axis=cfg.solver.eps_axis,
-    )
-
     def solve_one(vartheta: float) -> GeodesicTrajectory:
         state0 = GeodesicState(
             y=curve.phi(vartheta), v=curve.psi(vartheta), t=0.0
         )
-        return integrate(spacetime, state0, cfg.solver.t_end, opts)
+        return integrate(spacetime, state0, cfg.solver.t_end, cfg.solver)
 
     trajectories = [solve_one(v) for v in char_thetas]
 

@@ -1,16 +1,13 @@
-"""Run configuration: YAML schema, validation, environment overrides.
+"""Run configuration: YAML schema and validation.
 
 A run is described by one YAML document with nested blocks; every numeric
 tolerance knob of the pipeline is exposed here so runs are reproducible
-from the file alone.  Any key can be overridden through environment
-variables prefixed ``NULLSHEET_``, with ``__`` separating nesting levels
-(e.g. ``NULLSHEET_SOLVER__REL_TOL=1e-8``).
+from the file alone.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -18,14 +15,13 @@ import yaml
 
 from .errors import ConfigError
 from .expressions import evaluate_scalar
+from .geodesic import SolverOptions
 from .initial_data import (
     InitialCurve,
     curve_from_expressions,
     curve_from_samples,
 )
 from .spacetime import SchwarzschildParams, Spacetime, minkowski_spherical, schwarzschild
-
-ENV_PREFIX = "NULLSHEET_"
 
 
 @dataclass(frozen=True)
@@ -44,13 +40,10 @@ class InitialDataConfig:
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
+class SolverConfig(SolverOptions):
+    """The integrator's options plus the time every characteristic runs to."""
+
     t_end: float = 5.0
-    max_steps: int = 100_000
-    eps_horizon: float = 1e-8
-    eps_axis: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -187,14 +180,12 @@ def parse_config(raw: dict) -> RunConfig:
     )
 
     sv_raw = _block(raw, "solver", SolverConfig)
-    solver_cfg = SolverConfig(
-        rel_tol=_as_float(sv_raw.get("rel_tol", 1e-10), "solver.rel_tol"),
-        abs_tol=_as_float(sv_raw.get("abs_tol", 1e-12), "solver.abs_tol"),
-        t_end=_as_float(sv_raw.get("t_end", 5.0), "solver.t_end"),
-        max_steps=_as_int(sv_raw.get("max_steps", 100_000), "solver.max_steps"),
-        eps_horizon=_as_float(sv_raw.get("eps_horizon", 1e-8), "solver.eps_horizon"),
-        eps_axis=_as_float(sv_raw.get("eps_axis", 1e-8), "solver.eps_axis"),
-    )
+    solver_cfg = SolverConfig(**{
+        f.name: (_as_int if isinstance(f.default, int) else _as_float)(
+            sv_raw.get(f.name, f.default), f"solver.{f.name}"
+        )
+        for f in fields(SolverConfig)
+    })
     if solver_cfg.t_end <= 0:
         raise ConfigError("solver.t_end", "must be positive")
 
@@ -242,34 +233,13 @@ def parse_config(raw: dict) -> RunConfig:
     )
 
 
-def apply_env_overrides(raw: dict, environ=None) -> dict:
-    """Overlay NULLSHEET_* environment variables onto the raw mapping."""
-    environ = os.environ if environ is None else environ
-    for key, value in sorted(environ.items()):
-        if not key.startswith(ENV_PREFIX):
-            continue
-        parts = [p.lower() for p in key[len(ENV_PREFIX):].split("__") if p]
-        if not parts:
-            continue
-        node = raw
-        for part in parts[:-1]:
-            nxt = node.get(part)
-            if not isinstance(nxt, dict):
-                nxt = {}
-                node[part] = nxt
-            node = nxt
-        node[parts[-1]] = yaml.safe_load(value)
-    return raw
-
-
-def load_config(path, environ=None) -> RunConfig:
+def load_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         raw = yaml.safe_load(fh)
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "configuration must be a mapping")
-    raw = apply_env_overrides(raw, environ=environ)
     return parse_config(raw)
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError
 from .initial_data import ConservedSet
@@ -312,10 +311,13 @@ def integrate(
             def g_sigma(sigma, g=g):
                 return g(_dense(w, h, q, sigma)[:dim])
 
-            if g_sigma(0.0) <= 0.0:
-                sig_ev = 0.0
-            else:
-                sig_ev = brentq(g_sigma, 0.0, sig_hi, xtol=1e-15, rtol=8.9e-16)
+            # bisect, keeping g(lo) > 0 >= g(hi); the result hi never lies
+            # before the crossing
+            lo, hi = 0.0, (0.0 if g_sigma(0.0) <= 0.0 else sig_hi)
+            while hi - lo > 1e-15 + 8.9e-16 * hi:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if g_sigma(mid) > 0.0 else (lo, mid)
+            sig_ev = hi
             t_candidate = t + sig_ev * h
             if triggered is None or t_candidate < triggered[1]:
                 triggered = (kind, t_candidate, sig_ev)
@@ -324,9 +326,16 @@ def integrate(
             kind, t_ev, sig_ev = triggered
             # a crossing at the step start terminates on the existing node
             if sig_ev > 0.0:
+                # the node is the full step's quartic at the fraction that the
+                # stored t_ev really is, one ulp of t later if rounding put
+                # t_ev before the crossing
+                if t_ev - t < sig_ev * h:
+                    t_ev = math.nextafter(t_ev, math.inf)
+                sig_ev = (t_ev - t) / h
                 ts.append(t_ev)
                 nodes.append(_dense(w, h, q, sig_ev))
-                interp_q.append(q)
+                # so is the partial step's interpolant, on [0, sig_ev]
+                interp_q.append(q * np.float_power(sig_ev, np.arange(4.0)))
             events.append(Event(kind=kind, t=t_ev))
             break
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
+from ._spline import CubicSpline
 from .errors import DegenerateDataError, ExpressionError
 from .expressions import CurveExpression
 from .spacetime import SchwarzschildParams, Spacetime, induced_metric
@@ -121,11 +121,11 @@ def curve_from_callables(
 
 
 def _central_diff_4th(values: np.ndarray, h: float, periodic: bool) -> np.ndarray:
-    """4th-order first derivative on a uniform grid."""
+    """4th-order first derivative along axis 0 on a uniform grid."""
     out = np.empty_like(values)
     if periodic:
-        vm2, vm1 = np.roll(values, 2), np.roll(values, 1)
-        vp1, vp2 = np.roll(values, -1), np.roll(values, -2)
+        vm2, vm1 = np.roll(values, 2, axis=0), np.roll(values, 1, axis=0)
+        vp1, vp2 = np.roll(values, -1, axis=0), np.roll(values, -2, axis=0)
         return (vm2 - 8 * vm1 + 8 * vp1 - vp2) / (12 * h)
     out[2:-2] = (
         values[:-4] - 8 * values[1:-3] + 8 * values[3:-1] - values[4:]
@@ -167,6 +167,7 @@ def curve_from_samples(
     if not np.allclose(np.diff(thetas), h, rtol=0, atol=1e-12 * max(1.0, abs(h))):
         raise ValueError("samples must be uniform in vartheta")
 
+    trend = np.zeros(dim)
     if periodic:
         # angular coordinates may wind by 2*pi*k over one period; spline the
         # de-trended (strictly periodic) part and restore the linear trend
@@ -179,42 +180,23 @@ def curve_from_samples(
             )
         if np.any(np.abs(psi_samples[-1] - psi_samples[0]) > 1e-9):
             raise ValueError("periodic psi samples must match at the endpoints")
-        span = thetas[-1] - thetas[0]
-        trend = winding / span
-        detrended = phi_samples - np.outer(thetas - thetas[0], trend)
-        detrended[-1] = detrended[0]
-        psi_fixed = psi_samples.copy()
-        psi_fixed[-1] = psi_fixed[0]
-        phi_sp = CubicSpline(thetas, detrended, bc_type="periodic")
-        psi_sp = CubicSpline(thetas, psi_fixed, bc_type="periodic")
-        cols = []
-        for j in range(dim):
-            d = _central_diff_4th(detrended[:-1, j], h, periodic=True) + trend[j]
-            cols.append(np.append(d, d[0]))
-        dphi_sp = CubicSpline(thetas, np.vstack(cols).T, bc_type="periodic")
-        theta0 = float(thetas[0])
-        return InitialCurve(
-            phi=lambda v: phi_sp(v) + (v - theta0) * trend,
-            psi=lambda v: psi_sp(v),
-            phi_prime=lambda v: dphi_sp(v),
-            theta_min=theta0,
-            theta_max=float(thetas[-1]),
-            periodic=True,
-            dim=dim,
-        )
+        trend = winding / (thetas[-1] - thetas[0])
+        phi_samples = phi_samples - np.outer(thetas - thetas[0], trend)
+        psi_samples = psi_samples.copy()
+        phi_samples[-1], psi_samples[-1] = phi_samples[0], psi_samples[0]
+        dphi = _central_diff_4th(phi_samples[:-1], h, periodic=True) + trend
+        dphi = np.vstack([dphi, dphi[:1]])
+    else:
+        dphi = _central_diff_4th(phi_samples, h, periodic=False)
 
-    phi_sp = CubicSpline(thetas, phi_samples, bc_type="not-a-knot")
-    psi_sp = CubicSpline(thetas, psi_samples, bc_type="not-a-knot")
-    dphi = np.vstack(
-        [_central_diff_4th(phi_samples[:, j], h, periodic=False) for j in range(dim)]
-    ).T
-    dphi_sp = CubicSpline(thetas, dphi, bc_type="not-a-knot")
-
+    # one spline carries the columns phi | psi | phi'
+    spline = CubicSpline(thetas, np.hstack([phi_samples, psi_samples, dphi]), periodic=periodic)
+    theta0 = float(thetas[0])
     return InitialCurve(
-        phi=lambda v: phi_sp(v),
-        psi=lambda v: psi_sp(v),
-        phi_prime=lambda v: dphi_sp(v),
-        theta_min=float(thetas[0]),
+        phi=lambda v: spline(v)[..., :dim] + np.multiply.outer(v - theta0, trend),
+        psi=lambda v: spline(v)[..., dim : 2 * dim],
+        phi_prime=lambda v: spline(v)[..., 2 * dim :],
+        theta_min=theta0,
         theta_max=float(thetas[-1]),
         periodic=periodic,
         dim=dim,

@@ -36,7 +36,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .elliptic import complete_elliptic_k, elliptic_f
 from .errors import DomainError, NullsheetError, OracleMismatchError
@@ -383,15 +382,19 @@ class EllipticBranchOracle:
     def _dTau_dxi(self, xi: float) -> float:
         return self._dT_dxi(xi) / (1.0 - 2.0 * self.m * self.u_of_xi(xi))
 
-    def _T_from(self, j: int, xi: float) -> float:
+    def _quad_from(self, integrand, j: int, xi: float, epsabs: float, epsrel: float) -> float:
+        # imported here, so that only an elliptic oracle loads scipy
+        from scipy.integrate import quad
+
         return self._direction * quad(
-            self._dT_dxi, self._xis[j], xi, epsabs=1e-14, epsrel=1e-13
+            integrand, self._xis[j], xi, epsabs=epsabs, epsrel=epsrel
         )[0]
 
+    def _T_from(self, j: int, xi: float) -> float:
+        return self._quad_from(self._dT_dxi, j, xi, 1e-14, 1e-13)
+
     def _Tau_from(self, j: int, xi: float) -> float:
-        return self._direction * quad(
-            self._dTau_dxi, self._xis[j], xi, epsabs=0.0, epsrel=1e-12
-        )[0]
+        return self._quad_from(self._dTau_dxi, j, xi, 0.0, 1e-12)
 
     @cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray]:

@@ -8,8 +8,7 @@ module also evaluates the radial first integral
 
     r_t^2 = (C - K/r^2)(1 - 2m/r) + (2m/r) E^2
 
-used as an oracle against direct integration, and the quadratures for
-t(alpha) and tau(alpha).
+used as an oracle against direct integration.
 """
 
 from __future__ import annotations
@@ -17,10 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
-
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DegenerateDataError
 from .initial_data import ConservedSet
@@ -213,68 +209,3 @@ def rt_squared(r: float, conserved: ConservedSet, params: SchwarzschildParams) -
     return (conserved.C - conserved.K / (r * r)) * (1.0 - 2.0 * m / r) + (
         2.0 * m / r
     ) * conserved.E**2
-
-
-@dataclass(frozen=True)
-class QuadratureTable:
-    """t(alpha) and tau(alpha) integrated along a known u(alpha) profile."""
-
-    alphas: np.ndarray
-    t: np.ndarray
-    tau: np.ndarray
-    truncated_at: int | None  # first index past the tau-quadrature pole, if any
-
-
-def quadrature_t_tau(
-    conserved: ConservedSet,
-    params: SchwarzschildParams,
-    u_of_alpha: Callable[[float], float],
-    alphas: Sequence[float],
-    sign: int = 1,
-    t0: float = 0.0,
-    tau0: float = 0.0,
-) -> QuadratureTable:
-    """Cumulative adaptive quadrature of dt/dalpha and dtau/dalpha.
-
-    dt/dalpha = sign / (sqrt(K) u^2) and dtau/dalpha = sign E /
-    (sqrt(K) u^2 (1 - 2mu)); the sign flag is the direction of the alpha
-    sweep.  Integration truncates at the first interval where u crosses the
-    pole u = 1/(2m) of the tau quadrature.
-    """
-    if conserved.K <= 0.0:
-        raise DegenerateDataError("quadrature requires K > 0")
-    m = params.m
-    sqrt_k = math.sqrt(conserved.K)
-    alphas = np.asarray(alphas, dtype=float)
-
-    def dt_dalpha(a: float) -> float:
-        u = u_of_alpha(a)
-        return sign / (sqrt_k * u * u)
-
-    def dtau_dalpha(a: float) -> float:
-        u = u_of_alpha(a)
-        return sign * conserved.E / (sqrt_k * u * u * (1.0 - 2.0 * m * u))
-
-    t_vals = [t0]
-    tau_vals = [tau0]
-    truncated_at = None
-    for i in range(1, len(alphas)):
-        a_prev, a_next = alphas[i - 1], alphas[i]
-        u_prev, u_next = u_of_alpha(a_prev), u_of_alpha(a_next)
-        if (1.0 - 2.0 * m * u_prev) <= 0.0 or (1.0 - 2.0 * m * u_next) <= 0.0:
-            truncated_at = i
-            break
-        dt, _ = quad(dt_dalpha, a_prev, a_next, epsabs=1e-13, epsrel=1e-13, limit=200)
-        dtau, _ = quad(
-            dtau_dalpha, a_prev, a_next, epsabs=1e-13, epsrel=1e-13, limit=200
-        )
-        t_vals.append(t_vals[-1] + dt)
-        tau_vals.append(tau_vals[-1] + dtau)
-
-    n = len(t_vals)
-    return QuadratureTable(
-        alphas=alphas[:n],
-        t=np.array(t_vals),
-        tau=np.array(tau_vals),
-        truncated_at=truncated_at,
-    )

@@ -24,8 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
+from ._spline import CubicSpline
 from .characteristics import CharacteristicMap
 from .errors import CoverageError
 from .geodesic import GeodesicTrajectory
@@ -155,11 +155,9 @@ def build_surface(
         # one spline across characteristics carries position y and velocity y_t
         if periodic_now:
             yy_t = samples[i] - detrend
-            spline = CubicSpline(spline_thetas, np.vstack([yy_t, yy_t[:1]]), bc_type="periodic")
+            spline = CubicSpline(spline_thetas, np.vstack([yy_t, yy_t[:1]]), periodic=True)
         else:
-            spline = CubicSpline(
-                char_thetas[first:last], samples[i, first:last], bc_type="not-a-knot"
-            )
+            spline = CubicSpline(char_thetas[first:last], samples[i, first:last])
 
         # a column has a vartheta only inside the characteristic image
         cols = np.flatnonzero(cmap._in_image(t, theta_grid))

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import CubicSpline
-
 import nullsheet as ns
+from nullsheet._spline import CubicSpline
 from nullsheet.errors import MapBreakdownError, MapInversionError
 
 
@@ -188,9 +187,7 @@ def sine_map(amplitude):
 def spline_map():
     """A periodic spline Lambda, the kind map_from_initial_data builds."""
     grid = np.linspace(0.0, 2 * math.pi, 33)
-    spline = CubicSpline(
-        grid, 0.1 * np.sin(grid) + 0.05 * np.cos(2 * grid), bc_type="periodic"
-    )
+    spline = CubicSpline(grid, 0.1 * np.sin(grid) + 0.05 * np.cos(2 * grid), periodic=True)
     return ns.map_from_callables(
         spline, spline.derivative(), (0.0, 2 * math.pi), periodic=True
     )

@@ -1,5 +1,9 @@
+import ast
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import textwrap
 
 import pytest
@@ -7,7 +11,9 @@ import yaml
 
 import nullsheet as ns
 from nullsheet.cli import main
-from nullsheet.config import apply_env_overrides, load_config, parse_config
+from nullsheet.config import load_config, parse_config
+
+SHIPPED = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, name="run.yaml", **overrides):
@@ -92,19 +98,6 @@ class TestConfigSchema:
                 }
             )
         assert "initial_data.phi" in str(err.value)
-
-    def test_env_overrides(self, tmp_path):
-        cfg_path = write_config(tmp_path)
-        cfg = load_config(
-            cfg_path, environ={"NULLSHEET_SOLVER__REL_TOL": "1e-8"}
-        )
-        assert cfg.solver.rel_tol == 1e-8
-
-    def test_env_override_nested_creation(self):
-        raw = apply_env_overrides(
-            {"solver": {}}, environ={"NULLSHEET_OUTPUT__T_SAMPLES": "21"}
-        )
-        assert raw["output"]["t_samples"] == 21
 
     def test_expression_tolerated_in_numbers(self):
         cfg = parse_config(
@@ -300,8 +293,7 @@ class TestCompareCommand:
         "key, value", [("sign_alpha", 2), ("r0", "abc"), ("alpha0", "vartheta")]
     )
     def test_bad_oracle_param_exit_2(self, tmp_path, capsys, key, value):
-        shipped = pathlib.Path(__file__).resolve().parents[1] / "configs"
-        raw = yaml.safe_load((shipped / "photon_sphere.yaml").read_text())
+        raw = yaml.safe_load((SHIPPED / "photon_sphere.yaml").read_text())
         raw["oracle"]["params"][key] = value
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(yaml.safe_dump(raw))
@@ -336,10 +328,37 @@ class TestShippedConfigs:
 
     @pytest.mark.parametrize("name", CONFIGS)
     def test_validate_and_compare(self, name, tmp_path, monkeypatch):
-        cfg = pathlib.Path(__file__).resolve().parents[1] / "configs" / name
+        cfg = SHIPPED / name
         monkeypatch.chdir(tmp_path)  # configs use relative output paths
         assert main(["validate", "--config", str(cfg)]) == 0
         assert main(["compare", "--config", str(cfg)]) == 0
+
+
+def test_commands_leave_out_scipy(tmp_path):
+    """No shipped config uses an elliptic oracle, so no command loads scipy."""
+    src = str(pathlib.Path(ns.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = textwrap.dedent(f"""
+        import sys
+        import nullsheet.cli
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+        seen = [("import", 0, scipy_modules())]
+        for name in {TestShippedConfigs.CONFIGS!r}:
+            for command in ("validate", "solve", "classify", "compare"):
+                code = nullsheet.cli.main([command, "--config", {str(SHIPPED)!r} + "/" + name])
+                seen.append((command + " " + name, code, scipy_modules()))
+        print(seen)
+    """)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+    assert len(seen) == 13
+    assert all(code == 0 and modules == [] for _, code, modules in seen), seen
 
 
 class TestOracleCommand:

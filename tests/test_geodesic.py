@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import nullsheet as ns
 import nullsheet.cli
+from nullsheet import geodesic
 from nullsheet.errors import DomainError
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -267,24 +268,80 @@ class TestTangentNorm:
         assert ns.tangent_norm(flat, state) == 0.0
 
 
-@pytest.fixture(scope="module")
-def ended(schw, ex1_trajectory):
-    """One trajectory for each way a run ends: t_max, horizon and axis."""
-    oracle = ns.make_oracle(
-        3, "auto",
-        ns.OracleParams(m=1.0, r0=3.0, sign_alpha=1,
-                        theta_range=(1.0, 2.0), periodic=False),
-    )
-    curve = oracle.initial_curve()
-    plunge = ns.GeodesicState(y=curve.phi(1.5), v=curve.psi(1.5), t=0.0)
+def _event_starts():
+    """(state0, t_end) of runs that end in an event, by how they end."""
+
+    def start(example, params, vartheta):
+        curve = ns.make_oracle(example, "auto", params).initial_curve()
+        return ns.GeodesicState(y=curve.phi(vartheta), v=curve.psi(vartheta), t=0.0)
+
+    plunge = start(3, ns.OracleParams(m=1.0, r0=3.0, sign_alpha=1,
+                                      theta_range=(1.0, 2.0), periodic=False), 1.5)
+    infall = start(2, ns.OracleParams(m=1.0, r0=2.5, f="1 + 0.25*sin(vartheta)",
+                                      alpha0=1.0, sign_alpha=1), 1.0)
     to_axis = ns.GeodesicState(
         y=np.array([0.5, 4.0, 0.05, 0.5]), v=np.array([1.0, 0.0, -1.0 / 8.0, 0.0]), t=0.0
     )
     return {
-        "t_max": ex1_trajectory,
-        "horizon": ns.integrate(schw, plunge, 30.0),
-        "axis": ns.integrate(schw, to_axis, 5.0),
+        "horizon": (plunge, 30.0),
+        "horizon, example 2": (infall, 20.0),
+        "axis": (to_axis, 5.0),
     }
+
+
+@pytest.fixture(scope="module")
+def ended(schw, ex1_trajectory):
+    """One trajectory for each way a run ends: t_max, horizon and axis."""
+    starts = _event_starts()
+    return {
+        "t_max": ex1_trajectory,
+        "horizon": ns.integrate(schw, *starts["horizon"]),
+        "axis": ns.integrate(schw, *starts["axis"]),
+    }
+
+
+@pytest.fixture(scope="module")
+def event_steps(schw):
+    """Each event run with its full last step: (trajectory, w, h, q)."""
+    out = {}
+    for kind, (state0, t_end) in _event_starts().items():
+        calls = []
+        dense = geodesic._dense
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geodesic, "_dense", lambda *args: calls.append(args) or dense(*args))
+            traj = ns.integrate(schw, state0, t_end)
+        assert traj.events[-1].kind == kind.split(",")[0]
+        w, h, q, _ = calls[-1]  # the last call places the event node
+        out[kind] = (traj, w, h, q)
+    return out
+
+
+def _assert_states_close(got, want):
+    """Positions and velocities each within 1e-14 of their largest entry."""
+    dim = got.shape[-1] // 2
+    for part in (slice(None, dim), slice(dim, None)):
+        assert np.abs(got[..., part] - want[..., part]).max() <= 1e-14 * np.abs(want[..., part]).max()
+
+
+EVENT_KINDS = ["horizon", "horizon, example 2", "axis"]
+
+
+class TestEventStep:
+    @pytest.mark.parametrize("kind", EVENT_KINDS)
+    def test_sample_at_t_last_is_the_event_node(self, event_steps, kind):
+        traj = event_steps[kind][0]
+        end = traj.sample(traj.t_last)
+        _assert_states_close(np.concatenate([end.y, end.v]), traj.nodes[-1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(EVENT_KINDS), fractions=st.lists(st.floats(0.0, 1.0), min_size=1))
+    def test_last_step_is_the_full_step_quartic(self, event_steps, kind, fractions):
+        traj, w, h, q = event_steps[kind]
+        t_i = traj.ts[-2]
+        t = t_i + (traj.t_last - t_i) * np.array(fractions)
+        got = traj.sample(t)
+        want = geodesic._dense(w, h, q, ((t - t_i) / h)[:, None])
+        _assert_states_close(np.hstack([got.y, got.v]), want)
 
 
 @st.composite

@@ -204,48 +204,6 @@ class TestRtSquared:
             assert abs(ns.rt_squared(r0, cs, m1_params)) < 1e-12 * max(1.0, cs.K)
 
 
-class TestQuadrature:
-    def test_photon_sphere_rate(self, m1_params, photon_curve):
-        cs = ns.conserved_from_data(photon_curve, m1_params, 0.2)
-        alphas = np.linspace(1.0, 1.5, 11)
-        table = ns.quadrature_t_tau(
-            cs, m1_params, lambda a: 1.0 / 3.0, alphas, sign=1
-        )
-        # dt/dalpha = 3*sqrt(3)
-        rate = 3.0 * math.sqrt(3.0)
-        assert np.abs(table.t - rate * (alphas - 1.0)).max() < 1e-12
-        assert table.truncated_at is None
-
-    def test_ex3_circular_rate(self, m1_params):
-        cs = ns.ConservedSet(E=0.5, L=0.0, K=4.0, C=0.0)
-        alphas = np.linspace(0.2, 0.8, 7)
-        table = ns.quadrature_t_tau(cs, m1_params, lambda a: 0.25, alphas, sign=1)
-        assert np.abs(table.t - 8.0 * (alphas - 0.2)).max() < 1e-12
-
-    def test_zero_energy_tau_constant(self, m1_params):
-        cs = ns.ConservedSet(E=0.0, L=0.0, K=1.0, C=1.0)
-        alphas = np.linspace(0.0, 1.0, 5)
-        table = ns.quadrature_t_tau(
-            cs, m1_params, lambda a: 0.2, alphas, sign=1, tau0=3.0
-        )
-        assert np.abs(table.tau - 3.0).max() == 0.0
-
-    def test_pole_truncation(self, m1_params):
-        cs = ns.ConservedSet(E=1.0, L=0.0, K=1.0, C=1.0)
-        alphas = np.linspace(0.0, 1.0, 11)
-        # u crosses 1/(2m) = 0.5 midway
-        table = ns.quadrature_t_tau(
-            cs, m1_params, lambda a: 0.3 + 0.4 * a, alphas, sign=1
-        )
-        assert table.truncated_at is not None
-        assert len(table.t) == table.truncated_at
-
-    def test_requires_positive_k(self, m1_params):
-        cs = ns.ConservedSet(E=1.0, L=0.0, K=0.0, C=1.0)
-        with pytest.raises(DegenerateDataError):
-            ns.quadrature_t_tau(cs, m1_params, lambda a: 0.1, [0.0, 1.0])
-
-
 class TestProfileFromData:
     def test_du_dalpha_matches_g_along_trajectory(self, schw, m1_params):
         oracle = ns.make_oracle(
