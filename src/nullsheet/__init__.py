@@ -87,8 +87,6 @@ from .surface import (
     export_json,
     import_csv,
     import_json,
-    mesh_to_rows,
-    rows_to_csv_text,
     wrap_offset_from_curve,
 )
 
@@ -112,8 +110,8 @@ __all__ = [
     "InducedMetric", "SchwarzschildParams", "Spacetime", "christoffel_fd",
     "induced_metric", "minkowski", "minkowski_spherical", "schwarzschild",
     "DeltaReport", "SurfaceMesh", "build_surface", "delta_monitor",
-    "export_csv", "export_json", "import_csv", "import_json", "mesh_to_rows",
-    "rows_to_csv_text", "wrap_offset_from_curve",
+    "export_csv", "export_json", "import_csv", "import_json",
+    "wrap_offset_from_curve",
     # the submodules
     "characteristics", "elliptic", "errors", "expressions", "geodesic",
     "initial_data", "oracles", "reduction", "spacetime", "surface",

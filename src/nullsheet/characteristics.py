@@ -19,6 +19,9 @@ from .initial_data import EPS_MONO, InitialCurve, lambda0
 from .spacetime import Spacetime
 
 
+_N_LAMBDA = 513  # samples of Lambda behind the map's spline
+
+
 def _residual_tol(theta):
     return 1e-12 * (1.0 + np.abs(theta))  # invert promises |forward - theta| <= this
 
@@ -36,7 +39,6 @@ class CharacteristicMap:
     theta_min: float
     theta_max: float
     periodic: bool = False
-    eps_mono: float = EPS_MONO
     min_slope: float = 0.0
 
     @property
@@ -45,7 +47,7 @@ class CharacteristicMap:
 
     @property
     def certified(self) -> bool:
-        return self.min_slope >= -self.eps_mono
+        return self.min_slope >= -EPS_MONO
 
     def forward(self, vartheta, t: float):
         """theta reached at time t by the characteristic from vartheta."""
@@ -150,12 +152,10 @@ def map_from_callables(
     lambda_prime_fn: Callable[[float], float],
     theta_range: tuple[float, float],
     periodic: bool = False,
-    eps_mono: float = EPS_MONO,
-    n_certify: int = 1001,
 ) -> CharacteristicMap:
     """Wrap a closed-form Lambda, certifying monotonicity on a grid."""
     lo, hi = float(theta_range[0]), float(theta_range[1])
-    grid = np.linspace(lo, hi, n_certify)
+    grid = np.linspace(lo, hi, 1001)
     min_slope = float(min(lambda_prime_fn(v) for v in grid))
     return CharacteristicMap(
         lambda_fn=lambda_fn,
@@ -163,7 +163,6 @@ def map_from_callables(
         theta_min=lo,
         theta_max=hi,
         periodic=periodic,
-        eps_mono=eps_mono,
         min_slope=min_slope,
     )
 
@@ -171,8 +170,6 @@ def map_from_callables(
 def map_from_initial_data(
     curve: InitialCurve,
     spacetime: Spacetime,
-    n_samples: int = 513,
-    eps_mono: float = EPS_MONO,
 ) -> CharacteristicMap:
     """Sample Lambda(vartheta) over the curve and spline it.
 
@@ -181,13 +178,13 @@ def map_from_initial_data(
     sampling density only controls fidelity to the underlying data.
     """
     if curve.periodic:
-        base = curve.grid(n_samples)
+        base = curve.grid(_N_LAMBDA)
         grid = np.append(base, curve.theta_max)
         lam = np.array([lambda0(curve, spacetime, v) for v in base])
         lam = np.append(lam, lam[0])
         spline = CubicSpline(grid, lam, periodic=True)
     else:
-        grid = np.linspace(curve.theta_min, curve.theta_max, n_samples)
+        grid = np.linspace(curve.theta_min, curve.theta_max, _N_LAMBDA)
         lam = np.array([lambda0(curve, spacetime, v) for v in grid])
         spline = CubicSpline(grid, lam)
     dspline = spline.derivative()
@@ -198,7 +195,6 @@ def map_from_initial_data(
         theta_min=curve.theta_min,
         theta_max=curve.theta_max,
         periodic=curve.periodic,
-        eps_mono=eps_mono,
         min_slope=float(slopes.min()),
     )
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,6 +46,7 @@ from .reduction import cubic_coefficients, solve_cubic
 from .spacetime import SchwarzschildParams, Spacetime
 from .surface import (
     SurfaceMesh,
+    _csv_lines,
     _fmt,
     build_surface,
     delta_monitor,
@@ -136,15 +138,19 @@ def _dump_characteristics(result: PipelineResult, path: str) -> None:
     live = ~mesh.truncated
     lam = np.full(mesh.shape, np.nan)
     lam[live] = result.cmap.lambda_fn(mesh.vartheta[live])
+    columns = (mesh.t_grid[:, None], mesh.theta_grid, mesh.vartheta, lam, mesh.jacobian)
+    lines = ["t,theta,vartheta,lambda,jacobian", *_csv_lines(columns, mesh.truncated)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,theta,vartheta,lambda,jacobian\n")
-        for i, t in enumerate(mesh.t_grid):
-            for j, theta in enumerate(mesh.theta_grid):
-                if mesh.truncated[i, j]:
-                    fh.write(f"{_fmt(t)},{_fmt(theta)},,,\n")
-                    continue
-                values = (t, theta, mesh.vartheta[i, j], lam[i, j], mesh.jacobian[i, j])
-                fh.write(",".join(_fmt(v) for v in values) + "\n")
+        fh.write("\n".join(lines) + "\n")
+
+
+@contextmanager
+def _writing(field: str):
+    """Turn a failed write into a one-line ConfigError naming ``field``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(field, f"cannot write: {exc}") from exc
 
 
 def cmd_solve(args) -> int:
@@ -163,13 +169,15 @@ def cmd_solve(args) -> int:
             )
             return 1
     result = run_pipeline(cfg, spacetime, curve)
-    if cfg.output.format == "csv":
-        export_csv(result.mesh, cfg.output.path)
-    else:
-        export_json(result.mesh, cfg.output.path)
+    with _writing("output.path"):
+        if cfg.output.format == "csv":
+            export_csv(result.mesh, cfg.output.path)
+        else:
+            export_json(result.mesh, cfg.output.path)
     print(f"wrote {cfg.output.format} surface to {cfg.output.path}")
     if args.dump_characteristics:
-        _dump_characteristics(result, args.dump_characteristics)
+        with _writing("--dump-characteristics"):
+            _dump_characteristics(result, args.dump_characteristics)
         print(f"wrote characteristic table to {args.dump_characteristics}")
     _print_solve_summary(result, spacetime)
     failed = any(
@@ -323,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", required=True, help="YAML run configuration")
-        p.add_argument("--force", action="store_true",
-                       help="skip initial-data validation gates")
 
     p = sub.add_parser("validate", help="check light-likeness and monotonicity")
     add_common(p)
@@ -332,6 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="integrate the surface and export the mesh")
     add_common(p)
+    p.add_argument("--force", action="store_true",
+                   help="skip initial-data validation gates")
     p.add_argument("--dump-characteristics", metavar="PATH",
                    help="also write a (t, theta, vartheta, lambda, J) CSV table")
     p.set_defaults(func=cmd_solve)

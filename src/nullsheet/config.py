@@ -234,8 +234,12 @@ def parse_config(raw: dict) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        # yaml's messages span lines; an error is one line
+        raise ConfigError(str(path), "cannot read: " + " ".join(str(exc).split())) from exc
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

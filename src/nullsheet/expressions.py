@@ -224,10 +224,6 @@ class CurveExpression:
         return f"CurveExpression({self.text!r})"
 
 
-def constant_expression(value: float) -> CurveExpression:
-    return CurveExpression(repr(float(value)))
-
-
 def evaluate_scalar(text: str) -> float:
     """Evaluate a constant expression (used for config values like 'pi/2')."""
     expr = CurveExpression(text)

@@ -236,12 +236,11 @@ def lambda0(
     curve: InitialCurve,
     spacetime: Spacetime,
     vartheta: float,
-    eps_g11: float = EPS_G11,
 ) -> float:
     """Initial Burgers field Lambda(vartheta) = -g01/g11 of the curve."""
     x = curve.phi(vartheta)
     ind = induced_metric(spacetime, x, curve.psi(vartheta), curve.phi_prime(vartheta))
-    if abs(ind.g11) <= eps_g11:
+    if abs(ind.g11) <= EPS_G11:
         raise DegenerateDataError(
             f"Lambda undefined at vartheta = {vartheta!r}: |g11| = {abs(ind.g11)!r}"
         )
@@ -264,7 +263,6 @@ def check_monotone(
     curve: InitialCurve,
     spacetime: Spacetime,
     grid: np.ndarray,
-    eps_mono: float = EPS_MONO,
 ) -> MonotoneReport:
     """Difference-quotient check of Lambda'(vartheta) >= 0 over the grid."""
     grid = np.asarray(grid, dtype=float)
@@ -274,11 +272,11 @@ def check_monotone(
     slopes = np.diff(lam) / np.diff(grid)
     min_slope = float(slopes.min())
     first_violation = None
-    if min_slope < -eps_mono:
-        i = int(np.argmax(slopes < -eps_mono))
+    if min_slope < -EPS_MONO:
+        i = int(np.argmax(slopes < -EPS_MONO))
         first_violation = (float(grid[i]), float(grid[i + 1]))
     borderline = tuple(
-        float(grid[i]) for i in range(len(slopes)) if abs(slopes[i]) <= eps_mono
+        float(grid[i]) for i in range(len(slopes)) if abs(slopes[i]) <= EPS_MONO
     )
     return MonotoneReport(
         passed=first_violation is None,
@@ -333,15 +331,13 @@ def validate_curve(
     curve: InitialCurve,
     spacetime: Spacetime,
     n_samples: int = 201,
-    eps_delta: float = EPS_DELTA,
-    eps_mono: float = EPS_MONO,
 ) -> ValidationReport:
     grid = curve.grid(n_samples)
     deltas = np.array([lightlikeness_residual(curve, spacetime, v) for v in grid])
     worst = int(np.argmax(np.abs(deltas)))
-    mono = check_monotone(curve, spacetime, grid, eps_mono=eps_mono)
+    mono = check_monotone(curve, spacetime, grid)
     return ValidationReport(
-        lightlike=bool(np.abs(deltas).max() <= eps_delta),
+        lightlike=bool(np.abs(deltas).max() <= EPS_DELTA),
         max_abs_delta=float(np.abs(deltas).max()),
         argmax_delta=float(grid[worst]),
         monotone=mono,

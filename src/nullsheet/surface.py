@@ -90,7 +90,6 @@ def build_surface(
     t_grid: np.ndarray,
     theta_grid: np.ndarray,
     spacetime: Spacetime,
-    eps_delta: float = EPS_DELTA,
     wrap_offset: np.ndarray | None = None,
 ) -> SurfaceMesh:
     """Assemble the mesh; trajectories are indexed by strictly increasing vartheta.
@@ -178,7 +177,7 @@ def build_surface(
         # scale stays positive on null surfaces, where g00 and g01 both
         # vanish and the naive g01^2 + |g00 g11| collapses to zero
         scale = (np.abs(ind.g00) + np.abs(ind.g01) + np.abs(ind.g11)) ** 2
-        lightlike = np.abs(ind.delta) <= np.maximum(eps_delta, 1e-6 * scale)
+        lightlike = np.abs(ind.delta) <= np.maximum(EPS_DELTA, 1e-6 * scale)
 
         x[i, cols] = y
         x_t[i, cols] = xt
@@ -266,64 +265,39 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def mesh_to_rows(mesh: SurfaceMesh) -> list[dict]:
-    """Flatten the mesh into export records, t-major then theta."""
-    rows = []
-    for i, t in enumerate(mesh.t_grid):
-        for j, theta in enumerate(mesh.theta_grid):
-            row = {"t": float(t), "theta": float(theta)}
-            if mesh.truncated[i, j]:
-                row.update(
-                    {
-                        key: None
-                        for key in (
-                            "vartheta",
-                            "tau",
-                            "r",
-                            "alpha",
-                            "beta",
-                            "g00",
-                            "g01",
-                            "g11",
-                            "delta",
-                        )
-                    }
-                )
-                row["type"] = TYPE_TRUNCATED
-            else:
-                row["vartheta"] = float(mesh.vartheta[i, j])
-                row["tau"] = float(mesh.x[i, j, 0])
-                row["r"] = float(mesh.x[i, j, 1])
-                row["alpha"] = float(mesh.x[i, j, 2])
-                row["beta"] = float(mesh.x[i, j, 3])
-                row["g00"] = float(mesh.g00[i, j])
-                row["g01"] = float(mesh.g01[i, j])
-                row["g11"] = float(mesh.g11[i, j])
-                row["delta"] = float(mesh.delta[i, j])
-                row["type"] = str(mesh.type_label[i, j])
-            rows.append(row)
-    return rows
+def _csv_lines(columns, truncated: np.ndarray, labels=None) -> list[str]:
+    """CSV data lines of a grid, one per node in C order.
+
+    Each column broadcasts to the shape of ``truncated``; the first two are
+    t and theta.  A full line prints every column at 17 significant digits,
+    then the label if there is a label column; a truncated line keeps t,
+    theta and the label and leaves the other cells empty.
+    """
+    n = len(columns)
+    tail = "" if labels is None else ",%s"
+    full = ",".join(["%.17g"] * n) + tail
+    cut = "%.17g,%.17g" + "," * (n - 2) + tail
+    if labels is not None:
+        columns = (*columns, labels)
+    cells = [np.broadcast_to(c, truncated.shape).ravel().tolist() for c in columns]
+    return [
+        cut % (row[:2] + row[n:]) if skip else full % row
+        for row, skip in zip(zip(*cells), truncated.ravel().tolist())
+    ]
 
 
-def rows_to_csv_text(rows: list[dict]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        cells = []
-        for col in CSV_COLUMNS:
-            value = row[col]
-            if col == "type":
-                cells.append(str(value))
-            elif value is None:
-                cells.append("")
-            else:
-                cells.append(_fmt(value))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def _mesh_lines(mesh: SurfaceMesh) -> list[str]:
+    """The mesh's CSV data lines, t-major then theta, in CSV_COLUMNS order."""
+    columns = (
+        mesh.t_grid[:, None], mesh.theta_grid, mesh.vartheta, *np.moveaxis(mesh.x, -1, 0),
+        mesh.g00, mesh.g01, mesh.g11, mesh.delta,
+    )
+    return _csv_lines(columns, mesh.truncated, mesh.type_label)
 
 
 def export_csv(mesh: SurfaceMesh, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(rows_to_csv_text(mesh_to_rows(mesh)))
+        fh.write("\n".join([",".join(CSV_COLUMNS), *_mesh_lines(mesh)]) + "\n")
 
 
 def import_csv(path) -> list[dict]:
@@ -349,32 +323,20 @@ def import_csv(path) -> list[dict]:
     return rows
 
 
-def rows_to_json_text(mesh: SurfaceMesh) -> str:
-    rows = mesh_to_rows(mesh)
-    ntheta = len(mesh.theta_grid)
-    nested = [
-        rows[i * ntheta : (i + 1) * ntheta] for i in range(len(mesh.t_grid))
+def export_json(mesh: SurfaceMesh, path) -> None:
+    """The CSV cells as strings, nested per t; an empty cell becomes null."""
+    nodes = [
+        {key: cell or None for key, cell in zip(CSV_COLUMNS, line.split(","))}
+        for line in _mesh_lines(mesh)
     ]
+    ntheta = len(mesh.theta_grid)
     doc = {
         "t_grid": [_fmt(t) for t in mesh.t_grid],
         "theta_grid": [_fmt(v) for v in mesh.theta_grid],
-        "nodes": [
-            [
-                {
-                    key: (row[key] if key == "type" or row[key] is None else _fmt(row[key]))
-                    for key in CSV_COLUMNS
-                }
-                for row in block
-            ]
-            for block in nested
-        ],
+        "nodes": [nodes[i * ntheta : (i + 1) * ntheta] for i in range(len(mesh.t_grid))],
     }
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
-
-
-def export_json(mesh: SurfaceMesh, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(rows_to_json_text(mesh))
+        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def import_json(path) -> dict:

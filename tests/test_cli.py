@@ -132,6 +132,34 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(path)]) == 2
 
     @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("missing.yaml", None),
+            ("folder", "dir"),
+            ("latin1.yaml", b"spacetime: {type: schwarzschild, mass: 1.0}  # \xe9\n"),
+            ("broken.yaml", b"spacetime: {type: schwarzschild, mass: 1.0\n"),
+        ],
+        ids=["missing", "directory", "non-utf8", "broken-yaml"],
+    )
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, name, content):
+        path = tmp_path / name
+        if content == "dir":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        assert main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {path}:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_force_is_a_solve_flag(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--config", str(cfg), "--force"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --force" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "alpha", ["1e400", "sqrt(vartheta - 10)", "1/(vartheta-vartheta)"]
     )
     def test_bad_expression_exit_2(self, tmp_path, capsys, alpha):
@@ -209,6 +237,46 @@ class TestSolveCommand:
         # Lambda = 0 for radial data: theta == vartheta, J == 1
         assert float(cells[1]) == float(cells[2])
         assert float(cells[4]) == 1.0
+
+    def test_dump_keeps_t_theta_of_truncated_nodes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the config writes a relative path
+        argv = ["solve", "--config", str(SHIPPED / "boosted_circular.yaml"),
+                "--dump-characteristics", "chars.csv"]
+        assert main(argv) == 0
+        surface = ns.import_csv(tmp_path / "boosted_circular.csv")
+        lines = (tmp_path / "chars.csv").read_text().splitlines()[1:]
+        assert len(lines) == len(surface)
+        cut = [row["type"] == "truncated" for row in surface]
+        assert any(cut) and not all(cut)
+        for row, line, truncated in zip(surface, lines, cut):
+            t, theta, *rest = line.split(",")
+            assert (float(t), float(theta)) == (row["t"], row["theta"])
+            if truncated:
+                assert line == f"{t},{theta},,,"
+            else:
+                assert len(rest) == 3 and "" not in rest
+
+    @pytest.mark.parametrize(
+        "fmt, dump, field",
+        [("csv", False, "output.path"), ("json", False, "output.path"),
+         ("csv", True, "--dump-characteristics")],
+        ids=["csv", "json", "dump"],
+    )
+    def test_unwritable_output_exit_2(self, tmp_path, capsys, fmt, dump, field):
+        missing = tmp_path / "missing"
+        surface = (tmp_path if dump else missing) / f"surface.{fmt}"
+        cfg = write_config(
+            tmp_path,
+            output={"format": fmt, "path": str(surface), "t_samples": 3},
+            solver={"t_end": 1.0},
+        )
+        argv = ["solve", "--config", str(cfg)]
+        if dump:
+            argv += ["--dump-characteristics", str(missing / "chars.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {field}: cannot write")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_minkowski_spherical_cone(self, tmp_path):
         # flat-space cone string: radial null data in spherical coordinates

@@ -6,12 +6,10 @@ import pytest
 import nullsheet as ns
 from nullsheet.errors import CoverageError
 from nullsheet.surface import (
+    CSV_COLUMNS,
     TYPE_LIGHTLIKE,
     TYPE_TIMELIKE,
     TYPE_TRUNCATED,
-    mesh_to_rows,
-    rows_to_csv_text,
-    rows_to_json_text,
 )
 
 
@@ -248,7 +246,17 @@ class TestExport:
         ns.export_csv(ex1_mesh, path)
         original = path.read_bytes()
         rows = ns.import_csv(path)
-        assert rows_to_csv_text(rows).encode() == original
+        # printing what was read back at .17g gives the same bytes
+        lines = [",".join(CSV_COLUMNS)] + [
+            ",".join(
+                row[col] if col == "type"
+                else "" if row[col] is None
+                else format(row[col], ".17g")
+                for col in CSV_COLUMNS
+            )
+            for row in rows
+        ]
+        assert ("\n".join(lines) + "\n").encode() == original
 
     def test_truncated_rows_have_empty_fields(self, schw, ex3_circular_curve, tmp_path):
         mesh = build_example_mesh(
@@ -275,19 +283,56 @@ class TestExport:
         assert len(doc["nodes"]) == ex3_mesh.shape[0]
         assert len(doc["nodes"][0]) == ex3_mesh.shape[1]
 
-    def test_two_by_two_mesh_rows(self, schw, ex1_curve):
+    def test_two_by_two_mesh_rows(self, schw, ex1_curve, tmp_path):
         mesh = build_example_mesh(
             schw, ex1_curve, 8, np.array([0.0, 1.0]),
             np.array([0.3, 0.9]),
         )
-        rows = mesh_to_rows(mesh)
+        path = tmp_path / "mesh.csv"
+        ns.export_csv(mesh, path)
+        rows = ns.import_csv(path)
         assert len(rows) == 4
+        # t-major, then theta
+        assert [(r["t"], r["theta"]) for r in rows] == [
+            (0.0, 0.3), (0.0, 0.9), (1.0, 0.3), (1.0, 0.9)
+        ]
 
     def test_values_printed_at_17_significant_digits(self, ex1_mesh, tmp_path):
         path = tmp_path / "mesh.csv"
         ns.export_csv(ex1_mesh, path)
         rows = ns.import_csv(path)
-        # re-parsing and re-printing is exact, so digits suffice to round-trip
-        for row, original in zip(mesh_to_rows(ex1_mesh), rows):
-            for key in ("tau", "r", "alpha", "g11", "delta"):
-                assert original[key] == pytest.approx(row[key], abs=0.0)
+        # 17 significant digits read back to the very doubles of the mesh
+        assert len(rows) == ex1_mesh.truncated.size
+        arrays = {
+            "tau": ex1_mesh.x[..., 0], "r": ex1_mesh.x[..., 1],
+            "alpha": ex1_mesh.x[..., 2], "g11": ex1_mesh.g11,
+            "delta": ex1_mesh.delta,
+        }
+        for row, (i, j) in zip(rows, np.ndindex(ex1_mesh.shape)):
+            for key, values in arrays.items():
+                if ex1_mesh.truncated[i, j]:
+                    assert row[key] is None
+                else:
+                    assert row[key] == pytest.approx(values[i, j], abs=0.0)
+
+    def test_json_truncated_nodes_are_null(self, schw, ex3_circular_curve, tmp_path):
+        mesh = build_example_mesh(
+            schw, ex3_circular_curve, 16,
+            np.linspace(0.0, 5.0, 6), np.linspace(0.5, 8.0, 16),
+        )
+        assert mesh.truncated.any() and not mesh.truncated.all()
+        path = tmp_path / "mesh.json"
+        ns.export_json(mesh, path)
+        doc = ns.import_json(path)
+        for (i, j), cut in np.ndenumerate(mesh.truncated):
+            node = doc["nodes"][i][j]
+            assert set(node) == set(CSV_COLUMNS)
+            assert node["t"] == format(mesh.t_grid[i], ".17g")
+            assert node["theta"] == format(mesh.theta_grid[j], ".17g")
+            data = [node[key] for key in CSV_COLUMNS[2:-1]]
+            if cut:
+                assert node["type"] == TYPE_TRUNCATED
+                assert data == [None] * 9
+            else:
+                assert node["type"] != TYPE_TRUNCATED
+                assert None not in data
