@@ -15,7 +15,7 @@ from .characteristics import (
     map_from_callables,
     map_from_initial_data,
 )
-from .elliptic import carlson_rf, complete_elliptic_k, elliptic_f, jacobi_amplitude
+from .elliptic import carlson_rf, complete_elliptic_k, elliptic_f
 from .errors import (
     ConfigError,
     CoverageError,
@@ -93,7 +93,7 @@ from .surface import (
 __all__ = [
     "CharacteristicMap", "burgers_residual_grid", "map_from_callables",
     "map_from_initial_data",
-    "carlson_rf", "complete_elliptic_k", "elliptic_f", "jacobi_amplitude",
+    "carlson_rf", "complete_elliptic_k", "elliptic_f",
     "ConfigError", "CoverageError", "DegenerateDataError", "DomainError",
     "ExpressionError", "MapBreakdownError", "MapInversionError",
     "NullsheetError", "OracleMismatchError",

@@ -9,6 +9,7 @@ schema); results are written as CSV or structured JSON.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -17,17 +18,7 @@ import numpy as np
 
 from . import __version__
 from .characteristics import CharacteristicMap, map_from_initial_data
-from .config import (
-    OracleBlockConfig,
-    RunConfig,
-    _as_bool,
-    _as_float,
-    _as_int,
-    _as_range,
-    build_curve,
-    build_spacetime,
-    load_config,
-)
+from .config import RunConfig, build_curve, build_spacetime, load_config
 from .errors import (
     ConfigError,
     ExpressionError,
@@ -153,10 +144,22 @@ def _writing(field: str):
         raise ConfigError(field, f"cannot write: {exc}") from exc
 
 
+def _check_writable(path: str, field: str) -> None:
+    """Fail as a write to ``path`` would, before any work is spent."""
+    created = not os.path.exists(path)
+    with _writing(field):
+        open(path, "a", encoding="utf-8").close()
+    if created:
+        os.remove(path)
+
+
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     spacetime = build_spacetime(cfg)
     curve = build_curve(cfg)
+    _check_writable(cfg.output.path, "output.path")
+    if args.dump_characteristics:
+        _check_writable(args.dump_characteristics, "--dump-characteristics")
     if not args.force:
         report = validate_curve(curve, spacetime, n_samples=cfg.initial_data.samples)
         if not report.passed:
@@ -188,34 +191,13 @@ def cmd_solve(args) -> int:
     return 1 if failed else 0
 
 
-# oracle.params fields that are not real numbers; f and alpha0 may also be
-# expressions in vartheta
-_ORACLE_PARAM_CHECKS = {
-    "sign": _as_int, "sign_alpha": _as_int, "periodic": _as_bool, "theta_range": _as_range,
-}
-
-
 def _oracle_from_config(cfg: RunConfig):
     if cfg.oracle is None:
         raise ConfigError("oracle", "this command needs an oracle block")
-    params = dict(cfg.oracle.params)
-    if "m" not in params and cfg.spacetime.mass is not None:
-        params["m"] = cfg.spacetime.mass
-    if "theta_range" not in params:
-        params["theta_range"] = cfg.initial_data.theta_range
-    if "periodic" not in params:
-        params["periodic"] = cfg.initial_data.periodic
-    unknown = set(params) - set(OracleParams.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(
-            f"oracle.params.{sorted(unknown)[0]}", "unknown oracle parameter"
-        )
-    for key, value in params.items():
-        if not (key in ("f", "alpha0") and isinstance(value, str)):
-            check = _ORACLE_PARAM_CHECKS.get(key, _as_float)
-            params[key] = check(value, f"oracle.params.{key}")
     try:
-        return make_oracle(cfg.oracle.example, cfg.oracle.case, OracleParams(**params))
+        return make_oracle(
+            cfg.oracle.example, cfg.oracle.case, OracleParams(**cfg.oracle.params)
+        )
     except ValueError as exc:
         raise ConfigError("oracle.params", str(exc)) from exc
 
@@ -298,8 +280,8 @@ def cmd_classify(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = load_config(args.config)
-    if args.example is not None or args.case is not None:
-        block = cfg.oracle or OracleBlockConfig()
+    block = cfg.oracle
+    if block is not None:
         cfg = replace(
             cfg,
             oracle=replace(

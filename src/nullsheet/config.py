@@ -21,6 +21,7 @@ from .initial_data import (
     curve_from_expressions,
     curve_from_samples,
 )
+from .oracles import OracleParams
 from .spacetime import SchwarzschildParams, Spacetime, minkowski_spherical, schwarzschild
 
 
@@ -133,6 +134,13 @@ def _block(raw: dict, name: str, cls) -> dict:
     return block
 
 
+# oracle.params fields that are not real numbers; f and alpha0 may also be
+# expressions in vartheta
+_ORACLE_PARAM_CHECKS = {
+    "sign": _as_int, "sign_alpha": _as_int, "periodic": _as_bool, "theta_range": _as_range,
+}
+
+
 def parse_config(raw: dict) -> RunConfig:
     """Validate a raw mapping against the schema, applying defaults."""
     raw = _check_mapping(raw, "<root>")
@@ -214,11 +222,22 @@ def parse_config(raw: dict) -> RunConfig:
         case = str(or_raw.get("case", "auto"))
         if case not in ("auto", "I", "II", "III"):
             raise ConfigError("oracle.case", f"must be auto/I/II/III, got {case!r}")
-        oracle_cfg = OracleBlockConfig(
-            example=example,
-            case=case,
-            params=_check_mapping(or_raw.get("params", {}), "oracle.params"),
-        )
+        params = dict(_check_mapping(or_raw.get("params"), "oracle.params"))
+        unknown = set(params) - set(OracleParams.__dataclass_fields__)
+        if unknown:
+            raise ConfigError(
+                f"oracle.params.{sorted(unknown)[0]}", "unknown oracle parameter"
+            )
+        for key, value in params.items():
+            if not (key in ("f", "alpha0") and isinstance(value, str)):
+                check = _ORACLE_PARAM_CHECKS.get(key, _as_float)
+                params[key] = check(value, f"oracle.params.{key}")
+        # the oracle describes the run's own spacetime and curve unless told otherwise
+        if mass is not None:
+            params.setdefault("m", mass)
+        params.setdefault("theta_range", theta_range)
+        params.setdefault("periodic", periodic)
+        oracle_cfg = OracleBlockConfig(example=example, case=case, params=params)
 
     cmp_raw = _block(raw, "compare", CompareConfig)
     compare_cfg = CompareConfig(tol=_as_float(cmp_raw.get("tol", 1e-6), "compare.tol"))

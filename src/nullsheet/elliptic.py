@@ -1,4 +1,4 @@
-"""Incomplete elliptic integral of the first kind and its inverse amplitude.
+"""Incomplete elliptic integral of the first kind.
 
 F(chi, k) = integral_0^chi dgamma / sqrt(1 - k^2 sin^2 gamma) is computed
 through Carlson's symmetric form R_F with the duplication algorithm, which
@@ -83,29 +83,3 @@ def elliptic_f(chi: float, k: float) -> float:
         result += s * carlson_rf(c2, 1.0 - k2 * s * s, 1.0)
     return result
 
-
-def jacobi_amplitude(u: float, k: float) -> float:
-    """Inverse of elliptic_f in chi: the amplitude am(u, k).
-
-    Solved by Newton iteration on F(chi, k) = u with derivative
-    dF/dchi = 1/sqrt(1 - k^2 sin^2 chi), reduced to the fundamental band
-    |u| <= K(k) first.  Safeguarded by the bracket |chi - chi*| <= |F - u|.
-    """
-    k2 = k * k
-    if not 0.0 <= k2 < 1.0:
-        raise ValueError(f"modulus must satisfy 0 <= k^2 < 1, got k^2 = {k2}")
-    if u == 0.0:
-        return 0.0
-    big_k = complete_elliptic_k(k)
-    n = round(u / (2.0 * big_k))
-    u_r = u - 2.0 * n * big_k  # in [-K, K]
-    # F >= chi pointwise, so chi in [u_r * sqrt(1-k^2), u_r] up to sign
-    chi = u_r * (1.0 - 0.5 * k2)  # decent first guess
-    for _ in range(100):
-        f_val = elliptic_f(chi, k) - u_r
-        if abs(f_val) < 1e-15 * (1.0 + abs(u_r)):
-            break
-        deriv = 1.0 / math.sqrt(max(1.0 - k2 * math.sin(chi) ** 2, 1e-300))
-        chi -= f_val / deriv
-        chi = min(max(chi, -math.pi / 2), math.pi / 2)
-    return chi + n * math.pi

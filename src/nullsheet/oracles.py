@@ -13,18 +13,19 @@ admit exact descriptions:
 
 Elliptic branches are exposed both as residual evaluators of the
 alpha <-> u relation and as solved coordinate functions of (t, vartheta);
-the latter invert the quadrature t(xi) with bracketed Newton so they remain
-independent of the Runge-Kutta integration they are used to check.
+the latter invert t(xi) with Newton so they remain independent of the
+Runge-Kutta integration they are used to check.
 
 On a branch the roots, and so u(xi) and the modulus k, are the same for
 every characteristic; vartheta enters only through K and E.  With the unit
-quadratures, taken from the branch start and signed to grow along it,
+integrals, taken from the branch start and signed to grow along it,
 
     T(xi)   = int c / (u^2 sqrt(1 - k^2 sin^2(xi/2))) dxi,
     Tau(xi) = int c / (u^2 (1 - 2mu) sqrt(1 - k^2 sin^2(xi/2))) dxi,
 
-t = T / sqrt(K) and tau = tau_init + (E / sqrt(K)) Tau, so one table of T
-and Tau serves every characteristic of an oracle.
+t = T / sqrt(K) and tau = tau_init + (E / sqrt(K)) Tau, so one pair of
+integrals serves every characteristic of an oracle.  Both come from one
+fixed tanh-sinh rule, its 203 nodes mapped onto [xi_start, xi].
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -46,6 +46,23 @@ from .spacetime import SchwarzschildParams
 
 CASE_TOL = 1e-12  # relative tolerance on r0/m for double-root detection
 _HORIZON_PAD = 1e-8
+
+
+def _tanh_sinh_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the tanh-sinh rule on [-1, 1] (Takahasi & Mori 1974).
+
+    Step h = 1/32 and |k| <= 120, less the nodes where tanh rounds to +-1:
+    203 nodes, whose weights decay double-exponentially toward the ends.
+    """
+    kh = np.arange(-120, 121) / 32.0
+    s = 0.5 * np.pi * np.sinh(kh)
+    nodes = np.tanh(s)
+    weights = (0.5 * np.pi / 32.0) * np.cosh(kh) / np.cosh(s) ** 2
+    inside = np.abs(nodes) < 1.0
+    return nodes[inside], weights[inside]
+
+
+_TS_NODES, _TS_WEIGHTS = _tanh_sinh_rule()
 
 
 class OracleKind(Enum):
@@ -286,11 +303,10 @@ class EllipticBranchOracle:
     ``branch`` is "sec" for infall toward the horizon (u grows from the
     largest root) or "cos" for escape (u shrinks from the middle root).
     The alpha <-> u relation is exact; t(xi) and tau(xi) are scaled from
-    the unit quadratures T(xi) and Tau(xi), tabulated once per oracle and
-    inverted by bracketed Newton for evaluation.
+    the unit integrals T(xi) and Tau(xi), which the tanh-sinh rule gives
+    together.  ``evaluate`` inverts T by Newton, starting from the linear
+    guess through T(xi_end); T(xi_end) also bounds the certified range of t.
     """
-
-    _N_TABLE = 200
 
     def __init__(
         self,
@@ -331,16 +347,16 @@ class EllipticBranchOracle:
             self.xi_end = self._xi_of_u_cos(u_floor)
         else:
             raise ValueError(f"unknown branch {branch!r}")
-        self._xis = np.linspace(self.xi_start, self.xi_end, self._N_TABLE)
         # t and tau grow while xi runs from xi_start to xi_end
         self._direction = 1.0 if branch == "sec" else -1.0
+        self._T_end = self._integrals(self.xi_end)[0]
 
     # -- substitution and its inverse ------------------------------------
-    def u_of_xi(self, xi: float) -> float:
+    def u_of_xi(self, xi):
         if self.branch == "sec":
-            sec2 = 1.0 / math.cos(0.5 * xi) ** 2
+            sec2 = 1.0 / np.cos(0.5 * xi) ** 2
             return self.u_mid + (self.u_hi - self.u_mid) * sec2
-        return self.u_lo + 0.5 * (self.u_mid - self.u_lo) * (1.0 - math.cos(xi))
+        return self.u_lo + 0.5 * (self.u_mid - self.u_lo) * (1.0 - np.cos(xi))
 
     def _xi_of_u_sec(self, u: float) -> float:
         ratio = (self.u_hi - self.u_mid) / (u - self.u_mid)
@@ -374,75 +390,65 @@ class EllipticBranchOracle:
         return abs(x[2] - self.alpha_of_xi(xi, vartheta))
 
     # -- quadrature machinery ---------------------------------------------
-    def _dT_dxi(self, xi: float) -> float:
+    def _dT_dxi(self, xi):
         u = self.u_of_xi(xi)
-        root = math.sqrt(1.0 - self.k2 * math.sin(0.5 * xi) ** 2)
+        root = np.sqrt(1.0 - self.k2 * np.sin(0.5 * xi) ** 2)
         return self.c / (u * u * root)
 
-    def _dTau_dxi(self, xi: float) -> float:
-        return self._dT_dxi(xi) / (1.0 - 2.0 * self.m * self.u_of_xi(xi))
+    def _integrals(self, xi: float) -> tuple[float, float]:
+        """T(xi) and Tau(xi) by the tanh-sinh rule mapped onto [xi_start, xi]."""
+        half = 0.5 * (xi - self.xi_start)
+        nodes = self.xi_start + half * (1.0 + _TS_NODES)
+        weights = (self._direction * half) * _TS_WEIGHTS
+        dT = self._dT_dxi(nodes)
+        dTau = dT / (1.0 - 2.0 * self.m * self.u_of_xi(nodes))
+        return float(weights @ dT), float(weights @ dTau)
 
-    def _quad_from(self, integrand, j: int, xi: float, epsabs: float, epsrel: float) -> float:
-        # imported here, so that only an elliptic oracle loads scipy
-        from scipy.integrate import quad
-
-        return self._direction * quad(
-            integrand, self._xis[j], xi, epsabs=epsabs, epsrel=epsrel
-        )[0]
-
-    def _T_from(self, j: int, xi: float) -> float:
-        return self._quad_from(self._dT_dxi, j, xi, 1e-14, 1e-13)
-
-    def _Tau_from(self, j: int, xi: float) -> float:
-        return self._quad_from(self._dTau_dxi, j, xi, 0.0, 1e-12)
-
-    @cached_property
-    def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        """T and Tau at the nodes ``_xis``, each starting from 0."""
-        T, Tau = [0.0], [0.0]
-        for j, xi in enumerate(self._xis[1:]):
-            T.append(T[-1] + self._T_from(j, xi))
-            Tau.append(Tau[-1] + self._Tau_from(j, xi))
-        return np.array(T), np.array(Tau)
-
-    def _xi_of_T(self, T_target: float, tol: float) -> tuple[float, int]:
-        """Invert T(xi) to within ``tol`` by table bracket plus Newton."""
-        xis, (T, _) = self._xis, self._table
-        j = int(np.searchsorted(T, T_target, side="right")) - 1
-        j = min(max(j, 0), len(xis) - 2)
-        xi = float(
-            xis[j]
-            + (xis[j + 1] - xis[j])
-            * (T_target - T[j])
-            / max(T[j + 1] - T[j], 1e-300)
-        )
+    def _xi_of_T(self, T_target: float, tol: float) -> tuple[float, float]:
+        """xi with T(xi) within ``tol`` of ``T_target`` by Newton, and Tau there."""
         lo, hi = min(self.xi_start, self.xi_end), max(self.xi_start, self.xi_end)
+        xi = self.xi_start + (self.xi_end - self.xi_start) * T_target / self._T_end
         for _ in range(60):
-            err = T[j] + self._T_from(j, xi) - T_target
+            T, Tau = self._integrals(xi)
+            err = T - T_target
             if abs(err) < tol:
                 break
-            xi -= err / (self._direction * self._dT_dxi(xi))
-            xi = min(max(xi, lo), hi)
-        return xi, j
+            xi = min(max(xi - err / (self._direction * self._dT_dxi(xi)), lo), hi)
+        else:
+            Tau = self._integrals(xi)[1]
+        return xi, Tau
 
     def evaluate(self, t: float, vartheta: float) -> np.ndarray:
         cs = self.conserved(vartheta)
         sqrt_k = math.sqrt(cs.K)
-        T, Tau = self._table
-        t_last = T[-1] / sqrt_k
+        t_last = self._T_end / sqrt_k
         if t < -1e-12 or t > t_last:
             raise DomainError(
                 f"t = {t!r} outside the oracle's certified range [0, {t_last!r}]"
             )
         # stop Newton once t, not T, is within 1e-13 (1 + |t|)
-        xi, j = self._xi_of_T(t * sqrt_k, 1e-13 * (1.0 + abs(t)) * sqrt_k)
-        tau = self._data.tau_init(vartheta) + cs.E / sqrt_k * (
-            Tau[j] + self._Tau_from(j, xi)
-        )
+        xi, Tau = self._xi_of_T(t * sqrt_k, 1e-13 * (1.0 + abs(t)) * sqrt_k)
+        tau = self._data.tau_init(vartheta) + cs.E / sqrt_k * Tau
         u = self.u_of_xi(xi)
         return np.array(
             [tau, 1.0 / u, self.alpha_of_xi(xi, vartheta), self._data.beta_of(vartheta)]
         )
+
+
+# per example with a double root: its radius in units of m, the (inner,
+# outer) cases on either side of it, the circular oracle at it, the (inner,
+# outer) kinds, the cubic's roots and the initial data; the inner case, below
+# the double root, is the infalling "sec" branch
+_TURNING_POINT_EXAMPLES = {
+    2: (
+        3.0, ("II", "III"), PhotonSphereOracle,
+        (OracleKind.EX2_INNER, OracleKind.EX2_OUTER), example2_roots, _example2_data,
+    ),
+    3: (
+        4.0, ("III", "II"), Example3CircularOracle,
+        (OracleKind.EX3_INNER, OracleKind.EX3_OUTER), example3_roots, _example3_data,
+    ),
+}
 
 
 def make_oracle(example: int, case: str = "auto", params: OracleParams | None = None):
@@ -462,43 +468,27 @@ def make_oracle(example: int, case: str = "auto", params: OracleParams | None = 
     if example == 1:
         return RadialNullOracle(p)
 
-    if example == 2:
-        at_double = abs(r0 / m - 3.0) <= 3.0 * CASE_TOL
-        detected = "I" if at_double else ("II" if r0 < 3.0 * m else "III")
-        chosen = detected if case == "auto" else case
-        if chosen != detected:
-            raise OracleMismatchError(
-                f"case {chosen} inconsistent with r0 = {r0}, m = {m} "
-                f"(detected case {detected})"
-            )
-        if chosen == "I":
-            return PhotonSphereOracle(p)
-        inner = chosen == "II"
-        data = _example2_data(p, r0)
-        return EllipticBranchOracle(
-            OracleKind.EX2_INNER if inner else OracleKind.EX2_OUTER,
-            p, "sec" if inner else "cos", example2_roots(m, r0), data,
+    if example not in _TURNING_POINT_EXAMPLES:
+        raise NullsheetError(f"unknown example id {example}")
+    radius, (inner_case, outer_case), circular, kinds, roots, build_data = (
+        _TURNING_POINT_EXAMPLES[example]
+    )
+    at_double = abs(r0 / m - radius) <= radius * CASE_TOL
+    detected = "I" if at_double else (inner_case if r0 < radius * m else outer_case)
+    chosen = detected if case == "auto" else case
+    if chosen != detected:
+        raise OracleMismatchError(
+            f"case {chosen} inconsistent with r0 = {r0}, m = {m} "
+            f"(detected case {detected})"
         )
-
-    if example == 3:
-        at_double = abs(r0 / m - 4.0) <= 4.0 * CASE_TOL
-        detected = "I" if at_double else ("II" if r0 > 4.0 * m else "III")
-        chosen = detected if case == "auto" else case
-        if chosen != detected:
-            raise OracleMismatchError(
-                f"case {chosen} inconsistent with r0 = {r0}, m = {m} "
-                f"(detected case {detected})"
-            )
-        if chosen == "I":
-            return Example3CircularOracle(p)
-        inner = chosen == "III"
-        data = _example3_data(p, r0)
-        return EllipticBranchOracle(
-            OracleKind.EX3_INNER if inner else OracleKind.EX3_OUTER,
-            p, "sec" if inner else "cos", example3_roots(m, r0), data,
-        )
-
-    raise NullsheetError(f"unknown example id {example}")
+    if chosen == "I":
+        return circular(p)
+    inner = chosen == inner_case
+    data = build_data(p, r0)
+    return EllipticBranchOracle(
+        kinds[0] if inner else kinds[1],
+        p, "sec" if inner else "cos", roots(m, r0), data,
+    )
 
 
 def check_oracle_consistency(

@@ -152,6 +152,14 @@ class TestValidateCommand:
         assert err.startswith(f"configuration error: {path}:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_validate_checks_oracle_params(self, tmp_path, capsys):
+        raw = yaml.safe_load((SHIPPED / "photon_sphere.yaml").read_text())
+        raw["oracle"]["params"]["r0"] = "abc"
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: oracle.params.r0")
+
     def test_force_is_a_solve_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -262,7 +270,11 @@ class TestSolveCommand:
          ("csv", True, "--dump-characteristics")],
         ids=["csv", "json", "dump"],
     )
-    def test_unwritable_output_exit_2(self, tmp_path, capsys, fmt, dump, field):
+    def test_unwritable_output_exit_2(self, tmp_path, capsys, monkeypatch, fmt, dump, field):
+        def solve_not_reached(*args):
+            raise AssertionError("the paths are checked before solving")
+
+        monkeypatch.setattr("nullsheet.cli.run_pipeline", solve_not_reached)
         missing = tmp_path / "missing"
         surface = (tmp_path if dump else missing) / f"surface.{fmt}"
         cfg = write_config(
@@ -277,6 +289,7 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {field}: cannot write")
         assert err.count("\n") == 1 and "Traceback" not in err
+        assert not surface.exists()
 
     def test_minkowski_spherical_cone(self, tmp_path):
         # flat-space cone string: radial null data in spherical coordinates
@@ -403,7 +416,23 @@ class TestShippedConfigs:
 
 
 def test_commands_leave_out_scipy(tmp_path):
-    """No shipped config uses an elliptic oracle, so no command loads scipy."""
+    """No command loads scipy, on the shipped configs or an elliptic compare."""
+    f = "1 + 0.25*sin(vartheta + 1)"
+    infall = write_config(  # example 2, case II: the infalling "sec" branch
+        tmp_path,
+        name="infall.yaml",
+        initial_data={
+            "phi": ["0", "2.5", "1.2", "vartheta"],
+            "psi": [f, "0", f"sqrt(1.25)/6.25*abs({f})", "0"],
+            "samples": 8,
+        },
+        output={"t_samples": 5},
+        oracle={
+            "example": 2,
+            "case": "II",
+            "params": {"r0": 2.5, "f": f, "tau0": 0.0, "alpha0": "1.2", "sign_alpha": 1},
+        },
+    )
     src = str(pathlib.Path(ns.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -418,6 +447,8 @@ def test_commands_leave_out_scipy(tmp_path):
             for command in ("validate", "solve", "classify", "compare"):
                 code = nullsheet.cli.main([command, "--config", {str(SHIPPED)!r} + "/" + name])
                 seen.append((command + " " + name, code, scipy_modules()))
+        code = nullsheet.cli.main(["compare", "--config", {str(infall)!r}])
+        seen.append(("compare infall.yaml", code, scipy_modules()))
         print(seen)
     """)
     proc = subprocess.run(
@@ -425,7 +456,7 @@ def test_commands_leave_out_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     seen = ast.literal_eval(proc.stdout.strip().splitlines()[-1])
-    assert len(seen) == 13
+    assert len(seen) == 14
     assert all(code == 0 and modules == [] for _, code, modules in seen), seen
 
 
@@ -453,3 +484,8 @@ class TestOracleCommand:
         assert main(["oracle", "--config", str(cfg), "--case", "I"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert float(lines[1].split(",")[2]) == 3.0
+
+    def test_flags_need_an_oracle_block(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, oracle=None)
+        assert main(["oracle", "--config", str(cfg), "--example", "2"]) == 2
+        assert "needs an oracle block" in capsys.readouterr().err

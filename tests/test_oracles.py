@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 
 import nullsheet as ns
 from nullsheet.errors import DomainError, OracleMismatchError
@@ -231,6 +233,46 @@ class TestEllipticOracles:
             oracle.relation_residual(
                 0.0, np.array([0.0, 11.0, 1.0, 0.0]), vth
             )  # r above the branch start
+
+
+BRANCHES = {name: (example, params) for name, example, params, _, _ in ELLIPTIC_CASES}
+for r0 in (2.01, 2.9, 3.1, 100.0):
+    BRANCHES[f"ex2_r0_{r0}"] = (2, dict(m=1.0, r0=r0, alpha0=1.0))
+for r0 in (2.05, 4.1):
+    BRANCHES[f"ex3_r0_{r0}"] = (3, dict(m=1.0, r0=r0, theta_range=(1.0, 2.0), periodic=False))
+
+
+@pytest.mark.parametrize("example, params", BRANCHES.values(), ids=BRANCHES.keys())
+def test_integrals_against_quad(example, params):
+    """T and Tau of the tanh-sinh rule against QUADPACK, along the whole branch."""
+    oracle = ns.make_oracle(example, "auto", ns.OracleParams(**params))
+    m, c, k2 = oracle.m, oracle.c, oracle.k2
+    lo, mid, hi = oracle.u_lo, oracle.u_mid, oracle.u_hi
+
+    def u(xi):
+        if oracle.branch == "sec":
+            return mid + (hi - mid) / math.cos(0.5 * xi) ** 2
+        return lo + 0.5 * (mid - lo) * (1.0 - math.cos(xi))
+
+    def dT(xi):
+        return c / (u(xi) ** 2 * math.sqrt(1.0 - k2 * math.sin(0.5 * xi) ** 2))
+
+    def reference(integrand, xi):
+        # QUADPACK warns about roundoff this close to machine precision
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            value = quad(integrand, oracle.xi_start, xi, epsabs=0.0, epsrel=2e-14, limit=500)[0]
+        return abs(value)  # both integrals grow along the branch
+
+    for frac in (0.5, 0.999, 0.99999, 1.0):
+        xi = oracle.xi_start + frac * (oracle.xi_end - oracle.xi_start)
+        T, Tau = oracle._integrals(xi)
+        ref_T = reference(dT, xi)
+        ref_Tau = reference(lambda x: dT(x) / (1.0 - 2.0 * m * u(x)), xi)
+        assert abs(T - ref_T) <= 1e-12 * ref_T, (frac, T, ref_T)
+        # the 1/(1 - 2mu) factor peaks toward the horizon cap at xi_end
+        tau_tol = 1e-12 if frac <= 0.999 else 1e-10
+        assert abs(Tau - ref_Tau) <= tau_tol * ref_Tau, (frac, Tau, ref_Tau)
 
 
 class TestConsistencyGuard:
