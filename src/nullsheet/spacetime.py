@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -65,9 +65,10 @@ class Spacetime:
     (symmetric in nu, rho).  ``coordinate_domain`` returns None for an
     admissible point or a human-readable violation message.
     ``acceleration_at`` is the closed-form geodesic acceleration
-    -Gamma^mu_{nu rho} v^nu v^rho that the integrator calls; it must agree
-    with the contraction of ``christoffel_at`` (``geodesic.geodesic_rhs``),
-    against which the tests check it.
+    -Gamma^mu_{nu rho} v^nu v^rho.  The integrator calls it with y and v as
+    lists of floats, so it indexes them instead of using array arithmetic.
+    It must agree with the contraction of ``christoffel_at``
+    (``geodesic.geodesic_rhs``), against which the tests check it.
     """
 
     name: str
@@ -75,7 +76,7 @@ class Spacetime:
     metric_at: Callable[[np.ndarray], np.ndarray]
     christoffel_at: Callable[[np.ndarray], np.ndarray]
     coordinate_domain: Callable[[np.ndarray], str | None]
-    acceleration_at: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    acceleration_at: Callable[[Sequence[float], Sequence[float]], np.ndarray]
     meta: Mapping[str, float] = field(default_factory=dict)
 
     def check_admissible(self, x: np.ndarray) -> None:

@@ -1,7 +1,7 @@
 import importlib.util
 import math
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +250,49 @@ class TestEvents:
         with pytest.raises(DomainError):
             ns.integrate(schw, state0, 1.0)
 
+    def test_domain_error_mid_stage_rejects_the_step(self):
+        # radial flat motion r = 1 + t leaves the domain r <= 3 at t = 2; the
+        # steps there are halved until h underflows
+        flat = ns.minkowski_spherical()
+        accel = flat.acceleration_at
+
+        def bounded(y, v):
+            if y[1] > 3.0:
+                raise DomainError(f"r = {y[1]!r} > 3")
+            return accel(y, v)
+
+        spacetime = replace(flat, acceleration_at=bounded)
+        state0 = ns.GeodesicState(
+            y=np.array([0.0, 1.0, 1.0, 0.0]), v=np.array([1.0, 1.0, 0.0, 0.0]), t=0.0
+        )
+        traj = ns.integrate(spacetime, state0, 10.0)
+        assert [e.kind for e in traj.events] == ["step_failure"]
+        assert traj.events[0].t == traj.t_last
+        assert traj.t_last == pytest.approx(2.0, abs=1e-12)
+        assert traj.nodes[:, 1].max() <= 3.0
+
+    def test_guard_dip_inside_one_step(self):
+        # a flat straight line has one minimum of r; the horizon barrier is put
+        # just above r at the midpoint of the step around it, below r at that
+        # step's ends, so only the probe at sigma = 1/2 sees the guard go
+        # negative
+        flat = ns.minkowski_spherical()
+        state0 = ns.GeodesicState(
+            y=np.array([0.0, 3.0, np.pi / 2, 0.0]), v=np.array([1.0, -0.5, 0.0, 0.05]), t=0.0
+        )
+        free = ns.integrate(flat, state0, 10.0)
+        r_nodes = free.nodes[:, 1]
+        r_mid = free.sample(0.5 * (free.ts[:-1] + free.ts[1:])).y[:, 1]
+        (i,) = np.nonzero(r_mid < np.minimum(r_nodes[:-1], r_nodes[1:]))[0]
+        barrier = r_mid[i] + 0.25 * (min(r_nodes[i], r_nodes[i + 1]) - r_mid[i])
+        opts = ns.SolverOptions()
+        mass = barrier / (2.0 * (1.0 + opts.eps_horizon))
+        traj = ns.integrate(replace(flat, meta={**flat.meta, "mass": mass}), state0, 10.0, opts)
+        assert [e.kind for e in traj.events] == ["horizon"]
+        np.testing.assert_array_equal(traj.ts[: i + 1], free.ts[: i + 1])
+        assert free.ts[i] < traj.t_last < 0.5 * (free.ts[i] + free.ts[i + 1])
+        assert traj.nodes[-1, 1] <= barrier
+
 
 class TestTangentNorm:
     def test_example1_null(self, schw, ex1_trajectory):
@@ -342,6 +385,71 @@ class TestEventStep:
         got = traj.sample(t)
         want = geodesic._dense(w, h, q, ((t - t_i) / h)[:, None])
         _assert_states_close(np.hstack([got.y, got.v]), want)
+
+
+def _reference_step(spacetime, w, h):
+    """One DP5 step of the numpy tableau: (state after h, interpolant q)."""
+    dim = spacetime.dim
+
+    def rhs(x):
+        return np.concatenate([x[dim:], spacetime.acceleration_at(x[:dim], x[dim:])])
+
+    K = np.empty((7, 2 * dim))
+    K[0] = rhs(w)
+    for s in range(1, 7):
+        K[s] = rhs(w + h * (K[:s].T @ geodesic._A[s]))
+    return w + h * (K.T @ geodesic._B), K.T @ geodesic._P
+
+
+class TestOneStepReference:
+    """Every full step against one step of the numpy tableau from its start node."""
+
+    @staticmethod
+    def _step_size(traj, i):
+        """The step size that took node i to node i + 1.
+
+        ts[i + 1] - ts[i] is h only to the half ulp of t by which t + h was
+        rounded; near the horizon, where h is ~1e-9 and the accelerations are
+        ~1e14, that moves the step by ~1e-8 relative.  The quartic reproduces
+        the step at sigma = 1, so w[i + 1] - w[i] = h * q.sum(axis=1); h is read
+        off the component whose increment is largest against its value.
+        """
+        w0, w1 = traj.nodes[i], traj.nodes[i + 1]
+        size = np.maximum(np.maximum(np.abs(w0), np.abs(w1)), np.finfo(float).tiny)
+        j = np.argmax(np.abs(w1 - w0) / size)
+        h = (w1[j] - w0[j]) / traj.interp_q[i][j].sum()
+        assert h == pytest.approx(traj.ts[i + 1] - traj.ts[i], rel=1e-5)
+        return h
+
+    def _check(self, spacetime, traj):
+        dim = traj.dim
+        full = len(traj.ts) - 1
+        if traj.events[-1].kind != "t_max":
+            full -= 1  # the event step is partial
+        assert full > 0
+        got_w, got_q, want_w, want_q = [], [], [], []
+        for i in range(full):
+            w, q = _reference_step(spacetime, traj.nodes[i], self._step_size(traj, i))
+            got_w.append(traj.nodes[i + 1])
+            got_q.append(traj.interp_q[i])
+            want_w.append(w)
+            want_q.append(q)
+        for got, want in ((got_w, want_w), (got_q, want_q)):
+            got, want = np.array(got), np.array(want)
+            for part in (slice(None, dim), slice(dim, None)):
+                scale = np.abs(want[:, part]).max()
+                assert np.abs(got[:, part] - want[:, part]).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("kind", ["t_max", "horizon", "axis"])
+    def test_ended(self, schw, ended, kind):
+        self._check(schw, ended[kind])
+
+    def test_minkowski_spherical(self):
+        flat = ns.minkowski_spherical()
+        state0 = ns.GeodesicState(
+            y=np.array([0.0, 1.0, 1.0, 0.5]), v=np.array([1.0, 0.5, 0.3, 0.2]), t=0.0
+        )
+        self._check(flat, ns.integrate(flat, state0, 10.0))
 
 
 @st.composite
