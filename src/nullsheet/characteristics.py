@@ -76,14 +76,14 @@ class CharacteristicMap:
         tol = _residual_tol(theta)
         return (lo - theta <= tol) & (hi - theta >= -tol)
 
-    def invert(self, t: float, theta):
+    def invert(self, t: float | np.ndarray, theta):
         """The unique vartheta with vartheta + Lambda(vartheta) t = theta.
 
-        Each element runs its own safeguarded Newton in its own monotone
-        bracket; all elements step together, one Lambda and one Lambda'
-        call per step.
+        ``t`` is a scalar or an array of theta's shape.  Each element runs
+        its own safeguarded Newton in its own monotone bracket; all elements
+        step together, one Lambda and one Lambda' call per step.
         """
-        if t < 0:
+        if np.min(t) < 0:
             raise ValueError(f"t must be non-negative, got {t}")
         theta = np.asarray(theta, dtype=float)
         img_lo, img_hi = self.image_interval(t)

@@ -7,23 +7,29 @@ Wanner, Solving ODEs I, II.6), so trajectories can be sampled densely
 without re-integration.
 
 The step loop runs on Python floats: the state [y, v] and the seven stages
-are lists, the stage sums are unrolled over the nonzero tableau entries, and
+are lists, the stage sums are unrolled over the nonzero tableau entries,
 ``Spacetime.acceleration_at`` is called once per stage with the position and
-velocity as lists of floats.  Numpy enters a step only when a guard fires,
-for the event search, and once per trajectory, when the stored stages give
-every step's interpolant (one matmul per chunk of 64 steps).  A trajectory
-is stored as stacked arrays: the node times, the node states [y, v] and one
-interpolant per step; one dense-output formula serves sampling (a whole
-t-grid per call), the event search and the event state.  Schwarzschild runs
-terminate at the horizon (r <= 2m(1 + eps_horizon)) or the coordinate axis
-(|sin alpha| <= eps_axis); both are recorded as events, as is step-size
-underflow.
+velocity as lists of floats and returns a list, and each guard reads one
+position component at the step end and at the midpoint of that component's
+continuous extension.  A step on which no guard fires calls no numpy at all;
+numpy enters for the event search of a step where one fires, and once per
+trajectory, when the stored stages give every step's interpolant (one matmul
+per chunk of 64 steps).  Each step is taken with h = (t + h) - t, so the
+stored node times differ by exactly the step sizes.
+
+A trajectory is stored as stacked arrays: the node times, the node states
+[y, v] and one interpolant per step; one dense-output formula serves
+sampling (a whole t-grid per call), the event search and the event state.
+Schwarzschild runs terminate at the horizon (r <= 2m(1 + eps_horizon)) or
+the coordinate axis (|sin alpha| <= eps_axis); both are recorded as events,
+as is step-size underflow.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +73,8 @@ _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
 _POWERS = np.arange(1.0, 5.0)
 # smallest step, relative to max(|t|, 1), that is not lost in the roundoff of t
-_H_FLOOR = 16.0 * np.finfo(float).eps
+# (a Python float: a numpy scalar here would make every step's h_floor one)
+_H_FLOOR = 16.0 * sys.float_info.epsilon
 
 # the nonzero tableau entries as Python floats, for the unrolled step loop;
 # _A[6] is _B[:6], so the step's result w_new is also the last stage's argument
@@ -190,22 +197,23 @@ def geodesic_rhs(spacetime: Spacetime, state: GeodesicState) -> np.ndarray:
 
 
 def _guards(spacetime: Spacetime, opts: SolverOptions, y0: np.ndarray):
-    """Termination guard functions g(y); a trajectory stops when g <= 0.
+    """Termination guards (kind, i, g); a trajectory stops when g(y[i]) <= 0.
 
-    Guards are signed so that a transversal crossing (e.g. alpha moving
-    through the axis within one step) flips the sign at the step endpoint
-    instead of dipping and recovering unseen.
+    Each guard reads the one position component i.  Guards are signed so
+    that a transversal crossing (e.g. alpha moving through the axis within
+    one step) flips the sign at the step endpoint instead of dipping and
+    recovering unseen.
     """
     guards = []
     meta = spacetime.meta
     if "mass" in meta:
         m = meta["mass"]
         barrier = 2.0 * m * (1.0 + opts.eps_horizon)
-        guards.append(("horizon", lambda y: y[1] - barrier))
+        guards.append(("horizon", 1, lambda r: r - barrier))
     if meta.get("spherical"):
         eps = opts.eps_axis
         side = 1.0 if math.sin(y0[2]) >= 0.0 else -1.0
-        guards.append(("axis", lambda y: side * math.sin(y[2]) - eps))
+        guards.append(("axis", 2, lambda alpha: side * math.sin(alpha) - eps))
     return guards
 
 
@@ -229,19 +237,19 @@ def _initial_step(deriv, t0, w0, f0, rel_tol, abs_tol, t_end):
     return min(100 * h0, h1, abs(t_end - t0))
 
 
-def _first_crossing(fired, dim, t, w, h, q):
+def _first_crossing(fired, t, w, h, q):
     """The earliest crossing in the step [t, t + h] of the guards that fired.
 
     ``w`` is the state at the step start and ``q`` the step's interpolant.
-    ``fired`` holds (kind, g, sig_hi) for each guard that is <= 0 at the
+    ``fired`` holds (kind, i, g, sig_hi) for each guard that is <= 0 at the
     fraction sig_hi (1/2 or 1) of the step; each is bisected on [0, sig_hi].
     Returns (kind, t_ev, sigma) with t_ev = t + sigma h.
     """
     triggered = None
-    for kind, g, sig_hi in fired:
+    for kind, i, g, sig_hi in fired:
 
-        def g_sigma(sigma, g=g):
-            return g(_dense(w, h, q, sigma)[:dim])
+        def g_sigma(sigma, i=i, g=g):
+            return g(_dense(w, h, q, sigma)[i])
 
         # bisect, keeping g(lo) > 0 >= g(hi); the result hi never lies
         # before the crossing
@@ -275,18 +283,26 @@ def integrate(
     def deriv(w: list[float]) -> list[float]:
         """[v, acceleration] at the state w = [y, v]."""
         v = w[dim:]
-        return v + accel(w[:dim], v).tolist()
+        return v + accel(w[:dim], v)
 
     guards = _guards(spacetime, opts, np.asarray(state0.y, float))
-    for kind, g in guards:
-        if g(state0.y) <= 0.0:
+    for kind, i, g in guards:
+        if g(state0.y[i]) <= 0.0:
             raise DomainError(
                 f"initial state already violates the {kind} guard"
             )
 
     t, t_end = float(state0.t), float(t_end)
-    w = np.asarray(state0.y, float).tolist() + np.asarray(state0.v, float).tolist()
-    f = deriv(w)
+    y, v = np.asarray(state0.y, float).tolist(), np.asarray(state0.v, float).tolist()
+    w = y + v
+    # deriv's v + a would broadcast an array a into a state of dim entries
+    a = accel(y, v)
+    if not (type(a) is list and len(a) == dim and all(isinstance(x, float) for x in a)):
+        raise TypeError(
+            f"{spacetime.name}: acceleration_at returned {type(a).__name__} "
+            f"{a!r}, not a list of {dim} floats"
+        )
+    f = v + a
 
     # each full step packs one record [t, w, stored stages] into chunks of
     # one size, which the heap reuses from one trajectory to the next and
@@ -310,8 +326,15 @@ def integrate(
         if n_steps >= opts.max_steps:
             events.append(Event(kind="step_failure", t=t))
             break
-        h = min(h, t_end - t)
-        h_floor = _H_FLOOR * max(abs(t), 1.0)
+        # the loop's clamps are conditional expressions, not min/max/abs
+        # calls: a step is call-bound, and each builtin call costs more than
+        # the comparison it makes
+        if t_end - t < h:
+            h = t_end - t
+        # step by the increment t + h really gets, so that the stored
+        # ts[i + 1] - ts[i] is the h each step and its interpolant were made with
+        h = (t + h) - t
+        h_floor = _H_FLOOR * (t if t > 1.0 else -t if t < -1.0 else 1.0)
         if h < h_floor:
             # within roundoff of t_end the run is complete; elsewhere h underflowed
             kind = "t_max" if t_end - t < h_floor else "step_failure"
@@ -348,7 +371,11 @@ def integrate(
         sq = 0.0
         for x, x_new, p0, p2, p3, p4, p5, p6 in zip(w, w_new, k0, k2, k3, k4, k5, k6):
             e = h * (_E0 * p0 + _E2 * p2 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6)
-            x, x_new = abs(x), abs(x_new)
+            # the scale is max(|x|, |x_new|)
+            if x < 0.0:
+                x = -x
+            if x_new < 0.0:
+                x_new = -x_new
             e /= abs_tol + rel_tol * (x if x > x_new else x_new)
             sq += e * e
         err = math.sqrt(sq / n)
@@ -363,29 +390,27 @@ def integrate(
             factor = _MAX_FACTOR
         else:
             factor = _SAFETY * err ** (-_PI_ALPHA) * err_prev ** (_PI_BETA)
-            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-        err_prev = max(err, 1e-10)
+            factor = factor if factor > _MIN_FACTOR else _MIN_FACTOR
+            factor = factor if factor < _MAX_FACTOR else _MAX_FACTOR
+        err_prev = 1e-10 if err < 1e-10 else err
 
         # guards at the step end and, to catch a crossing inside a long step,
-        # at the midpoint of the continuous extension; only a step where one
-        # is <= 0 is searched for the event, in numpy
+        # at the midpoint of the continuous extension of their component;
+        # only a step where one is <= 0 is searched for the event, in numpy
         triggered = None
-        if guards:
-            y_end = w_new[:dim]
-            y_mid = [
-                x + h * (_M0 * p0 + _M2 * p2 + _M3 * p3 + _M4 * p4 + _M5 * p5 + _M6 * p6)
-                for x, p0, p2, p3, p4, p5, p6 in zip(w[:dim], k0, k2, k3, k4, k5, k6)
-            ]
-            fired = []
-            for kind, g in guards:
-                if g(y_mid) <= 0.0:
-                    fired.append((kind, g, 0.5))
-                elif g(y_end) <= 0.0:
-                    fired.append((kind, g, 1.0))
-            if fired:
-                w_np = np.array(w)
-                q = np.array([k0, k1, k2, k3, k4, k5, k6]).T @ _P
-                triggered = _first_crossing(fired, dim, t, w_np, h, q)
+        fired = []
+        for kind, i, g in guards:
+            y_mid = w[i] + h * (
+                _M0 * k0[i] + _M2 * k2[i] + _M3 * k3[i] + _M4 * k4[i] + _M5 * k5[i] + _M6 * k6[i]
+            )
+            if g(y_mid) <= 0.0:
+                fired.append((kind, i, g, 0.5))
+            elif g(w_new[i]) <= 0.0:
+                fired.append((kind, i, g, 1.0))
+        if fired:
+            w_np = np.array(w)
+            q = np.array([k0, k1, k2, k3, k4, k5, k6]).T @ _P
+            triggered = _first_crossing(fired, t, w_np, h, q)
 
         if triggered is not None:
             kind, t_ev, sig_ev = triggered

@@ -65,8 +65,9 @@ class Spacetime:
     (symmetric in nu, rho).  ``coordinate_domain`` returns None for an
     admissible point or a human-readable violation message.
     ``acceleration_at`` is the closed-form geodesic acceleration
-    -Gamma^mu_{nu rho} v^nu v^rho.  The integrator calls it with y and v as
-    lists of floats, so it indexes them instead of using array arithmetic.
+    -Gamma^mu_{nu rho} v^nu v^rho.  The integrator calls it once per stage
+    with y and v as lists of floats and appends the result to v, so it
+    indexes them and returns a list of ``dim`` floats, not an array.
     It must agree with the contraction of ``christoffel_at``
     (``geodesic.geodesic_rhs``), against which the tests check it.
     """
@@ -76,7 +77,7 @@ class Spacetime:
     metric_at: Callable[[np.ndarray], np.ndarray]
     christoffel_at: Callable[[np.ndarray], np.ndarray]
     coordinate_domain: Callable[[np.ndarray], str | None]
-    acceleration_at: Callable[[Sequence[float], Sequence[float]], np.ndarray]
+    acceleration_at: Callable[[Sequence[float], Sequence[float]], list[float]]
     meta: Mapping[str, float] = field(default_factory=dict)
 
     def check_admissible(self, x: np.ndarray) -> None:
@@ -148,22 +149,23 @@ def schwarzschild(params: SchwarzschildParams) -> Spacetime:
             raise DomainError(
                 f"schwarzschild: r = {r!r} violates r > 2m", coordinate="r", value=r
             )
+        v0, v1, v2, v3 = v
         sin_a, cos_a = math.sin(alpha), math.cos(alpha)
         rm = r - 2.0 * m
-        a = np.empty(4)
-        a[0] = -2.0 * m / (r * rm) * v[0] * v[1]
-        a[1] = (
-            rm * sin_a * sin_a * v[3] * v[3]
-            + rm * v[2] * v[2]
-            + m / (r * rm) * v[1] * v[1]
-            - m * rm / r**3 * v[0] * v[0]
-        )
-        a[2] = -2.0 / r * v[1] * v[2] + sin_a * cos_a * v[3] * v[3]
-        a[3] = -2.0 / r * v[1] * v[3]
-        if v[2] != 0.0 and v[3] != 0.0:
+        r_rm, neg2_r = r * rm, -2.0 / r
+        a3 = neg2_r * v1 * v3
+        if v2 != 0.0 and v3 != 0.0:
             # cot(alpha) pole only matters when the beta motion is active
-            a[3] -= 2.0 * cos_a / sin_a * v[2] * v[3]
-        return a
+            a3 -= 2.0 * cos_a / sin_a * v2 * v3
+        return [
+            -2.0 * m / r_rm * v0 * v1,
+            rm * sin_a * sin_a * v3 * v3
+            + rm * v2 * v2
+            + m / r_rm * v1 * v1
+            - m * rm / r**3 * v0 * v0,
+            neg2_r * v1 * v2 + sin_a * cos_a * v3 * v3,
+            a3,
+        ]
 
     return Spacetime(
         name="schwarzschild",
@@ -187,7 +189,7 @@ def minkowski(dim: int = 4) -> Spacetime:
         metric_at=lambda x: eta.copy(),
         christoffel_at=lambda x: zero.copy(),
         coordinate_domain=lambda x: None,
-        acceleration_at=lambda y, v: np.zeros(dim),
+        acceleration_at=lambda y, v: [0.0] * dim,
         meta={},
     )
 
@@ -237,15 +239,18 @@ def minkowski_spherical() -> Spacetime:
 
     def acceleration(y, v):
         r, alpha = y[1], y[2]
+        _, v1, v2, v3 = v
         sin_a, cos_a = math.sin(alpha), math.cos(alpha)
-        a = np.empty(4)
-        a[0] = 0.0
-        a[1] = r * v[2] * v[2] + r * sin_a * sin_a * v[3] * v[3]
-        a[2] = -2.0 / r * v[1] * v[2] + sin_a * cos_a * v[3] * v[3]
-        a[3] = -2.0 / r * v[1] * v[3]
-        if v[2] != 0.0 and v[3] != 0.0:
-            a[3] -= 2.0 * cos_a / sin_a * v[2] * v[3]
-        return a
+        neg2_r = -2.0 / r
+        a3 = neg2_r * v1 * v3
+        if v2 != 0.0 and v3 != 0.0:
+            a3 -= 2.0 * cos_a / sin_a * v2 * v3
+        return [
+            0.0,
+            r * v2 * v2 + r * sin_a * sin_a * v3 * v3,
+            neg2_r * v1 * v2 + sin_a * cos_a * v3 * v3,
+            a3,
+        ]
 
     return Spacetime(
         name="minkowski_spherical",

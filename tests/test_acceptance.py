@@ -240,12 +240,13 @@ class TestCriterion7BurgersTransform:
         cmap = ns.map_from_callables(
             np.arctan, lambda v: 1.0 / (1.0 + v * v), (-3.0, 3.0)
         )
+        draws = np.random.default_rng(99).uniform([-3.0, 0.0], [3.0, 4.0], size=(10_000, 2))
+        # the same (v, t) samples as 10,000 pairs of scalar draws
         rng = np.random.default_rng(99)
-        worst = 0.0
-        for _ in range(10_000):
-            v = rng.uniform(-3.0, 3.0)
-            t = rng.uniform(0.0, 4.0)
-            worst = max(worst, abs(cmap.invert(t, cmap.forward(v, t)) - v))
+        scalar = [[rng.uniform(-3.0, 3.0), rng.uniform(0.0, 4.0)] for _ in range(10_000)]
+        np.testing.assert_array_equal(draws, scalar)
+        v, t = draws.T
+        worst = float(np.abs(cmap.invert(t, cmap.forward(v, t)) - v).max())
 
         res = []
         for n in (25, 50, 100):

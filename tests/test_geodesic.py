@@ -294,6 +294,22 @@ class TestEvents:
         assert traj.nodes[-1, 1] <= barrier
 
 
+class TestRhsContract:
+    @pytest.mark.parametrize(
+        "accel",
+        [lambda y, v: np.zeros(4), lambda y, v: [0.0] * 3, lambda y, v: (0.0,) * 4],
+        ids=["ndarray", "short list", "tuple"],
+    )
+    def test_acceleration_not_a_float_list_raises(self, accel):
+        # v + a with an ndarray a would broadcast into a 4-entry state
+        spacetime = replace(ns.minkowski_spherical(), acceleration_at=accel)
+        state0 = ns.GeodesicState(
+            y=np.array([0.0, 1.0, 1.0, 0.0]), v=np.array([1.0, 1.0, 0.0, 0.0]), t=0.0
+        )
+        with pytest.raises(TypeError, match="minkowski_spherical: acceleration_at"):
+            ns.integrate(spacetime, state0, 1.0)
+
+
 class TestTangentNorm:
     def test_example1_null(self, schw, ex1_trajectory):
         for t in (0.0, 5.0, 17.0):
@@ -359,11 +375,11 @@ def event_steps(schw):
     return out
 
 
-def _assert_states_close(got, want):
-    """Positions and velocities each within 1e-14 of their largest entry."""
+def _assert_states_close(got, want, tol=1e-14):
+    """Positions and velocities each within tol of their largest entry."""
     dim = got.shape[-1] // 2
     for part in (slice(None, dim), slice(dim, None)):
-        assert np.abs(got[..., part] - want[..., part]).max() <= 1e-14 * np.abs(want[..., part]).max()
+        assert np.abs(got[..., part] - want[..., part]).max() <= tol * np.abs(want[..., part]).max()
 
 
 EVENT_KINDS = ["horizon", "horizon, example 2", "axis"]
@@ -404,23 +420,6 @@ def _reference_step(spacetime, w, h):
 class TestOneStepReference:
     """Every full step against one step of the numpy tableau from its start node."""
 
-    @staticmethod
-    def _step_size(traj, i):
-        """The step size that took node i to node i + 1.
-
-        ts[i + 1] - ts[i] is h only to the half ulp of t by which t + h was
-        rounded; near the horizon, where h is ~1e-9 and the accelerations are
-        ~1e14, that moves the step by ~1e-8 relative.  The quartic reproduces
-        the step at sigma = 1, so w[i + 1] - w[i] = h * q.sum(axis=1); h is read
-        off the component whose increment is largest against its value.
-        """
-        w0, w1 = traj.nodes[i], traj.nodes[i + 1]
-        size = np.maximum(np.maximum(np.abs(w0), np.abs(w1)), np.finfo(float).tiny)
-        j = np.argmax(np.abs(w1 - w0) / size)
-        h = (w1[j] - w0[j]) / traj.interp_q[i][j].sum()
-        assert h == pytest.approx(traj.ts[i + 1] - traj.ts[i], rel=1e-5)
-        return h
-
     def _check(self, spacetime, traj):
         dim = traj.dim
         full = len(traj.ts) - 1
@@ -429,7 +428,7 @@ class TestOneStepReference:
         assert full > 0
         got_w, got_q, want_w, want_q = [], [], [], []
         for i in range(full):
-            w, q = _reference_step(spacetime, traj.nodes[i], self._step_size(traj, i))
+            w, q = _reference_step(spacetime, traj.nodes[i], traj.ts[i + 1] - traj.ts[i])
             got_w.append(traj.nodes[i + 1])
             got_q.append(traj.interp_q[i])
             want_w.append(w)
@@ -450,6 +449,17 @@ class TestOneStepReference:
             y=np.array([0.0, 1.0, 1.0, 0.5]), v=np.array([1.0, 0.5, 0.3, 0.2]), t=0.0
         )
         self._check(flat, ns.integrate(flat, state0, 10.0))
+
+    @pytest.mark.parametrize("kind", ["t_max", "horizon", "axis"])
+    def test_interpolant_ends_on_the_next_node(self, ended, kind):
+        # ts[i + 1] - ts[i] is the h each interpolant was made with, so every
+        # step's dense output at sigma = 1 is the next node; near the horizon
+        # (h ~ 2e-9 at t ~ 10) the rounding of t + h alone would move it by
+        # ~1e-8 relative
+        traj = ended[kind]
+        h = (traj.ts[1:] - traj.ts[:-1])[:, None]
+        got = geodesic._dense(traj.nodes[:-1], h, traj.interp_q, 1.0)
+        _assert_states_close(got, traj.nodes[1:], tol=1e-13)
 
 
 @st.composite

@@ -117,7 +117,7 @@ class TestChristoffelFd:
             metric_at=lambda x: np.array([[1.0, 1.0], [1.0, 1.0]]),
             christoffel_at=lambda x: np.zeros((2, 2, 2)),
             coordinate_domain=lambda x: None,
-            acceleration_at=lambda y, v: np.zeros(2),
+            acceleration_at=lambda y, v: [0.0, 0.0],
         )
         with pytest.raises(DomainError):
             ns.christoffel_fd(degenerate, np.zeros(2), h=1e-4)
@@ -172,12 +172,17 @@ class TestInducedMetric:
 
 class TestDualRhsRoutes:
     def test_explicit_acceleration_matches_contraction(self, schw):
-        rng = np.random.default_rng(5)
-        for x in random_admissible_points(200, rng):
-            v = rng.normal(size=4)
-            state = ns.GeodesicState(y=x, v=v, t=0.0)
-            a_generic = ns.geodesic_rhs(schw, state)
-            a_explicit = schw.acceleration_at(x, v)
-            assert np.abs(a_generic - a_explicit).max() < 1e-12 * max(
-                1.0, np.abs(a_generic).max()
-            )
+        # called as the integrator calls it, with lists of floats, each
+        # spacetime returns a list of dim floats
+        for spacetime in (schw, ns.minkowski_spherical(), ns.minkowski()):
+            rng = np.random.default_rng(5)
+            for x in random_admissible_points(200, rng):
+                v = rng.normal(size=4)
+                state = ns.GeodesicState(y=x, v=v, t=0.0)
+                a_generic = ns.geodesic_rhs(spacetime, state)
+                a_explicit = spacetime.acceleration_at(x.tolist(), v.tolist())
+                assert type(a_explicit) is list and len(a_explicit) == spacetime.dim
+                assert all(type(a) is float for a in a_explicit)
+                assert np.abs(a_generic - a_explicit).max() < 1e-12 * max(
+                    1.0, np.abs(a_generic).max()
+                )
