@@ -34,7 +34,6 @@ from .geodesic import (
     GeodesicTrajectory,
     SolverOptions,
     conserved_along,
-    geodesic_rhs,
     integrate,
     tangent_norm,
 )
@@ -72,7 +71,7 @@ from .spacetime import (
     InducedMetric,
     SchwarzschildParams,
     Spacetime,
-    christoffel_fd,
+    christoffel_from_metric,
     induced_metric,
     minkowski,
     minkowski_spherical,
@@ -98,8 +97,7 @@ __all__ = [
     "ExpressionError", "MapBreakdownError", "MapInversionError",
     "NullsheetError", "OracleMismatchError",
     "DriftReport", "Event", "GeodesicState", "GeodesicTrajectory",
-    "SolverOptions", "conserved_along", "geodesic_rhs", "integrate",
-    "tangent_norm",
+    "SolverOptions", "conserved_along", "integrate", "tangent_norm",
     "ConservedSet", "InitialCurve", "MonotoneReport", "check_monotone",
     "conserved_from_data", "curve_from_callables", "curve_from_expressions",
     "curve_from_samples", "lambda0", "lightlikeness_residual", "validate_curve",
@@ -107,8 +105,9 @@ __all__ = [
     "CaseLabel", "CubicProfile", "cubic_coefficients",
     "example2_coefficients", "example2_roots", "example3_roots",
     "profile_from_data", "rt_squared", "solve_cubic",
-    "InducedMetric", "SchwarzschildParams", "Spacetime", "christoffel_fd",
-    "induced_metric", "minkowski", "minkowski_spherical", "schwarzschild",
+    "InducedMetric", "SchwarzschildParams", "Spacetime",
+    "christoffel_from_metric", "induced_metric", "minkowski",
+    "minkowski_spherical", "schwarzschild",
     "DeltaReport", "SurfaceMesh", "build_surface", "delta_monitor",
     "export_csv", "export_json", "import_csv", "import_json",
     "wrap_offset_from_curve",

@@ -155,8 +155,8 @@ def parse_config(raw: dict) -> RunConfig:
     mass = None
     if st_type == "schwarzschild":
         mass = _as_float(_require(st_raw, "mass", "spacetime"), "spacetime.mass")
-        if mass <= 0:
-            raise ConfigError("spacetime.mass", f"must be positive, got {mass}")
+        if not (math.isfinite(mass) and mass > 0):
+            raise ConfigError("spacetime.mass", f"must be finite and positive, got {mass}")
     spacetime_cfg = SpacetimeConfig(type=st_type, mass=mass)
 
     id_raw = _block(raw, "initial_data", InitialDataConfig)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NullsheetError
 from .initial_data import ConservedSet
 from .spacetime import SchwarzschildParams, Spacetime
 
@@ -186,16 +186,6 @@ class GeodesicTrajectory:
         return GeodesicState(y=w[..., : self.dim], v=w[..., self.dim :], t=t[()])
 
 
-def geodesic_rhs(spacetime: Spacetime, state: GeodesicState) -> np.ndarray:
-    """Acceleration -Gamma^mu_{nu rho} v^nu v^rho from the connection array.
-
-    The reference that ``Spacetime.acceleration_at`` is checked against.
-    """
-    spacetime.check_admissible(state.y)
-    gamma = spacetime.christoffel_at(state.y)
-    return -np.einsum("mnr,n,r->m", gamma, state.v, state.v)
-
-
 def _guards(spacetime: Spacetime, opts: SolverOptions, y0: np.ndarray):
     """Termination guards (kind, i, g); a trajectory stops when g(y[i]) <= 0.
 
@@ -224,6 +214,11 @@ def _initial_step(deriv, t0, w0, f0, rel_tol, abs_tol, t_end):
     d0 = float(np.sqrt(np.mean((w0 / scale) ** 2)))
     d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    if not 0.0 < h0 < math.inf:
+        raise NullsheetError(
+            f"integration failed: no initial step size (h0 = {h0!r}), the state "
+            "or its derivative is out of floating-point range"
+        )
     w1 = w0 + h0 * f0
     try:
         f1 = np.array(deriv(w1.tolist()))

@@ -10,6 +10,10 @@ valid outside the horizon r > 2m.  A surface x(t, theta) embedded in the
 ambient spacetime carries the induced metric g_ab = g~(x_a, x_b); its
 degeneracy indicator is delta = g01^2 - g00*g11 (zero on light-like
 surfaces, positive on time-like ones, negative on space-like ones).
+
+The connection Gamma^mu_{nu rho} is derived from ``metric_at`` alone
+(``christoffel_from_metric``), by the complex-step derivative, so every
+``metric_at`` must accept complex points.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ class SchwarzschildParams:
     m: float
 
     def __post_init__(self):
-        if not self.m > 0:
-            raise ValueError(f"mass must be positive, got {self.m}")
+        if not (math.isfinite(self.m) and self.m > 0):
+            raise ValueError(f"mass must be finite and positive, got {self.m}")
 
 
 @dataclass(frozen=True)
@@ -60,22 +64,22 @@ class Spacetime:
 
     ``metric_at`` returns the symmetric dim x dim matrix of components at a
     point, or a stack of them (..., dim, dim) for rows of points (..., dim);
-    a metric that does not depend on the point may return one matrix for all,
-    ``christoffel_at`` the rank-(1,2) connection array Gamma[mu, nu, rho]
-    (symmetric in nu, rho).  ``coordinate_domain`` returns None for an
+    a metric that does not depend on the point may return one matrix for all.
+    It must accept complex points and carry their imaginary parts through
+    its arithmetic: ``christoffel_from_metric`` derives the connection from
+    it by the complex step.  ``coordinate_domain`` returns None for an
     admissible point or a human-readable violation message.
     ``acceleration_at`` is the closed-form geodesic acceleration
     -Gamma^mu_{nu rho} v^nu v^rho.  The integrator calls it once per stage
     with y and v as lists of floats and appends the result to v, so it
     indexes them and returns a list of ``dim`` floats, not an array.
-    It must agree with the contraction of ``christoffel_at``
-    (``geodesic.geodesic_rhs``), against which the tests check it.
+    It must agree with the contraction of ``christoffel_from_metric``,
+    against which the tests check it.
     """
 
     name: str
     dim: int
     metric_at: Callable[[np.ndarray], np.ndarray]
-    christoffel_at: Callable[[np.ndarray], np.ndarray]
     coordinate_domain: Callable[[np.ndarray], str | None]
     acceleration_at: Callable[[Sequence[float], Sequence[float]], list[float]]
     meta: Mapping[str, float] = field(default_factory=dict)
@@ -87,9 +91,10 @@ class Spacetime:
 
 
 def _diagonal(*entries) -> np.ndarray:
-    """Diagonal metrics (..., n, n) from n entries broadcast over rows (...)."""
+    """Diagonal metrics (..., n, n), of the entries' dtype, from n entries broadcast over rows."""
     entries = np.broadcast_arrays(*entries)
-    g = np.zeros(entries[0].shape + (len(entries), len(entries)))
+    n = len(entries)
+    g = np.zeros(entries[0].shape + (n, n), dtype=np.result_type(*entries))
     for k, entry in enumerate(entries):
         g[..., k, k] = entry
     return g
@@ -115,33 +120,6 @@ def schwarzschild(params: SchwarzschildParams) -> Spacetime:
             )
         f = 1.0 - 2.0 * m / r
         return _diagonal(-f, 1.0 / f, r * r, r * r * np.sin(alpha) ** 2)
-
-    def christoffel(x):
-        r, alpha = x[1], x[2]
-        if not r >= r_min:
-            raise DomainError(
-                f"schwarzschild: r = {r!r} violates r > 2m", coordinate="r", value=r
-            )
-        sin_a, cos_a = math.sin(alpha), math.cos(alpha)
-        if abs(sin_a) < 1e-15:
-            raise DomainError(
-                f"schwarzschild: sin(alpha) = 0 at alpha = {alpha!r} (axis)",
-                coordinate="alpha",
-                value=alpha,
-            )
-        f = 1.0 - 2.0 * m / r
-        gamma = np.zeros((4, 4, 4))
-        a = m / (r * (r - 2.0 * m))  # = m / (r^2 f)
-        gamma[0, 0, 1] = gamma[0, 1, 0] = a
-        gamma[1, 0, 0] = m * f / (r * r)
-        gamma[1, 1, 1] = -a
-        gamma[1, 2, 2] = -(r - 2.0 * m)
-        gamma[1, 3, 3] = -(r - 2.0 * m) * sin_a * sin_a
-        gamma[2, 1, 2] = gamma[2, 2, 1] = 1.0 / r
-        gamma[2, 3, 3] = -sin_a * cos_a
-        gamma[3, 1, 3] = gamma[3, 3, 1] = 1.0 / r
-        gamma[3, 2, 3] = gamma[3, 3, 2] = cos_a / sin_a
-        return gamma
 
     def acceleration(y, v):
         r, alpha = y[1], y[2]
@@ -171,7 +149,6 @@ def schwarzschild(params: SchwarzschildParams) -> Spacetime:
         name="schwarzschild",
         dim=4,
         metric_at=metric,
-        christoffel_at=christoffel,
         coordinate_domain=domain,
         acceleration_at=acceleration,
         meta={"mass": m, "spherical": True},
@@ -181,13 +158,11 @@ def schwarzschild(params: SchwarzschildParams) -> Spacetime:
 def minkowski(dim: int = 4) -> Spacetime:
     """Flat spacetime in Cartesian coordinates; all connections vanish."""
     eta = np.diag([-1.0] + [1.0] * (dim - 1))
-    zero = np.zeros((dim, dim, dim))
 
     return Spacetime(
         name="minkowski",
         dim=dim,
         metric_at=lambda x: eta.copy(),
-        christoffel_at=lambda x: zero.copy(),
         coordinate_domain=lambda x: None,
         acceleration_at=lambda y, v: [0.0] * dim,
         meta={},
@@ -213,30 +188,6 @@ def minkowski_spherical() -> Spacetime:
             )
         return _diagonal(-1.0, 1.0, r * r, (r * np.sin(alpha)) ** 2)
 
-    def christoffel(x):
-        r, alpha = x[1], x[2]
-        if not r > 0:
-            raise DomainError(
-                f"minkowski_spherical: r = {r!r} must be positive",
-                coordinate="r",
-                value=r,
-            )
-        sin_a, cos_a = math.sin(alpha), math.cos(alpha)
-        if abs(sin_a) < 1e-15:
-            raise DomainError(
-                f"minkowski_spherical: sin(alpha) = 0 at alpha = {alpha!r} (axis)",
-                coordinate="alpha",
-                value=alpha,
-            )
-        gamma = np.zeros((4, 4, 4))
-        gamma[1, 2, 2] = -r
-        gamma[1, 3, 3] = -r * sin_a * sin_a
-        gamma[2, 1, 2] = gamma[2, 2, 1] = 1.0 / r
-        gamma[2, 3, 3] = -sin_a * cos_a
-        gamma[3, 1, 3] = gamma[3, 3, 1] = 1.0 / r
-        gamma[3, 2, 3] = gamma[3, 3, 2] = cos_a / sin_a
-        return gamma
-
     def acceleration(y, v):
         r, alpha = y[1], y[2]
         _, v1, v2, v3 = v
@@ -256,56 +207,41 @@ def minkowski_spherical() -> Spacetime:
         name="minkowski_spherical",
         dim=4,
         metric_at=metric,
-        christoffel_at=christoffel,
         coordinate_domain=domain,
         acceleration_at=acceleration,
         meta={"spherical": True},
     )
 
 
-def christoffel_fd(
-    spacetime: Spacetime, x: np.ndarray, h: float | np.ndarray | None = None
-) -> np.ndarray:
-    """Central-difference connection coefficients from the metric alone.
+# Complex step h: Im g(x + i h e_s) / h is d_s g to rounding for any h this
+# far below the coordinates' scale, since no two nearby values are subtracted.
+_COMPLEX_STEP = 1e-30
 
-    Fallback for user-supplied metrics without closed-form symbols.  The
-    point must be interior to the chart with margin >= h in every
-    coordinate.  Accuracy is O(h^2); the default step is the usual
-    eps^(1/3) scaling for central differences.
+
+def christoffel_from_metric(spacetime: Spacetime, x: np.ndarray) -> np.ndarray:
+    """Connection coefficients Gamma[mu, nu, rho] at x, from ``metric_at`` alone.
+
+    The metric's first derivatives come from one ``metric_at`` call on the
+    points x + i h e_s, d_s g = Im g(x + i h e_s) / h with h = 1e-30 (Squire
+    & Trapp, SIAM Review 40 (1998) 110-112): exact to rounding, with no step
+    size to tune.  Raises DomainError outside the chart and where the metric
+    is singular, e.g. on the axis of a spherical chart.
     """
     x = np.asarray(x, dtype=float)
-    dim = spacetime.dim
-    if h is None:
-        steps = np.finfo(float).eps ** (1.0 / 3.0) * np.maximum(1.0, np.abs(x))
-    else:
-        steps = np.broadcast_to(np.asarray(h, dtype=float), (dim,)).copy()
-
     spacetime.check_admissible(x)
-    dg = np.zeros((dim, dim, dim))  # dg[s, n, r] = d g_{nr} / d x^s
-    for s in range(dim):
-        xp = x.copy()
-        xm = x.copy()
-        xp[s] += steps[s]
-        xm[s] -= steps[s]
-        for probe in (xp, xm):
-            violation = spacetime.coordinate_domain(probe)
-            if violation is not None:
-                raise DomainError(
-                    f"finite-difference margin violation along coordinate {s}: "
-                    f"{violation}"
-                )
-        dg[s] = (spacetime.metric_at(xp) - spacetime.metric_at(xm)) / (2.0 * steps[s])
-
-    g = spacetime.metric_at(x)
+    dim = spacetime.dim
+    # row s is g(x + i h e_s); a metric independent of the point gives one matrix
+    stack = np.broadcast_to(
+        spacetime.metric_at(x + 1j * _COMPLEX_STEP * np.eye(dim)), (dim, dim, dim)
+    )
+    dg = np.imag(stack) / _COMPLEX_STEP  # dg[s, n, r] = d g_{nr} / d x^s
     try:
-        g_inv = np.linalg.inv(g)
+        g_inv = np.linalg.inv(np.real(stack[0]))
     except np.linalg.LinAlgError as exc:
-        raise DomainError(f"metric is singular at {x!r}") from exc
+        raise DomainError(f"{spacetime.name}: metric is singular at {x.tolist()!r}") from exc
 
     # Gamma^mu_{nu rho} = 1/2 g^{mu s} (d_nu g_{s rho} + d_rho g_{s nu} - d_s g_{nu rho})
-    brackets = (
-        np.einsum("nsr->snr", dg) + np.einsum("rsn->snr", dg) - dg
-    )
+    brackets = np.einsum("nsr->snr", dg) + np.einsum("rsn->snr", dg) - dg
     return 0.5 * np.einsum("ms,snr->mnr", g_inv, brackets)
 
 

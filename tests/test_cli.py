@@ -72,6 +72,15 @@ class TestConfigSchema:
             load_config(path)
         assert "spacetime.mass" in str(err.value)
 
+    @pytest.mark.parametrize("command", ["validate", "classify"])
+    @pytest.mark.parametrize("mass", [math.nan, math.inf])
+    def test_non_finite_mass_exit_2(self, tmp_path, capsys, command, mass):
+        cfg = write_config(tmp_path, spacetime={"mass": mass})
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: spacetime.mass")
+        assert err.count("\n") == 1
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ns.ConfigError):
             parse_config({"spacetme": {}})
@@ -224,6 +233,13 @@ class TestSolveCommand:
         )
         assert main(["solve", "--config", str(cfg)]) == 1
         assert main(["solve", "--config", str(cfg), "--force"]) == 0
+
+    def test_overflowing_psi_fails_the_integration(self, tmp_path, capsys):
+        # psi_0 = 1e308 overflows the acceleration, so no initial step size exists
+        cfg = write_config(tmp_path, initial_data={"psi": ["1e308", "1", "0", "0"]})
+        assert main(["solve", "--config", str(cfg), "--force"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: integration failed") and err.count("\n") == 1
 
     def test_determinism(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -20,8 +20,7 @@ def second_difference(f, t, h=1e-3):
 
 def geodesic_residual(spacetime, evaluate, t, h=1e-3):
     y, y_t, y_tt = second_difference(evaluate, t, h)
-    gamma = spacetime.christoffel_at(y)
-    return np.abs(y_tt + np.einsum("mnr,n,r->m", gamma, y_t, y_t)).max()
+    return np.abs(y_tt - spacetime.acceleration_at(y.tolist(), y_t.tolist())).max()
 
 
 class TestCaseDetection:

@@ -28,3 +28,10 @@ def test_imports_match_declared_dependencies():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", req).group() for req in project["dependencies"]}
     assert {DISTRIBUTIONS.get(name, name) for name in imported_packages()} == declared
+
+
+def test_public_names_resolve():
+    """Every name ``nullsheet.__all__`` exports is an attribute of the package."""
+    import nullsheet
+
+    assert [name for name in nullsheet.__all__ if not hasattr(nullsheet, name)] == []

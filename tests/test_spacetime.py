@@ -27,7 +27,7 @@ class TestSchwarzschildMetric:
         assert np.allclose(g, np.diag(np.diag(g)))
 
     def test_christoffel_closed_forms(self, schw):
-        gam = schw.christoffel_at(X4)
+        gam = ns.christoffel_from_metric(schw, X4)
         assert gam[0, 0, 1] == pytest.approx(0.125, abs=1e-15)
         assert gam[0, 1, 0] == pytest.approx(0.125, abs=1e-15)
         assert gam[1, 0, 0] == pytest.approx(2.0 / 64.0, abs=1e-15)
@@ -51,14 +51,14 @@ class TestSchwarzschildMetric:
         g = schw.metric_at(on_axis)  # metric components stay finite
         assert g[3, 3] == 0.0
         with pytest.raises(DomainError):
-            schw.christoffel_at(on_axis)
+            ns.christoffel_from_metric(schw, on_axis)
 
     def test_symmetries_random_points(self, schw):
         rng = np.random.default_rng(42)
         for x in random_admissible_points(1000, rng):
             g = schw.metric_at(x)
             assert np.abs(g - g.T).max() < 1e-14
-            gam = schw.christoffel_at(x)
+            gam = ns.christoffel_from_metric(schw, x)
             assert np.abs(gam - np.swapaxes(gam, 1, 2)).max() < 1e-12
 
     def test_small_mass_limit_is_flat_spherical(self):
@@ -66,8 +66,8 @@ class TestSchwarzschildMetric:
         flat_sph = ns.minkowski_spherical()
         x = np.array([0.3, 10.0, 1.1, 0.4])
         assert np.abs(tiny.metric_at(x) - flat_sph.metric_at(x)).max() < 1e-11
-        gam_tiny = tiny.christoffel_at(x)
-        gam_flat = flat_sph.christoffel_at(x)
+        gam_tiny = ns.christoffel_from_metric(tiny, x)
+        gam_flat = ns.christoffel_from_metric(flat_sph, x)
         # radial/temporal mixing terms vanish with m
         assert abs(gam_tiny[0, 0, 1]) < 1e-12
         assert abs(gam_tiny[1, 0, 0]) < 1e-12
@@ -78,49 +78,65 @@ class TestSchwarzschildMetric:
 class TestFlat:
     def test_cartesian_connection_vanishes(self, flat):
         x = np.array([1.0, -2.0, 3.0, 0.5])
-        assert np.abs(flat.christoffel_at(x)).max() == 0.0
+        assert np.abs(ns.christoffel_from_metric(flat, x)).max() == 0.0
         assert np.allclose(flat.metric_at(x), np.diag([-1.0, 1.0, 1.0, 1.0]))
 
 
+def ingoing_eddington_finkelstein(m):
+    """Schwarzschild in (v, r, alpha, beta), v = tau + r + 2m ln(r/2m - 1): g_vr = 1."""
+
+    def metric(x):
+        r, alpha = x[..., 1], x[..., 2]
+        g = np.zeros(r.shape + (4, 4), dtype=np.result_type(r, alpha))
+        g[..., 0, 0] = -(1.0 - 2.0 * m / r)
+        g[..., 0, 1] = g[..., 1, 0] = 1.0
+        g[..., 2, 2] = r * r
+        g[..., 3, 3] = (r * np.sin(alpha)) ** 2
+        return g
+
+    return ns.Spacetime(
+        name="schwarzschild_ingoing_ef",
+        dim=4,
+        metric_at=metric,
+        coordinate_domain=lambda x: None,
+        acceleration_at=None,  # only the connection is under test
+    )
+
+
 class TestChristoffelFd:
-    def test_matches_analytic(self, schw):
-        gam = schw.christoffel_at(X4)
-        fd = ns.christoffel_fd(schw, X4, h=1e-5)
-        assert np.abs(fd - gam).max() < 1e-9
-        assert fd[0, 0, 1] == pytest.approx(0.125, abs=1e-9)
-
-    def test_flat_vanishes(self, flat):
-        fd = ns.christoffel_fd(flat, np.array([0.2, 1.0, -3.0, 2.0]))
-        assert np.abs(fd).max() < 1e-10
-
-    def test_second_order_convergence(self, schw):
-        gam = schw.christoffel_at(X4)
-        err = lambda h: np.abs(ns.christoffel_fd(schw, X4, h=h) - gam).max()
-        ratio = err(1e-3) / err(5e-4)
-        assert 3.0 < ratio < 5.0
-
-    def test_lower_index_symmetry(self, schw):
-        rng = np.random.default_rng(7)
-        for x in random_admissible_points(1000, rng):
-            fd = ns.christoffel_fd(schw, x)
-            assert np.abs(fd - np.swapaxes(fd, 1, 2)).max() < 1e-8
-
-    def test_margin_violation(self, schw):
-        near_horizon = np.array([0.0, 2.0 + 1e-6, 1.0, 0.0])
-        with pytest.raises(DomainError):
-            ns.christoffel_fd(schw, near_horizon, h=1e-3)
+    """The connection derived from the metric, ``christoffel_from_metric``."""
 
     def test_singular_metric(self):
         degenerate = ns.Spacetime(
             name="degenerate",
             dim=2,
             metric_at=lambda x: np.array([[1.0, 1.0], [1.0, 1.0]]),
-            christoffel_at=lambda x: np.zeros((2, 2, 2)),
             coordinate_domain=lambda x: None,
             acceleration_at=lambda y, v: [0.0, 0.0],
         )
         with pytest.raises(DomainError):
-            ns.christoffel_fd(degenerate, np.zeros(2), h=1e-4)
+            ns.christoffel_from_metric(degenerate, [0.0, 0.0])
+
+    def test_off_diagonal_metric_matches_mapped_schwarzschild(self, schw):
+        # a Schwarzschild geodesic in ingoing Eddington-Finkelstein coordinates
+        # has velocity (v0 + v1/f, v1, v2, v3), whose t-derivative is the
+        # Schwarzschild acceleration with d(v1/f)/dt added to component 0
+        m = schw.meta["mass"]
+        ef = ingoing_eddington_finkelstein(m)
+        rng = np.random.default_rng(13)
+        for x in random_admissible_points(200, rng):
+            v = rng.normal(size=4)
+            r = x[1]
+            f = 1.0 - 2.0 * m / r
+            a = schw.acceleration_at(x.tolist(), v.tolist())
+            expected = np.array(
+                [a[0] + a[1] / f - 2.0 * m * v[1] ** 2 / (r * r * f * f), *a[1:]]
+            )
+            v_ef = np.array([v[0] + v[1] / f, v[1], v[2], v[3]])
+            got = -np.einsum("mnr,n,r->m", ns.christoffel_from_metric(ef, x), v_ef, v_ef)
+            assert np.abs(got - expected).max() < 1e-13 * max(
+                1.0, np.abs(expected).max()
+            )
 
 
 class TestInducedMetric:
@@ -178,11 +194,11 @@ class TestDualRhsRoutes:
             rng = np.random.default_rng(5)
             for x in random_admissible_points(200, rng):
                 v = rng.normal(size=4)
-                state = ns.GeodesicState(y=x, v=v, t=0.0)
-                a_generic = ns.geodesic_rhs(spacetime, state)
+                gamma = ns.christoffel_from_metric(spacetime, x)
+                a_generic = -np.einsum("mnr,n,r->m", gamma, v, v)
                 a_explicit = spacetime.acceleration_at(x.tolist(), v.tolist())
                 assert type(a_explicit) is list and len(a_explicit) == spacetime.dim
                 assert all(type(a) is float for a in a_explicit)
-                assert np.abs(a_generic - a_explicit).max() < 1e-12 * max(
+                assert np.abs(a_generic - a_explicit).max() < 1e-13 * max(
                     1.0, np.abs(a_generic).max()
                 )
