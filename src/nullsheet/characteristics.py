@@ -177,25 +177,20 @@ def map_from_initial_data(
     so forward and invert are exactly consistent with each other; the
     sampling density only controls fidelity to the underlying data.
     """
+    grid = curve.grid(_N_LAMBDA)
+    lam = lambda0(curve, spacetime, grid)
     if curve.periodic:
-        base = curve.grid(_N_LAMBDA)
-        grid = np.append(base, curve.theta_max)
-        lam = np.array([lambda0(curve, spacetime, v) for v in base])
-        lam = np.append(lam, lam[0])
-        spline = CubicSpline(grid, lam, periodic=True)
-    else:
-        grid = np.linspace(curve.theta_min, curve.theta_max, _N_LAMBDA)
-        lam = np.array([lambda0(curve, spacetime, v) for v in grid])
-        spline = CubicSpline(grid, lam)
+        # close the periodic spline on the knot (theta_max, Lambda(theta_min))
+        grid, lam = np.append(grid, curve.theta_max), np.append(lam, lam[0])
+    spline = CubicSpline(grid, lam, periodic=curve.periodic)
     dspline = spline.derivative()
-    slopes = dspline(grid)
     return CharacteristicMap(
         lambda_fn=spline,
         lambda_prime_fn=dspline,
         theta_min=curve.theta_min,
         theta_max=curve.theta_max,
         periodic=curve.periodic,
-        min_slope=float(slopes.min()),
+        min_slope=float(dspline(grid).min()),
     )
 
 

@@ -33,7 +33,7 @@ from .geodesic import (
 )
 from .initial_data import InitialCurve, validate_curve
 from .oracles import OracleParams, check_oracle_consistency, make_oracle
-from .reduction import cubic_coefficients, solve_cubic
+from .reduction import profile_from_data
 from .spacetime import SchwarzschildParams, Spacetime
 from .surface import (
     SurfaceMesh,
@@ -260,19 +260,16 @@ def cmd_classify(args) -> int:
     print(f"{'vartheta':>12} {'A':>17} {'B':>17} "
           f"{'roots':>44} {'case':>14} {'k^2':>12}")
     for v in grid:
-        phi = curve.phi(v)
-        psi = curve.psi(v)
         try:
-            a_coef, b_coef = cubic_coefficients(phi, psi, params)
-        except NullsheetError:
-            print(f"{v:12.6g} {'undefined (psi_2 = 0)':>35}")
+            profile = profile_from_data(curve.phi(v), curve.psi(v), params)
+        except NullsheetError as exc:
+            print(f"{v:12.6g} {f'undefined ({exc})':>35}")
             continue
-        profile = solve_cubic(params.m, a_coef, b_coef, u0=1.0 / phi[1])
         roots_txt = ", ".join(f"{u:.10g}" for u in profile.roots)
         k2 = profile.modulus_squared()
         k2_txt = f"{k2:.8g}" if k2 is not None else "-"
         print(
-            f"{v:12.6g} {a_coef:17.10g} {b_coef:17.10g} "
+            f"{v:12.6g} {profile.A:17.10g} {profile.B:17.10g} "
             f"{roots_txt:>44} {profile.case_label.value:>14} {k2_txt:>12}"
         )
     return 0

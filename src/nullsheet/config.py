@@ -102,7 +102,10 @@ def _as_float(value, path: str) -> float:
 def _as_range(value, path: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(path, "expected [min, max]")
-    return _as_float(value[0], f"{path}[0]"), _as_float(value[1], f"{path}[1]")
+    lo, hi = _as_float(value[0], f"{path}[0]"), _as_float(value[1], f"{path}[1]")
+    if not hi > lo:
+        raise ConfigError(path, "max must exceed min")
+    return lo, hi
 
 
 def _as_int(value, path: str) -> int:
@@ -173,8 +176,6 @@ def parse_config(raw: dict) -> RunConfig:
     theta_range = _as_range(
         id_raw.get("theta_range", [0.0, 2.0 * math.pi]), "initial_data.theta_range"
     )
-    if not theta_range[1] > theta_range[0]:
-        raise ConfigError("initial_data.theta_range", "max must exceed min")
     samples = _as_int(id_raw.get("samples", 64), "initial_data.samples")
     if samples < 4:
         raise ConfigError("initial_data.samples", "need at least 4 characteristics")

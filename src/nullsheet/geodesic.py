@@ -290,8 +290,11 @@ def integrate(
     t, t_end = float(state0.t), float(t_end)
     y, v = np.asarray(state0.y, float).tolist(), np.asarray(state0.v, float).tolist()
     w = y + v
+    try:
+        a = accel(y, v)
+    except OverflowError as exc:  # e.g. a power of a coordinate near the float limit
+        raise NullsheetError(f"integration failed: acceleration overflows at y = {y!r}") from exc
     # deriv's v + a would broadcast an array a into a state of dim entries
-    a = accel(y, v)
     if not (type(a) is list and len(a) == dim and all(isinstance(x, float) for x in a)):
         raise TypeError(
             f"{spacetime.name}: acceleration_at returned {type(a).__name__} "

@@ -4,6 +4,7 @@ An initial curve supplies the position phi(vartheta) and velocity
 psi(vartheta) of every surface point at t = 0.  Admissible data must be
 light-like, delta(0, vartheta) = 0, and must generate a non-breaking
 characteristic field, Lambda'(vartheta) >= 0.
+``lightlikeness_residual`` and ``lambda0`` take a scalar or an array of vartheta.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from ._spline import CubicSpline
 from .errors import DegenerateDataError, ExpressionError
 from .expressions import CurveExpression
-from .spacetime import SchwarzschildParams, Spacetime, induced_metric
+from .spacetime import InducedMetric, SchwarzschildParams, Spacetime, induced_metric
 
 EPS_DELTA = 1e-9
 EPS_MONO = 1e-10
@@ -224,26 +225,31 @@ class ConservedSet:
             object.__setattr__(self, "K", 0.0)
 
 
-def lightlikeness_residual(
-    curve: InitialCurve, spacetime: Spacetime, vartheta: float
-) -> float:
-    """delta(0, vartheta) of the initial data; zero for admissible curves."""
-    x = curve.phi(vartheta)
-    return induced_metric(spacetime, x, curve.psi(vartheta), curve.phi_prime(vartheta)).delta
+def _forms(curve: InitialCurve, spacetime: Spacetime, vartheta) -> InducedMetric:
+    """Induced metric at vartheta, a scalar or an array, from one metric call on all rows."""
+    shape = np.shape(vartheta)
+    phi, psi, phi_prime = zip(*[
+        (curve.phi(v), curve.psi(v), curve.phi_prime(v)) for v in np.ravel(vartheta).tolist()
+    ])
+    ind = induced_metric(spacetime, phi, psi, phi_prime)
+    return InducedMetric.from_components(
+        *(np.reshape(c, shape)[()] for c in (ind.g00, ind.g01, ind.g11))
+    )
 
 
-def lambda0(
-    curve: InitialCurve,
-    spacetime: Spacetime,
-    vartheta: float,
-) -> float:
-    """Initial Burgers field Lambda(vartheta) = -g01/g11 of the curve."""
-    x = curve.phi(vartheta)
-    ind = induced_metric(spacetime, x, curve.psi(vartheta), curve.phi_prime(vartheta))
-    if abs(ind.g11) <= EPS_G11:
-        raise DegenerateDataError(
-            f"Lambda undefined at vartheta = {vartheta!r}: |g11| = {abs(ind.g11)!r}"
-        )
+def lightlikeness_residual(curve: InitialCurve, spacetime: Spacetime, vartheta):
+    """delta(0, vartheta) of the data, zero if admissible, at a scalar or an array."""
+    return _forms(curve, spacetime, vartheta).delta
+
+
+def lambda0(curve: InitialCurve, spacetime: Spacetime, vartheta):
+    """Initial Burgers field Lambda(vartheta) = -g01/g11, at a scalar or an array."""
+    ind = _forms(curve, spacetime, vartheta)
+    bad = np.abs(ind.g11) <= EPS_G11
+    if np.any(bad):
+        v, g11 = np.broadcast_arrays(vartheta, ind.g11)
+        v, g11 = float(v[bad][0]), float(g11[bad][0])
+        raise DegenerateDataError(f"Lambda undefined at vartheta = {v!r}: |g11| = {abs(g11)!r}")
     return -ind.g01 / ind.g11
 
 
@@ -255,8 +261,6 @@ class MonotoneReport:
     min_slope: float
     first_violation: tuple[float, float] | None
     borderline: tuple[float, ...]
-    grid: np.ndarray
-    lambdas: np.ndarray
 
 
 def check_monotone(
@@ -268,23 +272,18 @@ def check_monotone(
     grid = np.asarray(grid, dtype=float)
     if len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must contain >= 2 strictly increasing samples")
-    lam = np.array([lambda0(curve, spacetime, v) for v in grid])
-    slopes = np.diff(lam) / np.diff(grid)
+    slopes = np.diff(lambda0(curve, spacetime, grid)) / np.diff(grid)
     min_slope = float(slopes.min())
     first_violation = None
     if min_slope < -EPS_MONO:
         i = int(np.argmax(slopes < -EPS_MONO))
         first_violation = (float(grid[i]), float(grid[i + 1]))
-    borderline = tuple(
-        float(grid[i]) for i in range(len(slopes)) if abs(slopes[i]) <= EPS_MONO
-    )
+    borderline = tuple(grid[:-1][np.abs(slopes) <= EPS_MONO].tolist())
     return MonotoneReport(
         passed=first_violation is None,
         min_slope=min_slope,
         first_violation=first_violation,
         borderline=borderline,
-        grid=grid,
-        lambdas=lam,
     )
 
 
@@ -333,12 +332,10 @@ def validate_curve(
     n_samples: int = 201,
 ) -> ValidationReport:
     grid = curve.grid(n_samples)
-    deltas = np.array([lightlikeness_residual(curve, spacetime, v) for v in grid])
-    worst = int(np.argmax(np.abs(deltas)))
-    mono = check_monotone(curve, spacetime, grid)
+    deltas = np.abs(lightlikeness_residual(curve, spacetime, grid))
     return ValidationReport(
-        lightlike=bool(np.abs(deltas).max() <= EPS_DELTA),
-        max_abs_delta=float(np.abs(deltas).max()),
-        argmax_delta=float(grid[worst]),
-        monotone=mono,
+        lightlike=bool(deltas.max() <= EPS_DELTA),
+        max_abs_delta=float(deltas.max()),
+        argmax_delta=float(grid[np.argmax(deltas)]),
+        monotone=check_monotone(curve, spacetime, grid),
     )

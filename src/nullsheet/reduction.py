@@ -80,7 +80,7 @@ def cubic_coefficients(
     m = params.m
     r = phi[1]
     if r <= 2.0 * m:
-        raise DegenerateDataError(f"initial radius {r!r} inside horizon 2m = {2*m!r}")
+        raise DegenerateDataError(f"initial radius {float(r)!r} inside horizon 2m = {2*m!r}")
     if psi[2] == 0.0:
         raise DegenerateDataError("psi_2 = 0: radial cubic profile undefined")
     rm = r - 2.0 * m
@@ -138,7 +138,10 @@ def solve_cubic(
     to the sign of g around it; data not at a root is labeled GENERIC.
     """
     lead = 2.0 * m
-    raw = _cubic_roots_monic(-1.0 / lead, A, B / lead)
+    try:
+        raw = _cubic_roots_monic(-1.0 / lead, A, B / lead)
+    except OverflowError as exc:
+        raise DegenerateDataError(f"radial cubic overflows at m = {m!r}") from exc
     roots = []
     for u in raw:
         # one Newton step per root sharpens accuracy near double roots

@@ -6,12 +6,13 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 import yaml
 
 import nullsheet as ns
-from nullsheet.cli import main
-from nullsheet.config import load_config, parse_config
+from nullsheet.cli import main, run_pipeline
+from nullsheet.config import build_curve, build_spacetime, load_config, parse_config
 
 SHIPPED = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -241,6 +242,38 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: integration failed") and err.count("\n") == 1
 
+    def test_huge_radius_fails_the_integration(self, tmp_path, capsys):
+        # r = 1e308 overflows r**3 in the acceleration at the initial state
+        cfg = write_config(
+            tmp_path, initial_data={"phi": ["0", "1e308", "pi/2", "vartheta"]}
+        )
+        assert main(["solve", "--config", str(cfg), "--force"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: integration failed") and err.count("\n") == 1
+
+    @staticmethod
+    def _theta_sampled(name):
+        """A shipped config solved to t = 1 on twice as many theta columns as characteristics."""
+        raw = yaml.safe_load((SHIPPED / name).read_text())
+        n = 2 * raw["initial_data"]["samples"]
+        raw["output"]["theta_samples"] = n
+        raw["solver"]["t_end"] = 1.0
+        cfg = parse_config(raw)
+        curve = build_curve(cfg)
+        return curve, run_pipeline(cfg, build_spacetime(cfg), curve).mesh, n
+
+    def test_theta_samples_periodic(self):
+        curve, mesh, n = self._theta_sampled("photon_sphere.yaml")
+        assert np.array_equal(mesh.theta_grid, curve.theta_min + curve.period * np.arange(n) / n)
+        # Lambda = 0 on the photon sphere, so every node sits on its own characteristic
+        theta = np.broadcast_to(mesh.theta_grid, mesh.shape)
+        assert not mesh.truncated.any()
+        assert np.all(np.abs(mesh.vartheta - theta) <= 1e-12 * (1.0 + np.abs(theta)))
+
+    def test_theta_samples_non_periodic(self):
+        curve, mesh, n = self._theta_sampled("boosted_circular.yaml")
+        assert np.array_equal(mesh.theta_grid, np.linspace(curve.theta_min, curve.theta_max, n))
+
     def test_determinism(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["solve", "--config", str(cfg)]) == 0
@@ -399,6 +432,17 @@ class TestCompareCommand:
         assert err.startswith("configuration error: oracle.params")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_inverted_oracle_range_exit_2(self, tmp_path, capsys):
+        raw = yaml.safe_load((SHIPPED / "boosted_circular.yaml").read_text())
+        raw["oracle"]["params"]["theta_range"] = [0, -1.0e308]
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert main(["compare", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: oracle.params.theta_range:")
+        assert err.count("\n") == 1
+
+
 
 class TestClassifyCommand:
     def test_photon_sphere_rows(self, tmp_path, capsys):
@@ -418,6 +462,29 @@ class TestClassifyCommand:
         cfg = write_config(tmp_path, oracle=None)
         assert main(["classify", "--config", str(cfg), "--rows", "2"]) == 0
         assert "psi_2 = 0" in capsys.readouterr().out
+
+    def test_tiny_mass_rows_undefined(self, tmp_path, capsys):
+        # 2m = 2e-300 overflows the monic cubic's coefficients
+        raw = yaml.safe_load((SHIPPED / "photon_sphere.yaml").read_text())
+        raw["spacetime"]["mass"] = 1.0e-300
+        cfg = tmp_path / "tiny.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert main(["classify", "--config", str(cfg), "--rows", "3"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 3
+        assert all(row.endswith("undefined (radial cubic overflows at m = 1e-300)") for row in rows)
+
+    def test_undefined_row_names_its_reason(self, tmp_path, capsys):
+        # r = 1.5 < 2m: cubic_coefficients refuses the data for a reason other than psi_2
+        cfg = write_config(
+            tmp_path,
+            initial_data={"phi": ["0", "1.5", "1.0", "vartheta"], "psi": ["1", "0", "0.1", "0"]},
+            oracle=None,
+        )
+        assert main(["classify", "--config", str(cfg), "--rows", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("undefined (initial radius 1.5 inside horizon 2m = 2.0)") == 2
+        assert "psi_2" not in out
 
 
 class TestShippedConfigs:

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nullsheet as ns
 from nullsheet.errors import DegenerateDataError
 from nullsheet.initial_data import EPS_G11
+from nullsheet.spacetime import induced_metric
 
 # Schwarzschild-only evaluations of delta(0, vartheta) and Lambda(vartheta),
 # written out component by component: references for the generic pullback
@@ -311,3 +314,96 @@ class TestValidateCurve:
         assert not report.passed
         assert not report.lightlike
         assert report.max_abs_delta == pytest.approx(80.0, rel=1e-12)
+
+
+def _sampled_curve():
+    thetas = np.linspace(0.0, 2 * math.pi, 65)
+    phi = np.column_stack(
+        [0.2 * np.sin(thetas), 10 + np.cos(thetas), 1.2 + 0.1 * np.sin(2 * thetas), thetas]
+    )
+    psi = np.column_stack(
+        [1.1 + 0.1 * np.cos(thetas), 0.3 * np.sin(thetas), np.full_like(thetas, 0.05),
+         0.2 + 0.01 * np.cos(thetas)]
+    )
+    return ns.curve_from_samples(thetas, phi, psi, periodic=True)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+EXPRESSION_CURVE = ns.curve_from_expressions(
+    ["0.3*vartheta", "10 + sin(vartheta)", "1.2 + 0.2*cos(vartheta)", "vartheta"],
+    ["1.1", "0.3*cos(vartheta)", "0.05", "0.2"],
+    (0.0, 2 * math.pi),
+)
+SAMPLED_CURVE = _sampled_curve()
+
+
+class TestArrayPath:
+    """One metric call on a vartheta array equals the scalar calls bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        name=st.sampled_from(["expressions", "samples", "ex1_oracle", "ex3_oracle"]),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+    )
+    def test_array_equals_scalar_calls(self, schw, ex1_curve, ex3_circular_curve, name,
+                                       fractions):
+        curve = {
+            "expressions": EXPRESSION_CURVE,
+            "samples": SAMPLED_CURVE,
+            "ex1_oracle": ex1_curve,
+            "ex3_oracle": ex3_circular_curve,
+        }[name]
+        grid = curve.theta_min + curve.period * np.array(fractions)
+        deltas = ns.lightlikeness_residual(curve, schw, grid)
+        lams = ns.lambda0(curve, schw, grid)
+        assert deltas.shape == lams.shape == grid.shape
+        assert _bits(deltas) == _bits([ns.lightlikeness_residual(curve, schw, v) for v in grid])
+        assert _bits(lams) == _bits([ns.lambda0(curve, schw, v) for v in grid])
+        # the per-point pullback the array path replaced
+        points = [
+            induced_metric(schw, curve.phi(v), curve.psi(v), curve.phi_prime(v)) for v in grid
+        ]
+        assert _bits(deltas) == _bits([ind.delta for ind in points])
+        assert _bits(lams) == _bits([-ind.g01 / ind.g11 for ind in points])
+
+    def test_shapes(self, schw):
+        curve = EXPRESSION_CURVE
+        scalar = ns.lambda0(curve, schw, 0.5)
+        assert isinstance(scalar, np.float64)
+        assert isinstance(ns.lightlikeness_residual(curve, schw, 0.5), np.float64)
+        block = ns.lambda0(curve, schw, np.linspace(0.1, 1.2, 6).reshape(2, 3))
+        assert block.shape == (2, 3)
+        assert block[0, 0] == ns.lambda0(curve, schw, 0.1)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        grid=st.lists(
+            st.one_of(
+                st.floats(0.1, 1.4),
+                st.floats(1.7, 4.6),
+                st.sampled_from([math.pi / 2, 1.5 * math.pi]),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_degenerate_g11_names_first_vartheta(self, schw, grid):
+        # phi' = (0, 0, 0, cos vartheta): g11 = r^2 cos^2 vartheta vanishes at pi/2, 3pi/2
+        curve = ns.curve_from_expressions(
+            ["0", "10", "pi/2", "sin(vartheta)"], ["1.25", "1", "0", "0"], (0.0, 2 * math.pi)
+        )
+        bad = [v for v in grid if v in (math.pi / 2, 1.5 * math.pi)]
+        if not bad:
+            assert _bits(ns.lambda0(curve, schw, grid)) == _bits(
+                [ns.lambda0(curve, schw, v) for v in grid]
+            )
+            return
+        with pytest.raises(DegenerateDataError) as err:
+            ns.lambda0(curve, schw, np.array(grid))
+        with pytest.raises(DegenerateDataError) as first:
+            ns.lambda0(curve, schw, bad[0])
+        assert str(err.value) == str(first.value)
+        assert str(err.value).startswith(f"Lambda undefined at vartheta = {bad[0]!r}:")
