@@ -38,11 +38,9 @@ from .geodesic import (
     tangent_norm,
 )
 from .initial_data import (
-    ConservedSet,
     InitialCurve,
     MonotoneReport,
     check_monotone,
-    conserved_from_data,
     curve_from_callables,
     curve_from_expressions,
     curve_from_samples,
@@ -58,7 +56,9 @@ from .oracles import (
 )
 from .reduction import (
     CaseLabel,
+    ConservedSet,
     CubicProfile,
+    conserved_from_data,
     cubic_coefficients,
     example2_coefficients,
     example2_roots,

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._spline import CubicSpline
 from .errors import MapBreakdownError, MapInversionError
-from .initial_data import EPS_MONO, InitialCurve, lambda0
+from .initial_data import InitialCurve, lambda0
 from .spacetime import Spacetime
 
 
@@ -39,15 +39,10 @@ class CharacteristicMap:
     theta_min: float
     theta_max: float
     periodic: bool = False
-    min_slope: float = 0.0
 
     @property
     def period(self) -> float:
         return self.theta_max - self.theta_min
-
-    @property
-    def certified(self) -> bool:
-        return self.min_slope >= -EPS_MONO
 
     def forward(self, vartheta, t: float):
         """theta reached at time t by the characteristic from vartheta."""
@@ -153,17 +148,13 @@ def map_from_callables(
     theta_range: tuple[float, float],
     periodic: bool = False,
 ) -> CharacteristicMap:
-    """Wrap a closed-form Lambda, certifying monotonicity on a grid."""
-    lo, hi = float(theta_range[0]), float(theta_range[1])
-    grid = np.linspace(lo, hi, 1001)
-    min_slope = float(min(lambda_prime_fn(v) for v in grid))
+    """Wrap a closed-form Lambda and its derivative."""
     return CharacteristicMap(
         lambda_fn=lambda_fn,
         lambda_prime_fn=lambda_prime_fn,
-        theta_min=lo,
-        theta_max=hi,
+        theta_min=float(theta_range[0]),
+        theta_max=float(theta_range[1]),
         periodic=periodic,
-        min_slope=min_slope,
     )
 
 
@@ -183,14 +174,12 @@ def map_from_initial_data(
         # close the periodic spline on the knot (theta_max, Lambda(theta_min))
         grid, lam = np.append(grid, curve.theta_max), np.append(lam, lam[0])
     spline = CubicSpline(grid, lam, periodic=curve.periodic)
-    dspline = spline.derivative()
     return CharacteristicMap(
         lambda_fn=spline,
-        lambda_prime_fn=dspline,
+        lambda_prime_fn=spline.derivative(),
         theta_min=curve.theta_min,
         theta_max=curve.theta_max,
         periodic=curve.periodic,
-        min_slope=float(dspline(grid).min()),
     )
 
 

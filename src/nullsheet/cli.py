@@ -70,13 +70,7 @@ def run_pipeline(
     trajectories = [solve_one(v) for v in char_thetas]
 
     t_grid = np.linspace(0.0, cfg.solver.t_end, cfg.output.t_samples)
-    if cfg.output.theta_samples is None:
-        theta_grid = char_thetas.copy()
-    elif cfg.initial_data.periodic:
-        n = cfg.output.theta_samples
-        theta_grid = curve.theta_min + curve.period * np.arange(n) / n
-    else:
-        theta_grid = np.linspace(curve.theta_min, curve.theta_max, cfg.output.theta_samples)
+    theta_grid = curve.grid(cfg.output.theta_samples or cfg.initial_data.samples)
 
     wrap = wrap_offset_from_curve(curve) if curve.periodic else None
     mesh = build_surface(

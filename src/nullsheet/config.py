@@ -205,6 +205,8 @@ def parse_config(raw: dict) -> RunConfig:
     theta_samples = out_raw.get("theta_samples")
     if theta_samples is not None:
         theta_samples = _as_int(theta_samples, "output.theta_samples")
+        if theta_samples < 1:
+            raise ConfigError("output.theta_samples", "need at least 1 theta sample")
     output_cfg = OutputConfig(
         format=out_format,
         path=str(out_raw.get("path", "surface." + out_format)),

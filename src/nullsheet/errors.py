@@ -8,11 +8,6 @@ class NullsheetError(Exception):
 class DomainError(NullsheetError):
     """Coordinate point lies outside the validity domain of a spacetime chart."""
 
-    def __init__(self, message, coordinate=None, value=None):
-        super().__init__(message)
-        self.coordinate = coordinate
-        self.value = value
-
 
 class DegenerateDataError(NullsheetError):
     """Initial data degenerate for the requested operation (e.g. g11 ~ 0)."""

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NullsheetError
-from .initial_data import ConservedSet
+from .reduction import ConservedSet, first_integrals
 from .spacetime import SchwarzschildParams, Spacetime
 
 # Dormand-Prince 5(4) tableau (FSAL: the 7th stage is the next first stage).
@@ -210,9 +210,11 @@ def _guards(spacetime: Spacetime, opts: SolverOptions, y0: np.ndarray):
 def _initial_step(deriv, t0, w0, f0, rel_tol, abs_tol, t_end):
     """Hairer-style automatic first-step selection; ``deriv`` is the state list's derivative."""
     w0, f0 = np.array(w0), np.array(f0)
-    scale = abs_tol + rel_tol * np.abs(w0)
-    d0 = float(np.sqrt(np.mean((w0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+    # a state, derivative or tolerance out of float range makes h0 inf or nan
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        scale = abs_tol + rel_tol * np.abs(w0)
+        d0 = float(np.sqrt(np.mean((w0 / scale) ** 2)))
+        d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     if not 0.0 < h0 < math.inf:
         raise NullsheetError(
@@ -269,7 +271,9 @@ def integrate(
     opts = options or SolverOptions()
     if not t_end > state0.t:
         raise ValueError(f"t_end = {t_end} must exceed t0 = {state0.t}")
-    spacetime.check_admissible(state0.y)
+    y0 = np.asarray(state0.y, float)
+    with np.errstate(over="ignore"):  # a start state out of float range fails below
+        spacetime.metric_at(y0)  # raises DomainError outside the chart
 
     dim = spacetime.dim
     n = 2 * dim
@@ -280,7 +284,7 @@ def integrate(
         v = w[dim:]
         return v + accel(w[:dim], v)
 
-    guards = _guards(spacetime, opts, np.asarray(state0.y, float))
+    guards = _guards(spacetime, opts, y0)
     for kind, i, g in guards:
         if g(state0.y[i]) <= 0.0:
             raise DomainError(
@@ -288,7 +292,7 @@ def integrate(
             )
 
     t, t_end = float(state0.t), float(t_end)
-    y, v = np.asarray(state0.y, float).tolist(), np.asarray(state0.v, float).tolist()
+    y, v = y0.tolist(), np.asarray(state0.v, float).tolist()
     w = y + v
     try:
         a = accel(y, v)
@@ -478,28 +482,13 @@ def conserved_along(params: SchwarzschildParams, trajectory: GeodesicTrajectory)
     The relative drift is measured against max(1, |initial value|) per
     integral; ``initial`` holds the constants, C included, at node 0.
     """
-    m = params.m
     dim = trajectory.dim
-    y, v = trajectory.nodes[:, :dim], trajectory.nodes[:, dim:]
-    r, alpha = y[:, 1], y[:, 2]
-    sin_a, cos_a = np.sin(alpha), np.cos(alpha)
-    E = v[:, 0] * (1.0 - 2.0 * m / r)
-    L = v[:, 3] * r * r * sin_a * sin_a
-    # float_power is libm pow for every element, like ** on a scalar
-    K = np.float_power(r, 4) * (
-        np.float_power(v[:, 2], 2) + np.float_power(v[:, 3], 2) * sin_a * sin_a * cos_a * cos_a
-    )
+    E, L, K, C = first_integrals(params, trajectory.nodes[:, :dim], trajectory.nodes[:, dim:])
     series = np.column_stack([E, L, K])
     drift = np.abs(series - series[0])
     scales = np.maximum(1.0, np.abs(series[0]))
-
-    E0, L0, K0 = (float(c) for c in series[0])
-    r0, r_t0 = y[0, 1], v[0, 1]
-    C = (r_t0**2 * r0**3 + K0 * (r0 - 2.0 * m) - 2.0 * m * E0 * E0 * r0 * r0) / (
-        r0 * r0 * (r0 - 2.0 * m)
-    )
     return DriftReport(
-        initial=ConservedSet(E=E0, L=L0, K=max(K0, 0.0), C=float(C)),
+        initial=ConservedSet(E=float(E[0]), L=float(L[0]), K=float(K[0]), C=float(C[0])),
         max_rel_drift=float((drift / scales).max()),
         series=series,
     )

@@ -1,4 +1,4 @@
-"""Initial curves (phi, psi), their constraint checks, and conserved functions.
+"""Initial curves (phi, psi) and their constraint checks.
 
 An initial curve supplies the position phi(vartheta) and velocity
 psi(vartheta) of every surface point at t = 0.  Admissible data must be
@@ -18,7 +18,7 @@ import numpy as np
 from ._spline import CubicSpline
 from .errors import DegenerateDataError, ExpressionError
 from .expressions import CurveExpression
-from .spacetime import InducedMetric, SchwarzschildParams, Spacetime, induced_metric
+from .spacetime import InducedMetric, Spacetime, induced_metric
 
 EPS_DELTA = 1e-9
 EPS_MONO = 1e-10
@@ -50,13 +50,16 @@ class InitialCurve:
         if self.periodic:
             lo_phi, hi_phi = self.phi(self.theta_min), self.phi(self.theta_max)
             lo_psi, hi_psi = self.psi(self.theta_min), self.psi(self.theta_max)
-            gap = np.abs(hi_phi - lo_phi)
-            # allow exact 2*pi winding in angular coordinates
-            winding = np.abs(gap - _TWO_PI * np.round(gap / _TWO_PI))
-            if np.any(np.minimum(gap, winding) > 1e-12):
-                raise ValueError("periodic curve: phi endpoints do not match")
-            if np.any(np.abs(hi_psi - lo_psi) > 1e-12):
-                raise ValueError("periodic curve: psi endpoints do not match")
+            # two infinite endpoints differ by nan, which this check lets
+            # through to the checks on the data
+            with np.errstate(invalid="ignore"):
+                gap = np.abs(hi_phi - lo_phi)
+                # allow exact 2*pi winding in angular coordinates
+                winding = np.abs(gap - _TWO_PI * np.round(gap / _TWO_PI))
+                if np.any(np.minimum(gap, winding) > 1e-12):
+                    raise ValueError("periodic curve: phi endpoints do not match")
+                if np.any(np.abs(hi_psi - lo_psi) > 1e-12):
+                    raise ValueError("periodic curve: psi endpoints do not match")
 
     @property
     def period(self) -> float:
@@ -204,27 +207,6 @@ def curve_from_samples(
     )
 
 
-@dataclass(frozen=True)
-class ConservedSet:
-    """First integrals of one Schwarzschild characteristic.
-
-    E is the energy-like integral tau_t (1 - 2m/r), L the azimuthal integral
-    beta_t r^2 sin^2(alpha), K the Carter-like integral (non-negative), and
-    C the radial integration constant of the first-order r equation.
-    """
-
-    E: float
-    L: float
-    K: float
-    C: float
-
-    def __post_init__(self):
-        if self.K < -1e-12:
-            raise ValueError(f"K must be non-negative, got {self.K}")
-        if self.K < 0:
-            object.__setattr__(self, "K", 0.0)
-
-
 def _forms(curve: InitialCurve, spacetime: Spacetime, vartheta) -> InducedMetric:
     """Induced metric at vartheta, a scalar or an array, from one metric call on all rows."""
     shape = np.shape(vartheta)
@@ -232,9 +214,8 @@ def _forms(curve: InitialCurve, spacetime: Spacetime, vartheta) -> InducedMetric
         (curve.phi(v), curve.psi(v), curve.phi_prime(v)) for v in np.ravel(vartheta).tolist()
     ])
     ind = induced_metric(spacetime, phi, psi, phi_prime)
-    return InducedMetric.from_components(
-        *(np.reshape(c, shape)[()] for c in (ind.g00, ind.g01, ind.g11))
-    )
+    parts = (ind.g00, ind.g01, ind.g11, ind.delta)
+    return InducedMetric(*(np.reshape(c, shape)[()] for c in parts))
 
 
 def lightlikeness_residual(curve: InitialCurve, spacetime: Spacetime, vartheta):
@@ -285,31 +266,6 @@ def check_monotone(
         first_violation=first_violation,
         borderline=borderline,
     )
-
-
-def conserved_from_data(
-    curve: InitialCurve, params: SchwarzschildParams, vartheta: float
-) -> ConservedSet:
-    """E, L, K and the radial constant C of one characteristic's data."""
-    m = params.m
-    phi = curve.phi(vartheta)
-    psi = curve.psi(vartheta)
-    r = phi[1]
-    if r <= 2.0 * m:
-        raise DegenerateDataError(
-            f"initial radius {r!r} is inside the horizon 2m = {2*m!r}"
-        )
-    sin_a = math.sin(phi[2])
-    cos_a = math.cos(phi[2])
-    E = psi[0] * (1.0 - 2.0 * m / r)
-    L = psi[3] * r * r * sin_a * sin_a
-    K = r**4 * (psi[2] ** 2 + psi[3] ** 2 * sin_a * sin_a * cos_a * cos_a)
-    if K < 0:
-        K = 0.0
-    C = (psi[1] ** 2 * r**3 + K * (r - 2.0 * m) - 2.0 * m * E * E * r * r) / (
-        r * r * (r - 2.0 * m)
-    )
-    return ConservedSet(E=float(E), L=float(L), K=float(K), C=float(C))
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,8 @@ import numpy as np
 from .elliptic import complete_elliptic_k, elliptic_f
 from .errors import DomainError, NullsheetError, OracleMismatchError
 from .expressions import CurveExpression
-from .initial_data import ConservedSet, InitialCurve, curve_from_callables
-from .reduction import example2_roots, example3_roots
+from .initial_data import InitialCurve, curve_from_callables
+from .reduction import ConservedSet, example2_roots, example3_roots
 from .spacetime import SchwarzschildParams
 
 CASE_TOL = 1e-12  # relative tolerance on r0/m for double-root detection

@@ -1,10 +1,12 @@
-"""Closed-form radial machinery for Schwarzschild characteristics with L = 0.
+"""First integrals and closed-form radial machinery for Schwarzschild characteristics.
 
-With vanishing azimuthal integral the inverse radius u = 1/r obeys
+Every characteristic carries the first integrals E, L, K and the radial
+constant C (``first_integrals``).  With vanishing azimuthal integral L = 0
+the inverse radius u = 1/r obeys
 (du/dalpha)^2 = 2m u^3 - u^2 + 2mA u + B =: g(u), a cubic whose root
 disposition selects the solution branch.  The coefficients reduce to
-A = (E^2 - C)/K and B = C/K, with C the radial integration constant; the
-module also evaluates the radial first integral
+A = (E^2 - C)/K and B = C/K; the module also evaluates the radial first
+integral
 
     r_t^2 = (C - K/r^2)(1 - 2m/r) + (2m/r) E^2
 
@@ -19,10 +21,65 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateDataError
-from .initial_data import ConservedSet
+from .initial_data import InitialCurve
 from .spacetime import SchwarzschildParams
 
 DOUBLE_ROOT_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class ConservedSet:
+    """First integrals of one Schwarzschild characteristic.
+
+    E is the energy-like integral tau_t (1 - 2m/r), L the azimuthal integral
+    beta_t r^2 sin^2(alpha), K the Carter-like integral (non-negative), and
+    C the radial integration constant of the first-order r equation.
+    """
+
+    E: float
+    L: float
+    K: float
+    C: float
+
+    def __post_init__(self):
+        if self.K < -1e-12:
+            raise ValueError(f"K must be non-negative, got {self.K}")
+        if self.K < 0:
+            object.__setattr__(self, "K", 0.0)
+
+
+def first_integrals(params: SchwarzschildParams, y, v):
+    """E, L, K and C of the states with positions y and velocities v.
+
+    ``y`` and ``v`` are one state's (4,) vectors or rows of them (..., 4);
+    each integral comes back with shape (...).
+    """
+    m = params.m
+    r, alpha = y[..., 1], y[..., 2]
+    sin_a, cos_a = np.sin(alpha), np.cos(alpha)
+    E = v[..., 0] * (1.0 - 2.0 * m / r)
+    L = v[..., 3] * r * r * sin_a * sin_a
+    # float_power is libm pow for every element, like ** on a scalar
+    K = np.float_power(r, 4) * (
+        np.float_power(v[..., 2], 2) + np.float_power(v[..., 3], 2) * sin_a * sin_a * cos_a * cos_a
+    )
+    rm = r - 2.0 * m
+    C = (
+        np.float_power(v[..., 1], 2) * np.float_power(r, 3) + K * rm - 2.0 * m * E * E * r * r
+    ) / (r * r * rm)
+    return E, L, K, C
+
+
+def conserved_from_data(
+    curve: InitialCurve, params: SchwarzschildParams, vartheta: float
+) -> ConservedSet:
+    """E, L, K and the radial constant C of one characteristic's data."""
+    phi = curve.phi(vartheta)
+    r = float(phi[1])
+    if r <= 2.0 * params.m:
+        raise DegenerateDataError(f"initial radius {r!r} is inside the horizon 2m = {2*params.m!r}")
+    E, L, K, C = first_integrals(params, phi, curve.psi(vartheta))
+    return ConservedSet(E=float(E), L=float(L), K=float(K), C=float(C))
 
 
 class CaseLabel(Enum):

@@ -60,15 +60,15 @@ class InducedMetric:
 
 @dataclass(frozen=True)
 class Spacetime:
-    """An ambient metric: component evaluators plus chart metadata.
+    """An ambient metric: its components and its geodesic acceleration.
 
     ``metric_at`` returns the symmetric dim x dim matrix of components at a
     point, or a stack of them (..., dim, dim) for rows of points (..., dim);
     a metric that does not depend on the point may return one matrix for all.
+    It is also the chart: it raises DomainError at a real point outside it.
     It must accept complex points and carry their imaginary parts through
     its arithmetic: ``christoffel_from_metric`` derives the connection from
-    it by the complex step.  ``coordinate_domain`` returns None for an
-    admissible point or a human-readable violation message.
+    it by the complex step.
     ``acceleration_at`` is the closed-form geodesic acceleration
     -Gamma^mu_{nu rho} v^nu v^rho.  The integrator calls it once per stage
     with y and v as lists of floats and appends the result to v, so it
@@ -80,14 +80,8 @@ class Spacetime:
     name: str
     dim: int
     metric_at: Callable[[np.ndarray], np.ndarray]
-    coordinate_domain: Callable[[np.ndarray], str | None]
     acceleration_at: Callable[[Sequence[float], Sequence[float]], list[float]]
     meta: Mapping[str, float] = field(default_factory=dict)
-
-    def check_admissible(self, x: np.ndarray) -> None:
-        violation = self.coordinate_domain(x)
-        if violation is not None:
-            raise DomainError(f"{self.name}: {violation}")
 
 
 def _diagonal(*entries) -> np.ndarray:
@@ -105,28 +99,18 @@ def schwarzschild(params: SchwarzschildParams) -> Spacetime:
     m = float(params.m)
     r_min = 2.0 * m * (1.0 + HORIZON_MARGIN)
 
-    def domain(x):
-        r = x[1]
-        if not r >= r_min:
-            return f"r = {r!r} is inside or too close to the horizon r = {2*m!r}"
-        return None
-
     def metric(x):
         r, alpha = x[..., 1], x[..., 2]
         if not np.all(r >= r_min):
             bad = float(np.min(r))
-            raise DomainError(
-                f"schwarzschild: r = {bad!r} violates r > 2m", coordinate="r", value=bad
-            )
+            raise DomainError(f"schwarzschild: r = {bad!r} violates r > 2m")
         f = 1.0 - 2.0 * m / r
         return _diagonal(-f, 1.0 / f, r * r, r * r * np.sin(alpha) ** 2)
 
     def acceleration(y, v):
         r, alpha = y[1], y[2]
         if not r >= r_min:
-            raise DomainError(
-                f"schwarzschild: r = {r!r} violates r > 2m", coordinate="r", value=r
-            )
+            raise DomainError(f"schwarzschild: r = {r!r} violates r > 2m")
         v0, v1, v2, v3 = v
         sin_a, cos_a = math.sin(alpha), math.cos(alpha)
         rm = r - 2.0 * m
@@ -149,7 +133,6 @@ def schwarzschild(params: SchwarzschildParams) -> Spacetime:
         name="schwarzschild",
         dim=4,
         metric_at=metric,
-        coordinate_domain=domain,
         acceleration_at=acceleration,
         meta={"mass": m, "spherical": True},
     )
@@ -163,7 +146,6 @@ def minkowski(dim: int = 4) -> Spacetime:
         name="minkowski",
         dim=dim,
         metric_at=lambda x: eta.copy(),
-        coordinate_domain=lambda x: None,
         acceleration_at=lambda y, v: [0.0] * dim,
         meta={},
     )
@@ -172,20 +154,11 @@ def minkowski(dim: int = 4) -> Spacetime:
 def minkowski_spherical() -> Spacetime:
     """Flat spacetime in spherical coordinates (tau, r, alpha, beta); m -> 0 limit."""
 
-    def domain(x):
-        if not x[1] > 0:
-            return f"r = {x[1]!r} must be positive"
-        return None
-
     def metric(x):
         r, alpha = x[..., 1], x[..., 2]
         if not np.all(r > 0):
             bad = float(np.min(r))
-            raise DomainError(
-                f"minkowski_spherical: r = {bad!r} must be positive",
-                coordinate="r",
-                value=bad,
-            )
+            raise DomainError(f"minkowski_spherical: r = {bad!r} must be positive")
         return _diagonal(-1.0, 1.0, r * r, (r * np.sin(alpha)) ** 2)
 
     def acceleration(y, v):
@@ -207,7 +180,6 @@ def minkowski_spherical() -> Spacetime:
         name="minkowski_spherical",
         dim=4,
         metric_at=metric,
-        coordinate_domain=domain,
         acceleration_at=acceleration,
         meta={"spherical": True},
     )
@@ -228,7 +200,9 @@ def christoffel_from_metric(spacetime: Spacetime, x: np.ndarray) -> np.ndarray:
     is singular, e.g. on the axis of a spherical chart.
     """
     x = np.asarray(x, dtype=float)
-    spacetime.check_admissible(x)
+    # the chart check runs on the real point, where the metric's message
+    # reads a real r
+    spacetime.metric_at(x)
     dim = spacetime.dim
     # row s is g(x + i h e_s); a metric independent of the point gives one matrix
     stack = np.broadcast_to(
@@ -253,13 +227,16 @@ def induced_metric(
     ``x``, ``xt`` and ``xtheta`` are one point and its tangents (dim,) or
     rows of them (..., dim); the components come back with shape (...).
     """
-    g = spacetime.metric_at(np.asarray(x, dtype=float))
     # each tangent as a (..., 1, dim) row; u @ g @ v^T keeps the summation
     # order of the plain vector product, row by row
     xt = np.asarray(xt, dtype=float)[..., None, :]
     xth = np.asarray(xtheta, dtype=float)[..., None, :]
+    # data out of floating-point range gives inf or nan components, which
+    # the callers' checks reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = spacetime.metric_at(np.asarray(x, dtype=float))
 
-    def form(u, v):
-        return (u @ g @ np.swapaxes(v, -1, -2))[..., 0, 0]
+        def form(u, v):
+            return (u @ g @ np.swapaxes(v, -1, -2))[..., 0, 0]
 
-    return InducedMetric.from_components(form(xt, xt), form(xt, xth), form(xth, xth))
+        return InducedMetric.from_components(form(xt, xt), form(xt, xth), form(xth, xth))

@@ -121,7 +121,6 @@ class TestJacobian:
 
     def test_positive_on_certified_region(self):
         cmap = arctan_map()
-        assert cmap.certified
         rng = np.random.default_rng(2)
         for _ in range(500):
             assert cmap.jacobian(rng.uniform(0, 10), rng.uniform(-3, 3)) > 0
@@ -158,11 +157,9 @@ class TestLambdaField:
 class TestMapFromInitialData:
     def test_example_maps_constant(self, schw, ex1_curve, ex3_circular_curve):
         cmap1 = ns.map_from_initial_data(ex1_curve, schw)
-        assert cmap1.certified
         for v in np.linspace(0, 2 * math.pi, 9):
             assert abs(cmap1.lambda_fn(v)) < 1e-13
         cmap3 = ns.map_from_initial_data(ex3_circular_curve, schw)
-        assert cmap3.certified
         for v in np.linspace(0.5, 8.0, 9):
             assert cmap3.lambda_fn(v) == pytest.approx(-1.0, abs=1e-12)
             assert abs(cmap3.lambda_prime_fn(v)) < 1e-10

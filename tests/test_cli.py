@@ -274,6 +274,19 @@ class TestSolveCommand:
         curve, mesh, n = self._theta_sampled("boosted_circular.yaml")
         assert np.array_equal(mesh.theta_grid, np.linspace(curve.theta_min, curve.theta_max, n))
 
+    @pytest.mark.parametrize("name", ["boosted_circular.yaml", "radial_null.yaml"])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_theta_samples_below_one_exit_2(self, tmp_path, capsys, monkeypatch, name, n):
+        monkeypatch.chdir(tmp_path)  # the shipped configs write relative paths
+        raw = yaml.safe_load((SHIPPED / name).read_text())
+        raw["output"]["theta_samples"] = n
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert main(["solve", "--config", str(cfg), "--force"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: output.theta_samples:")
+        assert err.count("\n") == 1
+
     def test_determinism(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["solve", "--config", str(cfg)]) == 0

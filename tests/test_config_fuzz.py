@@ -32,6 +32,8 @@ SHORT_T_END = 0.5  # keeps every integrating trial short
 def _shipped(name: str) -> dict:
     raw = yaml.safe_load((SHIPPED / name).read_text())
     raw["solver"]["t_end"] = SHORT_T_END
+    # the same theta grid as null, but a leaf the fuzz can mutate
+    raw["output"]["theta_samples"] = raw["initial_data"]["samples"]
     return raw
 
 

@@ -295,6 +295,14 @@ class TestConserved:
         with pytest.raises(DegenerateDataError):
             ns.conserved_from_data(curve, m1_params, 0.5)
 
+    def test_horizon_violation_prints_a_plain_radius(self, m1_params):
+        curve = ns.curve_from_expressions(
+            ["0", "1.5", "pi/2", "vartheta"], ["1", "0", "0", "0"], (0.0, 1.0)
+        )
+        with pytest.raises(DegenerateDataError) as err:
+            ns.conserved_from_data(curve, m1_params, 0.5)
+        assert str(err.value) == "initial radius 1.5 is inside the horizon 2m = 2.0"
+
 
 class TestValidateCurve:
     def test_examples_pass(self, schw, ex1_curve, photon_curve, ex3_circular_curve):

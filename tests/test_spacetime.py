@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,20 @@ import nullsheet as ns
 from nullsheet.errors import DomainError
 
 X4 = np.array([0.0, 4.0, math.pi / 2, 0.0])
+
+
+def assert_outside_chart(spacetime, r):
+    """The metric, the integrator and the connection raise DomainError at radius r."""
+    x = np.array([0.0, r, 1.0, 0.0])
+    state0 = ns.GeodesicState(y=x, v=np.array([1.0, 0.0, 0.0, 0.0]), t=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. a ComplexWarning from a complex r
+        with pytest.raises(DomainError):
+            spacetime.metric_at(x)
+        with pytest.raises(DomainError):
+            ns.integrate(spacetime, state0, 1.0)
+        with pytest.raises(DomainError):
+            ns.christoffel_from_metric(spacetime, x)
 
 
 def random_admissible_points(n, rng, r_lo=2.5, r_hi=40.0):
@@ -40,11 +55,8 @@ class TestSchwarzschildMetric:
         assert gam[3, 2, 3] == pytest.approx(0.0, abs=1e-15)  # cot at pi/2
 
     def test_horizon_domain_violation(self, schw):
-        with pytest.raises(DomainError):
-            schw.metric_at(np.array([0.0, 1.9, 1.0, 0.0]))
-        with pytest.raises(DomainError):
-            schw.check_admissible(np.array([0.0, 2.0, 1.0, 0.0]))
-        assert schw.coordinate_domain(np.array([0.0, 1.9, 1.0, 0.0])) is not None
+        for r in (1.9, 2.0):
+            assert_outside_chart(schw, r)
 
     def test_axis_raises_for_connection_only(self, schw):
         on_axis = np.array([0.0, 10.0, 0.0, 0.0])
@@ -75,7 +87,28 @@ class TestSchwarzschildMetric:
         assert np.abs(gam_tiny - gam_flat).max() < 1e-11
 
 
+def test_spacetime_is_metric_plus_acceleration():
+    """A user spacetime needs only its metric and its acceleration to integrate."""
+    flat = ns.minkowski_spherical()
+    user = ns.Spacetime(
+        name="user_flat_spherical",
+        dim=4,
+        metric_at=flat.metric_at,
+        acceleration_at=flat.acceleration_at,
+    )
+    state0 = ns.GeodesicState(
+        y=np.array([0.0, 5.0, math.pi / 2, 0.0]), v=np.array([1.0, 1.0, 0.0, 0.0]), t=0.0
+    )
+    traj = ns.integrate(user, state0, 2.0)
+    assert [e.kind for e in traj.events] == ["t_max"]
+    assert traj.nodes[-1, 1] == pytest.approx(7.0, rel=1e-10)
+
+
 class TestFlat:
+    def test_spherical_domain_violation(self):
+        for r in (0.0, -1.0):
+            assert_outside_chart(ns.minkowski_spherical(), r)
+
     def test_cartesian_connection_vanishes(self, flat):
         x = np.array([1.0, -2.0, 3.0, 0.5])
         assert np.abs(ns.christoffel_from_metric(flat, x)).max() == 0.0
@@ -98,7 +131,6 @@ def ingoing_eddington_finkelstein(m):
         name="schwarzschild_ingoing_ef",
         dim=4,
         metric_at=metric,
-        coordinate_domain=lambda x: None,
         acceleration_at=None,  # only the connection is under test
     )
 
@@ -111,7 +143,6 @@ class TestChristoffelFd:
             name="degenerate",
             dim=2,
             metric_at=lambda x: np.array([[1.0, 1.0], [1.0, 1.0]]),
-            coordinate_domain=lambda x: None,
             acceleration_at=lambda y, v: [0.0, 0.0],
         )
         with pytest.raises(DomainError):
