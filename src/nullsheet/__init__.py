@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .characteristics import (
     CharacteristicMap,
     burgers_residual_grid,
-    map_from_callables,
     map_from_initial_data,
 )
 from .elliptic import carlson_rf, complete_elliptic_k, elliptic_f
@@ -39,9 +38,6 @@ from .geodesic import (
 )
 from .initial_data import (
     InitialCurve,
-    MonotoneReport,
-    check_monotone,
-    curve_from_callables,
     curve_from_expressions,
     curve_from_samples,
     lambda0,
@@ -90,16 +86,14 @@ from .surface import (
 )
 
 __all__ = [
-    "CharacteristicMap", "burgers_residual_grid", "map_from_callables",
-    "map_from_initial_data",
+    "CharacteristicMap", "burgers_residual_grid", "map_from_initial_data",
     "carlson_rf", "complete_elliptic_k", "elliptic_f",
     "ConfigError", "CoverageError", "DegenerateDataError", "DomainError",
     "ExpressionError", "MapBreakdownError", "MapInversionError",
     "NullsheetError", "OracleMismatchError",
     "DriftReport", "Event", "GeodesicState", "GeodesicTrajectory",
     "SolverOptions", "conserved_along", "integrate", "tangent_norm",
-    "ConservedSet", "InitialCurve", "MonotoneReport", "check_monotone",
-    "conserved_from_data", "curve_from_callables", "curve_from_expressions",
+    "ConservedSet", "InitialCurve", "conserved_from_data", "curve_from_expressions",
     "curve_from_samples", "lambda0", "lightlikeness_residual", "validate_curve",
     "OracleKind", "OracleParams", "check_oracle_consistency", "make_oracle",
     "CaseLabel", "CubicProfile", "cubic_coefficients",

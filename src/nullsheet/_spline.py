@@ -14,6 +14,8 @@ import copy
 
 import numpy as np
 
+from .errors import DegenerateDataError
+
 
 def _scan(a, b):
     """y[0] = b[0], y[i] = b[i] + a[i] y[i-1], by recursive doubling.
@@ -93,16 +95,17 @@ class CubicSpline:
         if len(x) < 4 or len(y) != len(x):
             raise ValueError(f"need at least 4 knots and one value per knot, got {len(x)}")
         yy = y.reshape(len(x), -1)
-        h = np.diff(x)
-        m = np.diff(yy, axis=0) / h[:, None]
-        s = (_slopes_periodic if periodic else _slopes_not_a_knot)(h, m)
-        hr = h[:, None]
-        t = (s[:-1] + s[1:] - 2.0 * m) / hr
-        # coeffs[j, col, i]: the (x - x[i])^(3-j) coefficient on interval i; the
-        # interval axis is last, so evaluation runs along rows of points
-        coeffs = np.stack([t / hr, (m - s[:-1]) / hr - t, s[:-1], yy[:-1]])
-        self.coeffs = np.ascontiguousarray(coeffs.transpose(0, 2, 1))
         self.x, self.periodic, self._shape = x, periodic, y.shape[1:]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            h = np.diff(x)
+            m = np.diff(yy, axis=0) / h[:, None]
+            s = (_slopes_periodic if periodic else _slopes_not_a_knot)(h, m)
+            hr = h[:, None]
+            t = (s[:-1] + s[1:] - 2.0 * m) / hr
+            # coeffs[j, col, i]: the (x - x[i])^(3-j) coefficient on interval i; the
+            # interval axis is last, so evaluation runs along rows of points
+            coeffs = np.stack([t / hr, (m - s[:-1]) / hr - t, s[:-1], yy[:-1]])
+        self.coeffs = self._finite(np.ascontiguousarray(coeffs.transpose(0, 2, 1)))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -123,5 +126,13 @@ class CubicSpline:
         """The derivative as a piecewise polynomial of one degree less."""
         deg = len(self.coeffs) - 1
         new = copy.copy(self)
-        new.coeffs = self.coeffs[:-1] * np.arange(deg, 0, -1)[:, None, None]
+        with np.errstate(over="ignore"):
+            new.coeffs = self._finite(self.coeffs[:-1] * np.arange(deg, 0, -1)[:, None, None])
         return new
+
+    def _finite(self, coeffs: np.ndarray) -> np.ndarray:
+        """``coeffs``, unless knots too far apart or too close overflowed them."""
+        if not np.isfinite(coeffs).all():
+            lo, hi = float(self.x[0]), float(self.x[-1])
+            raise DegenerateDataError(f"cubic spline on [{lo!r}, {hi!r}] overflows the float range")
+        return coeffs

@@ -56,9 +56,7 @@ class CharacteristicMap:
             v, d = float(v[d <= 0.0][0]), float(d[d <= 0.0][0])
             raise MapBreakdownError(
                 f"characteristic map broke down at t={t!r}, vartheta={v!r}: "
-                f"1 + Lambda' t = {d!r}",
-                t=t,
-                vartheta=v,
+                f"1 + Lambda' t = {d!r}"
             )
         return 1.0 / den
 
@@ -113,11 +111,7 @@ class CharacteristicMap:
             broken = running & (slope <= 0.0)
             if broken.any():
                 v = float(x[broken][0])
-                raise MapBreakdownError(
-                    f"non-monotone map detected at t={t!r}, vartheta={v!r}",
-                    t=t,
-                    vartheta=v,
-                )
+                raise MapBreakdownError(f"non-monotone map detected at t={t!r}, vartheta={v!r}")
             with np.errstate(divide="ignore", invalid="ignore"):
                 x_new = np.asarray(x - f / slope)  # finished elements may divide by 0
             # Newton left the bracket: bisect
@@ -140,22 +134,6 @@ class CharacteristicMap:
     def image_interval(self, t: float) -> tuple[float, float]:
         """theta-range covered by the characteristics at time t."""
         return self.forward(self.theta_min, t), self.forward(self.theta_max, t)
-
-
-def map_from_callables(
-    lambda_fn: Callable[[float], float],
-    lambda_prime_fn: Callable[[float], float],
-    theta_range: tuple[float, float],
-    periodic: bool = False,
-) -> CharacteristicMap:
-    """Wrap a closed-form Lambda and its derivative."""
-    return CharacteristicMap(
-        lambda_fn=lambda_fn,
-        lambda_prime_fn=lambda_prime_fn,
-        theta_min=float(theta_range[0]),
-        theta_max=float(theta_range[1]),
-        periodic=periodic,
-    )
 
 
 def map_from_initial_data(

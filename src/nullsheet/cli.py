@@ -92,11 +92,11 @@ def cmd_validate(args) -> int:
     report = validate_curve(curve, spacetime, n_samples=cfg.initial_data.samples)
     print(f"max |delta(0, vartheta)| : {report.max_abs_delta:.6e} "
           f"(at vartheta = {report.argmax_delta:.6g})")
-    print(f"min Lambda' estimate     : {report.monotone.min_slope:.6e}")
+    print(f"min Lambda' estimate     : {report.min_slope:.6e}")
     print(f"light-likeness           : {'PASS' if report.lightlike else 'FAIL'}")
-    print(f"monotonicity             : {'PASS' if report.monotone.passed else 'FAIL'}")
-    if report.monotone.first_violation is not None:
-        lo, hi = report.monotone.first_violation
+    print(f"monotonicity             : {'PASS' if report.monotone else 'FAIL'}")
+    if report.first_violation is not None:
+        lo, hi = report.first_violation
         print(f"first violating interval : [{lo:.6g}, {hi:.6g}]")
     return 0 if report.passed else 1
 
@@ -160,7 +160,7 @@ def cmd_solve(args) -> int:
             print(
                 "initial data failed validation "
                 f"(max |delta| = {report.max_abs_delta:.3e}, "
-                f"min Lambda' = {report.monotone.min_slope:.3e}); "
+                f"min Lambda' = {report.min_slope:.3e}); "
                 "use --force to integrate anyway",
                 file=sys.stderr,
             )

@@ -103,6 +103,8 @@ def _as_range(value, path: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(path, "expected [min, max]")
     lo, hi = _as_float(value[0], f"{path}[0]"), _as_float(value[1], f"{path}[1]")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(path, f"ends must be finite, got [{lo}, {hi}]")
     if not hi > lo:
         raise ConfigError(path, "max must exceed min")
     return lo, hi

@@ -20,11 +20,6 @@ class MapInversionError(NullsheetError):
 class MapBreakdownError(NullsheetError):
     """Characteristic map lost monotonicity (1 + Lambda'(vartheta) t <= 0)."""
 
-    def __init__(self, message, t=None, vartheta=None):
-        super().__init__(message)
-        self.t = t
-        self.vartheta = vartheta
-
 
 class CoverageError(NullsheetError):
     """Not enough characteristics to interpolate the requested surface grid."""
@@ -35,11 +30,10 @@ class ExpressionError(NullsheetError):
 
 
 class ConfigError(NullsheetError):
-    """Configuration schema violation; carries the offending field path."""
+    """Configuration schema violation; the message starts with the offending field path."""
 
     def __init__(self, path, message):
         super().__init__(f"{path}: {message}")
-        self.path = path
 
 
 class OracleMismatchError(NullsheetError):

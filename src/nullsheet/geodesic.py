@@ -39,7 +39,6 @@ from .reduction import ConservedSet, first_integrals
 from .spacetime import SchwarzschildParams, Spacetime
 
 # Dormand-Prince 5(4) tableau (FSAL: the 7th stage is the next first stage).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = [
     np.array([]),
     np.array([1 / 5]),

@@ -68,7 +68,7 @@ class InitialCurve:
     def grid(self, n: int) -> np.ndarray:
         """Uniform vartheta samples; periodic curves omit the duplicate endpoint."""
         if self.periodic:
-            return self.theta_min + self.period * np.arange(n) / n
+            return self.theta_min + self.period * (np.arange(n) / n)
         return np.linspace(self.theta_min, self.theta_max, n)
 
 
@@ -94,25 +94,6 @@ def curve_from_expressions(
     def phi_prime(v: float) -> np.ndarray:
         return np.array([c.deriv(v) for c in phi_c])
 
-    return InitialCurve(
-        phi=phi,
-        psi=psi,
-        phi_prime=phi_prime,
-        theta_min=float(theta_range[0]),
-        theta_max=float(theta_range[1]),
-        periodic=periodic,
-        dim=dim,
-    )
-
-
-def curve_from_callables(
-    phi: Callable[[float], np.ndarray],
-    psi: Callable[[float], np.ndarray],
-    phi_prime: Callable[[float], np.ndarray],
-    theta_range: tuple[float, float],
-    periodic: bool = False,
-    dim: int = 4,
-) -> InitialCurve:
     return InitialCurve(
         phi=phi,
         psi=psi,
@@ -223,63 +204,51 @@ def lightlikeness_residual(curve: InitialCurve, spacetime: Spacetime, vartheta):
     return _forms(curve, spacetime, vartheta).delta
 
 
+def _lambda(ind: InducedMetric, vartheta):
+    """Lambda = -g01/g11 from the induced metric at vartheta, finite or raised."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lam = -ind.g01 / ind.g11
+    degenerate = ~(np.abs(ind.g11) > EPS_G11)  # nan is degenerate too
+    bad = degenerate | ~np.isfinite(lam)
+    if np.any(bad):
+        v, g11, lam, degenerate = (
+            x[bad][0].item() for x in np.broadcast_arrays(vartheta, ind.g11, lam, degenerate)
+        )
+        why = f"|g11| = {abs(g11)!r}" if degenerate else f"-g01/g11 = {lam!r} is not finite"
+        raise DegenerateDataError(f"Lambda undefined at vartheta = {v!r}: {why}")
+    return lam
+
+
 def lambda0(curve: InitialCurve, spacetime: Spacetime, vartheta):
     """Initial Burgers field Lambda(vartheta) = -g01/g11, at a scalar or an array."""
-    ind = _forms(curve, spacetime, vartheta)
-    bad = np.abs(ind.g11) <= EPS_G11
-    if np.any(bad):
-        v, g11 = np.broadcast_arrays(vartheta, ind.g11)
-        v, g11 = float(v[bad][0]), float(g11[bad][0])
-        raise DegenerateDataError(f"Lambda undefined at vartheta = {v!r}: |g11| = {abs(g11)!r}")
-    return -ind.g01 / ind.g11
-
-
-@dataclass(frozen=True)
-class MonotoneReport:
-    """Outcome of the Lambda-monotonicity check over a vartheta grid."""
-
-    passed: bool
-    min_slope: float
-    first_violation: tuple[float, float] | None
-    borderline: tuple[float, ...]
-
-
-def check_monotone(
-    curve: InitialCurve,
-    spacetime: Spacetime,
-    grid: np.ndarray,
-) -> MonotoneReport:
-    """Difference-quotient check of Lambda'(vartheta) >= 0 over the grid."""
-    grid = np.asarray(grid, dtype=float)
-    if len(grid) < 2 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must contain >= 2 strictly increasing samples")
-    slopes = np.diff(lambda0(curve, spacetime, grid)) / np.diff(grid)
-    min_slope = float(slopes.min())
-    first_violation = None
-    if min_slope < -EPS_MONO:
-        i = int(np.argmax(slopes < -EPS_MONO))
-        first_violation = (float(grid[i]), float(grid[i + 1]))
-    borderline = tuple(grid[:-1][np.abs(slopes) <= EPS_MONO].tolist())
-    return MonotoneReport(
-        passed=first_violation is None,
-        min_slope=min_slope,
-        first_violation=first_violation,
-        borderline=borderline,
-    )
+    return _lambda(_forms(curve, spacetime, vartheta), vartheta)
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Combined light-likeness + monotonicity verdict for an initial curve."""
+    """Light-likeness and monotonicity of an initial curve over a vartheta grid.
 
-    lightlike: bool
+    ``min_slope`` is the least difference quotient of Lambda between
+    neighbouring samples and ``first_violation`` the first interval whose
+    quotient falls below -EPS_MONO.  A nan fails every verdict.
+    """
+
     max_abs_delta: float
     argmax_delta: float
-    monotone: MonotoneReport
+    min_slope: float
+    first_violation: tuple[float, float] | None
+
+    @property
+    def lightlike(self) -> bool:
+        return self.max_abs_delta <= EPS_DELTA
+
+    @property
+    def monotone(self) -> bool:
+        return self.min_slope >= -EPS_MONO
 
     @property
     def passed(self) -> bool:
-        return self.lightlike and self.monotone.passed
+        return self.lightlike and self.monotone
 
 
 def validate_curve(
@@ -287,11 +256,18 @@ def validate_curve(
     spacetime: Spacetime,
     n_samples: int = 201,
 ) -> ValidationReport:
+    """delta(0, vartheta) and Lambda' >= 0 on ``curve.grid(n_samples)``, from one evaluation."""
     grid = curve.grid(n_samples)
-    deltas = np.abs(lightlikeness_residual(curve, spacetime, grid))
+    ind = _forms(curve, spacetime, grid)
+    deltas = np.abs(ind.delta)
+    # a narrow enough range overflows a quotient, or repeats a sample
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        slopes = np.diff(_lambda(ind, grid)) / np.diff(grid)
+    failing = ~(slopes >= -EPS_MONO)
+    i = int(np.argmax(failing))
     return ValidationReport(
-        lightlike=bool(deltas.max() <= EPS_DELTA),
         max_abs_delta=float(deltas.max()),
         argmax_delta=float(grid[np.argmax(deltas)]),
-        monotone=check_monotone(curve, spacetime, grid),
+        min_slope=float(slopes.min()),
+        first_violation=(float(grid[i]), float(grid[i + 1])) if failing[i] else None,
     )

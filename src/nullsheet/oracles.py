@@ -40,7 +40,7 @@ import numpy as np
 from .elliptic import complete_elliptic_k, elliptic_f
 from .errors import DomainError, NullsheetError, OracleMismatchError
 from .expressions import CurveExpression
-from .initial_data import InitialCurve, curve_from_callables
+from .initial_data import InitialCurve
 from .reduction import ConservedSet, example2_roots, example3_roots
 from .spacetime import SchwarzschildParams
 
@@ -141,11 +141,13 @@ class RadialNullOracle:
         psi0 = self.sign * r1 / (1.0 - 2.0 * m / r0)
         alpha0 = self._alpha0
 
-        return curve_from_callables(
+        lo, hi = map(float, self.params.theta_range)
+        return InitialCurve(
             phi=lambda v: np.array([self.tau0, r0, alpha0(v), v]),
             psi=lambda v: np.array([psi0, r1, 0.0, 0.0]),
             phi_prime=lambda v: np.array([0.0, 0.0, alpha0.deriv(v), 1.0]),
-            theta_range=self.params.theta_range,
+            theta_min=lo,
+            theta_max=hi,
             periodic=self.params.periodic,
         )
 
@@ -188,11 +190,13 @@ def _example2_data(params: OracleParams, r0: float) -> _ExampleData:
         return ConservedSet(E=E, L=0.0, K=K, C=C)
 
     def initial_curve() -> InitialCurve:
-        return curve_from_callables(
+        lo, hi = map(float, params.theta_range)
+        return InitialCurve(
             phi=lambda v: np.array([params.tau0, r0, alpha0_val, v]),
             psi=lambda v: np.array([f_expr(v), 0.0, s * coef * abs(f_expr(v)), 0.0]),
             phi_prime=lambda v: np.array([0.0, 0.0, 0.0, 1.0]),
-            theta_range=params.theta_range,
+            theta_min=lo,
+            theta_max=hi,
             periodic=params.periodic,
         )
 
@@ -222,12 +226,13 @@ def _example3_data(params: OracleParams, r0: float) -> _ExampleData:
         def tangent(v: float) -> np.ndarray:
             return np.array([1.0, 0.0, s * coef, 0.0])
 
-        return curve_from_callables(
+        lo, hi = map(float, params.theta_range)
+        return InitialCurve(
             phi=lambda v: np.array([v, r0, s * coef * v, params.beta0]),
             psi=tangent,
             phi_prime=tangent,
-            theta_range=params.theta_range,
-            periodic=False,
+            theta_min=lo,
+            theta_max=hi,
         )
 
     return _ExampleData(

@@ -112,10 +112,6 @@ class CubicProfile:
         c3, c2, c1, c0 = self.coeffs
         return ((c3 * u + c2) * u + c1) * u + c0
 
-    def g_prime(self, u: float) -> float:
-        c3, c2, c1, _ = self.coeffs
-        return (3.0 * c3 * u + 2.0 * c2) * u + c1
-
     def modulus_squared(self) -> float | None:
         """k^2 = (u_mid - u_lo)/(u_hi - u_lo) for three-real-root profiles."""
         if len(self.roots) < 3:
@@ -142,13 +138,19 @@ def cubic_coefficients(
         raise DegenerateDataError("psi_2 = 0: radial cubic profile undefined")
     rm = r - 2.0 * m
     p0, p1, p2 = psi[0], psi[1], psi[2]
-    A = -1.0 / (r * r) + (rm * rm * p0 * p0 - r * r * p1 * p1) / (
-        rm * r**5 * p2 * p2
-    )
-    B = 1.0 / (r * r) + (-2.0 * m * rm * rm * p0 * p0 + r**3 * p1 * p1) / (
-        rm * r**6 * p2 * p2
-    )
-    return float(A), float(B)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        A = -1.0 / (r * r) + (rm * rm * p0 * p0 - r * r * p1 * p1) / (
+            rm * r**5 * p2 * p2
+        )
+        B = 1.0 / (r * r) + (-2.0 * m * rm * rm * p0 * p0 + r**3 * p1 * p1) / (
+            rm * r**6 * p2 * p2
+        )
+    A, B = float(A), float(B)
+    if not (math.isfinite(A) and math.isfinite(B)):
+        raise DegenerateDataError(
+            f"radial cubic coefficients out of float range: A = {A!r}, B = {B!r}"
+        )
+    return A, B
 
 
 def _cubic_roots_monic(b: float, c: float, d: float) -> list[float]:

@@ -237,9 +237,7 @@ class TestCriterion6ConservedQuantities:
 
 class TestCriterion7BurgersTransform:
     def test_round_trip_and_residual_order(self):
-        cmap = ns.map_from_callables(
-            np.arctan, lambda v: 1.0 / (1.0 + v * v), (-3.0, 3.0)
-        )
+        cmap = ns.CharacteristicMap(np.arctan, lambda v: 1.0 / (1.0 + v * v), -3.0, 3.0)
         draws = np.random.default_rng(99).uniform([-3.0, 0.0], [3.0, 4.0], size=(10_000, 2))
         # the same (v, t) samples as 10,000 pairs of scalar draws
         rng = np.random.default_rng(99)

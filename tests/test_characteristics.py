@@ -10,23 +10,15 @@ from nullsheet.errors import MapBreakdownError, MapInversionError
 
 
 def arctan_map(theta_range=(-3.0, 3.0)):
-    return ns.map_from_callables(
-        np.arctan,
-        lambda v: 1.0 / (1.0 + v * v),
-        theta_range,
-    )
+    return ns.CharacteristicMap(np.arctan, lambda v: 1.0 / (1.0 + v * v), *theta_range)
 
 
 def linear_map(slope, theta_range=(-2.0, 2.0)):
-    return ns.map_from_callables(
-        lambda v: slope * v, lambda v: slope, theta_range
-    )
+    return ns.CharacteristicMap(lambda v: slope * v, lambda v: slope, *theta_range)
 
 
 def constant_map(value, theta_range=(-5.0, 5.0), periodic=False):
-    return ns.map_from_callables(
-        lambda v: value, lambda v: 0.0, theta_range, periodic=periodic
-    )
+    return ns.CharacteristicMap(lambda v: value, lambda v: 0.0, *theta_range, periodic=periodic)
 
 
 class TestForward:
@@ -88,10 +80,11 @@ class TestInvert:
 
     def test_periodic_wrapping(self):
         period = 2 * math.pi
-        cmap = ns.map_from_callables(
+        cmap = ns.CharacteristicMap(
             lambda v: 0.25 * math.sin(v),
             lambda v: 0.25 * math.cos(v),
-            (0.0, period),
+            0.0,
+            period,
             periodic=True,
         )
         rng = np.random.default_rng(5)
@@ -173,10 +166,11 @@ class TestMapFromInitialData:
 
 def sine_map(amplitude):
     """Periodic Lambda = a sin(vartheta), monotone up to t = 1/a."""
-    return ns.map_from_callables(
+    return ns.CharacteristicMap(
         lambda v: amplitude * np.sin(v),
         lambda v: amplitude * np.cos(v),
-        (0.0, 2 * math.pi),
+        0.0,
+        2 * math.pi,
         periodic=True,
     )
 
@@ -185,9 +179,7 @@ def spline_map():
     """A periodic spline Lambda, the kind map_from_initial_data builds."""
     grid = np.linspace(0.0, 2 * math.pi, 33)
     spline = CubicSpline(grid, 0.1 * np.sin(grid) + 0.05 * np.cos(2 * grid), periodic=True)
-    return ns.map_from_callables(
-        spline, spline.derivative(), (0.0, 2 * math.pi), periodic=True
-    )
+    return ns.CharacteristicMap(spline, spline.derivative(), 0.0, 2 * math.pi, periodic=True)
 
 
 ARRAY_MAPS = {

@@ -136,6 +136,17 @@ class TestValidateCommand:
         )
         assert main(["validate", "--config", str(cfg)]) == 1
 
+    def test_non_finite_lambda_is_one_error_line(self, tmp_path, capsys):
+        # psi_2 = 1e308 overflows g01: Lambda is -inf, so nothing may print PASS
+        raw = yaml.safe_load((SHIPPED / "radial_null.yaml").read_text())
+        raw["initial_data"]["psi"][2] = 1e308
+        cfg = tmp_path / "huge_psi.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert main(["validate", "--config", str(cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert "PASS" not in out
+        assert err == "error: Lambda undefined at vartheta = 0.0: -g01/g11 = -inf is not finite\n"
+
     def test_schema_error_exit_2(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("spacetime: {type: schwarzschild}\n")
@@ -243,13 +254,19 @@ class TestSolveCommand:
         assert err.startswith("error: integration failed") and err.count("\n") == 1
 
     def test_huge_radius_fails_the_integration(self, tmp_path, capsys):
-        # r = 1e308 overflows r**3 in the acceleration at the initial state
+        # r = 1e308 overflows the induced metric, so the run stops at Lambda
+        # before it integrates ...
         cfg = write_config(
             tmp_path, initial_data={"phi": ["0", "1e308", "pi/2", "vartheta"]}
         )
         assert main(["solve", "--config", str(cfg), "--force"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: integration failed") and err.count("\n") == 1
+        assert err == "error: Lambda undefined at vartheta = 0.0: |g11| = nan\n"
+        # ... and integrated on its own, r**3 overflows the acceleration at the start
+        state = ns.GeodesicState(y=np.array([0.0, 1e308, math.pi / 2, 0.0]),
+                                 v=np.array([1.25, 1.0, 0.0, 0.0]), t=0.0)
+        with pytest.raises(ns.NullsheetError, match="^integration failed: acceleration overflows"):
+            ns.integrate(ns.schwarzschild(ns.SchwarzschildParams(m=1.0)), state, 10.0)
 
     @staticmethod
     def _theta_sampled(name):
@@ -486,6 +503,18 @@ class TestClassifyCommand:
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 3
         assert all(row.endswith("undefined (radial cubic overflows at m = 1e-300)") for row in rows)
+
+    @pytest.mark.parametrize("leaf, value", [("phi", 1e308), ("psi", 1e-300)])
+    def test_overflowing_coefficients_rows_undefined(self, tmp_path, capsys, leaf, value):
+        raw = yaml.safe_load((SHIPPED / "photon_sphere.yaml").read_text())
+        raw["initial_data"][leaf][1 if leaf == "phi" else 2] = value
+        cfg = tmp_path / "huge.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert main(["classify", "--config", str(cfg), "--rows", "3"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 3
+        assert all("undefined (radial cubic coefficients out of float range" in r for r in rows)
+        assert "nan" not in rows[0].split("undefined")[0]
 
     def test_undefined_row_names_its_reason(self, tmp_path, capsys):
         # r = 1.5 < 2m: cubic_coefficients refuses the data for a reason other than psi_2

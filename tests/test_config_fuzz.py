@@ -92,6 +92,24 @@ def run_trial(trial, command, workdir: pathlib.Path) -> int:
 @example(
     trial=("radial_null.yaml", ("initial_data", "phi", 1), 1e308), command=("solve", "--force")
 )
+# trials that once printed numpy RuntimeWarnings: a non-finite Lambda, an
+# overflowing spline or radial cubic, and theta ranges at the float limits
+@example(trial=("radial_null.yaml", ("initial_data", "psi", 2), 1e308), command=("validate",))
+@example(
+    trial=("radial_null.yaml", ("initial_data", "theta_range", 1), 1e-300),
+    command=("solve", "--force"),
+)
+@example(trial=("photon_sphere.yaml", ("initial_data", "psi", 2), 1e-300), command=("classify",))
+@example(
+    trial=("boosted_circular.yaml", ("initial_data", "theta_range", 1), math.inf),
+    command=("validate",),
+)
+@example(
+    trial=("photon_sphere.yaml", ("initial_data", "theta_range", 1), 1e308), command=("compare",)
+)
+@example(
+    trial=("photon_sphere.yaml", ("initial_data", "theta_range", 1), 1e-300), command=("compare",)
+)
 def test_mutated_leaf_exits_with_a_documented_code(trial, command, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # a mutated output.path is relative to the run
     assert run_trial(trial, command, tmp_path) in (0, 1, 2)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -214,11 +216,10 @@ class TestLambda0:
 
 class TestMonotonicity:
     def test_constant_lambda_passes(self, schw, ex1_curve):
-        grid = ex1_curve.grid(33)
-        report = ns.check_monotone(ex1_curve, schw, grid)
-        assert report.passed
+        report = ns.validate_curve(ex1_curve, schw, n_samples=33)
+        assert report.monotone
         assert report.min_slope == pytest.approx(0.0, abs=1e-12)
-        assert len(report.borderline) == len(grid) - 1
+        assert report.first_violation is None
 
     def test_decreasing_lambda_fails(self, schw):
         # Lambda = -g01/g11, so psi_3 ~ +c*vartheta gives Lambda ~ -c'*vartheta
@@ -227,10 +228,11 @@ class TestMonotonicity:
             ["1.25", "1", "0", "0.001*vartheta"],
             (0.0, 2.0),
         )
-        grid = np.linspace(0.0, 2.0, 21)
+        grid = curve.grid(21)
         lam = [ns.lambda0(curve, schw, v) for v in grid]
         assert lam[1] < lam[0]  # sanity: it really decreases
-        report = ns.check_monotone(curve, schw, grid)
+        report = ns.validate_curve(curve, schw, n_samples=21)
+        assert not report.monotone
         assert not report.passed
         assert report.first_violation is not None
         assert report.first_violation[0] == pytest.approx(0.0)
@@ -241,8 +243,8 @@ class TestMonotonicity:
             ["1.25", "1", "0", "-0.001*vartheta"],
             (0.0, 2.0),
         )
-        report = ns.check_monotone(curve, schw, np.linspace(0.0, 2.0, 21))
-        assert report.passed
+        report = ns.validate_curve(curve, schw, n_samples=21)
+        assert report.monotone
         assert report.min_slope > 0
 
 
@@ -278,11 +280,12 @@ class TestConserved:
                 [rng.normal(), rng.uniform(2.5, 30), rng.uniform(0.2, 2.9), rng.normal()]
             )
             psi = rng.normal(size=4)
-            curve = ns.curve_from_callables(
+            curve = ns.InitialCurve(
                 phi=lambda v, p=phi: p,
                 psi=lambda v, p=psi: p,
                 phi_prime=lambda v: np.zeros(4),
-                theta_range=(0.0, 1.0),
+                theta_min=0.0,
+                theta_max=1.0,
             )
             assert ns.conserved_from_data(curve, m1_params, 0.5).K >= 0.0
 
@@ -322,6 +325,47 @@ class TestValidateCurve:
         assert not report.passed
         assert not report.lightlike
         assert report.max_abs_delta == pytest.approx(80.0, rel=1e-12)
+
+    def test_one_curve_evaluation_per_sample(self, schw):
+        # light-likeness and Lambda' come from the same pass over the grid
+        calls = Counter()
+
+        def counted(name):
+            fn = getattr(EXPRESSION_CURVE, name)
+
+            def wrapper(v):
+                calls[name] += 1
+                return fn(v)
+
+            return wrapper
+
+        names = ("phi", "psi", "phi_prime")
+        curve = dataclasses.replace(EXPRESSION_CURVE, **{k: counted(k) for k in names})
+        report = ns.validate_curve(curve, schw, n_samples=25)
+        assert calls == {k: 25 for k in names}
+        assert report == ns.validate_curve(EXPRESSION_CURVE, schw, n_samples=25)
+
+    def test_nan_fails_every_verdict(self):
+        nan = float("nan")
+        no_delta = ns.initial_data.ValidationReport(nan, 0.0, 0.0, None)
+        no_slope = ns.initial_data.ValidationReport(0.0, 0.0, nan, None)
+        assert (no_delta.lightlike, no_delta.monotone, no_delta.passed) == (False, True, False)
+        assert (no_slope.lightlike, no_slope.monotone, no_slope.passed) == (True, False, False)
+
+    def test_non_finite_lambda_is_named(self, schw):
+        # psi_beta = 1e308 overflows g01 = r^2 psi_beta phi'_beta, so Lambda = -inf
+        curve = ns.curve_from_expressions(
+            ["0", "10", "pi/2", "vartheta"], ["1.25", "1", "0", "1e308"], (0.0, 2.0)
+        )
+        message = "Lambda undefined at vartheta = 0.0: -g01/g11 = -inf is not finite"
+        for call in (
+            lambda: ns.lambda0(curve, schw, curve.grid(9)),
+            lambda: ns.validate_curve(curve, schw, n_samples=9),
+            lambda: ns.map_from_initial_data(curve, schw),
+        ):
+            with pytest.raises(DegenerateDataError) as err:
+                call()
+            assert str(err.value) == message
 
 
 def _sampled_curve():

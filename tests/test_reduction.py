@@ -45,11 +45,12 @@ class TestCubicCoefficients:
             psi = np.array([rng.normal(), rng.normal(), rng.normal() + 0.5, 0.0])
             if abs(psi[2]) < 1e-3:
                 continue
-            curve = ns.curve_from_callables(
+            curve = ns.InitialCurve(
                 phi=lambda v, p=phi: p,
                 psi=lambda v, p=psi: p,
                 phi_prime=lambda v: np.zeros(4),
-                theta_range=(0.0, 1.0),
+                theta_min=0.0,
+                theta_max=1.0,
             )
             cs = ns.conserved_from_data(curve, m1_params, 0.5)
             a_coef, b_coef = ns.cubic_coefficients(phi, psi, m1_params)
@@ -194,11 +195,12 @@ class TestRtSquared:
             r0 = rng.uniform(2.5, 20.0)
             phi = np.array([0.0, r0, 1.0, 0.0])
             psi = np.array([rng.normal(), 0.0, rng.normal(), rng.normal()])
-            curve = ns.curve_from_callables(
+            curve = ns.InitialCurve(
                 phi=lambda v, p=phi: p,
                 psi=lambda v, p=psi: p,
                 phi_prime=lambda v: np.zeros(4),
-                theta_range=(0.0, 1.0),
+                theta_min=0.0,
+                theta_max=1.0,
             )
             cs = ns.conserved_from_data(curve, m1_params, 0.5)
             assert abs(ns.rt_squared(r0, cs, m1_params)) < 1e-12 * max(1.0, cs.K)
