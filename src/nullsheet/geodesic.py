@@ -23,6 +23,18 @@ sampling (a whole t-grid per call), the event search and the event state.
 Schwarzschild runs terminate at the horizon (r <= 2m(1 + eps_horizon)) or
 the coordinate axis (|sin alpha| <= eps_axis); both are recorded as events,
 as is step-size underflow.
+
+A run told the t-grid its trajectory will be sampled on (``t_grid``) may
+stop early at the horizon.  The radial first integral
+r_t^2 = (C - K/r^2)(1 - 2m/r) + 2m E^2/r, with its constants from node 0,
+is a cubic in u = 1/r; where its minimum between the node's radius and the
+horizon is positive, r falls monotonically to the horizon within a time
+bound.  An accepted node with r_t < 0 whose bound ends before the next
+grid time (by more than the ``REACH_SLACK`` that sampling allows) ends the
+run with a ``horizon`` event at that certified bound.  The grid samples
+and which grid times the trajectory reaches are then those of the full
+run, which would spend most of its steps on the approach to r = 2m, where
+tau diverges like -2m ln(r - 2m).
 """
 
 from __future__ import annotations
@@ -92,6 +104,12 @@ _P_STORED = _P[_STORED]
 _M0, _M2, _M3, _M4, _M5, _M6 = (_P_STORED * 0.5**_POWERS).sum(axis=1).tolist()
 # full steps per chunk of the buffer that the step loop packs its records into
 _CHUNK_STEPS = 64
+# how far past t_last a trajectory may be sampled, and so how far before a
+# grid time a run must end for the surface to count that time as reached
+REACH_SLACK = 1e-12
+# factor on the certified time to the horizon, for the integration error of
+# the trajectory that a full run would follow
+_CERT_MARGIN = 1.01
 
 
 @dataclass(frozen=True)
@@ -108,6 +126,17 @@ class GeodesicState:
 
 @dataclass(frozen=True)
 class Event:
+    """Why and when a run stopped.
+
+    ``t`` is the time of the crossing, found by bisection, or the node time
+    of a ``t_max`` or ``step_failure``.  A ``horizon`` event of a run that
+    stopped on the radial first integral's certificate (``integrate`` with a
+    ``t_grid``) has as ``t`` the certified upper bound on the time the run
+    reaches r = 2m(1 + eps_horizon); its trajectory ends on the certifying
+    node, so ``t_last`` < ``t``.  No guard is checked past that node, so the
+    full run may instead end at the axis before ``t``.
+    """
+
     kind: str  # horizon | axis | step_failure | t_max
     t: float
 
@@ -169,7 +198,7 @@ class GeodesicTrajectory:
         """Dense-output state at t in [ts[0], t_last]; t is a scalar or an array."""
         ts = self.ts
         t = np.asarray(t, dtype=float)
-        outside = (t < ts[0] - 1e-12) | (t > ts[-1] + 1e-12)
+        outside = (t < ts[0] - REACH_SLACK) | (t > ts[-1] + REACH_SLACK)
         if outside.any():
             raise ValueError(
                 f"t = {float(t[outside][0])!r} outside trajectory range "
@@ -260,13 +289,91 @@ def _first_crossing(fired, t, w, h, q):
     return triggered
 
 
+def _horizon_certificate(spacetime: Spacetime, opts: SolverOptions, state0, t_grid, t_end):
+    """The check that lets a run serving ``t_grid`` stop short of the horizon.
+
+    Returns None unless the spacetime has a mass, else ``certify(t, r, r_t)``
+    for accepted nodes with r_t < 0, visited in order of t: the certified
+    time by which the run reaches r_h = 2m(1 + eps_horizon), or None when
+    that time is not before the next grid time (or t_end) by more than
+    ``REACH_SLACK``.
+
+    In u = 1/r the radial first integral is the cubic
+    P(u) = 2mJ u^3 - J u^2 + 2m(E^2 - C) u + C with the constants of node 0;
+    J = K + L^2 and C + L^2/r0^2 in place of K and C keep it exact for L != 0.
+    If P > 0 on [1/r, 1/r_h], r_t cannot change sign there, so r falls to
+    r_h within (r - r_h) / sqrt(min P).
+    """
+    m = spacetime.meta.get("mass")
+    if t_grid is None or m is None:
+        return None
+    y0, v0 = np.asarray(state0.y, float), np.asarray(state0.v, float)
+    with np.errstate(all="ignore"):  # data out of float range certifies nothing
+        E, L, K, C = (float(x) for x in first_integrals(SchwarzschildParams(m=m), y0, v0))
+    r0 = float(y0[1])
+    J, C = K + L * L, C + L * L / (r0 * r0)
+    if not all(map(math.isfinite, (E, J, C))):
+        return None
+    c3, c2, c1, c0 = 2.0 * m * J, -J, 2.0 * m * (E * E - C), C
+
+    def cubic(u):
+        return ((c3 * u + c2) * u + c1) * u + c0
+
+    r_h = 2.0 * m * (1.0 + opts.eps_horizon)
+    u_h = 1.0 / r_h
+    # P's minimum on [u, u_h] is at an end or at a root of P' inside:
+    # P'(u) = 0 at u = (1 +- sqrt(1 - 12 m^2 (E^2 - C) / J)) / (6m)
+    inner = []
+    disc = 1.0 - 12.0 * m * m * (E * E - C) / J if J > 0.0 else -1.0
+    if disc >= 0.0:
+        for u_c in ((1.0 - math.sqrt(disc)) / (6.0 * m), (1.0 + math.sqrt(disc)) / (6.0 * m)):
+            if 0.0 < u_c < u_h:
+                inner.append((u_c, cubic(u_c)))
+    p_h = cubic(u_h)
+    # the times a node must stay short of: the grid times before t_end, then t_end
+    limits = sorted(g for g in np.asarray(t_grid, float).tolist() if g < t_end)
+    limits.append(t_end)
+    k = 0
+
+    def certify(t, r, r_t):
+        nonlocal k
+        # the first limit at or after t; one equal to t is not served by this
+        # node, whose own sample there would come from the step before it
+        while limits[k] < t:
+            k += 1
+        u = 1.0 / r
+        p = cubic(u)
+        low = p if p < p_h else p_h
+        for u_c, p_c in inner:
+            if u_c > u and p_c < low:
+                low = p_c
+        # less the integral's drift that the node shows
+        drift = r_t * r_t - p
+        low -= drift if drift > 0.0 else -drift
+        if not low > 0.0:
+            return None
+        t_cert = t + _CERT_MARGIN * (r - r_h) / math.sqrt(low)
+        return t_cert if t_cert < limits[k] - REACH_SLACK else None
+
+    return certify
+
+
 def integrate(
     spacetime: Spacetime,
     state0: GeodesicState,
     t_end: float,
     options: SolverOptions | None = None,
+    *,
+    t_grid=None,
 ) -> GeodesicTrajectory:
-    """Integrate one geodesic from state0 forward to t_end or an event."""
+    """Integrate one geodesic from state0 forward to t_end or an event.
+
+    With ``t_grid``, the times the trajectory will be sampled at, a
+    Schwarzschild run stops on the first node that the radial first integral
+    certifies to reach the horizon before the next grid time (see
+    ``Event``); its samples on the grid times it reaches, and which those
+    are, equal the full run's.
+    """
     opts = options or SolverOptions()
     if not t_end > state0.t:
         raise ValueError(f"t_end = {t_end} must exceed t0 = {state0.t}")
@@ -322,6 +429,9 @@ def integrate(
     h = _initial_step(deriv, t, w, f, rel_tol, abs_tol, t_end)
     err_prev = 1.0
     n_steps = 0
+    # without a certificate the gate is r_t < -inf on component 0: never true
+    certify = _horizon_certificate(spacetime, opts, state0, t_grid, t_end)
+    i_rt, rt_gate = (dim + 1, 0.0) if certify else (0, -math.inf)
 
     while t < t_end:
         if n_steps >= opts.max_steps:
@@ -441,6 +551,12 @@ def integrate(
         if t >= t_end:
             events.append(Event(kind="t_max", t=t))
             break
+        # one comparison on a node with r_t >= 0 or without a certificate
+        if w[i_rt] < rt_gate:
+            t_cert = certify(t, w[1], w[i_rt])
+            if t_cert is not None:
+                events.append(Event(kind="horizon", t=t_cert))
+                break
 
     n_nodes = 1 + n_full + (partial_step is not None)
     ts, nodes = np.empty(n_nodes), np.empty((n_nodes, n))

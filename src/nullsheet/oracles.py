@@ -500,7 +500,8 @@ def check_oracle_consistency(
     oracle, spacetime_params: SchwarzschildParams, curve: InitialCurve, n: int = 9
 ) -> None:
     """Raise OracleMismatchError unless the oracle regenerates the given data."""
-    if abs(oracle.m - spacetime_params.m) > 1e-12 * max(1.0, spacetime_params.m):
+    # written as not (... <= tol), so that a nan fails the check
+    if not abs(oracle.m - spacetime_params.m) <= 1e-12 * max(1.0, spacetime_params.m):
         raise OracleMismatchError(
             f"oracle mass {oracle.m} != spacetime mass {spacetime_params.m}"
         )
@@ -512,7 +513,7 @@ def check_oracle_consistency(
     for v in np.linspace(lo, hi, n):
         dphi = np.max(np.abs(curve.phi(v) - ref.phi(v)))
         dpsi = np.max(np.abs(curve.psi(v) - ref.psi(v)))
-        if max(dphi, dpsi) > 1e-9:
+        if not (dphi <= 1e-9 and dpsi <= 1e-9):
             raise OracleMismatchError(
                 f"initial data differ from the oracle's at vartheta = {v}: "
                 f"|dphi| = {dphi:.3e}, |dpsi| = {dpsi:.3e}"

@@ -28,7 +28,7 @@ import numpy as np
 from ._spline import CubicSpline
 from .characteristics import CharacteristicMap
 from .errors import CoverageError
-from .geodesic import GeodesicTrajectory
+from .geodesic import REACH_SLACK, GeodesicTrajectory
 from .initial_data import EPS_DELTA
 from .spacetime import Spacetime, induced_metric
 
@@ -131,7 +131,7 @@ def build_surface(
 
     # each trajectory sampled once over the t-grid nodes it reaches:
     # samples[i, k] = [y, y_t] of characteristic k at t_grid[i]
-    reached = ends >= t_grid[:, None] - 1e-12
+    reached = ends >= t_grid[:, None] - REACH_SLACK
     samples = np.full((nt, n_char, 2 * dim), np.nan)
     for k, traj in enumerate(trajectories):
         state = traj.sample(t_grid[reached[:, k]])

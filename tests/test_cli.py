@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import os
 import pathlib
@@ -11,6 +12,7 @@ import pytest
 import yaml
 
 import nullsheet as ns
+import nullsheet.cli
 from nullsheet.cli import main, run_pipeline
 from nullsheet.config import build_curve, build_spacetime, load_config, parse_config
 
@@ -229,6 +231,32 @@ class TestValidateCommand:
         assert "Traceback" not in err
 
 
+# example-3 plunges from r0 = 3 that fall into the horizon before t_end
+PLUNGE = {
+    "initial_data": {
+        "phi": ["vartheta", "3", "0.15713484026367722*vartheta", "0"],
+        "psi": ["1", "0", "0.15713484026367722", "0"],
+        "theta_range": [1.0, 2.0],
+        "samples": 8,
+        "periodic": False,
+    },
+    "solver": {"t_end": 12.0},
+    "oracle": None,
+}
+# the benchmark's infall-ring at its smoke-test size: 8 characteristics, 5 t-samples
+INFALL_RING = {
+    "initial_data": {
+        "phi": ["0", "2.5", "1.2", "vartheta"],
+        "psi": ["1 + 0.25*sin(vartheta)", "0", "sqrt(1.25)/6.25*abs(1 + 0.25*sin(vartheta))", "0"],
+        "theta_range": [0.0, 2 * math.pi],
+        "samples": 8,
+        "periodic": True,
+    },
+    "output": {"t_samples": 5},
+    "oracle": None,
+}
+
+
 class TestSolveCommand:
     def test_radial_null_run(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -406,23 +434,44 @@ class TestSolveCommand:
         assert len(doc["nodes"]) == 4
 
     def test_near_horizon_truncation(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path,
-            initial_data={
-                "phi": ["vartheta", "3", "0.15713484026367722*vartheta", "0"],
-                "psi": ["1", "0", "0.15713484026367722", "0"],
-                "theta_range": [1.0, 2.0],
-                "samples": 8,
-                "periodic": False,
-            },
-            solver={"t_end": 12.0},
-            oracle=None,
-        )
+        cfg = write_config(tmp_path, **PLUNGE)
         assert main(["solve", "--config", str(cfg)]) == 0
         out = capsys.readouterr().out
         assert "horizon" in out
         rows = ns.import_csv(tmp_path / "surface.csv")
         assert any(r["type"] == "truncated" for r in rows)
+
+
+class TestHorizonStop:
+    """run_pipeline passes its t-grid, so characteristics stop short of the horizon."""
+
+    @pytest.mark.parametrize("overrides", [INFALL_RING, PLUNGE], ids=["infall_ring", "plunge"])
+    def test_mesh_equals_the_full_integration(self, tmp_path, overrides):
+        cfg = load_config(write_config(tmp_path, **overrides))
+        spacetime, curve = build_spacetime(cfg), build_curve(cfg)
+        result = run_pipeline(cfg, spacetime, curve)
+        char_thetas = curve.grid(cfg.initial_data.samples)
+        full = [
+            ns.integrate(
+                spacetime,
+                ns.GeodesicState(y=curve.phi(v), v=curve.psi(v), t=0.0),
+                cfg.solver.t_end,
+                cfg.solver,
+            )
+            for v in char_thetas
+        ]
+        for cut, whole in zip(result.trajectories, full):
+            assert [e.kind for e in cut.events] == [e.kind for e in whole.events] == ["horizon"]
+            assert cut.t_last < whole.t_last < cut.events[0].t
+        wrap = ns.wrap_offset_from_curve(curve) if curve.periodic else None
+        mesh = ns.build_surface(
+            full, char_thetas, result.cmap, result.mesh.t_grid, result.mesh.theta_grid,
+            spacetime, wrap_offset=wrap,
+        )
+        assert mesh.truncated.any() and not mesh.truncated.all()
+        for field in dataclasses.fields(mesh):
+            got, want = getattr(result.mesh, field.name), getattr(mesh, field.name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field.name
 
 
 class TestCompareCommand:
@@ -471,6 +520,42 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: oracle.params.theta_range:")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "name, key",
+        [("radial_null", "r0"), ("photon_sphere", "tau0"), ("boosted_circular", "beta0")],
+    )
+    def test_nan_oracle_param_exit_2(self, tmp_path, capsys, name, key):
+        raw = yaml.safe_load((SHIPPED / f"{name}.yaml").read_text())
+        raw["oracle"]["params"][key] = math.nan
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert main(["compare", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert captured.err.startswith("oracle mismatch: ")
+        assert captured.err.count("\n") == 1
+
+    def test_nan_error_fails_the_verdict(self, tmp_path, capsys, monkeypatch):
+        make_oracle = nullsheet.cli.make_oracle
+
+        def nan_on_first_node(*args):
+            oracle = make_oracle(*args)
+            evaluate, calls = oracle.evaluate, []
+
+            def evaluate_nan(t, vartheta):
+                calls.append(t)
+                x = evaluate(t, vartheta)
+                return np.full_like(x, np.nan) if len(calls) == 1 else x
+
+            oracle.evaluate = evaluate_nan
+            return oracle
+
+        monkeypatch.setattr(nullsheet.cli, "make_oracle", nan_on_first_node)
+        assert main(["compare", "--config", str(write_config(tmp_path))]) == 1
+        out = capsys.readouterr().out
+        assert out.splitlines()[1].split() == ["tau", "nan", "nan"]
+        assert out.endswith("verdict                  : FAIL\n")
 
 
 

@@ -299,6 +299,77 @@ class TestRhsContract:
             ns.integrate(spacetime, state0, 1.0)
 
 
+@st.composite
+def plunges(draw):
+    """(state0, t_end) of runs that may fall into the horizon.
+
+    Example-2 and example-3 data inside their infalling case, and orbits with
+    an azimuthal integral L != 0, which the examples' data do not have.
+    """
+    example = draw(st.sampled_from([2, 3, "L != 0"]))
+    if example == "L != 0":
+        y = [0.0, draw(st.floats(2.3, 5.0)), draw(st.floats(0.4, 2.7)), 0.0]
+        v = [draw(st.floats(0.5, 2.0)), draw(st.floats(-1.0, 0.0)),
+             draw(st.floats(-0.1, 0.1)), draw(st.floats(0.05, 0.2))]
+        return ns.GeodesicState(y=np.array(y), v=np.array(v), t=0.0), 30.0
+    if example == 2:
+        r0, a = draw(st.floats(2.1, 2.95)), draw(st.floats(0.0, 0.3))
+        params = ns.OracleParams(m=1.0, r0=r0, f=f"1 + {a!r}*sin(vartheta)",
+                                 alpha0=draw(st.floats(0.3, 2.8)), sign_alpha=1)
+    else:
+        params = ns.OracleParams(m=1.0, r0=draw(st.floats(2.1, 3.6)), sign_alpha=1,
+                                 theta_range=(1.0, 2.0), periodic=False)
+    curve = ns.make_oracle(example, "auto", params).initial_curve()
+    vartheta = draw(st.floats(1.0, 2.0))
+    state0 = ns.GeodesicState(y=curve.phi(vartheta), v=curve.psi(vartheta), t=0.0)
+    return state0, 30.0
+
+
+class TestHorizonCertificate:
+    """``integrate(..., t_grid=...)`` against the full run it may stop short of."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(start=plunges(), data=st.data())
+    def test_grid_samples_and_reach_equal_the_full_run(self, schw, start, data):
+        state0, t_end = start
+        full = ns.integrate(schw, state0, t_end)
+        # grid times anywhere, and near the full run's end, where a stop is tight
+        t_ev = full.t_last
+        near = st.floats(max(0.0, t_ev - 0.2), min(t_end, t_ev + 0.2))
+        times = data.draw(st.lists(st.one_of(st.floats(0.0, t_end), near),
+                                   min_size=1, max_size=10, unique=True))
+        t_grid = np.sort(times)
+        cut = ns.integrate(schw, state0, t_end, t_grid=t_grid)
+
+        reached = full.t_last >= t_grid - geodesic.REACH_SLACK
+        assert ((cut.t_last >= t_grid - geodesic.REACH_SLACK) == reached).all()
+        got, want = cut.sample(t_grid[reached]), full.sample(t_grid[reached])
+        assert got.y.tobytes() == want.y.tobytes() and got.v.tobytes() == want.v.tobytes()
+
+        n = len(cut.ts)
+        assert cut.ts.tobytes() == full.ts[:n].tobytes()
+        assert cut.nodes.tobytes() == full.nodes[:n].tobytes()
+        if cut.t_last < cut.events[-1].t:  # stopped on the certificate
+            assert [e.kind for e in cut.events] == ["horizon"]
+            assert full.events[-1].kind in ("horizon", "axis")
+            assert cut.events[-1].t >= full.events[-1].t
+        else:
+            assert cut.events == full.events and n == len(full.ts)
+
+    @settings(max_examples=10, deadline=None)
+    @given(times=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=10, unique=True))
+    def test_no_mass_no_certificate(self, times):
+        flat = ns.minkowski_spherical()
+        state0 = ns.GeodesicState(
+            y=np.array([0.0, 3.0, 1.0, 0.5]), v=np.array([1.0, -0.5, 0.3, 0.2]), t=0.0
+        )
+        full = ns.integrate(flat, state0, 10.0)
+        cut = ns.integrate(flat, state0, 10.0, t_grid=np.sort(times))
+        assert cut.events == full.events
+        for name in ("ts", "nodes", "interp_q"):
+            assert getattr(cut, name).tobytes() == getattr(full, name).tobytes()
+
+
 class TestTangentNorm:
     def test_example1_null(self, schw, ex1_trajectory):
         for t in (0.0, 5.0, 17.0):
