@@ -26,6 +26,12 @@ def _residual_tol(theta):
     return 1e-12 * (1.0 + np.abs(theta))  # invert promises |forward - theta| <= this
 
 
+def _first(mask, *arrays) -> list[float]:
+    """Each array's element at the first True of ``mask``, as a float; the arrays broadcast."""
+    *arrays, mask = np.broadcast_arrays(*arrays, mask)
+    return [float(a[mask][0]) for a in arrays]
+
+
 @dataclass(frozen=True)
 class CharacteristicMap:
     """The solved initial field Lambda with its derivative and domain.
@@ -48,23 +54,22 @@ class CharacteristicMap:
         """theta reached at time t by the characteristic from vartheta."""
         return vartheta + self.lambda_fn(vartheta) * t
 
-    def jacobian(self, t: float, vartheta):
-        """d vartheta / d theta = 1 / (1 + Lambda'(vartheta) t), positive."""
+    def jacobian(self, t: float | np.ndarray, vartheta):
+        """d vartheta / d theta = 1 / (1 + Lambda'(vartheta) t), positive; t broadcasts."""
         den = 1.0 + self.lambda_prime_fn(vartheta) * t
         if np.any(den <= 0.0):
-            v, d = np.broadcast_arrays(vartheta, den)
-            v, d = float(v[d <= 0.0][0]), float(d[d <= 0.0][0])
+            t0, v, d = _first(den <= 0.0, t, vartheta, den)
             raise MapBreakdownError(
-                f"characteristic map broke down at t={t!r}, vartheta={v!r}: "
+                f"characteristic map broke down at t={t0!r}, vartheta={v!r}: "
                 f"1 + Lambda' t = {d!r}"
             )
         return 1.0 / den
 
-    def _in_image(self, t: float, theta) -> np.ndarray:
-        """Mask of the theta values covered at time t (all of them if periodic)."""
+    def _in_image(self, t: float | np.ndarray, theta) -> np.ndarray:
+        """Mask of the theta values covered at time t (all of them if periodic); t broadcasts."""
         theta = np.asarray(theta, dtype=float)
         if self.periodic:
-            return np.ones(theta.shape, dtype=bool)
+            return np.ones(np.broadcast(t, theta).shape, dtype=bool)
         lo, hi = self.image_interval(t)
         tol = _residual_tol(theta)
         return (lo - theta <= tol) & (hi - theta >= -tol)
@@ -76,8 +81,9 @@ class CharacteristicMap:
         its own safeguarded Newton in its own monotone bracket; all elements
         step together, one Lambda and one Lambda' call per step.
         """
-        if np.min(t) < 0:
-            raise ValueError(f"t must be non-negative, got {t}")
+        negative = np.asarray(t) < 0
+        if negative.any():
+            raise ValueError(f"t must be non-negative, got {_first(negative, t)[0]!r}")
         theta = np.asarray(theta, dtype=float)
         img_lo, img_hi = self.image_interval(t)
         if self.periodic:
@@ -85,9 +91,9 @@ class CharacteristicMap:
             theta = theta - self.period * np.floor((theta - img_lo) / self.period)
         outside = ~self._in_image(t, theta)
         if outside.any():
+            t0, th, lo, hi = _first(outside, t, theta, img_lo, img_hi)
             raise MapInversionError(
-                f"theta = {float(theta[outside][0])!r} outside the characteristic "
-                f"image [{float(img_lo)!r}, {float(img_hi)!r}] at t = {t!r}"
+                f"theta = {th!r} outside the characteristic image [{lo!r}, {hi!r}] at t = {t0!r}"
             )
 
         # Newton usually reaches machine precision, so converge to a target
@@ -110,8 +116,10 @@ class CharacteristicMap:
             slope = 1.0 + self.lambda_prime_fn(x) * t
             broken = running & (slope <= 0.0)
             if broken.any():
-                v = float(x[broken][0])
-                raise MapBreakdownError(f"non-monotone map detected at t={t!r}, vartheta={v!r}")
+                t0, th, v = _first(broken, t, theta, x)
+                raise MapBreakdownError(
+                    f"non-monotone map detected at t={t0!r}, theta={th!r}, vartheta={v!r}"
+                )
             with np.errstate(divide="ignore", invalid="ignore"):
                 x_new = np.asarray(x - f / slope)  # finished elements may divide by 0
             # Newton left the bracket: bisect
@@ -121,10 +129,8 @@ class CharacteristicMap:
         f = self.forward(x, t) - theta
         stalled = ~(np.abs(f) <= _residual_tol(theta))
         if stalled.any():
-            raise MapInversionError(
-                f"inversion stalled at t={t!r}, theta={float(theta[stalled][0])!r}, "
-                f"residual={float(f[stalled][0])!r}"
-            )
+            t0, th, res = _first(stalled, t, theta, f)
+            raise MapInversionError(f"inversion stalled at t={t0!r}, theta={th!r}, residual={res!r}")
         return x[()]
 
     def lambda_field(self, t: float, theta):

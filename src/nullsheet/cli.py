@@ -37,8 +37,8 @@ from .reduction import profile_from_data
 from .spacetime import SchwarzschildParams, Spacetime
 from .surface import (
     SurfaceMesh,
-    _csv_lines,
     _fmt,
+    _write_table,
     build_surface,
     delta_monitor,
     export_csv,
@@ -126,9 +126,7 @@ def _dump_characteristics(result: PipelineResult, path: str) -> None:
     lam = np.full(mesh.shape, np.nan)
     lam[live] = result.cmap.lambda_fn(mesh.vartheta[live])
     columns = (mesh.t_grid[:, None], mesh.theta_grid, mesh.vartheta, lam, mesh.jacobian)
-    lines = ["t,theta,vartheta,lambda,jacobian", *_csv_lines(columns, mesh.truncated)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_table(path, "t,theta,vartheta,lambda,jacobian", columns, mesh.truncated)
 
 
 @contextmanager

@@ -292,11 +292,11 @@ def _first_crossing(fired, t, w, h, q):
 def _horizon_certificate(spacetime: Spacetime, opts: SolverOptions, state0, t_grid, t_end):
     """The check that lets a run serving ``t_grid`` stop short of the horizon.
 
-    Returns None unless the spacetime has a mass, else ``certify(t, r, r_t)``
-    for accepted nodes with r_t < 0, visited in order of t: the certified
-    time by which the run reaches r_h = 2m(1 + eps_horizon), or None when
-    that time is not before the next grid time (or t_end) by more than
-    ``REACH_SLACK``.
+    Returns ``certify(t, r, r_t)`` for accepted nodes with r_t < 0, visited
+    in order of t: the certified time by which the run reaches
+    r_h = 2m(1 + eps_horizon), or None when that time is not before the next
+    grid time (or t_end) by more than ``REACH_SLACK``.  The spacetime has a
+    mass; ``integrate`` builds the check at its first node with r_t < 0.
 
     In u = 1/r the radial first integral is the cubic
     P(u) = 2mJ u^3 - J u^2 + 2m(E^2 - C) u + C with the constants of node 0;
@@ -304,16 +304,14 @@ def _horizon_certificate(spacetime: Spacetime, opts: SolverOptions, state0, t_gr
     If P > 0 on [1/r, 1/r_h], r_t cannot change sign there, so r falls to
     r_h within (r - r_h) / sqrt(min P).
     """
-    m = spacetime.meta.get("mass")
-    if t_grid is None or m is None:
-        return None
+    m = spacetime.meta["mass"]
     y0, v0 = np.asarray(state0.y, float), np.asarray(state0.v, float)
     with np.errstate(all="ignore"):  # data out of float range certifies nothing
         E, L, K, C = (float(x) for x in first_integrals(SchwarzschildParams(m=m), y0, v0))
     r0 = float(y0[1])
     J, C = K + L * L, C + L * L / (r0 * r0)
     if not all(map(math.isfinite, (E, J, C))):
-        return None
+        return lambda t, r, r_t: None
     c3, c2, c1, c0 = 2.0 * m * J, -J, 2.0 * m * (E * E - C), C
 
     def cubic(u):
@@ -429,9 +427,11 @@ def integrate(
     h = _initial_step(deriv, t, w, f, rel_tol, abs_tol, t_end)
     err_prev = 1.0
     n_steps = 0
-    # without a certificate the gate is r_t < -inf on component 0: never true
-    certify = _horizon_certificate(spacetime, opts, state0, t_grid, t_end)
-    i_rt, rt_gate = (dim + 1, 0.0) if certify else (0, -math.inf)
+    # the certificate is built at the first node with r_t < 0; without a
+    # grid or a mass the gate is r_t < -inf on component 0: never true
+    certify = None
+    can_certify = t_grid is not None and "mass" in spacetime.meta
+    i_rt, rt_gate = (dim + 1, 0.0) if can_certify else (0, -math.inf)
 
     while t < t_end:
         if n_steps >= opts.max_steps:
@@ -553,6 +553,8 @@ def integrate(
             break
         # one comparison on a node with r_t >= 0 or without a certificate
         if w[i_rt] < rt_gate:
+            if certify is None:
+                certify = _horizon_certificate(spacetime, opts, state0, t_grid, t_end)
             t_cert = certify(t, w[1], w[i_rt])
             if t_cert is not None:
                 events.append(Event(kind="horizon", t=t_cert))

@@ -1,11 +1,15 @@
 """Surface assembly from per-characteristic geodesics, with export round trips.
 
-The mesh is assembled one t-slice at a time, as arrays.  Each geodesic
-trajectory is sampled once, over the part of the t-grid it reaches; per
-slice, those samples are splined across characteristics, one ``invert``
-call pulls every covered column theta back to vartheta, and the embedding,
-its tangents and the induced metric of all those nodes follow from array
-calls (one pullback per parameterization):
+Each geodesic trajectory is sampled once, over the part of the t-grid it
+reaches.  A t-slice splines those samples across its longest contiguous run
+of alive characteristics, and slices with the same run share the spline's
+knots.  The mesh is assembled in blocks of such slices, at most
+``_BLOCK_NODES`` nodes each, as flat node arrays with a slice index per
+node: one spline solve over all the block's value columns, one ``invert``
+with t given per node to pull every covered column theta back to vartheta,
+one evaluation of the spline and of its derivative (each node reading its
+own slice's columns), and the embedding, its tangents and the induced
+metric from array calls (one pullback per parameterization):
 
     x(t, theta) = y(t, vartheta),
     x_theta     = y_vartheta * dvartheta/dtheta,
@@ -15,6 +19,10 @@ Nodes whose contributing characteristics ended in an event before t are
 marked truncated; nothing is extrapolated past events.  The mesh stores the
 degeneracy indicator in both parameterizations so the identity
 delta(t, theta) = delta(t, vartheta) * (dvartheta/dtheta)^2 can be audited.
+
+Every exported table (the CSV, the JSON and the characteristic table that
+``solve --dump-characteristics`` writes) is formatted one t-slice at a
+time; a CSV writer writes each slice's lines and drops them before the next.
 """
 
 from __future__ import annotations
@@ -52,6 +60,11 @@ TYPE_TIMELIKE = "timelike"
 TYPE_SPACELIKE = "spacelike"
 TYPE_TRUNCATED = "truncated"
 
+# nodes per block of t-slices that build_surface assembles at once; the
+# block's spline, inverse and pullback arrays scale with it (CHANGES.md
+# gives the peak RSS it was chosen by)
+_BLOCK_NODES = 2048
+
 
 @dataclass
 class SurfaceMesh:
@@ -75,6 +88,26 @@ class SurfaceMesh:
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.t_grid), len(self.theta_grid)
+
+
+def _gather(spline: CubicSpline, z: np.ndarray, slot: np.ndarray, width: int) -> np.ndarray:
+    """Each point's own block of ``spline``'s value columns, (len(z), width).
+
+    The spline's columns are blocks of ``width``; point j reads block
+    slot[j].  The bits are those of ``spline(z)[j]`` in that block.
+    """
+    knots = spline.x
+    if spline.periodic:
+        z = knots[0] + (z - knots[0]) % (knots[-1] - knots[0])
+    i = np.searchsorted(knots[1:-1], z, side="right")
+    # coeffs[j, col, interval] -> c[point, j, column of its block]
+    coeffs = spline.coeffs.reshape(len(spline.coeffs), -1, width, len(knots) - 1)
+    c = coeffs.transpose(1, 3, 0, 2)[slot, i]
+    z = (z - knots.take(i))[:, None]
+    out = c[:, 0]
+    for j in range(1, c.shape[1]):
+        out = out * z + c[:, j]
+    return out
 
 
 def wrap_offset_from_curve(curve) -> np.ndarray:
@@ -137,62 +170,74 @@ def build_surface(
         state = traj.sample(t_grid[reached[:, k]])
         samples[reached[:, k], k] = np.hstack([state.y, state.v])
 
-    for i, t in enumerate(t_grid):
-        alive = reached[i]
-        periodic_now = cmap.periodic and bool(alive.all())
-        # largest contiguous alive block; interpolation is restricted to it
+    # a slice splines its largest contiguous alive run of characteristics
+    # (first, last); slices with the same run share the spline's knots
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, alive in enumerate(reached):
         edges = np.diff(alive, prepend=False, append=False).nonzero()[0]
         starts, stops = edges[::2], edges[1::2]
-        if periodic_now:
-            first, last = 0, n_char
-        elif len(starts) and (stops - starts).max() >= 4:
+        if len(starts) and (stops - starts).max() >= 4:
             k = int(np.argmax(stops - starts))
-            first, last = starts[k], stops[k]
-        else:
-            continue
+            groups.setdefault((int(starts[k]), int(stops[k])), []).append(i)
 
-        # one spline across characteristics carries position y and velocity y_t
-        if periodic_now:
-            yy_t = samples[i] - detrend
-            spline = CubicSpline(spline_thetas, np.vstack([yy_t, yy_t[:1]]), periodic=True)
-        else:
-            spline = CubicSpline(char_thetas[first:last], samples[i, first:last])
+    width = 2 * dim
+    per_block = max(1, _BLOCK_NODES // max(ntheta, 1))
+    for (first, last), slices in groups.items():
+        # the whole ring of a periodic map closes into a periodic spline
+        periodic = cmap.periodic and last - first == n_char
+        for b in range(0, len(slices), per_block):
+            rows = np.array(slices[b : b + per_block])
+            t_rows = t_grid[rows]
 
-        # a column has a vartheta only inside the characteristic image
-        cols = np.flatnonzero(cmap._in_image(t, theta_grid))
-        v = cmap.invert(t, theta_grid[cols])
-        if not periodic_now:
-            inside = (char_thetas[first] - 1e-12 <= v) & (v <= char_thetas[last - 1] + 1e-12)
-            cols, v = cols[inside], v[inside]
-        jac_v = cmap.jacobian(t, v)
-        lam = cmap.lambda_fn(v)
-        y, y_t = np.split(spline(v), 2, axis=1)
-        y_v = spline.derivative()(v)[:, :dim]
-        if periodic_now:
-            y += np.outer(v - theta_min, trend)
-            y_v += trend
+            # one spline over the block's slices: slice s owns the value
+            # columns [s * width, (s + 1) * width), its y then its y_t
+            if periodic:
+                values = samples[rows] - detrend
+                values = np.concatenate([values, values[:, :1]], axis=1)
+                knots = spline_thetas
+            else:
+                values = samples[rows, first:last]
+                knots = char_thetas[first:last]
+            values = values.transpose(1, 0, 2).reshape(len(knots), -1)
+            spline = CubicSpline(knots, values, periodic=periodic)
 
-        xt = y_t - (lam * jac_v)[:, None] * y_v
-        ind = induced_metric(spacetime, y, xt, jac_v[:, None] * y_v)
-        # scale stays positive on null surfaces, where g00 and g01 both
-        # vanish and the naive g01^2 + |g00 g11| collapses to zero
-        scale = (np.abs(ind.g00) + np.abs(ind.g01) + np.abs(ind.g11)) ** 2
-        lightlike = np.abs(ind.delta) <= np.maximum(EPS_DELTA, 1e-6 * scale)
+            # one node per (slice, column) inside the characteristic image
+            slot, cols = np.nonzero(cmap._in_image(t_rows[:, None], theta_grid))
+            t_nodes = t_rows[slot]
+            v = cmap.invert(t_nodes, theta_grid[cols])
+            if not periodic:
+                inside = (knots[0] - 1e-12 <= v) & (v <= knots[-1] + 1e-12)
+                slot, cols, t_nodes, v = slot[inside], cols[inside], t_nodes[inside], v[inside]
+            jac_v = cmap.jacobian(t_nodes, v)
+            lam = cmap.lambda_fn(v)
+            y, y_t = np.split(_gather(spline, v, slot, width), 2, axis=1)
+            y_v = _gather(spline.derivative(), v, slot, width)[:, :dim]
+            if periodic:
+                y += np.outer(v - theta_min, trend)
+                y_v += trend
 
-        x[i, cols] = y
-        x_t[i, cols] = xt
-        vartheta_grid[i, cols] = v
-        jac[i, cols] = jac_v
-        g00[i, cols] = ind.g00
-        g01[i, cols] = ind.g01
-        g11[i, cols] = ind.g11
-        delta[i, cols] = ind.delta
-        delta_char[i, cols] = induced_metric(spacetime, y, y_t, y_v).delta
-        labels[i, cols] = np.where(
-            lightlike, TYPE_LIGHTLIKE,
-            np.where(ind.delta > 0, TYPE_TIMELIKE, TYPE_SPACELIKE),
-        )
-        truncated[i, cols] = False
+            xt = y_t - (lam * jac_v)[:, None] * y_v
+            ind = induced_metric(spacetime, y, xt, jac_v[:, None] * y_v)
+            # scale stays positive on null surfaces, where g00 and g01 both
+            # vanish and the naive g01^2 + |g00 g11| collapses to zero
+            scale = (np.abs(ind.g00) + np.abs(ind.g01) + np.abs(ind.g11)) ** 2
+            lightlike = np.abs(ind.delta) <= np.maximum(EPS_DELTA, 1e-6 * scale)
+
+            node = rows[slot], cols
+            x[node] = y
+            x_t[node] = xt
+            vartheta_grid[node] = v
+            jac[node] = jac_v
+            g00[node] = ind.g00
+            g01[node] = ind.g01
+            g11[node] = ind.g11
+            delta[node] = ind.delta
+            delta_char[node] = induced_metric(spacetime, y, y_t, y_v).delta
+            labels[node] = np.where(
+                lightlike, TYPE_LIGHTLIKE,
+                np.where(ind.delta > 0, TYPE_TIMELIKE, TYPE_SPACELIKE),
+            )
+            truncated[node] = False
 
     return SurfaceMesh(
         t_grid=t_grid,
@@ -265,39 +310,51 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _csv_lines(columns, truncated: np.ndarray, labels=None) -> list[str]:
-    """CSV data lines of a grid, one per node in C order.
+def _table_slices(columns, truncated: np.ndarray, labels=None):
+    """The CSV data lines of a grid as one string per t-slice, t-major then theta.
 
-    Each column broadcasts to the shape of ``truncated``; the first two are
-    t and theta.  A full line prints every column at 17 significant digits,
-    then the label if there is a label column; a truncated line keeps t,
-    theta and the label and leaves the other cells empty.
+    ``columns`` starts with the t column (nt, 1) and the theta row (ntheta,),
+    which are formatted once each; the other columns broadcast to the shape
+    of ``truncated``.  A full line prints every column at 17 significant
+    digits, then the label if there is a label column; a truncated line keeps
+    t, theta and the label and leaves the other cells empty.  A slice's lines
+    are one template, filled by one ``%`` with that slice's values, which
+    become Python floats only while the slice is made.
     """
-    n = len(columns)
-    tail = "" if labels is None else ",%s"
-    full = ",".join(["%.17g"] * n) + tail
-    cut = "%.17g,%.17g" + "," * (n - 2) + tail
-    if labels is not None:
-        columns = (*columns, labels)
-    cells = [np.broadcast_to(c, truncated.shape).ravel().tolist() for c in columns]
-    return [
-        cut % (row[:2] + row[n:]) if skip else full % row
-        for row, skip in zip(zip(*cells), truncated.ravel().tolist())
-    ]
+    t_col, theta_row = columns[:2]
+    data = [np.broadcast_to(c, truncated.shape) for c in columns[2:]]
+    thetas = [_fmt(v) for v in theta_row.tolist()]
+    full, cut = ",%.17g" * len(data), "," * len(data)
+    for i, skips in enumerate(truncated):
+        t = _fmt(t_col[i, 0])
+        tails = [""] * len(thetas) if labels is None else ["," + s for s in labels[i].tolist()]
+        template = "".join([
+            f"{t},{theta}{cut if skip else full}{tail}\n"
+            for theta, skip, tail in zip(thetas, skips.tolist(), tails)
+        ])
+        values = np.stack([c[i] for c in data], axis=-1)[~skips]
+        yield template % tuple(values.ravel().tolist())
 
 
-def _mesh_lines(mesh: SurfaceMesh) -> list[str]:
-    """The mesh's CSV data lines, t-major then theta, in CSV_COLUMNS order."""
+def _write_table(path, header: str, columns, truncated: np.ndarray, labels=None) -> None:
+    """``header`` and the grid's CSV lines (``_table_slices``), written slice by slice."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for lines in _table_slices(columns, truncated, labels):
+            fh.write(lines)
+
+
+def _mesh_table(mesh: SurfaceMesh):
+    """The mesh's columns in CSV_COLUMNS order, its truncation mask and its labels."""
     columns = (
         mesh.t_grid[:, None], mesh.theta_grid, mesh.vartheta, *np.moveaxis(mesh.x, -1, 0),
         mesh.g00, mesh.g01, mesh.g11, mesh.delta,
     )
-    return _csv_lines(columns, mesh.truncated, mesh.type_label)
+    return columns, mesh.truncated, mesh.type_label
 
 
 def export_csv(mesh: SurfaceMesh, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join([",".join(CSV_COLUMNS), *_mesh_lines(mesh)]) + "\n")
+    _write_table(path, ",".join(CSV_COLUMNS), *_mesh_table(mesh))
 
 
 def import_csv(path) -> list[dict]:
@@ -326,14 +383,16 @@ def import_csv(path) -> list[dict]:
 def export_json(mesh: SurfaceMesh, path) -> None:
     """The CSV cells as strings, nested per t; an empty cell becomes null."""
     nodes = [
-        {key: cell or None for key, cell in zip(CSV_COLUMNS, line.split(","))}
-        for line in _mesh_lines(mesh)
+        [
+            {key: cell or None for key, cell in zip(CSV_COLUMNS, line.split(","))}
+            for line in lines.splitlines()
+        ]
+        for lines in _table_slices(*_mesh_table(mesh))
     ]
-    ntheta = len(mesh.theta_grid)
     doc = {
         "t_grid": [_fmt(t) for t in mesh.t_grid],
         "theta_grid": [_fmt(v) for v in mesh.theta_grid],
-        "nodes": [nodes[i * ntheta : (i + 1) * ntheta] for i in range(len(mesh.t_grid))],
+        "nodes": nodes,
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")

@@ -119,6 +119,53 @@ class TestJacobian:
             assert cmap.jacobian(rng.uniform(0, 10), rng.uniform(-3, 3)) > 0
 
 
+class TestArrayTimeErrors:
+    """With t given per element, each error names the failing element's t and theta."""
+
+    def test_outside_image(self):
+        cmap = arctan_map()
+        lo, hi = (float(end) for end in cmap.image_interval(2.0))
+        with pytest.raises(MapInversionError) as err:
+            cmap.invert(np.array([1.0, 2.0]), np.array([1.0, 100.0]))
+        assert str(err.value) == (
+            f"theta = 100.0 outside the characteristic image [{lo!r}, {hi!r}] at t = 2.0"
+        )
+
+    def test_stalled(self):
+        # Lambda is nan on (0.5, 1.5), where the second element's Newton step lands
+        cmap = ns.CharacteristicMap(
+            lambda v: np.where((v > 0.5) & (v < 1.5), np.nan, 0.0),
+            lambda v: np.zeros_like(v),
+            -3.0, 3.0,
+        )
+        with pytest.raises(MapInversionError) as err:
+            cmap.invert(np.array([0.5, 2.0]), np.array([-1.0, 1.0]))
+        assert str(err.value) == "inversion stalled at t=2.0, theta=1.0, residual=nan"
+
+    def test_non_monotone(self):
+        # 1 + Lambda'(0) t = 1 - t: monotone at t = 0.5, not at t = 2 where
+        # Newton starts from vartheta = 0
+        cmap = ns.CharacteristicMap(
+            lambda v: -v + 2.0 * v**3, lambda v: -1.0 + 6.0 * v**2, -1.0, 1.0
+        )
+        with pytest.raises(MapBreakdownError) as err:
+            cmap.invert(np.array([0.5, 2.0]), np.array([0.3, 1.5]))
+        assert str(err.value) == "non-monotone map detected at t=2.0, theta=1.5, vartheta=0.0"
+
+    def test_jacobian_breakdown(self):
+        cmap = sine_map(1.0)
+        with pytest.raises(MapBreakdownError) as err:
+            cmap.jacobian(np.array([0.5, 2.0]), np.array([1.0, 2.5]))
+        den = 1.0 + math.cos(2.5) * 2.0
+        assert str(err.value) == (
+            f"characteristic map broke down at t=2.0, vartheta=2.5: 1 + Lambda' t = {den!r}"
+        )
+
+    def test_negative_t(self):
+        with pytest.raises(ValueError, match=r"^t must be non-negative, got -2\.0$"):
+            arctan_map().invert(np.array([0.5, -2.0]), np.array([0.0, 0.0]))
+
+
 class TestLambdaField:
     def test_rarefaction_exact(self):
         cmap = linear_map(1.0)
@@ -207,6 +254,20 @@ class TestInvertProperties:
         one_by_one = np.array([cmap.invert(t, th) for th in thetas])
         assert together.shape == thetas.shape
         assert together.tobytes() == one_by_one.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(ARRAY_MAPS)),
+           points=st.lists(st.tuples(times, unit), min_size=1, max_size=24))
+    def test_array_t_equals_elementwise_scalar(self, name, points):
+        cmap = ARRAY_MAPS[name]
+        ts = np.array([t for t, _ in points])
+        thetas = np.array([image_points(cmap, t, [u])[0] for t, u in points])
+        together = cmap.invert(ts, thetas)
+        one_by_one = np.array([cmap.invert(t, th) for t, th in zip(ts, thetas)])
+        assert together.tobytes() == one_by_one.tobytes()
+        assert cmap.jacobian(ts, together).tobytes() == np.array(
+            [cmap.jacobian(t, v) for t, v in zip(ts, together)]
+        ).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(sorted(ARRAY_MAPS)), t=times,

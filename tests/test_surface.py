@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import nullsheet as ns
+from nullsheet import surface
 from nullsheet.errors import CoverageError
 from nullsheet.surface import (
     CSV_COLUMNS,
@@ -39,6 +41,32 @@ def build_example_mesh(spacetime, curve, n_char, t_grid, theta_grid=None):
     return ns.build_surface(
         trajs, thetas, cmap, t_grid, theta_grid, spacetime, wrap_offset=wrap
     )
+
+
+def two_alive_runs(schw):
+    """Surface inputs whose later slices see two alive runs of characteristics.
+
+    Characteristic 5 stops at t = 0.5 and 0..4 at t = 1, so the slices after
+    t = 1 see the runs 0..4 and 6..15; only the longer one is splined.
+    """
+    curve = ns.curve_from_expressions(
+        ["0", "10", "pi/2 + 0.3*sin(vartheta)", "vartheta"],
+        ["1.25", "1", "0", "0"],
+        (0.0, 2 * math.pi),
+    )
+    cmap = ns.map_from_initial_data(curve, schw)
+    thetas = curve.grid(16)
+    ends = np.where(np.arange(16) < 5, 1.0, 2.0)
+    ends[5] = 0.5
+    trajs = [
+        ns.integrate(
+            schw, ns.GeodesicState(y=curve.phi(v), v=curve.psi(v), t=0.0), end
+        )
+        for v, end in zip(thetas, ends)
+    ]
+    t_grid = np.array([0.0, 0.25, 0.75, 1.5])
+    theta_grid = np.linspace(0.05, 2 * math.pi - 0.05, 40)
+    return trajs, thetas, cmap, t_grid, theta_grid
 
 
 @pytest.fixture(scope="module")
@@ -152,25 +180,7 @@ class TestBuildSurface:
         assert not mesh.truncated[0].any()
 
     def test_two_alive_runs_keep_the_longer(self, schw):
-        # characteristic 5 stops at t = 0.5 and 0..4 at t = 1, so later slices
-        # see two alive runs, 0..4 and 6..15; only the longer one is splined
-        curve = ns.curve_from_expressions(
-            ["0", "10", "pi/2 + 0.3*sin(vartheta)", "vartheta"],
-            ["1.25", "1", "0", "0"],
-            (0.0, 2 * math.pi),
-        )
-        cmap = ns.map_from_initial_data(curve, schw)
-        thetas = curve.grid(16)
-        ends = np.where(np.arange(16) < 5, 1.0, 2.0)
-        ends[5] = 0.5
-        trajs = [
-            ns.integrate(
-                schw, ns.GeodesicState(y=curve.phi(v), v=curve.psi(v), t=0.0), end
-            )
-            for v, end in zip(thetas, ends)
-        ]
-        t_grid = np.array([0.0, 0.25, 0.75, 1.5])
-        theta_grid = np.linspace(0.05, 2 * math.pi - 0.05, 40)
+        trajs, thetas, cmap, t_grid, theta_grid = two_alive_runs(schw)
         mesh = ns.build_surface(trajs, thetas, cmap, t_grid, theta_grid, schw)
         assert not mesh.truncated[:2].any()
         # Lambda = 0, so vartheta = theta: a node is kept iff it lies in the long run
@@ -194,6 +204,61 @@ class TestBuildSurface:
         mask = ~mesh.truncated
         assert (mesh.type_label[mask] == TYPE_TIMELIKE).all()
         assert (mesh.delta[mask] > 0).all()
+
+
+@pytest.fixture(scope="module", params=["periodic_ring", "two_alive_runs", "out_of_image", "horizon"])
+def surface_inputs(request, schw):
+    """(trajectories, char_thetas, cmap, t_grid, theta_grid, wrap_offset) of one mesh."""
+    if request.param == "two_alive_runs":
+        return (*two_alive_runs(schw), None)
+    if request.param == "periodic_ring":
+        curve = request.getfixturevalue("ex1_curve")
+        n, t_grid = 24, np.linspace(0.0, 20.0, 9)
+        theta_grid = np.linspace(0.05, 2 * math.pi + 0.05, 29)
+    elif request.param == "out_of_image":
+        curve = request.getfixturevalue("ex3_circular_curve")
+        n, t_grid, theta_grid = 16, np.linspace(0.0, 5.0, 6), np.linspace(0.5, 8.0, 16)
+    else:
+        # an infalling ring at r = 2.5m: its characteristics reach the horizon
+        # between t = 5.5 and 9.1, so the late slices keep different runs
+        f = "1 + 0.25*sin(vartheta)"
+        curve = ns.curve_from_expressions(
+            ["0", "2.5", "1.2", "vartheta"],
+            [f, "0", f"sqrt(1.25)/6.25*abs({f})", "0"],
+            (0.0, 2 * math.pi),
+            periodic=True,
+        )
+        n, t_grid = 16, np.linspace(0.0, 10.0, 11)
+        theta_grid = np.linspace(0.1, 2 * math.pi + 0.1, 21)
+    cmap, thetas, trajs = solve_characteristics(schw, curve, n, float(t_grid[-1]))
+    wrap = ns.wrap_offset_from_curve(curve) if curve.periodic else None
+    return trajs, thetas, cmap, t_grid, theta_grid, wrap
+
+
+class TestBlockedAssembly:
+    """Slices assembled in blocks give the mesh of slices assembled one by one."""
+
+    @pytest.mark.parametrize("slices_per_block", [None, 2])
+    def test_equals_one_slice_at_a_time(self, surface_inputs, schw, slices_per_block, monkeypatch):
+        trajs, thetas, cmap, t_grid, theta_grid, wrap = surface_inputs
+        if slices_per_block:  # several blocks per group of slices
+            monkeypatch.setattr(surface, "_BLOCK_NODES", slices_per_block * len(theta_grid))
+
+        def build(times):
+            return ns.build_surface(trajs, thetas, cmap, times, theta_grid, schw, wrap_offset=wrap)
+
+        mesh = build(t_grid)
+        assert not mesh.truncated.all()
+        rows = [build(t_grid[i : i + 1]) for i in range(len(t_grid))]
+        for field in ("x", "x_t", "vartheta", "truncated", "type_label"):
+            one_by_one = np.concatenate([getattr(row, field) for row in rows])
+            assert getattr(mesh, field).tobytes() == one_by_one.tobytes(), field
+        for field in ("jacobian", "g00", "g01", "g11", "delta", "delta_char"):
+            one_by_one = np.concatenate([getattr(row, field) for row in rows])
+            np.testing.assert_allclose(getattr(mesh, field), one_by_one, rtol=0.0, atol=1e-13)
+        np.testing.assert_array_equal(
+            mesh.truncation_map, np.min([row.truncation_map for row in rows], axis=0)
+        )
 
 
 class TestDeltaMonitor:
@@ -314,6 +379,34 @@ class TestExport:
                     assert row[key] is None
                 else:
                     assert row[key] == pytest.approx(values[i, j], abs=0.0)
+
+    def test_csv_is_written_slice_by_slice(self, tmp_path):
+        # a 101 x 128 mesh: the export holds one t-slice's lines at a time,
+        # not the whole table (8.5 MiB of peak for a 2.5 MiB file)
+        nt, ntheta = 101, 128
+        rng = np.random.default_rng(0)
+        values = rng.normal(size=(8, nt, ntheta))
+        truncated = rng.random((nt, ntheta)) < 0.1
+        mesh = ns.SurfaceMesh(
+            t_grid=np.linspace(0.0, 20.0, nt),
+            theta_grid=np.linspace(0.0, 2 * math.pi, ntheta, endpoint=False),
+            x=rng.normal(size=(nt, ntheta, 4)),
+            x_t=rng.normal(size=(nt, ntheta, 4)),
+            vartheta=values[0], jacobian=values[1], g00=values[2], g01=values[3],
+            g11=values[4], delta=values[5], delta_char=values[6],
+            type_label=np.where(truncated, TYPE_TRUNCATED, TYPE_LIGHTLIKE),
+            truncated=truncated,
+            truncation_map=np.full(ntheta, np.inf),
+        )
+        path = tmp_path / "mesh.csv"
+        tracemalloc.start()
+        try:
+            ns.export_csv(mesh, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ns.import_csv(path)) == nt * ntheta
+        assert peak < path.stat().st_size / 4
 
     def test_json_truncated_nodes_are_null(self, schw, ex3_circular_curve, tmp_path):
         mesh = build_example_mesh(
