@@ -26,15 +26,15 @@ as is step-size underflow.
 
 A run told the t-grid its trajectory will be sampled on (``t_grid``) may
 stop early at the horizon.  The radial first integral
-r_t^2 = (C - K/r^2)(1 - 2m/r) + 2m E^2/r, with its constants from node 0,
-is a cubic in u = 1/r; where its minimum between the node's radius and the
-horizon is positive, r falls monotonically to the horizon within a time
-bound.  An accepted node with r_t < 0 whose bound ends before the next
-grid time (by more than the ``REACH_SLACK`` that sampling allows) ends the
-run with a ``horizon`` event at that certified bound.  The grid samples
-and which grid times the trajectory reaches are then those of the full
-run, which would spend most of its steps on the approach to r = 2m, where
-tau diverges like -2m ln(r - 2m).
+r_t^2 = (C - J/r^2)(1 - 2m/r) + 2m E^2/r with J = K + L^2, its constants
+from node 0, is a cubic in u = 1/r; where its minimum between the node's
+radius and the horizon is positive, r falls monotonically to the horizon
+within a time bound.  An accepted node with r_t < 0 whose bound ends
+before the next grid time (by more than the ``REACH_SLACK`` that sampling
+allows) ends the run with a ``horizon`` event at that certified bound.
+The grid samples and which grid times the trajectory reaches are then
+those of the full run, which would spend most of its steps on the
+approach to r = 2m, where tau diverges like -2m ln(r - 2m).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NullsheetError
-from .reduction import ConservedSet, first_integrals
+from .reduction import ConservedSet, _cubic_at, first_integrals, radial_cubic
 from .spacetime import SchwarzschildParams, Spacetime
 
 # Dormand-Prince 5(4) tableau (FSAL: the 7th stage is the next first stage).
@@ -298,24 +298,19 @@ def _horizon_certificate(spacetime: Spacetime, opts: SolverOptions, state0, t_gr
     grid time (or t_end) by more than ``REACH_SLACK``.  The spacetime has a
     mass; ``integrate`` builds the check at its first node with r_t < 0.
 
-    In u = 1/r the radial first integral is the cubic
-    P(u) = 2mJ u^3 - J u^2 + 2m(E^2 - C) u + C with the constants of node 0;
-    J = K + L^2 and C + L^2/r0^2 in place of K and C keep it exact for L != 0.
-    If P > 0 on [1/r, 1/r_h], r_t cannot change sign there, so r falls to
-    r_h within (r - r_h) / sqrt(min P).
+    In u = 1/r the radial first integral is the cubic P(u) of
+    ``reduction.radial_cubic`` with the constants of node 0.  If P > 0 on
+    [1/r, 1/r_h], r_t cannot change sign there, so r falls to r_h within
+    (r - r_h) / sqrt(min P).
     """
     m = spacetime.meta["mass"]
     y0, v0 = np.asarray(state0.y, float), np.asarray(state0.v, float)
     with np.errstate(all="ignore"):  # data out of float range certifies nothing
         E, L, K, C = (float(x) for x in first_integrals(SchwarzschildParams(m=m), y0, v0))
-    r0 = float(y0[1])
-    J, C = K + L * L, C + L * L / (r0 * r0)
-    if not all(map(math.isfinite, (E, J, C))):
+    cubic = radial_cubic(m, E, L, K, C)
+    if not all(map(math.isfinite, cubic)):
         return lambda t, r, r_t: None
-    c3, c2, c1, c0 = 2.0 * m * J, -J, 2.0 * m * (E * E - C), C
-
-    def cubic(u):
-        return ((c3 * u + c2) * u + c1) * u + c0
+    J = -cubic[1]
 
     r_h = 2.0 * m * (1.0 + opts.eps_horizon)
     u_h = 1.0 / r_h
@@ -326,8 +321,8 @@ def _horizon_certificate(spacetime: Spacetime, opts: SolverOptions, state0, t_gr
     if disc >= 0.0:
         for u_c in ((1.0 - math.sqrt(disc)) / (6.0 * m), (1.0 + math.sqrt(disc)) / (6.0 * m)):
             if 0.0 < u_c < u_h:
-                inner.append((u_c, cubic(u_c)))
-    p_h = cubic(u_h)
+                inner.append((u_c, _cubic_at(cubic, u_c)))
+    p_h = _cubic_at(cubic, u_h)
     # the times a node must stay short of: the grid times before t_end, then t_end
     limits = sorted(g for g in np.asarray(t_grid, float).tolist() if g < t_end)
     limits.append(t_end)
@@ -340,7 +335,7 @@ def _horizon_certificate(spacetime: Spacetime, opts: SolverOptions, state0, t_gr
         while limits[k] < t:
             k += 1
         u = 1.0 / r
-        p = cubic(u)
+        p = _cubic_at(cubic, u)
         low = p if p < p_h else p_h
         for u_c, p_c in inner:
             if u_c > u and p_c < low:

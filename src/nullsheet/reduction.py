@@ -1,16 +1,20 @@
 """First integrals and closed-form radial machinery for Schwarzschild characteristics.
 
 Every characteristic carries the first integrals E, L, K and the radial
-constant C (``first_integrals``).  With vanishing azimuthal integral L = 0
-the inverse radius u = 1/r obeys
-(du/dalpha)^2 = 2m u^3 - u^2 + 2mA u + B =: g(u), a cubic whose root
-disposition selects the solution branch.  The coefficients reduce to
-A = (E^2 - C)/K and B = C/K; the module also evaluates the radial first
-integral
+constant C (``first_integrals``).  With the total angular momentum
+J = K + L^2 the inverse radius u = 1/r obeys the radial first integral
 
-    r_t^2 = (C - K/r^2)(1 - 2m/r) + (2m/r) E^2
+    r_t^2 = P(u) = 2mJ u^3 - J u^2 + 2m(E^2 - C) u + C
+          = (C - J/r^2)(1 - 2m/r) + (2m/r) E^2,
 
-used as an oracle against direct integration.
+whose coefficients ``radial_cubic`` forms (Chandrasekhar, The Mathematical
+Theory of Black Holes, section 19).  Where J > 0, P = J g(u) with
+A = (E^2 - C)/J and B = C/J, and along the angle chi swept in the orbital
+plane (chi = alpha when L = 0)
+
+    (du/dchi)^2 = 2m u^3 - u^2 + 2mA u + B =: g(u),
+
+a cubic whose root disposition selects the solution branch.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ class ConservedSet:
 
     E is the energy-like integral tau_t (1 - 2m/r), L the azimuthal integral
     beta_t r^2 sin^2(alpha), K the Carter-like integral (non-negative), and
-    C the radial integration constant of the first-order r equation.
+    C the constant term of the radial first integral r_t^2 = P(1/r).
     """
 
     E: float
@@ -51,8 +55,9 @@ class ConservedSet:
 def first_integrals(params: SchwarzschildParams, y, v):
     """E, L, K and C of the states with positions y and velocities v.
 
-    ``y`` and ``v`` are one state's (4,) vectors or rows of them (..., 4);
-    each integral comes back with shape (...).
+    C solves r_t^2 = P(1/r) (``radial_cubic``) at the state, so it is constant
+    along every geodesic.  ``y`` and ``v`` are one state's (4,) vectors or
+    rows of them (..., 4); each integral comes back with shape (...).
     """
     m = params.m
     r, alpha = y[..., 1], y[..., 2]
@@ -63,9 +68,9 @@ def first_integrals(params: SchwarzschildParams, y, v):
     K = np.float_power(r, 4) * (
         np.float_power(v[..., 2], 2) + np.float_power(v[..., 3], 2) * sin_a * sin_a * cos_a * cos_a
     )
-    rm = r - 2.0 * m
+    rm, J = r - 2.0 * m, K + L * L
     C = (
-        np.float_power(v[..., 1], 2) * np.float_power(r, 3) + K * rm - 2.0 * m * E * E * r * r
+        np.float_power(v[..., 1], 2) * np.float_power(r, 3) + J * rm - 2.0 * m * E * E * r * r
     ) / (r * r * rm)
     return E, L, K, C
 
@@ -80,6 +85,22 @@ def conserved_from_data(
         raise DegenerateDataError(f"initial radius {r!r} is inside the horizon 2m = {2*params.m!r}")
     E, L, K, C = first_integrals(params, phi, curve.psi(vartheta))
     return ConservedSet(E=float(E), L=float(L), K=float(K), C=float(C))
+
+
+def radial_cubic(m, E, L, K, C):
+    """Coefficients (c3, c2, c1, c0) of the radial first integral P(u) = r_t^2.
+
+    P(u) = 2mJ u^3 - J u^2 + 2m(E^2 - C) u + C in u = 1/r, with J = K + L^2;
+    E, L, K and C are those of ``first_integrals``.
+    """
+    J = K + L * L
+    return 2.0 * m * J, -J, 2.0 * m * (E * E - C), C
+
+
+def _cubic_at(c, u):
+    """The cubic with coefficients c = (c3, c2, c1, c0) at u, by Horner's rule."""
+    c3, c2, c1, c0 = c
+    return ((c3 * u + c2) * u + c1) * u + c0
 
 
 class CaseLabel(Enum):
@@ -109,8 +130,7 @@ class CubicProfile:
         return (2.0 * self.m, -1.0, 2.0 * self.m * self.A, self.B)
 
     def g(self, u: float) -> float:
-        c3, c2, c1, c0 = self.coeffs
-        return ((c3 * u + c2) * u + c1) * u + c0
+        return _cubic_at(self.coeffs, u)
 
     def modulus_squared(self) -> float | None:
         """k^2 = (u_mid - u_lo)/(u_hi - u_lo) for three-real-root profiles."""
@@ -125,27 +145,23 @@ class CubicProfile:
 def cubic_coefficients(
     phi: np.ndarray, psi: np.ndarray, params: SchwarzschildParams
 ) -> tuple[float, float]:
-    """(A, B) of the radial cubic from initial data at one vartheta.
+    """(A, B) = ((E^2 - C)/J, C/J) of the radial cubic from initial data at one vartheta.
 
-    Requires psi_2 != 0 (otherwise K = 0 with L = 0 and the u-profile is
-    undefined; radial motion is then handled by the full integrator).
+    g = P/J is undefined where J = K + L^2 = 0: for data with psi_2 = 0 and
+    L = 0, whose motion is radial and left to the full integrator.
     """
     m = params.m
     r = phi[1]
     if r <= 2.0 * m:
         raise DegenerateDataError(f"initial radius {float(r)!r} inside horizon 2m = {2*m!r}")
-    if psi[2] == 0.0:
-        raise DegenerateDataError("psi_2 = 0: radial cubic profile undefined")
-    rm = r - 2.0 * m
-    p0, p1, p2 = psi[0], psi[1], psi[2]
+    # numpy scalars: data near the float limits gives inf or nan, not an exception
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        A = -1.0 / (r * r) + (rm * rm * p0 * p0 - r * r * p1 * p1) / (
-            rm * r**5 * p2 * p2
-        )
-        B = 1.0 / (r * r) + (-2.0 * m * rm * rm * p0 * p0 + r**3 * p1 * p1) / (
-            rm * r**6 * p2 * p2
-        )
-    A, B = float(A), float(B)
+        E, L, K, C = first_integrals(params, phi, psi)
+        if psi[2] == 0.0 and L == 0.0:
+            raise DegenerateDataError("psi_2 = 0 and L = 0: radial cubic profile undefined")
+        c3, c2, c1, c0 = radial_cubic(m, E, L, K, C)
+        # g = P/J with J = -c2 and c3 = 2mJ
+        A, B = float(c1 / c3), float(c0 / -c2)
     if not (math.isfinite(A) and math.isfinite(B)):
         raise DegenerateDataError(
             f"radial cubic coefficients out of float range: A = {A!r}, B = {B!r}"
@@ -196,22 +212,21 @@ def solve_cubic(
     (INNER_BRANCH, infall) or decreasing u (OUTER_BRANCH, escape) according
     to the sign of g around it; data not at a root is labeled GENERIC.
     """
-    lead = 2.0 * m
+    c3, c2, c1, c0 = c = (2.0 * m, -1.0, 2.0 * m * A, B)
     try:
-        raw = _cubic_roots_monic(-1.0 / lead, A, B / lead)
+        raw = _cubic_roots_monic(c2 / c3, A, c0 / c3)
     except OverflowError as exc:
         raise DegenerateDataError(f"radial cubic overflows at m = {m!r}") from exc
     roots = []
     for u in raw:
-        # one Newton step per root sharpens accuracy near double roots
+        # up to two Newton steps per root, each kept only if it lowers |g|:
+        # at a double root g' ~ 0, and a step there would throw the root away
         for _ in range(2):
-            c3, c2, c1, c0 = lead, -1.0, 2.0 * m * A, B
-            g = ((c3 * u + c2) * u + c1) * u + c0
-            dg = (3.0 * c3 * u + 2.0 * c2) * u + c1
-            if dg != 0.0 and abs(g) > 0.0:
-                step = g / dg
-                if abs(step) < 1.0:
-                    u -= step
+            g, dg = _cubic_at(c, u), (3.0 * c3 * u + 2.0 * c2) * u + c1
+            step = g / dg if dg != 0.0 else 0.0
+            if not (0.0 < abs(step) < 1.0 and abs(_cubic_at(c, u - step)) < abs(g)):
+                break
+            u -= step
         roots.append(u)
     roots.sort(reverse=True)
 
@@ -223,15 +238,11 @@ def solve_cubic(
         if len(near_u0) >= 2:
             label = CaseLabel.DOUBLE_ROOT
         elif at_root:
-
-            def g(u):
-                return ((2.0 * m * u - 1.0) * u + 2.0 * m * A) * u + B
-
             # simple turning point: motion goes where g > 0
             h = 1e-6 * max(1.0, abs(u0))
-            if g(u0 + h) > 0.0:
+            if _cubic_at(c, u0 + h) > 0.0:
                 label = CaseLabel.INNER_BRANCH
-            elif g(u0 - h) > 0.0:
+            elif _cubic_at(c, u0 - h) > 0.0:
                 label = CaseLabel.OUTER_BRANCH
 
     return CubicProfile(
@@ -266,8 +277,6 @@ def example3_roots(m: float, r0: float) -> tuple[float, float, float]:
 
 
 def rt_squared(r: float, conserved: ConservedSet, params: SchwarzschildParams) -> float:
-    """Radial first integral (C - K/r^2)(1 - 2m/r) + (2m/r) E^2."""
-    m = params.m
-    return (conserved.C - conserved.K / (r * r)) * (1.0 - 2.0 * m / r) + (
-        2.0 * m / r
-    ) * conserved.E**2
+    """Radial first integral r_t^2 = P(1/r) of ``radial_cubic`` at radius r."""
+    c = radial_cubic(params.m, conserved.E, conserved.L, conserved.K, conserved.C)
+    return _cubic_at(c, 1.0 / r)

@@ -578,6 +578,18 @@ class TestClassifyCommand:
         assert main(["classify", "--config", str(cfg), "--rows", "2"]) == 0
         assert "psi_2 = 0" in capsys.readouterr().out
 
+    def test_psi2_zero_with_angular_momentum_has_rows(self, tmp_path, capsys):
+        # psi_2 = 0 off the axis with psi_3 != 0: J = L^2/sin^2(alpha) > 0
+        cfg = write_config(
+            tmp_path,
+            initial_data={"phi": ["0", "8", "1.0", "vartheta"], "psi": ["1.3", "-0.2", "0", "0.03"]},
+            oracle=None,
+        )
+        assert main(["classify", "--config", str(cfg), "--rows", "2"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 2
+        assert not any("undefined" in row for row in rows)
+
     def test_tiny_mass_rows_undefined(self, tmp_path, capsys):
         # 2m = 2e-300 overflows the monic cubic's coefficients
         raw = yaml.safe_load((SHIPPED / "photon_sphere.yaml").read_text())

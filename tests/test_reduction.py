@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import nullsheet as ns
 from nullsheet.errors import DegenerateDataError
-from nullsheet.reduction import CaseLabel
+from nullsheet.reduction import CaseLabel, first_integrals
 
 
 class TestCubicCoefficients:
@@ -136,6 +136,15 @@ class TestSolveCubic:
         for u in np.linspace(0.4 + 1e-9, 0.499, 50):
             assert profile.g(u) >= 0.0
 
+    def test_double_root_survives_rounding_of_a(self):
+        # the photon sphere's A = 0 computed from data lands within ~1e-16 of
+        # zero; the Newton polish must not push either root of the pair away
+        b_coef = 0.037037037037037014
+        for a_coef in np.linspace(-1e-16, 1e-16, 41):
+            profile = ns.solve_cubic(1.0, float(a_coef), b_coef, u0=1.0 / 3.0)
+            assert profile.case_label is CaseLabel.DOUBLE_ROOT, a_coef
+            assert profile.roots[:2] == pytest.approx([1.0 / 3.0] * 2, abs=1e-7), a_coef
+
     def test_modulus_matches_both_examples(self):
         # k^2 = (mid - lo)/(hi - lo) reproduces both quoted forms
         m, r0 = 1.0, 10.0
@@ -226,3 +235,53 @@ class TestProfileFromData:
             assert du_dalpha**2 == pytest.approx(
                 profile.g(1.0 / r), rel=1e-7, abs=1e-12
             )
+
+
+def assert_radial_integral_along(schw, m1_params, y, v, t_end, tol):
+    """rt_squared and J g(1/r) from cubic_coefficients give r_t^2 at every node."""
+    traj = ns.integrate(schw, ns.GeodesicState(y=y, v=v, t=0.0), t_end)
+    E, L, K, C = first_integrals(m1_params, traj.nodes[:, :4], traj.nodes[:, 4:])
+    cs = ns.ConservedSet(E=float(E[0]), L=float(L[0]), K=float(K[0]), C=float(C[0]))
+    r, rt2 = traj.nodes[:, 1], traj.nodes[:, 5] ** 2
+    profile = ns.solve_cubic(1.0, *ns.cubic_coefficients(y, v, m1_params))
+    J = cs.K + cs.L**2
+    assert np.abs(C - cs.C).max() <= tol  # the radial constant holds for L != 0
+    assert np.abs(ns.rt_squared(r, cs, m1_params) - rt2).max() <= tol
+    assert np.abs(J * profile.g(1.0 / r) - rt2).max() <= tol
+    return traj
+
+
+class TestRadialIntegralWithAngularMomentum:
+    """The radial cubic with J = K + L^2 holds for L != 0, not only for L = 0."""
+
+    def test_regression_orbit(self, schw, m1_params):
+        y = np.array([0.0, 8.0, 1.0, 0.0])
+        v = np.array([1.3, -0.2, 0.02, 0.03])
+        traj = assert_radial_integral_along(schw, m1_params, y, v, 10.0, 1e-10)
+        assert traj.events[0].kind == "t_max"
+        assert ns.cubic_coefficients(y, v, m1_params) == pytest.approx(
+            (0.2701525990031016, -0.046404626413679394), rel=1e-12
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        r0=st.floats(4.0, 20.0),
+        alpha0=st.floats(0.4, math.pi - 0.4),
+        r_t=st.floats(-0.3, 0.3),
+        alpha_t=st.floats(-0.05, 0.05),
+        beta_t=st.floats(0.005, 0.05),
+    )
+    def test_random_orbits(self, schw, m1_params, r0, alpha0, r_t, alpha_t, beta_t):
+        y = np.array([0.0, r0, alpha0, 0.0])
+        v = np.array([1.2, r_t, alpha_t / r0, beta_t / r0])
+        assert_radial_integral_along(schw, m1_params, y, v, 5.0, 1e-9)
+
+    def test_psi2_zero_with_l_has_a_cubic(self, m1_params):
+        # psi_2 = 0 off the axis: J = L^2/sin^2(alpha) > 0 defines the cubic
+        y = np.array([0.0, 8.0, 1.0, 0.0])
+        v = np.array([1.3, -0.2, 0.0, 0.03])
+        E, L, K, C = first_integrals(m1_params, y, v)
+        a_coef, b_coef = ns.cubic_coefficients(y, v, m1_params)
+        J = L * L / math.sin(1.0) ** 2
+        assert a_coef == pytest.approx((E * E - C) / J, rel=1e-12)
+        assert b_coef == pytest.approx(C / J, rel=1e-12)

@@ -7,6 +7,7 @@ import pytest
 import nullsheet as ns
 from nullsheet import surface
 from nullsheet.errors import CoverageError
+from nullsheet.geodesic import REACH_SLACK
 from nullsheet.surface import (
     CSV_COLUMNS,
     TYPE_LIGHTLIKE,
@@ -165,19 +166,45 @@ class TestBuildSurface:
         assert (mesh.type_label[mesh.truncated] == TYPE_TRUNCATED).all()
 
     def test_truncation_by_horizon_event(self, schw):
-        oracle = ns.make_oracle(
-            3, "auto",
-            ns.OracleParams(m=1.0, r0=3.0, sign_alpha=1,
-                            theta_range=(1.0, 2.0), periodic=False),
+        # example 2 at r0 = 2.5m with Lambda = 0: the image is the whole window
+        # at every t, and the characteristics fall in between t = 5.7 and 8.8
+        f = "1 + 0.25*sin(vartheta)"
+        curve = ns.curve_from_expressions(
+            ["0", "2.5", "1.2", "vartheta"],
+            [f, "0", f"sqrt(1.25)/6.25*abs({f})", "0"],
+            (-1.0, 1.0),
+            periodic=False,
         )
-        curve = oracle.initial_curve()
-        # horizon hit near t ~ 10.3; ask for the surface past it
-        mesh = build_example_mesh(
-            schw, curve, 12, np.linspace(0.0, 12.0, 7),
-            np.linspace(1.0, 1.2, 5),
-        )
-        assert mesh.truncated[-1].all()
+        cmap = ns.map_from_initial_data(curve, schw)
+        thetas = curve.grid(12)
+        t_grid = np.linspace(0.0, 10.0, 11)
+        trajs = [  # with the grid, so that the horizon certificate runs
+            ns.integrate(
+                schw, ns.GeodesicState(y=curve.phi(v), v=curve.psi(v), t=0.0), 10.0,
+                t_grid=t_grid,
+            )
+            for v in thetas
+        ]
+        assert all(event.kind == "horizon" for traj in trajs for event in traj.events)
+        assert any(traj.t_last < traj.events[0].t for traj in trajs)  # certified stops
+        theta_grid = np.linspace(-1.0, 1.0, 9)
+        mesh = ns.build_surface(trajs, thetas, cmap, t_grid, theta_grid, schw)
         assert not mesh.truncated[0].any()
+        assert mesh.truncated[-1].all()
+        assert (mesh.truncated.any(axis=1) & ~mesh.truncated.all(axis=1)).any()
+
+        i, j = np.nonzero(mesh.truncated)
+        t, theta = t_grid[i], theta_grid[j]
+        assert cmap._in_image(t, theta).all()
+        # vartheta = theta: a truncated node lies past the event of one of
+        # the two characteristics around it, or its slice has fewer than the
+        # 4 characteristics a spline needs
+        ends = np.array([traj.events[0].t for traj in trajs])
+        k = np.searchsorted(thetas, theta).clip(1, len(thetas) - 1)
+        past_event = np.minimum(ends[k - 1], ends[k]) < t
+        reached = np.array([traj.t_last for traj in trajs]) >= t[:, None] - REACH_SLACK
+        assert (past_event | (reached.sum(axis=1) < 4)).all()
+        assert past_event.any()
 
     def test_two_alive_runs_keep_the_longer(self, schw):
         trajs, thetas, cmap, t_grid, theta_grid = two_alive_runs(schw)
