@@ -4,7 +4,8 @@ The slopes at the knots solve the usual C2 tridiagonal system (de Boor,
 A Practical Guide to Splines, ch. IV) by the Thomas algorithm: its LU
 factors are scalars, and both substitutions run over all value columns at
 once.  The cyclic system of a periodic spline takes a Sherman-Morrison
-correction, whose vector rides along as one more column.  Evaluation follows ``scipy.interpolate.CubicSpline``: a periodic spline
+correction, whose vector rides along as one more column.  The one evaluator,
+``gather``, follows ``scipy.interpolate.CubicSpline``: a periodic spline
 wraps points into its period, a not-a-knot spline extends its end cubics.
 """
 
@@ -103,24 +104,31 @@ class CubicSpline:
             hr = h[:, None]
             t = (s[:-1] + s[1:] - 2.0 * m) / hr
             # coeffs[j, col, i]: the (x - x[i])^(3-j) coefficient on interval i; the
-            # interval axis is last, so evaluation runs along rows of points
+            # interval axis is last, so (col, i) is flat index col * (n - 1) + i
             coeffs = np.stack([t / hr, (m - s[:-1]) / hr - t, s[:-1], yy[:-1]])
         self.coeffs = self._finite(np.ascontiguousarray(coeffs.transpose(0, 2, 1)))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        z = x.ravel()
+        out = self.gather(x.ravel(), np.zeros(x.size, dtype=np.intp), self.coeffs.shape[1])
+        return out.reshape(x.shape + self._shape)
+
+    def gather(self, z, slot, width: int) -> np.ndarray:
+        """(len(z), width): each point z[j] on its own block slot[j] of ``width`` columns."""
         knots = self.x
         if self.periodic:
             z = knots[0] + (z - knots[0]) % (knots[-1] - knots[0])
         # interval of each point; the end intervals extend outwards
         i = np.searchsorted(knots[1:-1], z, side="right")
-        c = self.coeffs.take(i, axis=-1)
-        z = z - knots.take(i)
+        # c[j, point, column of its block] in one flat take of coeffs[j, column, interval]
+        n = len(knots) - 1
+        flat = (slot * (width * n) + i)[:, None] + np.arange(0, width * n, n)
+        c = self.coeffs.reshape(len(self.coeffs), -1).take(flat, axis=1)
+        z = (z - knots.take(i))[:, None]
         out = c[0]
         for cj in c[1:]:
             out = out * z + cj
-        return out.T.reshape(x.shape + self._shape)
+        return out
 
     def derivative(self) -> CubicSpline:
         """The derivative as a piecewise polynomial of one degree less."""

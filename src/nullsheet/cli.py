@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -290,6 +290,19 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _arg_type(convert, accept, expected: str):
+    """argparse type: ``convert(text)`` if ``accept`` takes it, else "expected <expected>"."""
+
+    def parse(text: str):
+        with suppress(ValueError):
+            value = convert(text)
+            if accept(value):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nullsheet",
@@ -319,13 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="print the radial cubic profile per vartheta")
     add_common(p)
-    p.add_argument("--rows", type=int, default=9, help="number of vartheta rows")
+    p.add_argument("--rows", type=_arg_type(int, lambda n: n >= 1, "a positive integer"),
+                   default=9, help="number of vartheta rows")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("oracle", help="emit closed-form oracle samples as CSV")
     add_common(p)
-    p.add_argument("--vartheta", type=float, default=1.0,
-                   help="characteristic label to sample")
+    p.add_argument("--vartheta", type=_arg_type(float, np.isfinite, "a finite number"),
+                   default=1.0, help="characteristic label to sample")
     p.add_argument("--example", type=int, choices=(1, 2, 3),
                    help="override the configured oracle family")
     p.add_argument("--case", choices=("auto", "I", "II", "III"),

@@ -228,9 +228,11 @@ def induced_metric(
     rows of them (..., dim); the components come back with shape (...).
     """
     # each tangent as a (..., 1, dim) row; u @ g @ v^T keeps the summation
-    # order of the plain vector product, row by row
-    xt = np.asarray(xt, dtype=float)[..., None, :]
-    xth = np.asarray(xtheta, dtype=float)[..., None, :]
+    # order of the plain vector product, row by row.  The rows are copied
+    # C-contiguous: numpy's stacked matmul takes another kernel on strided
+    # rows, whose bits differ.
+    xt = np.ascontiguousarray(xt, dtype=float)[..., None, :]
+    xth = np.ascontiguousarray(xtheta, dtype=float)[..., None, :]
     # data out of floating-point range gives inf or nan components, which
     # the callers' checks reject
     with np.errstate(over="ignore", invalid="ignore"):

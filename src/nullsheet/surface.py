@@ -8,8 +8,8 @@ knots.  The mesh is assembled in blocks of such slices, at most
 node: one spline solve over all the block's value columns, one ``invert``
 with t given per node to pull every covered column theta back to vartheta,
 one evaluation of the spline and of its derivative (each node reading its
-own slice's columns), and the embedding, its tangents and the induced
-metric from array calls (one pullback per parameterization):
+own slice's columns through ``CubicSpline.gather``), and the embedding, its
+tangents and the induced metric from array calls (one pullback):
 
     x(t, theta) = y(t, vartheta),
     x_theta     = y_vartheta * dvartheta/dtheta,
@@ -17,8 +17,10 @@ metric from array calls (one pullback per parameterization):
 
 Nodes whose contributing characteristics ended in an event before t are
 marked truncated; nothing is extrapolated past events.  The mesh stores the
-degeneracy indicator in both parameterizations so the identity
-delta(t, theta) = delta(t, vartheta) * (dvartheta/dtheta)^2 can be audited.
+degeneracy indicator delta = g01^2 - g00 g11 in the (t, theta)
+parameterization only; ``tests/test_surface.py``
+(``test_tangents_match_differences_of_positions``) audits the tangents, and
+through them the metric, against central differences of the positions.
 
 Every exported table (the CSV, the JSON and the characteristic table that
 ``solve --dump-characteristics`` writes) is formatted one t-slice at a
@@ -80,7 +82,6 @@ class SurfaceMesh:
     g01: np.ndarray
     g11: np.ndarray
     delta: np.ndarray
-    delta_char: np.ndarray  # delta in the (t, vartheta) parameterization
     type_label: np.ndarray  # (nt, ntheta) unicode
     truncated: np.ndarray   # (nt, ntheta) bool
     truncation_map: np.ndarray  # (ntheta,) earliest truncated t, inf if none
@@ -88,26 +89,6 @@ class SurfaceMesh:
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.t_grid), len(self.theta_grid)
-
-
-def _gather(spline: CubicSpline, z: np.ndarray, slot: np.ndarray, width: int) -> np.ndarray:
-    """Each point's own block of ``spline``'s value columns, (len(z), width).
-
-    The spline's columns are blocks of ``width``; point j reads block
-    slot[j].  The bits are those of ``spline(z)[j]`` in that block.
-    """
-    knots = spline.x
-    if spline.periodic:
-        z = knots[0] + (z - knots[0]) % (knots[-1] - knots[0])
-    i = np.searchsorted(knots[1:-1], z, side="right")
-    # coeffs[j, col, interval] -> c[point, j, column of its block]
-    coeffs = spline.coeffs.reshape(len(spline.coeffs), -1, width, len(knots) - 1)
-    c = coeffs.transpose(1, 3, 0, 2)[slot, i]
-    z = (z - knots.take(i))[:, None]
-    out = c[:, 0]
-    for j in range(1, c.shape[1]):
-        out = out * z + c[:, j]
-    return out
 
 
 def wrap_offset_from_curve(curve) -> np.ndarray:
@@ -148,7 +129,7 @@ def build_surface(
     nt, ntheta = len(t_grid), len(theta_grid)
     dim = spacetime.dim
     x, x_t = np.full((2, nt, ntheta, dim), np.nan)
-    vartheta_grid, jac, g00, g01, g11, delta, delta_char = np.full((7, nt, ntheta), np.nan)
+    vartheta_grid, jac, g00, g01, g11, delta = np.full((6, nt, ntheta), np.nan)
     labels = np.full((nt, ntheta), TYPE_TRUNCATED, dtype="<U10")
     truncated = np.ones((nt, ntheta), dtype=bool)
 
@@ -210,8 +191,8 @@ def build_surface(
                 slot, cols, t_nodes, v = slot[inside], cols[inside], t_nodes[inside], v[inside]
             jac_v = cmap.jacobian(t_nodes, v)
             lam = cmap.lambda_fn(v)
-            y, y_t = np.split(_gather(spline, v, slot, width), 2, axis=1)
-            y_v = _gather(spline.derivative(), v, slot, width)[:, :dim]
+            y, y_t = np.split(spline.gather(v, slot, width), 2, axis=1)
+            y_v = spline.derivative().gather(v, slot, width)[:, :dim]
             if periodic:
                 y += np.outer(v - theta_min, trend)
                 y_v += trend
@@ -232,7 +213,6 @@ def build_surface(
             g01[node] = ind.g01
             g11[node] = ind.g11
             delta[node] = ind.delta
-            delta_char[node] = induced_metric(spacetime, y, y_t, y_v).delta
             labels[node] = np.where(
                 lightlike, TYPE_LIGHTLIKE,
                 np.where(ind.delta > 0, TYPE_TIMELIKE, TYPE_SPACELIKE),
@@ -250,7 +230,6 @@ def build_surface(
         g01=g01,
         g11=g11,
         delta=delta,
-        delta_char=delta_char,
         type_label=labels,
         truncated=truncated,
         truncation_map=np.where(truncated, t_grid[:, None], np.inf).min(axis=0),

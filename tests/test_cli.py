@@ -625,6 +625,19 @@ class TestClassifyCommand:
         assert out.count("undefined (initial radius 1.5 inside horizon 2m = 2.0)") == 2
         assert "psi_2" not in out
 
+    @pytest.mark.parametrize("rows", ["-1", "0", "2.5", "abc"])
+    def test_rows_must_be_a_positive_integer(self, tmp_path, capsys, rows):
+        cfg = write_config(tmp_path, oracle=None)
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--config", str(cfg), "--rows", rows])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = [line for line in captured.err.splitlines() if "error:" in line]
+        assert error == [
+            f"nullsheet classify: error: argument --rows: expected a positive integer, got {rows!r}"
+        ]
+
 
 class TestShippedConfigs:
     CONFIGS = ("radial_null.yaml", "photon_sphere.yaml", "boosted_circular.yaml")
@@ -706,6 +719,21 @@ class TestOracleCommand:
         assert main(["oracle", "--config", str(cfg), "--case", "I"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert float(lines[1].split(",")[2]) == 3.0
+
+    @pytest.mark.parametrize("vartheta", ["nan", "inf", "--vartheta=-inf", "1e400", "abc"])
+    def test_vartheta_must_be_finite(self, tmp_path, capsys, vartheta):
+        cfg = write_config(tmp_path)
+        flag = [vartheta] if vartheta.startswith("--") else ["--vartheta", vartheta]
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--config", str(cfg), *flag])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = [line for line in captured.err.splitlines() if "error:" in line]
+        assert error == [
+            "nullsheet oracle: error: argument --vartheta: expected a finite number, "
+            f"got {vartheta.split('=')[-1]!r}"
+        ]
 
     def test_flags_need_an_oracle_block(self, tmp_path, capsys):
         cfg = write_config(tmp_path, oracle=None)

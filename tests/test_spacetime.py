@@ -216,6 +216,16 @@ class TestInducedMetric:
         )
         assert ind.delta == ind.g01**2 - ind.g00 * ind.g11
 
+    def test_independent_of_memory_layout(self, schw):
+        # the same tangent values in C and Fortran order give the same bits
+        rng = np.random.default_rng(5)
+        x = random_admissible_points(128, rng, r_lo=9.5, r_hi=10.5)
+        u, v = rng.normal(size=(2, 128, 4))
+        c_order = ns.induced_metric(schw, x, u, v)
+        f_order = ns.induced_metric(schw, x, np.asfortranarray(u), np.asfortranarray(v))
+        for name in ("g00", "g01", "g11", "delta"):
+            assert getattr(c_order, name).tobytes() == getattr(f_order, name).tobytes(), name
+
 
 class TestDualRhsRoutes:
     def test_explicit_acceleration_matches_contraction(self, schw):

@@ -92,6 +92,33 @@ def test_four_knots_not_a_knot_is_the_interpolating_cubic(data, seed):
         assert np.abs(ours - ref).max() <= 1e-11 * np.abs(ref).max()
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    periodic=st.booleans(),
+    n=st.integers(4, 60),
+    blocks=st.integers(1, 8),
+    width=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gather_reads_each_points_block_of_a_call(data, periodic, n, blocks, width, seed):
+    rng = np.random.default_rng(seed)
+    x = _knots(data.draw, n, rng)
+    y = rng.normal(size=(n, blocks * width))
+    if periodic:
+        y[-1] = y[0]
+    period = x[-1] - x[0]
+    points = rng.uniform(x[0] - period, x[-1] + period, 50)
+    slot = rng.integers(0, blocks, len(points))
+    spline = CubicSpline(x, y, periodic=periodic)
+    for f in (spline, spline.derivative()):
+        every = f(points)
+        gathered = f.gather(points, slot, width)
+        assert gathered.shape == (len(points), width)
+        for j, s in enumerate(slot):
+            assert gathered[j].tobytes() == every[j, s * width : (s + 1) * width].tobytes()
+
+
 def test_call_shapes():
     x = np.linspace(0.0, 1.0, 6)
     one = CubicSpline(x, np.sin(x))

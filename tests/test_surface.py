@@ -111,31 +111,36 @@ class TestBuildSurface:
         assert (ex1_mesh.type_label[~ex1_mesh.truncated] == TYPE_LIGHTLIKE).all()
         assert (ex3_mesh.type_label[~ex3_mesh.truncated] == TYPE_LIGHTLIKE).all()
 
-    def test_parameterization_consistency(self, ex1_mesh, ex3_mesh):
-        for mesh in (ex1_mesh, ex3_mesh):
-            mask = ~mesh.truncated
-            lhs = mesh.delta[mask]
-            rhs = (mesh.delta_char * mesh.jacobian**2)[mask]
-            assert np.abs(lhs - rhs).max() < 1e-9
-
-    def test_parameterization_consistency_nontrivial_jacobian(self, schw):
+    def test_tangents_match_differences_of_positions(self, schw):
         # graded characteristic speeds: Lambda' > 0, so dvartheta/dtheta != 1
-        # and the two-parameterization identity is exercised non-trivially
+        # and x_t carries the -Lambda J y_vartheta term, which a check of delta
+        # alone cannot see (delta is unchanged when x_t gains a multiple of x_theta)
         curve = ns.curve_from_expressions(
             ["vartheta", "10", "0.04*vartheta + 0.2", "0.3"],
             ["1.2 - 0.05*vartheta", "0", "(1.2 - 0.05*vartheta)*0.04", "0"],
             (0.5, 6.0),
         )
         assert ns.validate_curve(curve, schw, n_samples=17).passed
-        mesh = build_example_mesh(
-            schw, curve, 24, np.linspace(0.0, 2.0, 5), np.linspace(0.6, 3.0, 9)
+        t_grid, theta_grid = np.linspace(0.0, 2.0, 21), np.linspace(0.6, 3.0, 61)
+        mesh = build_example_mesh(schw, curve, 24, t_grid, theta_grid)
+        alive = ~mesh.truncated
+        assert (np.abs(mesh.jacobian[alive] - 1.0) > 1e-3).any()
+
+        # central differences over interior nodes whose two neighbours are alive
+        in_t = alive[1:-1] & alive[:-2] & alive[2:]
+        x_t = (mesh.x[2:] - mesh.x[:-2]) / (2.0 * (t_grid[1] - t_grid[0]))
+        assert in_t.sum() > 500
+        assert np.abs(x_t[in_t] - mesh.x_t[1:-1][in_t]).max() < 1e-4
+
+        in_theta = alive[:, 1:-1] & alive[:, :-2] & alive[:, 2:]
+        x_theta = (mesh.x[:, 2:] - mesh.x[:, :-2]) / (2.0 * (theta_grid[1] - theta_grid[0]))
+        assert in_theta.sum() > 500
+        ind = ns.induced_metric(
+            schw, mesh.x[:, 1:-1][in_theta], mesh.x_t[:, 1:-1][in_theta], x_theta[in_theta]
         )
-        mask = ~mesh.truncated
-        assert mask.any()
-        assert (np.abs(mesh.jacobian[mask] - 1.0) > 1e-3).any()
-        lhs = mesh.delta[mask]
-        rhs = (mesh.delta_char * mesh.jacobian**2)[mask]
-        assert np.abs(lhs - rhs).max() < 1e-9
+        for name, tol in (("g01", 1e-3), ("g11", 1e-3), ("delta", 1e-6)):
+            ours = getattr(mesh, name)[:, 1:-1][in_theta]
+            assert np.abs(getattr(ind, name) - ours).max() < tol, name
 
     def test_coverage_error(self, schw, ex1_curve):
         cmap, thetas, trajs = solve_characteristics(schw, ex1_curve, 24, 1.0)
@@ -280,7 +285,7 @@ class TestBlockedAssembly:
         for field in ("x", "x_t", "vartheta", "truncated", "type_label"):
             one_by_one = np.concatenate([getattr(row, field) for row in rows])
             assert getattr(mesh, field).tobytes() == one_by_one.tobytes(), field
-        for field in ("jacobian", "g00", "g01", "g11", "delta", "delta_char"):
+        for field in ("jacobian", "g00", "g01", "g11", "delta"):
             one_by_one = np.concatenate([getattr(row, field) for row in rows])
             np.testing.assert_allclose(getattr(mesh, field), one_by_one, rtol=0.0, atol=1e-13)
         np.testing.assert_array_equal(
@@ -420,7 +425,7 @@ class TestExport:
             x=rng.normal(size=(nt, ntheta, 4)),
             x_t=rng.normal(size=(nt, ntheta, 4)),
             vartheta=values[0], jacobian=values[1], g00=values[2], g01=values[3],
-            g11=values[4], delta=values[5], delta_char=values[6],
+            g11=values[4], delta=values[5],
             type_label=np.where(truncated, TYPE_TRUNCATED, TYPE_LIGHTLIKE),
             truncated=truncated,
             truncation_map=np.full(ntheta, np.inf),
