@@ -32,8 +32,10 @@ from .geodesic import (
     GeodesicState,
     GeodesicTrajectory,
     SolverOptions,
+    StepStats,
     conserved_along,
     integrate,
+    integrate_batch,
     tangent_norm,
 )
 from .initial_data import (
@@ -92,7 +94,8 @@ __all__ = [
     "ExpressionError", "MapBreakdownError", "MapInversionError",
     "NullsheetError", "OracleMismatchError",
     "DriftReport", "Event", "GeodesicState", "GeodesicTrajectory",
-    "SolverOptions", "conserved_along", "integrate", "tangent_norm",
+    "SolverOptions", "StepStats", "conserved_along", "integrate", "integrate_batch",
+    "tangent_norm",
     "ConservedSet", "InitialCurve", "conserved_from_data", "curve_from_expressions",
     "curve_from_samples", "lambda0", "lightlikeness_residual", "validate_curve",
     "OracleKind", "OracleParams", "check_oracle_consistency", "make_oracle",

@@ -5,7 +5,8 @@ A Practical Guide to Splines, ch. IV) by the Thomas algorithm: its LU
 factors are scalars, and both substitutions run over all value columns at
 once.  The cyclic system of a periodic spline takes a Sherman-Morrison
 correction, whose vector rides along as one more column.  The one evaluator,
-``gather``, follows ``scipy.interpolate.CubicSpline``: a periodic spline
+``gather``, reads every value column or, given a slot per point, one block
+of them; it follows ``scipy.interpolate.CubicSpline``: a periodic spline
 wraps points into its period, a not-a-knot spline extends its end cubics.
 """
 
@@ -110,25 +111,32 @@ class CubicSpline:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        out = self.gather(x.ravel(), np.zeros(x.size, dtype=np.intp), self.coeffs.shape[1])
-        return out.reshape(x.shape + self._shape)
+        return self.gather(x.ravel()).reshape(x.shape + self._shape)
 
-    def gather(self, z, slot, width: int) -> np.ndarray:
-        """(len(z), width): each point z[j] on its own block slot[j] of ``width`` columns."""
+    def gather(self, z, slot=None, width: int | None = None) -> np.ndarray:
+        """(len(z), width): each point z[j] on its own block slot[j] of ``width`` columns.
+
+        Without ``slot``, every point reads all columns.
+        """
         knots = self.x
         if self.periodic:
             z = knots[0] + (z - knots[0]) % (knots[-1] - knots[0])
         # interval of each point; the end intervals extend outwards
         i = np.searchsorted(knots[1:-1], z, side="right")
-        # c[j, point, column of its block] in one flat take of coeffs[j, column, interval]
-        n = len(knots) - 1
-        flat = (slot * (width * n) + i)[:, None] + np.arange(0, width * n, n)
-        c = self.coeffs.reshape(len(self.coeffs), -1).take(flat, axis=1)
-        z = (z - knots.take(i))[:, None]
+        z = z - knots.take(i)
+        if slot is None:
+            # c[j, column, point]: each column's coefficients on the points' intervals
+            c = self.coeffs.take(i, axis=-1)
+        else:
+            # c[j, point, column of its block] in one flat take of coeffs[j, column, interval]
+            n = len(knots) - 1
+            flat = (slot * (width * n) + i)[:, None] + np.arange(0, width * n, n)
+            c = self.coeffs.reshape(len(self.coeffs), -1).take(flat, axis=1)
+            z = z[:, None]
         out = c[0]
         for cj in c[1:]:
             out = out * z + cj
-        return out
+        return out.T if slot is None else out
 
     def derivative(self) -> CubicSpline:
         """The derivative as a piecewise polynomial of one degree less."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -70,9 +70,13 @@ class Spacetime:
     its arithmetic: ``christoffel_from_metric`` derives the connection from
     it by the complex step.
     ``acceleration_at`` is the closed-form geodesic acceleration
-    -Gamma^mu_{nu rho} v^nu v^rho.  The integrator calls it once per stage
-    with y and v as lists of floats and appends the result to v, so it
-    indexes them and returns a list of ``dim`` floats, not an array.
+    -Gamma^mu_{nu rho} v^nu v^rho, row by row.  The integrator calls it once
+    per stage with the positions y and velocities v of all the
+    characteristics it advances, as (N, dim) float arrays, and it returns a
+    new (N, dim) float array.  It does not raise for a row outside its
+    chart: it flags the row by filling it with nan, and the integrator
+    rejects only that row's step.  Each row's result depends on that row
+    alone, with the bits a call on that row by itself gives.
     It must agree with the contraction of ``christoffel_from_metric``,
     against which the tests check it.
     """
@@ -80,7 +84,7 @@ class Spacetime:
     name: str
     dim: int
     metric_at: Callable[[np.ndarray], np.ndarray]
-    acceleration_at: Callable[[Sequence[float], Sequence[float]], list[float]]
+    acceleration_at: Callable[[np.ndarray, np.ndarray], np.ndarray]
     meta: Mapping[str, float] = field(default_factory=dict)
 
 
@@ -92,6 +96,18 @@ def _diagonal(*entries) -> np.ndarray:
     for k, entry in enumerate(entries):
         g[..., k, k] = entry
     return g
+
+
+def _azimuthal(a3, sin_a, cos_a, v2, v3):
+    """beta'' of the spherical charts: a3 = -2/r v1 v3, less 2 cot(alpha) v2 v3.
+
+    The cot(alpha) term is taken only on rows whose beta and alpha motions
+    are both active, where its pole matters; elsewhere it is dropped.
+    """
+    spin = (v2 != 0.0) & (v3 != 0.0)
+    if np.count_nonzero(spin):
+        a3 = np.where(spin, a3 - 2.0 * cos_a / sin_a * v2 * v3, a3)
+    return a3
 
 
 def schwarzschild(params: SchwarzschildParams) -> Spacetime:
@@ -108,26 +124,25 @@ def schwarzschild(params: SchwarzschildParams) -> Spacetime:
         return _diagonal(-f, 1.0 / f, r * r, r * r * np.sin(alpha) ** 2)
 
     def acceleration(y, v):
-        r, alpha = y[1], y[2]
-        if not r >= r_min:
-            raise DomainError(f"schwarzschild: r = {r!r} violates r > 2m")
-        v0, v1, v2, v3 = v
-        sin_a, cos_a = math.sin(alpha), math.cos(alpha)
-        rm = r - 2.0 * m
-        r_rm, neg2_r = r * rm, -2.0 / r
-        a3 = neg2_r * v1 * v3
-        if v2 != 0.0 and v3 != 0.0:
-            # cot(alpha) pole only matters when the beta motion is active
-            a3 -= 2.0 * cos_a / sin_a * v2 * v3
-        return [
-            -2.0 * m / r_rm * v0 * v1,
-            rm * sin_a * sin_a * v3 * v3
-            + rm * v2 * v2
-            + m / r_rm * v1 * v1
-            - m * rm / r**3 * v0 * v0,
-            neg2_r * v1 * v2 + sin_a * cos_a * v3 * v3,
-            a3,
-        ]
+        r, alpha = y[:, 1], y[:, 2]
+        v0, v1, v2, v3 = v.T
+        sin_a, cos_a = np.sin(alpha), np.cos(alpha)
+        # a zero divisor occurs only on rows flagged below, or in the cot
+        # term of rows that drop it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rm = r - 2.0 * m
+            r_rm, neg2_r = r * rm, -2.0 / r
+            a = np.array([
+                -2.0 * m / r_rm * v0 * v1,
+                rm * sin_a * sin_a * v3 * v3
+                + rm * v2 * v2
+                + m / r_rm * v1 * v1
+                - m * rm / np.float_power(r, 3.0) * v0 * v0,
+                neg2_r * v1 * v2 + sin_a * cos_a * v3 * v3,
+                _azimuthal(neg2_r * v1 * v3, sin_a, cos_a, v2, v3),
+            ]).T
+        a[~(r >= r_min)] = np.nan
+        return a
 
     return Spacetime(
         name="schwarzschild",
@@ -146,7 +161,7 @@ def minkowski(dim: int = 4) -> Spacetime:
         name="minkowski",
         dim=dim,
         metric_at=lambda x: eta.copy(),
-        acceleration_at=lambda y, v: [0.0] * dim,
+        acceleration_at=lambda y, v: np.zeros(np.shape(v)),
         meta={},
     )
 
@@ -162,19 +177,19 @@ def minkowski_spherical() -> Spacetime:
         return _diagonal(-1.0, 1.0, r * r, (r * np.sin(alpha)) ** 2)
 
     def acceleration(y, v):
-        r, alpha = y[1], y[2]
-        _, v1, v2, v3 = v
-        sin_a, cos_a = math.sin(alpha), math.cos(alpha)
-        neg2_r = -2.0 / r
-        a3 = neg2_r * v1 * v3
-        if v2 != 0.0 and v3 != 0.0:
-            a3 -= 2.0 * cos_a / sin_a * v2 * v3
-        return [
-            0.0,
-            r * v2 * v2 + r * sin_a * sin_a * v3 * v3,
-            neg2_r * v1 * v2 + sin_a * cos_a * v3 * v3,
-            a3,
-        ]
+        r, alpha = y[:, 1], y[:, 2]
+        _, v1, v2, v3 = v.T
+        sin_a, cos_a = np.sin(alpha), np.cos(alpha)
+        with np.errstate(divide="ignore", invalid="ignore"):  # as in schwarzschild
+            neg2_r = -2.0 / r
+            a = np.array([
+                np.zeros_like(r),
+                r * v2 * v2 + r * sin_a * sin_a * v3 * v3,
+                neg2_r * v1 * v2 + sin_a * cos_a * v3 * v3,
+                _azimuthal(neg2_r * v1 * v3, sin_a, cos_a, v2, v3),
+            ]).T
+        a[~(r > 0.0)] = np.nan
+        return a
 
     return Spacetime(
         name="minkowski_spherical",

@@ -275,7 +275,7 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg), "--force"]) == 0
 
     def test_overflowing_psi_fails_the_integration(self, tmp_path, capsys):
-        # psi_0 = 1e308 overflows the acceleration, so no initial step size exists
+        # psi_0 = 1e308 overflows the acceleration at the start
         cfg = write_config(tmp_path, initial_data={"psi": ["1e308", "1", "0", "0"]})
         assert main(["solve", "--config", str(cfg), "--force"]) == 1
         err = capsys.readouterr().err
@@ -295,6 +295,24 @@ class TestSolveCommand:
                                  v=np.array([1.25, 1.0, 0.0, 0.0]), t=0.0)
         with pytest.raises(ns.NullsheetError, match="^integration failed: acceleration overflows"):
             ns.integrate(ns.schwarzschild(ns.SchwarzschildParams(m=1.0)), state, 10.0)
+
+    def test_flat_infall_stops_at_the_origin(self, tmp_path, capsys):
+        # a radial infall in the flat spherical chart reaches r = 0 at t = 1;
+        # its steps past the origin are rejected, so the run ends in the
+        # integrator with step failures instead of integrating on to r < 0
+        cfg = write_config(
+            tmp_path,
+            spacetime={"type": "minkowski_spherical"},
+            initial_data={"phi": ["0", "1", "pi/2", "vartheta"], "psi": ["1", "-1", "0", "0"]},
+            solver={"t_end": 3.0},
+            oracle=None,
+        )
+        assert main(["solve", "--config", str(cfg), "--force"]) == 1
+        out, err = capsys.readouterr()
+        assert "events                   : {'step_failure': 16}" in out
+        assert err == ""
+        rows = ns.import_csv(tmp_path / "surface.csv")
+        assert all(row["r"] is None or row["r"] > 0.0 for row in rows)
 
     @staticmethod
     def _theta_sampled(name):

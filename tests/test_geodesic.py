@@ -19,27 +19,42 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SQRT3 = math.sqrt(3.0)
 
 
+def rows(*points):
+    """Points as the (N, dim) float rows that ``acceleration_at`` takes."""
+    return np.array(points, dtype=float)
+
+
 class TestRhs:
     def test_flat_zero(self, flat):
-        a = flat.acceleration_at([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, -0.2, 0.1])
-        assert np.abs(a).max() == 0.0
+        a = flat.acceleration_at(rows([0.0, 1.0, 2.0, 3.0]), rows([1.0, 0.5, -0.2, 0.1]))
+        assert a.shape == (1, 4) and np.abs(a).max() == 0.0
 
     def test_photon_sphere_radial_balance(self, schw):
         a = schw.acceleration_at(
-            [0.0, 3.0, math.pi / 2, 0.0], [1.0, 0.0, 1.0 / (3 * SQRT3), 0.0]
+            rows([0.0, 3.0, math.pi / 2, 0.0]), rows([1.0, 0.0, 1.0 / (3 * SQRT3), 0.0])
         )
-        assert abs(a[1]) < 1e-15
+        assert abs(a[0, 1]) < 1e-15
 
     def test_r4_circular_radial_balance(self, schw):
         for sign in (1.0, -1.0):
             a = schw.acceleration_at(
-                [0.0, 4.0, math.pi / 2, 0.0], [1.0, 0.0, sign / 8.0, 0.0]
+                rows([0.0, 4.0, math.pi / 2, 0.0]), rows([1.0, 0.0, sign / 8.0, 0.0])
             )
-            assert abs(a[1]) < 1e-15
+            assert abs(a[0, 1]) < 1e-15
 
     def test_domain_violation(self, schw):
-        with pytest.raises(DomainError):
-            schw.acceleration_at([0.0, 1.5, 1.0, 0.0], [0.0] * 4)
+        # a row outside the chart is flagged with nan, the others are untouched
+        y = rows([0.0, 1.5, 1.0, 0.0], [0.0, 4.0, 1.0, 0.0], [0.0, 2.0, 1.0, 0.0])
+        v = rows([1.0, 0.0, 0.1, 0.2], [1.0, 0.0, 0.1, 0.2], [1.0, 0.0, 0.1, 0.2])
+        a = schw.acceleration_at(y, v)
+        assert np.isnan(a[[0, 2]]).all()
+        assert a[1].tobytes() == schw.acceleration_at(y[1:2], v[1:2])[0].tobytes()
+
+    def test_flat_spherical_domain_violation(self):
+        flat = ns.minkowski_spherical()
+        y = rows([0.0, 0.0, 1.0, 0.0], [0.0, -1.0, 1.0, 0.0], [0.0, 1e-300, 1.0, 0.0])
+        a = flat.acceleration_at(y, rows(*[[1.0, -1.0, 0.0, 0.0]] * 3))
+        assert np.isnan(a[:2]).all() and np.isfinite(a[2]).all()
 
 
 class TestIntegrateAgainstClosedForms:
@@ -188,7 +203,7 @@ class TestFirstIntegralConsistency:
         for t in np.linspace(0.0, 15.0, 61):
             s = traj.sample(t)
             r, r_t = s.y[1], s.v[1]
-            r_tt = schw.acceleration_at(s.y, s.v)[1]
+            r_tt = schw.acceleration_at(s.y[None], s.v[None])[0, 1]
             residual = (
                 r_tt
                 - m / (r * (r - 2 * m)) * r_t**2
@@ -246,9 +261,9 @@ class TestEvents:
         accel = flat.acceleration_at
 
         def bounded(y, v):
-            if y[1] > 3.0:
-                raise DomainError(f"r = {y[1]!r} > 3")
-            return accel(y, v)
+            a = accel(y, v)
+            a[y[:, 1] > 3.0] = np.nan  # rows outside the chart r <= 3
+            return a
 
         spacetime = replace(flat, acceleration_at=bounded)
         state0 = ns.GeodesicState(
@@ -259,6 +274,21 @@ class TestEvents:
         assert traj.events[0].t == traj.t_last
         assert traj.t_last == pytest.approx(2.0, abs=1e-12)
         assert traj.nodes[:, 1].max() <= 3.0
+
+    def test_flat_infall_never_reaches_the_origin(self):
+        # minkowski_spherical's chart is r > 0: a radial infall that would
+        # reach r = 0 at t = 1 has its steps past the origin rejected until h
+        # underflows
+        flat = ns.minkowski_spherical()
+        state0 = ns.GeodesicState(
+            y=np.array([0.0, 1.0, np.pi / 2, 0.0]), v=np.array([1.0, -1.0, 0.0, 0.0]), t=0.0
+        )
+        traj = ns.integrate(flat, state0, 3.0)
+        assert [e.kind for e in traj.events] == ["step_failure"]
+        assert traj.stats.stop == "step_underflow"
+        assert traj.stats.domain_rejected > 0
+        assert (traj.nodes[:, 1] > 0.0).all()
+        assert traj.t_last == pytest.approx(1.0, abs=1e-12)
 
     def test_guard_dip_inside_one_step(self):
         # a flat straight line has one minimum of r; the horizon barrier is put
@@ -290,7 +320,8 @@ class TestRhsContract:
         ids=["ndarray", "short list", "tuple"],
     )
     def test_acceleration_not_a_float_list_raises(self, accel):
-        # v + a with an ndarray a would broadcast into a 4-entry state
+        # acceleration_at returns an (N, dim) float array for N rows; a (dim,)
+        # array would broadcast into the stage sums, a list or tuple is refused
         spacetime = replace(ns.minkowski_spherical(), acceleration_at=accel)
         state0 = ns.GeodesicState(
             y=np.array([0.0, 1.0, 1.0, 0.0]), v=np.array([1.0, 1.0, 0.0, 0.0]), t=0.0
@@ -468,7 +499,7 @@ def _reference_step(spacetime, w, h):
     dim = spacetime.dim
 
     def rhs(x):
-        return np.concatenate([x[dim:], spacetime.acceleration_at(x[:dim], x[dim:])])
+        return np.concatenate([x[dim:], spacetime.acceleration_at(x[None, :dim], x[None, dim:])[0]])
 
     K = np.empty((7, 2 * dim))
     K[0] = rhs(w)
@@ -587,18 +618,35 @@ class TestTracedFields:
             n = len(ts)
             assert nbytes == 8 * (n * (1 + 2 * dim) + (n - 1) * 2 * dim * 4)
 
-    def test_traced_pass(self, tmp_path):
+    def test_traced_pass(self, tmp_path, monkeypatch):
         tracer = _load_perfbench("tracer")
         workloads = _load_perfbench("workloads")
         workload = workloads.make_workload("ring-dense", 0, tmp_path, small=True)
+        # run_pipeline integrates every characteristic in one integrate_batch
+        # call, which the tracer does not wrap; what it read off each
+        # trajectory of an integrate call is read here off that call's
+        batches = []
+        integrate_batch = nullsheet.cli.integrate_batch
+
+        def recorded(*args, **kwargs):
+            batches.append(integrate_batch(*args, **kwargs))
+            return batches[-1]
+
+        monkeypatch.setattr(nullsheet.cli, "integrate_batch", recorded)
         result = workload.run_pass(nullsheet.cli, tracer.Tracer())
         assert result.ok, result.why
-        stats = result.summary
-        chars, steps = stats["geodesic.characteristics"], stats["geodesic.steps"]
-        assert chars == stats["geodesic.events.t_max"] == 8
-        assert steps > 0 and stats["geodesic.h_min"] > 0.0
-        assert stats["geodesic.rhs_evals"] >= 6 * steps
+        assert result.summary["surface.nodes"] == 8 * 5
+        [trajectories] = batches
+        chars = len(trajectories)
+        steps = sum(len(traj.ts) - 1 for traj in trajectories)
+        assert chars == sum(traj.events[0].kind == "t_max" for traj in trajectories) == 8
+        assert steps > 0 and min(np.diff(traj.ts).min() for traj in trajectories) > 0.0
+        assert sum(traj.stats.rhs_rows for traj in trajectories) >= 6 * steps
         # per characteristic: n = steps + 1 nodes of (t, y, v), n - 1 interpolants
-        nbytes = 8 * ((steps + chars) * 9 + steps * 8 * 4)
-        assert stats["geodesic.trajectory_mb"] == pytest.approx(nbytes / 2**20, rel=1e-12)
-        assert stats["surface.nodes"] == 8 * 5
+        nbytes = sum(
+            traj.ts.nbytes
+            + sum(s.y.nbytes + s.v.nbytes for s in traj.states)
+            + sum(q.nbytes for q in traj.interp_q)
+            for traj in trajectories
+        )
+        assert nbytes == 8 * ((steps + chars) * 9 + steps * 8 * 4)

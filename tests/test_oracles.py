@@ -20,7 +20,7 @@ def second_difference(f, t, h=1e-3):
 
 def geodesic_residual(spacetime, evaluate, t, h=1e-3):
     y, y_t, y_tt = second_difference(evaluate, t, h)
-    return np.abs(y_tt - spacetime.acceleration_at(y.tolist(), y_t.tolist())).max()
+    return np.abs(y_tt - spacetime.acceleration_at(y[None], y_t[None])[0]).max()
 
 
 class TestCaseDetection:

@@ -143,7 +143,7 @@ class TestChristoffelFd:
             name="degenerate",
             dim=2,
             metric_at=lambda x: np.array([[1.0, 1.0], [1.0, 1.0]]),
-            acceleration_at=lambda y, v: [0.0, 0.0],
+            acceleration_at=lambda y, v: np.zeros(np.shape(v)),
         )
         with pytest.raises(DomainError):
             ns.christoffel_from_metric(degenerate, [0.0, 0.0])
@@ -159,7 +159,7 @@ class TestChristoffelFd:
             v = rng.normal(size=4)
             r = x[1]
             f = 1.0 - 2.0 * m / r
-            a = schw.acceleration_at(x.tolist(), v.tolist())
+            (a,) = schw.acceleration_at(x[None], v[None])
             expected = np.array(
                 [a[0] + a[1] / f - 2.0 * m * v[1] ** 2 / (r * r * f * f), *a[1:]]
             )
@@ -229,17 +229,21 @@ class TestInducedMetric:
 
 class TestDualRhsRoutes:
     def test_explicit_acceleration_matches_contraction(self, schw):
-        # called as the integrator calls it, with lists of floats, each
-        # spacetime returns a list of dim floats
+        # called as the integrator calls it, on all rows at once, each
+        # spacetime returns one float row per point, with the bits of a call
+        # on that point alone
         for spacetime in (schw, ns.minkowski_spherical(), ns.minkowski()):
             rng = np.random.default_rng(5)
-            for x in random_admissible_points(200, rng):
-                v = rng.normal(size=4)
-                gamma = ns.christoffel_from_metric(spacetime, x)
-                a_generic = -np.einsum("mnr,n,r->m", gamma, v, v)
-                a_explicit = spacetime.acceleration_at(x.tolist(), v.tolist())
-                assert type(a_explicit) is list and len(a_explicit) == spacetime.dim
-                assert all(type(a) is float for a in a_explicit)
-                assert np.abs(a_generic - a_explicit).max() < 1e-13 * max(
+            x = random_admissible_points(200, rng)
+            v = rng.normal(size=(200, 4))
+            a_rows = spacetime.acceleration_at(x, v)
+            assert type(a_rows) is np.ndarray and a_rows.dtype == np.float64
+            assert a_rows.shape == (200, spacetime.dim)
+            for j in range(200):
+                gamma = ns.christoffel_from_metric(spacetime, x[j])
+                a_generic = -np.einsum("mnr,n,r->m", gamma, v[j], v[j])
+                alone = spacetime.acceleration_at(x[j : j + 1], v[j : j + 1])[0]
+                assert a_rows[j].tobytes() == alone.tobytes()
+                assert np.abs(a_generic - a_rows[j]).max() < 1e-13 * max(
                     1.0, np.abs(a_generic).max()
                 )
