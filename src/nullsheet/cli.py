@@ -205,27 +205,20 @@ def cmd_compare(args) -> int:
     result = run_pipeline(cfg, build_spacetime(cfg), curve)
     mesh = result.mesh
 
-    coord_names = ("tau", "r", "alpha", "beta")
-    errors: dict[str, list[float]] = {name: [] for name in coord_names}
-    residuals: list[float] = []
-    skipped = 0
-    for i, j in zip(*np.nonzero(~mesh.truncated)):
-        t, vartheta, x = float(mesh.t_grid[i]), float(mesh.vartheta[i, j]), mesh.x[i, j]
-        try:
-            ref = oracle.evaluate(t, vartheta)
-            residuals.append(oracle.relation_residual(t, x, vartheta))
-        except NullsheetError:
-            skipped += 1
-            continue
-        for name, a, b in zip(coord_names, x, ref):
-            errors[name].append(abs(a - b))
-
-    if not residuals:
+    # the live nodes, less those outside the oracle's range
+    i, j = np.nonzero(~mesh.truncated)
+    t, vartheta, x = mesh.t_grid[i], mesh.vartheta[i, j], mesh.x[i, j]
+    skip = oracle.outside(t, vartheta, x)
+    skipped = int(np.count_nonzero(skip))
+    if skipped == len(t):
         print("no comparable nodes (all truncated or out of oracle range)")
         return 1
+    keep = ~skip
+    t, vartheta, x = t[keep], vartheta[keep], x[keep]
+    ref = oracle.evaluate(t, vartheta)
+    columns = [*np.abs(x - ref).T, oracle.relation_residual(t, x, vartheta)]
     print(f"{'coordinate':<12} {'max error':>13} {'median error':>13}")
-    columns = [np.array(errors[name]) for name in coord_names] + [np.array(residuals)]
-    for name, arr in zip((*coord_names, "relation"), columns):
+    for name, arr in zip(("tau", "r", "alpha", "beta", "relation"), columns):
         print(f"{name:<12} {arr.max():13.4e} {np.median(arr):13.4e}")
     if skipped:
         print(f"skipped nodes            : {skipped}")
@@ -275,14 +268,11 @@ def cmd_oracle(args) -> int:
             ),
         )
     oracle = _oracle_from_config(cfg)
-    vartheta = args.vartheta
     t_grid = np.linspace(0.0, cfg.solver.t_end, cfg.output.t_samples)
+    # the samples end before the first t outside the oracle's range
+    t_grid = t_grid[: np.append(oracle.outside(t_grid, args.vartheta), True).argmax()]
     print("t,tau,r,alpha,beta")
-    for t in t_grid:
-        try:
-            x = oracle.evaluate(float(t), vartheta)
-        except NullsheetError:
-            break
+    for t, x in zip(t_grid, oracle.evaluate(t_grid, args.vartheta)):
         print(",".join(_fmt(v) for v in (t, *x)))
     return 0
 

@@ -16,11 +16,13 @@ acceleration flags it with nan) or is not finite halves its own h.  The
 guards are evaluated on all rows, at the step end and at the midpoint of
 the guarded component's continuous extension; the event search and the
 event node run only on the rows where one fires, and the horizon
-certificate only on the rows with r_t < 0.  Rows that end are dropped, so
-the batch shrinks as characteristics finish.  The stage sums, the error
-norm and the controller are element-wise numpy in the left-to-right order
-of the scalar loop they replaced, with every power taken by
-``np.float_power``, so a row's bits do not depend on the batch it sits in.
+certificate only on the rows with r_t < 0 that would reach the horizon
+before their next grid time at their present speed.  Rows that end are
+dropped, so the batch shrinks as characteristics finish.  The stage sums,
+the error norm and the controller are element-wise numpy in the
+left-to-right order of the scalar loop they replaced, with every power
+taken by ``np.float_power``, so a row's bits do not depend on the batch it
+sits in.
 Each step is taken with h = (t + h) - t, so the stored node times differ by
 exactly the step sizes.
 
@@ -228,10 +230,6 @@ class GeodesicTrajectory:
     def t_last(self) -> float:
         return float(self.ts[-1])
 
-    @property
-    def terminated_early(self) -> bool:
-        return any(e.kind in ("horizon", "axis", "step_failure") for e in self.events)
-
     def sample(self, t) -> GeodesicState:
         """Dense-output state at t in [ts[0], t_last]; t is a scalar or an array."""
         ts = self.ts
@@ -388,15 +386,24 @@ def _horizon_certificates(spacetime: Spacetime, opts: SolverOptions, y0, v0) -> 
     return rows
 
 
-def _certified_times(cert, t, r, r_t, r_h, limits):
+def _can_certify(t, r, r_t, r_h, limit):
+    """Whether ``_certified_times`` may certify falling nodes (r_t < 0, r > r_h).
+
+    Its bound on r_t^2 is at most r_t^2, so it certifies no time earlier than
+    t + (r - r_h) / |r_t|, by a margin of 1%, far above rounding.
+    """
+    return t + (r - r_h) / -r_t < limit - REACH_SLACK
+
+
+def _certified_times(cert, t, r, r_t, r_h, limit):
     """The certified time by which each node reaches r_h, nan where none is certified.
 
     The nodes are accepted ones with r_t < 0, at times t, of rows whose
     ``_horizon_certificates`` data is ``cert``.  A time counts only if it is
-    before the first of ``limits`` (the grid times before t_end, then t_end)
-    at or after t by more than ``REACH_SLACK``: a grid time equal to t is
-    not served by the node, whose own sample there would come from the
-    step before it.
+    before the node's ``limit``, the first of the grid times before t_end,
+    then t_end, at or after t, by more than ``REACH_SLACK``: a grid time
+    equal to t is not served by the node, whose own sample there would come
+    from the step before it.
     """
     c3, c2, c1, c0, p_h, u_1, p_1, u_2, p_2 = cert.T
     u = 1.0 / r
@@ -407,7 +414,6 @@ def _certified_times(cert, t, r, r_t, r_h, limits):
     # less the integral's drift that the node shows
     low = low - np.abs(r_t * r_t - p)
     t_cert = t + _CERT_MARGIN * (r - r_h) / np.sqrt(low)
-    limit = limits[np.searchsorted(limits, t, side="left")]
     return np.where((low > 0.0) & (t_cert < limit - REACH_SLACK), t_cert, np.nan)
 
 
@@ -508,7 +514,7 @@ def integrate_batch(
     log = _RecordLog(1 + 5 * n, 64 * n_rows, n_rows)  # first room: 64 nodes a row
     tail = np.full(4 * n, np.nan)
     ends: list[tuple | None] = [None] * n_rows
-    # the horizon certificate is checked on the nodes with r_t < 0
+    # the horizon certificate is checked on the nodes with r_t < 0 that _can_certify
     certifying = t_grid is not None and "mass" in spacetime.meta
     if certifying:
         cert = _horizon_certificates(spacetime, opts, y0, v0)
@@ -655,8 +661,13 @@ def integrate_batch(
             if certifying:
                 falling = (full & ~reached & (w[:, dim + 1] < 0.0)).nonzero()[0]
                 if len(falling):
+                    t_f, r, r_t = t[falling], w[falling, 1], w[falling, dim + 1]
+                    limit = limits[np.searchsorted(limits, t_f, side="left")]
+                    near = _can_certify(t_f, r, r_t, r_h, limit).nonzero()[0]
+                    falling = falling[near]
+                if len(falling):
                     t_cert = _certified_times(
-                        cert[falling], t[falling], w[falling, 1], w[falling, dim + 1], r_h, limits
+                        cert[falling], t_f[near], r[near], r_t[near], r_h, limit[near]
                     )
                     for k, t_k in zip(falling, t_cert.tolist()):
                         if t_k == t_k:  # not nan: certified

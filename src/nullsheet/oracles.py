@@ -16,6 +16,12 @@ alpha <-> u relation and as solved coordinate functions of (t, vartheta);
 the latter invert t(xi) with Newton so they remain independent of the
 Runge-Kutta integration they are used to check.
 
+Oracles take nodes (t, vartheta) as floats or as arrays of one shape, with
+points x (..., 4): ``evaluate`` returns points, ``relation_residual`` one
+residual per node, a float through the same code as a 0-d array.  Both
+raise DomainError at a node outside the oracle's range, which ``outside``
+marks.
+
 On a branch the roots, and so u(xi) and the modulus k, are the same for
 every characteristic; vartheta enters only through K and E.  With the unit
 integrals, taken from the branch start and signed to grow along it,
@@ -37,6 +43,7 @@ from typing import Callable
 
 import numpy as np
 
+from .characteristics import _first
 from .elliptic import complete_elliptic_k, elliptic_f
 from .errors import DomainError, NullsheetError, OracleMismatchError
 from .expressions import CurveExpression
@@ -63,6 +70,20 @@ def _tanh_sinh_rule() -> tuple[np.ndarray, np.ndarray]:
 
 
 _TS_NODES, _TS_WEIGHTS = _tanh_sinh_rule()
+# nodes per Newton solve of EllipticBranchOracle; its (nodes, 203) quadrature
+# temporaries then stay below the heap peak that the rest of a compare pass
+# of a 32-characteristic ring reaches (at 32 nodes they raised it by 35 KiB)
+_NEWTON_BLOCK = 16
+
+
+def _each(fn, a) -> np.ndarray:
+    """``fn`` of one float at every element of the array ``a``."""
+    return np.array([fn(v) for v in a.ravel().tolist()]).reshape(a.shape)
+
+
+def _points(*coords) -> np.ndarray:
+    """Points (..., 4) from coordinates given per node or shared by all nodes."""
+    return np.stack(np.broadcast_arrays(*coords), axis=-1)
 
 
 class OracleKind(Enum):
@@ -119,22 +140,29 @@ class RadialNullOracle:
     def conserved(self, vartheta: float) -> ConservedSet:
         return ConservedSet(E=self.sign * self.r1, L=0.0, K=0.0, C=self.r1**2)
 
-    def evaluate(self, t: float, vartheta: float) -> np.ndarray:
-        m, r0 = self.m, self.r0
-        r = self.r1 * t + r0
-        if r <= 2.0 * m * (1.0 + _HORIZON_PAD):
-            raise DomainError(f"radial solution reached the horizon at t = {t!r}")
-        tau = self.tau0 + self.sign * (
-            r - r0 + 2.0 * m * math.log((r - 2.0 * m) / (r0 - 2.0 * m))
-        )
-        return np.array([tau, r, self._alpha0(vartheta), vartheta])
+    def outside(self, t, vartheta, x=None) -> np.ndarray:
+        """The nodes where r has reached the horizon."""
+        r = self.r1 * np.broadcast_arrays(t, vartheta)[0] + self.r0
+        return r <= 2.0 * self.m * (1.0 + _HORIZON_PAD)
 
-    def relation_residual(self, t: float, x: np.ndarray, vartheta: float) -> float:
-        """Residual of the implicit tau(r) relation."""
+    def _lhs(self, r):
+        """r - r0 + 2m ln((r - 2m) / (r0 - 2m)), which is sign (tau - tau0) on the surface."""
         m, r0 = self.m, self.r0
-        tau, r = x[0], x[1]
-        lhs = r - r0 + 2.0 * m * math.log((r - 2.0 * m) / (r0 - 2.0 * m))
-        return abs(lhs - self.sign * (tau - self.tau0))
+        return r - r0 + 2.0 * m * _each(math.log, (r - 2.0 * m) / (r0 - 2.0 * m))
+
+    def evaluate(self, t, vartheta) -> np.ndarray:
+        t, vartheta = np.broadcast_arrays(t, vartheta)
+        out = self.outside(t, vartheta)
+        if np.any(out):
+            raise DomainError(f"radial solution reached the horizon at t = {_first(out, t)[0]!r}")
+        r = self.r1 * t + self.r0
+        tau = self.tau0 + self.sign * self._lhs(r)
+        return _points(tau, r, _each(self._alpha0, vartheta), vartheta)
+
+    def relation_residual(self, t, x, vartheta) -> np.ndarray:
+        """Residual of the implicit tau(r) relation."""
+        x = np.asarray(x, dtype=float)
+        return np.abs(self._lhs(x[..., 1]) - self.sign * (x[..., 0] - self.tau0))
 
     def initial_curve(self) -> InitialCurve:
         m, r0, r1 = self.m, self.r0, self.r1
@@ -245,11 +273,24 @@ def _example3_data(params: OracleParams, r0: float) -> _ExampleData:
 
 
 class _CircularOracle:
-    """A circular oracle's residual: the distance to its closed-form point."""
+    """A circular oracle: its data, and its residual, the distance to its closed-form point."""
 
-    def relation_residual(self, t: float, x: np.ndarray, vartheta: float) -> float:
+    def __init__(self, params: OracleParams, radius: float, build_data, name: str):
+        m = params.m
+        if abs(params.r0 / m - radius) > radius * CASE_TOL:
+            raise ValueError(f"{name} solution requires r0 = {radius:g}m")
+        self.params, self.m, self.r0, self.s_alpha = params, m, radius * m, params.sign_alpha
+        self._data = build_data(params, self.r0)
+        self.conserved = self._data.conserved
+        self.initial_curve = self._data.initial_curve
+
+    def outside(self, t, vartheta, x=None) -> np.ndarray:
+        """No node: the circle is defined for every t."""
+        return np.zeros(np.broadcast(t, vartheta).shape, dtype=bool)
+
+    def relation_residual(self, t, x, vartheta) -> np.ndarray:
         ref = self.evaluate(t, vartheta)
-        return float(np.max(np.abs(x - ref)))
+        return np.max(np.abs(x - ref), axis=-1)
 
 
 class PhotonSphereOracle(_CircularOracle):
@@ -258,25 +299,17 @@ class PhotonSphereOracle(_CircularOracle):
     kind = OracleKind.PHOTON_SPHERE
 
     def __init__(self, params: OracleParams):
-        m = params.m
-        if abs(params.r0 / m - 3.0) > 3.0 * CASE_TOL:
-            raise ValueError("photon-sphere solution requires r0 = 3m")
-        self.params = params
-        self.m = m
-        self.r0 = 3.0 * m
-        data = _example2_data(params, self.r0)
-        self.conserved = data.conserved
-        self.initial_curve = data.initial_curve
+        super().__init__(params, 3.0, _example2_data, "photon-sphere")
         self.tau0 = params.tau0
-        self.s_alpha = params.sign_alpha
         self._f = _as_curve_expression(params.f)
-        self.alpha0 = data.alpha_init(0.0)
+        self.alpha0 = self._data.alpha_init(0.0)
 
-    def evaluate(self, t: float, vartheta: float) -> np.ndarray:
-        f = self._f(vartheta)
+    def evaluate(self, t, vartheta) -> np.ndarray:
+        t, vartheta = np.broadcast_arrays(t, vartheta)
+        f = _each(self._f, vartheta)
         tau = f * t + self.tau0
-        alpha = self.alpha0 + self.s_alpha * abs(f) * t / (3.0 * math.sqrt(3.0) * self.m)
-        return np.array([tau, self.r0, alpha, vartheta])
+        alpha = self.alpha0 + self.s_alpha * np.abs(f) * t / (3.0 * math.sqrt(3.0) * self.m)
+        return _points(tau, self.r0, alpha, vartheta)
 
 
 class Example3CircularOracle(_CircularOracle):
@@ -285,21 +318,13 @@ class Example3CircularOracle(_CircularOracle):
     kind = OracleKind.EX3_CIRCULAR
 
     def __init__(self, params: OracleParams):
-        m = params.m
-        if abs(params.r0 / m - 4.0) > 4.0 * CASE_TOL:
-            raise ValueError("circular boosted solution requires r0 = 4m")
-        self.params = params
-        self.m = m
-        self.r0 = 4.0 * m
-        data = _example3_data(params, self.r0)
-        self.conserved = data.conserved
-        self.initial_curve = data.initial_curve
+        super().__init__(params, 4.0, _example3_data, "circular boosted")
         self.beta0 = params.beta0
-        self.s_alpha = params.sign_alpha
 
-    def evaluate(self, t: float, vartheta: float) -> np.ndarray:
+    def evaluate(self, t, vartheta) -> np.ndarray:
+        t, vartheta = np.broadcast_arrays(t, vartheta)
         alpha = self.s_alpha * (t + vartheta) / (8.0 * self.m)
-        return np.array([t + vartheta, self.r0, alpha, self.beta0])
+        return _points(t + vartheta, self.r0, alpha, self.beta0)
 
 
 class EllipticBranchOracle:
@@ -309,8 +334,9 @@ class EllipticBranchOracle:
     largest root) or "cos" for escape (u shrinks from the middle root).
     The alpha <-> u relation is exact; t(xi) and tau(xi) are scaled from
     the unit integrals T(xi) and Tau(xi), which the tanh-sinh rule gives
-    together.  ``evaluate`` inverts T by Newton, starting from the linear
-    guess through T(xi_end); T(xi_end) also bounds the certified range of t.
+    together.  ``evaluate`` inverts T by Newton, for a block of nodes at a
+    time, starting from the linear guess through T(xi_end); T(xi_end) also
+    bounds the certified range of t.
     """
 
     def __init__(
@@ -345,11 +371,11 @@ class EllipticBranchOracle:
             self.xi_start = 0.0
             if self.u_hi >= u_cap:
                 raise ValueError("initial radius too close to the horizon")
-            self.xi_end = self._xi_of_u_sec(u_cap)
+            self.xi_end = float(self.xi_of_u(u_cap))
         elif branch == "cos":
             self.xi_start = math.pi
             u_floor = max(self.u_lo, 0.0) + 1e-3 * (self.u_mid - max(self.u_lo, 0.0))
-            self.xi_end = self._xi_of_u_cos(u_floor)
+            self.xi_end = float(self.xi_of_u(u_floor))
         else:
             raise ValueError(f"unknown branch {branch!r}")
         # t and tau grow while xi runs from xi_start to xi_end
@@ -357,87 +383,108 @@ class EllipticBranchOracle:
         self._T_end = self._integrals(self.xi_end)[0]
 
     # -- substitution and its inverse ------------------------------------
+    # np.square, not ** 2, which is libm pow on a numpy scalar and so could
+    # give a float other bits than the same value in an array
     def u_of_xi(self, xi):
         if self.branch == "sec":
-            sec2 = 1.0 / np.cos(0.5 * xi) ** 2
+            sec2 = 1.0 / np.square(np.cos(0.5 * xi))
             return self.u_mid + (self.u_hi - self.u_mid) * sec2
         return self.u_lo + 0.5 * (self.u_mid - self.u_lo) * (1.0 - np.cos(xi))
 
-    def _xi_of_u_sec(self, u: float) -> float:
-        ratio = (self.u_hi - self.u_mid) / (u - self.u_mid)
-        ratio = min(1.0, max(0.0, ratio))
-        return 2.0 * math.acos(math.sqrt(ratio))
-
-    def _xi_of_u_cos(self, u: float) -> float:
-        arg = 1.0 - 2.0 * (u - self.u_lo) / (self.u_mid - self.u_lo)
-        return math.acos(min(1.0, max(-1.0, arg)))
-
-    def xi_of_u(self, u: float) -> float:
+    def xi_of_u(self, u):
+        """xi at u, with u clamped to the branch start."""
         if self.branch == "sec":
-            if u < self.u_hi - 1e-12 * max(1.0, abs(self.u_hi)):
-                raise DomainError(f"u = {u!r} below the branch start {self.u_hi!r}")
-            return self._xi_of_u_sec(max(u, self.u_hi))
-        if u > self.u_mid + 1e-12 * max(1.0, abs(self.u_mid)):
-            raise DomainError(f"u = {u!r} above the branch start {self.u_mid!r}")
-        return self._xi_of_u_cos(min(u, self.u_mid))
+            ratio = (self.u_hi - self.u_mid) / (np.maximum(u, self.u_hi) - self.u_mid)
+            return 2.0 * _each(math.acos, np.sqrt(np.minimum(1.0, np.maximum(0.0, ratio))))
+        arg = 1.0 - 2.0 * (np.minimum(u, self.u_mid) - self.u_lo) / (self.u_mid - self.u_lo)
+        return _each(math.acos, np.minimum(1.0, np.maximum(-1.0, arg)))
+
+    def _u_outside(self, x):
+        """The points x (..., 4) whose u is beyond the branch start by more than rounding."""
+        u = 1.0 / np.asarray(x, dtype=float)[..., 1]
+        if self.branch == "sec":
+            return u < self.u_hi - 1e-12 * max(1.0, abs(self.u_hi))
+        return u > self.u_mid + 1e-12 * max(1.0, abs(self.u_mid))
 
     # -- the exact alpha relation ----------------------------------------
-    def alpha_of_xi(self, xi: float, vartheta: float) -> float:
+    def alpha_of_xi(self, xi, vartheta):
         base = self._data.alpha_init(vartheta)
         if self.branch == "sec":
             return base + self.s_alpha * 2.0 * self.c * elliptic_f(0.5 * xi, self.k)
         sweep = complete_elliptic_k(self.k) - elliptic_f(0.5 * xi, self.k)
         return base + self.s_alpha * 2.0 * self.c * sweep
 
-    def relation_residual(self, t: float, x: np.ndarray, vartheta: float) -> float:
-        """|alpha - alpha_predicted(u)| for a trajectory point."""
-        xi = self.xi_of_u(1.0 / x[1])
-        return abs(x[2] - self.alpha_of_xi(xi, vartheta))
+    def relation_residual(self, t, x, vartheta) -> np.ndarray:
+        """|alpha - alpha_predicted(u)| at each trajectory point x (..., 4)."""
+        x = np.asarray(x, dtype=float)
+        out = self._u_outside(x)
+        if np.any(out):
+            raise DomainError(f"r = {_first(out, x[..., 1])[0]!r} beyond the branch start")
+        return np.abs(x[..., 2] - self.alpha_of_xi(self.xi_of_u(1.0 / x[..., 1]), vartheta))
 
     # -- quadrature machinery ---------------------------------------------
-    def _dT_dxi(self, xi):
+    def _integrands(self, xi):
+        """dT/dxi and dTau/dxi at xi."""
         u = self.u_of_xi(xi)
-        root = np.sqrt(1.0 - self.k2 * np.sin(0.5 * xi) ** 2)
-        return self.c / (u * u * root)
+        dT = self.c / (u * u * np.sqrt(1.0 - self.k2 * np.square(np.sin(0.5 * xi))))
+        return dT, dT / (1.0 - 2.0 * self.m * u)
 
-    def _integrals(self, xi: float) -> tuple[float, float]:
-        """T(xi) and Tau(xi) by the tanh-sinh rule mapped onto [xi_start, xi]."""
-        half = 0.5 * (xi - self.xi_start)
-        nodes = self.xi_start + half * (1.0 + _TS_NODES)
-        weights = (self._direction * half) * _TS_WEIGHTS
-        dT = self._dT_dxi(nodes)
-        dTau = dT / (1.0 - 2.0 * self.m * self.u_of_xi(nodes))
-        return float(weights @ dT), float(weights @ dTau)
+    def _integrals(self, xi):
+        """T(xi) and Tau(xi) by the tanh-sinh rule mapped onto [xi_start, xi], per xi."""
+        half = 0.5 * (np.asarray(xi)[..., None] - self.xi_start)
+        dT, dTau = self._integrands(self.xi_start + half * (1.0 + _TS_NODES))
+        # a stacked matmul sums each xi's 203 terms in the order of a dot product
+        weights = ((self._direction * half) * _TS_WEIGHTS)[..., None, :]
+        return (weights @ dT[..., None])[..., 0, 0], (weights @ dTau[..., None])[..., 0, 0]
 
-    def _xi_of_T(self, T_target: float, tol: float) -> tuple[float, float]:
-        """xi with T(xi) within ``tol`` of ``T_target`` by Newton, and Tau there."""
+    def _xi_of_T(self, T_target, tol):
+        """xi with T(xi) within ``tol`` of ``T_target`` by Newton, and Tau there, per node.
+
+        Each iteration runs on the nodes of a block that have not converged.
+        """
         lo, hi = min(self.xi_start, self.xi_end), max(self.xi_start, self.xi_end)
         xi = self.xi_start + (self.xi_end - self.xi_start) * T_target / self._T_end
-        for _ in range(60):
-            T, Tau = self._integrals(xi)
-            err = T - T_target
-            if abs(err) < tol:
-                break
-            xi = min(max(xi - err / (self._direction * self._dT_dxi(xi)), lo), hi)
-        else:
-            Tau = self._integrals(xi)[1]
+        Tau = np.empty_like(xi)
+        for first in range(0, len(xi), _NEWTON_BLOCK):
+            todo = np.arange(first, min(first + _NEWTON_BLOCK, len(xi)))
+            for _ in range(60):
+                T, Tau[todo] = self._integrals(xi[todo])
+                err = T - T_target[todo]
+                going = ~(np.abs(err) < tol[todo])
+                todo, err = todo[going], err[going]
+                if not len(todo):
+                    break
+                step = err / (self._direction * self._integrands(xi[todo])[0])
+                xi[todo] = np.minimum(np.maximum(xi[todo] - step, lo), hi)
+            else:
+                Tau[todo] = self._integrals(xi[todo])[1]
         return xi, Tau
 
-    def evaluate(self, t: float, vartheta: float) -> np.ndarray:
-        cs = self.conserved(vartheta)
-        sqrt_k = math.sqrt(cs.K)
-        t_last = self._T_end / sqrt_k
-        if t < -1e-12 or t > t_last:
-            raise DomainError(
-                f"t = {t!r} outside the oracle's certified range [0, {t_last!r}]"
-            )
+    def _t_range(self, t, vartheta):
+        """E and sqrt(K) of each node's characteristic, and the t past its certified range."""
+        cs = [self.conserved(v) for v in vartheta.ravel().tolist()]
+        E, K = (np.array([getattr(c, name) for c in cs]).reshape(t.shape) for name in "EK")
+        sqrt_k = np.sqrt(K)
+        return E, sqrt_k, (t < -1e-12) | (t > self._T_end / sqrt_k)
+
+    def outside(self, t, vartheta, x=None) -> np.ndarray:
+        """The nodes outside the certified range of t or, given points x, of u."""
+        out = self._t_range(*np.broadcast_arrays(t, vartheta))[2]
+        return out if x is None else out | self._u_outside(x)
+
+    def evaluate(self, t, vartheta) -> np.ndarray:
+        t, vartheta = np.broadcast_arrays(t, vartheta)
+        E, sqrt_k, out = self._t_range(t, vartheta)
+        if np.any(out):
+            raise DomainError(f"t = {_first(out, t)[0]!r} outside the oracle's certified range")
         # stop Newton once t, not T, is within 1e-13 (1 + |t|)
-        xi, Tau = self._xi_of_T(t * sqrt_k, 1e-13 * (1.0 + abs(t)) * sqrt_k)
-        tau = self._data.tau_init(vartheta) + cs.E / sqrt_k * Tau
-        u = self.u_of_xi(xi)
-        return np.array(
-            [tau, 1.0 / u, self.alpha_of_xi(xi, vartheta), self._data.beta_of(vartheta)]
+        xi, Tau = self._xi_of_T(
+            (t * sqrt_k).ravel(), (1e-13 * (1.0 + np.abs(t)) * sqrt_k).ravel()
         )
+        xi, Tau = xi.reshape(t.shape), Tau.reshape(t.shape)
+        tau = self._data.tau_init(vartheta) + E / sqrt_k * Tau
+        return _points(tau, 1.0 / self.u_of_xi(xi), self.alpha_of_xi(xi, vartheta),
+                       self._data.beta_of(vartheta))
 
 
 # per example with a double root: its radius in units of m, the (inner,

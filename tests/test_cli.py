@@ -575,6 +575,44 @@ class TestCompareCommand:
         assert out.splitlines()[1].split() == ["tau", "nan", "nan"]
         assert out.endswith("verdict                  : FAIL\n")
 
+    def test_nodes_outside_the_oracle_range_are_skipped(self, tmp_path, capsys, monkeypatch):
+        # an oracle whose range ends at t = 5, before the t-samples 6, 8 and 10
+        # of all 16 characteristics; past it, it would give inf
+        make_oracle = nullsheet.cli.make_oracle
+
+        def ending_at_5(*args):
+            oracle = make_oracle(*args)
+            outside, evaluate = oracle.outside, oracle.evaluate
+            oracle.outside = lambda t, vartheta, x=None: outside(t, vartheta, x) | (t > 5.0)
+            oracle.evaluate = lambda t, vartheta: np.where(
+                (t > 5.0)[..., None], np.inf, evaluate(t, vartheta)
+            )
+            return oracle
+
+        cfg = load_config(write_config(tmp_path))
+        mesh = run_pipeline(cfg, build_spacetime(cfg), build_curve(cfg)).mesh
+        assert not mesh.truncated.any()
+        # the table over the nodes up to t = 5, one oracle call per node
+        oracle = nullsheet.cli.make_oracle(1, "auto", ns.OracleParams(**cfg.oracle.params))
+        columns = [[] for _ in range(5)]
+        for i, j in np.ndindex(mesh.shape):
+            t, vartheta, x = float(mesh.t_grid[i]), float(mesh.vartheta[i, j]), mesh.x[i, j]
+            if t <= 5.0:
+                errors = np.abs(x - oracle.evaluate(t, vartheta))
+                for column, value in zip(columns, [*errors, oracle.relation_residual(t, x, vartheta)]):
+                    column.append(value)
+        table = [
+            f"{name:<12} {max(column):13.4e} {np.median(column):13.4e}"
+            for name, column in zip(("tau", "r", "alpha", "beta", "relation"), columns)
+        ]
+
+        monkeypatch.setattr(nullsheet.cli, "make_oracle", ending_at_5)
+        assert main(["compare", "--config", str(write_config(tmp_path))]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:6] == table
+        assert lines[6] == f"skipped nodes            : {3 * 16}"
+        assert lines[-1] == "verdict                  : PASS"
+
 
 
 class TestClassifyCommand:

@@ -110,6 +110,47 @@ class TestCarlsonRf:
             ns.carlson_rf(0.0, 0.0, 1.0)
 
 
+class TestArrays:
+    """Arrays are taken element by element, with the bits of a call per element."""
+
+    def test_array_equals_a_call_per_element(self):
+        rng = np.random.default_rng(23)
+        chi = np.concatenate([rng.uniform(-10.0, 10.0, 300), [0.0, -0.0, math.pi, -4.5 * math.pi]])
+        k = rng.uniform(0.0, 0.999, len(chi))
+        x, y, z = rng.uniform(0.0, 10.0, (3, len(chi)))
+        x[:30] = 0.0
+        calls = {
+            ns.elliptic_f: (chi, k),
+            ns.complete_elliptic_k: (k,),
+            ns.carlson_rf: (x, y, z),
+        }
+        for fn, args in calls.items():
+            together = fn(*args)
+            assert together.shape == chi.shape
+            for j, value in enumerate(together):
+                alone = fn(*(float(a[j]) for a in args))
+                assert np.float64(alone).tobytes() == value.tobytes(), (fn.__name__, j)
+
+    def test_scalar_arguments_broadcast(self):
+        chi = np.linspace(-4.0, 4.0, 12).reshape(3, 4)
+        together = ns.elliptic_f(chi, 0.6)
+        assert together.shape == (3, 4)
+        assert all(together[j].tobytes() == ns.elliptic_f(chi[j], 0.6).tobytes() for j in range(3))
+
+    def test_invalid_arguments_unchanged(self):
+        with pytest.raises(ValueError, match=r"^modulus must satisfy 0 <= k\^2 < 1, got k\^2 = 1.44$"):
+            ns.elliptic_f(0.5, 1.2)
+        with pytest.raises(ValueError, match=r"^invalid Carlson R_F arguments \(-1.0, 1.0, 1.0\)$"):
+            ns.carlson_rf(-1.0, 1.0, 1.0)
+        # one invalid element fails the whole call
+        with pytest.raises(ValueError, match="modulus"):
+            ns.elliptic_f(np.array([0.5, 0.6]), np.array([0.5, 1.0]))
+        with pytest.raises(ValueError, match="modulus"):
+            ns.complete_elliptic_k(np.array([0.2, np.nan]))
+        with pytest.raises(ValueError, match="Carlson"):
+            ns.carlson_rf(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 1.0)
+
+
 class TestProperties:
     @settings(max_examples=200, deadline=None)
     @given(chi=st.floats(-10.0, 10.0), k2=st.floats(0.0, 0.995))

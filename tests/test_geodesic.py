@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nullsheet as ns
@@ -226,7 +226,7 @@ class TestEvents:
         traj = ns.integrate(schw, state0, 30.0)
         kinds = [e.kind for e in traj.events]
         assert kinds == ["horizon"]
-        assert traj.terminated_early
+        assert traj.stats.stop == "horizon_crossing"
         barrier = 2.0 * (1.0 + 1e-8)
         for s in traj.states[:-1]:
             assert s.y[1] > barrier
@@ -386,6 +386,30 @@ class TestHorizonCertificate:
             assert cut.events[-1].t >= full.events[-1].t
         else:
             assert cut.events == full.events and n == len(full.ts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(start=plunges(), fall=st.floats(0.0, 1.0), drift=st.floats(-1e-3, 1e-3),
+           t=st.floats(0.0, 30.0), reach=st.floats(0.5, 3.0))
+    def test_filter_keeps_every_certified_node(self, schw, start, fall, drift, t, reach):
+        """integrate_batch checks only the falling nodes that ``_can_certify`` passes."""
+        state0, _ = start
+        opts = geodesic.SolverOptions()
+        cert = geodesic._horizon_certificates(schw, opts, state0.y[None], state0.v[None])
+        r_h = 2.0 * (1.0 + opts.eps_horizon)
+        # a node between the start and the horizon, r_t from the radial
+        # integral with the drift of an integration
+        r = r_h + (1.0 - fall) * (state0.y[1] - r_h) + 1e-9
+        p = geodesic._cubic_at(tuple(cert[0, :4]), 1.0 / r)
+        assume(p > 0.0)
+        r_t = -math.sqrt(p) * (1.0 + drift)
+        # the next limit near the time at which r_h is reached at speed |r_t|
+        limit = t + reach * (r - r_h) / -r_t
+        node = np.array([t]), np.array([r]), np.array([r_t])
+        with np.errstate(all="ignore"):  # as in integrate_batch: a low bound <= 0 is nan
+            t_cert = geodesic._certified_times(cert, *node, r_h, np.array([limit]))
+        if np.isfinite(t_cert[0]):
+            assert t_cert[0] > t + (r - r_h) / -r_t
+            assert geodesic._can_certify(*node, r_h, np.array([limit]))[0]
 
     @settings(max_examples=10, deadline=None)
     @given(times=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=10, unique=True))

@@ -1,11 +1,16 @@
+import importlib.util
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
 import nullsheet as ns
+from nullsheet.cli import run_pipeline
+from nullsheet.config import build_curve, build_spacetime, load_config
 from nullsheet.errors import DomainError, OracleMismatchError
 from nullsheet.oracles import OracleKind
 
@@ -291,3 +296,58 @@ class TestConsistencyGuard:
         ns.check_oracle_consistency(
             ex1_oracle, ns.SchwarzschildParams(m=1.0), ex1_curve
         )
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+SHIPPED = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["radial_null", "photon_sphere", "boosted_circular", "infall-ring-0", "infall-ring-1",
+     "infall-ring-2"],
+)
+def test_array_call_equals_a_call_per_node(source, tmp_path):
+    """One call over a mesh's live nodes gives each node's bits, and its ``outside``
+    marks the nodes where a call per node raises DomainError."""
+    if source.startswith("infall-ring"):
+        workload = _perfbench_workloads().InfallRing(int(source[-1]), tmp_path, chars=16)
+        path = workload.config
+    else:
+        path = SHIPPED / f"{source}.yaml"
+    cfg = load_config(path)
+    oracle = ns.make_oracle(cfg.oracle.example, cfg.oracle.case, ns.OracleParams(**cfg.oracle.params))
+    mesh = run_pipeline(cfg, build_spacetime(cfg), build_curve(cfg)).mesh
+    i, j = np.nonzero(~mesh.truncated)
+    t, vartheta, x = mesh.t_grid[i], mesh.vartheta[i, j], mesh.x[i, j]
+    # and a node before t = 0 and one with r far beyond the start
+    far = x[0].copy()
+    far[1] = 1e3
+    t = np.append(t, [-1e3, t[0]])
+    vartheta = np.append(vartheta, [vartheta[0]] * 2)
+    x = np.vstack([x, x[0], far])
+
+    per_node = []
+    for t_k, vartheta_k, x_k in zip(t.tolist(), vartheta.tolist(), x):
+        try:
+            per_node.append((oracle.evaluate(t_k, vartheta_k),
+                             oracle.relation_residual(t_k, x_k, vartheta_k)))
+        except DomainError:
+            per_node.append(None)
+    outside = oracle.outside(t, vartheta, x)
+    assert outside.tolist() == [value is None for value in per_node]
+    keep = ~outside
+    ref = oracle.evaluate(t[keep], vartheta[keep])
+    residual = oracle.relation_residual(t[keep], x[keep], vartheta[keep])
+    assert ref.shape == (keep.sum(), 4) and residual.shape == (keep.sum(),)
+    for k, (alone_ref, alone_residual) in enumerate(v for v in per_node if v is not None):
+        assert alone_ref.tobytes() == ref[k].tobytes()
+        assert np.float64(alone_residual).tobytes() == residual[k].tobytes()
