@@ -64,7 +64,8 @@ def run_pipeline(
     cmap = map_from_initial_data(curve, spacetime)
     char_thetas = curve.grid(cfg.initial_data.samples)
     t_grid = np.linspace(0.0, cfg.solver.t_end, cfg.output.t_samples)
-    states0 = [GeodesicState(y=curve.phi(v), v=curve.psi(v), t=0.0) for v in char_thetas]
+    y0, v0 = curve.phi(char_thetas), curve.psi(char_thetas)
+    states0 = [GeodesicState(y=y, v=v, t=0.0) for y, v in zip(y0, v0)]
     # the trajectories need to serve the t-grid only, which lets a
     # characteristic falling into the horizon stop early
     trajectories = integrate_batch(spacetime, states0, cfg.solver.t_end, cfg.solver, t_grid=t_grid)

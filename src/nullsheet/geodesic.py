@@ -9,46 +9,36 @@ without re-integration.
 The characteristics are independent geodesics, so one step loop advances
 all of them together (``integrate_batch``) as the rows of an (N, 2*dim)
 array [y, v].  Each row keeps its own t, step size h, PI controller state
-and step count.  An iteration attempts one step on every live row, with one
-``Spacetime.acceleration_at`` call per stage for all rows; accepting or
-rejecting a step is a row mask.  A row whose stage left the chart (the
-acceleration flags it with nan) or is not finite halves its own h.  The
-guards are evaluated on all rows, at the step end and at the midpoint of
-the guarded component's continuous extension; the event search and the
-event node run only on the rows where one fires, and the horizon
-certificate only on the rows with r_t < 0 that would reach the horizon
-before their next grid time at their present speed.  Rows that end are
-dropped, so the batch shrinks as characteristics finish.  The stage sums,
-the error norm and the controller are element-wise numpy in the
-left-to-right order of the scalar loop they replaced, with every power
-taken by ``np.float_power``, so a row's bits do not depend on the batch it
-sits in.
+and step counts.  An iteration attempts one step on every live row; per
+stage, ``Spacetime.acceleration_at(y, v, out)`` writes all rows'
+accelerations into ``out``, the a block of the stage rows [y, v, a], whose
+[v, a] is the stage.  A row whose stage left the chart (flagged with nan)
+or is not finite halves its own h.  The guards are evaluated on all rows,
+at the step end and at the midpoint of the guarded component's continuous
+extension, in one call; the event search and the event node run only on
+the rows where one fires, and the horizon certificate only on the rows
+with r_t < 0 that would reach the horizon before their next grid time at
+their present speed.  Rows that end are dropped.  The stage sums are one
+reduction over the stage axis, which adds the stages in stage order; they,
+the error norm and the controller are element-wise numpy in the order of
+the scalar loop they replaced, with every power taken by
+``np.float_power``, so a row's bits do not depend on the batch it sits in.
 Each step is taken with h = (t + h) - t, so the stored node times differ by
 exactly the step sizes.
 
-A trajectory is stored as the node times, the node states [y, v] and one
-interpolant per step (q = K.T @ P, one matmul per iteration over the rows
-that took a full step).  Each node is one record [t, w, q] of a table that
-the trajectories of a run share: the records are appended as they are
-found, to an anonymous memory map that grows in place, and are grouped by
-row in place at the end, so none is held twice.  One dense-output formula
-serves sampling (a whole t-grid per call), the event search and the event
-state.
-Schwarzschild runs terminate at the horizon (r <= 2m(1 + eps_horizon)) or
-the coordinate axis (|sin alpha| <= eps_axis); both are recorded as events,
-as is step-size underflow.
+A trajectory is the node times, the node states [y, v] and one interpolant
+per step (q = K.T @ P), kept as records [t, w, q] of one ``_RecordLog`` per
+run.  One dense-output formula serves sampling, the event search and the
+event state.  Schwarzschild runs terminate at the horizon
+(r <= 2m(1 + eps_horizon)) or the coordinate axis (|sin alpha| <= eps_axis);
+both are recorded as events, as is step-size underflow.
 
 A run told the t-grid its trajectories will be sampled on (``t_grid``) may
-stop a row early at the horizon.  The radial first integral
-r_t^2 = (C - J/r^2)(1 - 2m/r) + 2m E^2/r with J = K + L^2, its constants
-from node 0, is a cubic in u = 1/r; where its minimum between the node's
-radius and the horizon is positive, r falls monotonically to the horizon
-within a time bound.  An accepted node with r_t < 0 whose bound ends
-before the next grid time (by more than the ``REACH_SLACK`` that sampling
-allows) ends the row with a ``horizon`` event at that certified bound.
-The grid samples and which grid times the trajectory reaches are then
-those of the full run, which would spend most of its steps on the
-approach to r = 2m, where tau diverges like -2m ln(r - 2m).
+stop a row at a node from which the radial first integral certifies that
+r reaches the horizon before the next grid time (``_horizon_certificates``).
+Its grid samples, and which grid times it reaches, are those of the full
+run, which would spend most of its steps on the approach to r = 2m, where
+tau diverges like -2m ln(r - 2m).
 """
 
 from __future__ import annotations
@@ -91,18 +81,23 @@ _P = np.array(
     ]
 )
 
-_SAFETY = 0.9
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 10.0
-_PI_ALPHA = 0.7 / 5.0
-_PI_BETA = 0.4 / 5.0
+# the step loop's scalars are 0-d arrays: numpy takes them as they are,
+# where it would convert a Python float on every call
+_ZERO, _ONE, _ERR_FLOOR = np.array(0.0), np.array(1.0), np.array(1e-10)
+# PI controller: factor SAFETY err^-alpha err_prev^beta, within [MIN, MAX],
+# err_prev at least _ERR_FLOOR
+_SAFETY = np.array(0.9)
+_MIN_FACTOR = np.array(0.2)
+_MAX_FACTOR = np.array(10.0)
+_NEG_PI_ALPHA = np.array(-(0.7 / 5.0))
+_PI_BETA = np.array(0.4 / 5.0)
 _POWERS = np.arange(1.0, 5.0)
 # smallest step, relative to max(|t|, 1), that is not lost in the roundoff of t
-_H_FLOOR = 16.0 * sys.float_info.epsilon
+_H_FLOOR = np.array(16.0 * sys.float_info.epsilon)
 
 # the stages with interpolant or error weight (row 1 of _P and _E is zero),
 # which are the ones a trajectory stores
-_STORED = [0, 2, 3, 4, 5, 6]
+_STORED = np.array([0, 2, 3, 4, 5, 6])
 _P_STORED = _P[_STORED]
 # the step loop's weights as (s, 1, 1) columns over a stack of s stages of
 # all rows: a stage's argument weighs k_0 .. k_{s-1}; the step's result
@@ -110,7 +105,7 @@ _P_STORED = _P[_STORED]
 # last stage's argument); the error and the interpolant at sigma = 1/2,
 # sum_k P[s, k] 2^-(k+1), the stored stages
 _A_STACK = [a[:, None, None] for a in _A]
-_B_NONZERO = [0, 2, 3, 4, 5]
+_B_NONZERO = np.array([0, 2, 3, 4, 5])
 _B_STACK = _B[_B_NONZERO][:, None, None]
 _E_STACK = _E[_STORED][:, None, None]
 _MID_STACK = (_P_STORED * 0.5**_POWERS).sum(axis=1)[:, None, None]
@@ -264,17 +259,17 @@ def _guards(spacetime: Spacetime, opts: SolverOptions, y0: np.ndarray):
     side = np.ones(len(y0))
     meta = spacetime.meta
     if "mass" in meta:
-        barrier = 2.0 * meta["mass"] * (1.0 + opts.eps_horizon)
+        barrier = np.array(2.0 * meta["mass"] * (1.0 + opts.eps_horizon))
         guards.append(("horizon", 1, lambda r, side: r - barrier))
     if meta.get("spherical"):
-        eps = opts.eps_axis
+        eps = np.array(opts.eps_axis)
         side = np.where(np.sin(y0[:, 2]) >= 0.0, 1.0, -1.0)
         guards.append(("axis", 2, lambda alpha, side: side * np.sin(alpha) - eps))
     return guards, side
 
 
-def _initial_steps(deriv, t0, w0, f0, rel_tol, abs_tol, t_end):
-    """Hairer-style automatic first step of each row; ``deriv`` maps rows of states to rows."""
+def _initial_steps(accel, t0, w0, f0, rel_tol, abs_tol, t_end):
+    """Hairer-style automatic first step of each row; ``accel`` is ``Spacetime.acceleration_at``."""
     # a state, derivative or tolerance out of float range makes h0 inf or nan
     with np.errstate(all="ignore"):
         scale = abs_tol + rel_tol * np.abs(w0)
@@ -288,7 +283,9 @@ def _initial_steps(deriv, t0, w0, f0, rel_tol, abs_tol, t_end):
             "state or its derivative is out of floating-point range"
         )
     with np.errstate(all="ignore"):
-        f1 = deriv(w0 + h0[:, None] * f0)
+        x1, dim = w0 + h0[:, None] * f0, w0.shape[1] // 2
+        a1 = accel(x1[:, :dim], x1[:, dim:], np.empty_like(x1[:, dim:]))
+        f1 = np.concatenate([x1[:, dim:], a1], axis=1)
         d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2, axis=1)) / h0
         d = np.maximum(d1, d2)
         h1 = np.where(d <= 1e-15, np.maximum(1e-6, h0 * 1e-3), np.float_power(0.01 / d, 0.2))
@@ -329,10 +326,10 @@ def _first_crossing(fired, t, w, h, q):
 def _weighted(weights, stages):
     """sum_j weights[j] * stages[j], added in order of j.
 
-    A running sum, not a reduction whose order numpy may choose, so each
-    row gets the bits that the same sum written out term by term gives.
+    A reduction over the leading axis adds whole stages in order (only one
+    along the last axis is pairwise): the bits of the sum written out.
     """
-    return np.add.accumulate(weights * stages, axis=0)[-1]
+    return np.add.reduce(weights * stages, axis=0)
 
 
 def _event_step(fired, t, w, h, ks):
@@ -439,30 +436,30 @@ def _start_rows(spacetime: Spacetime, states0, t_end):
     return t0, y0, v0
 
 
-def _start_acceleration(spacetime: Spacetime, y0, v0):
-    """The acceleration at the start rows, checked against the row contract."""
-    accel = spacetime.acceleration_at
+def _start_derivative(spacetime: Spacetime, y0, v0):
+    """[v0, acceleration] at the start rows, the acceleration checked against its contract."""
+    accel, dim = spacetime.acceleration_at, spacetime.dim
+    f = np.concatenate([v0, v0], axis=1)
+    out = f[:, dim:]
     try:
         # e.g. a power of a coordinate near the float limit
         with np.errstate(over="raise"):
-            a = accel(y0, v0)
+            a = accel(y0, v0, out)
     except FloatingPointError as exc:
         for y, v in zip(y0, v0):
             try:
                 with np.errstate(over="raise"):
-                    accel(y[None], v[None])
+                    accel(y[None], v[None], np.empty((1, dim)))
             except FloatingPointError:
                 break
         raise NullsheetError(
             f"integration failed: acceleration overflows at y = {y.tolist()!r}"
         ) from exc
-    # rows of another shape or dtype would broadcast into the stage sums
-    if not (type(a) is np.ndarray and a.shape == y0.shape and a.dtype == np.float64):
-        raise TypeError(
-            f"{spacetime.name}: acceleration_at returned {type(a).__name__} "
-            f"{a!r}, not a float array of shape {y0.shape}"
-        )
-    return a
+    except (TypeError, ValueError) as exc:  # e.g. another signature, or rows of another shape
+        raise TypeError(f"{spacetime.name}: acceleration_at(y, v, out) failed: {exc}") from exc
+    if a is not out:  # the integrator reads the stages from the arrays it passes as out
+        raise TypeError(f"{spacetime.name}: acceleration_at returned {type(a).__name__}, not out")
+    return f
 
 
 def integrate_batch(
@@ -492,20 +489,14 @@ def integrate_batch(
         with np.errstate(invalid="ignore"):
             if np.count_nonzero(g(y0[:, i], side) <= 0.0):
                 raise DomainError(f"initial state already violates the {kind} guard")
-    t_end = float(t_end)
-    dim = spacetime.dim
+    t_end, dim, accel = float(t_end), spacetime.dim, spacetime.acceleration_at
     n = 2 * dim
-    accel = spacetime.acceleration_at
-
-    def deriv(x: np.ndarray, out=None) -> np.ndarray:
-        """[v, acceleration] at the rows x = [y, v]."""
-        v = x[:, dim:]
-        return np.concatenate([v, accel(x[:, :dim], v)], axis=1, out=out)
-
     w0 = np.concatenate([y0, v0], axis=1)
-    f = np.concatenate([v0, _start_acceleration(spacetime, y0, v0)], axis=1)
-    rel_tol, abs_tol = opts.rel_tol, opts.abs_tol
-    h = _initial_steps(deriv, t0, w0, f, rel_tol, abs_tol, t_end)
+    f = _start_derivative(spacetime, y0, v0)
+    h = _initial_steps(accel, t0, w0, f, opts.rel_tol, opts.abs_tol, t_end)
+    # the loop's scalars as 0-d arrays, like the module's
+    rel_tol, abs_tol, t_stop = (np.array(float(c)) for c in (opts.rel_tol, opts.abs_tol, t_end))
+    n_comp = np.array(float(n))
 
     n_rows = len(states0)
     # each row's nodes as records [t, w, q], q the interpolant of the step
@@ -528,39 +519,37 @@ def integrate_batch(
         cert = np.empty((n_rows, 0))
 
     # the live rows: original index, t, h, PI state, state, derivative,
-    # axis side, certificate data and the tallies of their steps; every live
-    # row attempts one step per iteration
+    # axis side, certificate data and the count of their domain-rejected
+    # steps; every live row attempts one step per iteration, so a row's
+    # attempts are the iterations it lived through
     rows, t, w, err_prev = np.arange(n_rows), t0.copy(), w0.copy(), np.ones(n_rows)
-    tally = np.zeros((3, n_rows), dtype=np.int64)  # as counts
+    n_bad = np.zeros(n_rows, dtype=np.int64)
 
     def end(k, kind, t_event, stop, partial=None):
         j = int(rows[k])
-        if partial is None:
-            log.append([j], np.concatenate([t[k : k + 1], w[k], tail])[None])
-        else:
-            t_ev, node, q = partial
-            log.append([j], np.concatenate([t[k : k + 1], w[k], q.ravel()])[None])
-            log.append([j], np.concatenate([[t_ev], node, tail])[None])
-        ends[j] = (Event(kind=kind, t=t_event), tally[:, k].tolist(), stop, partial is not None)
+        q = tail if partial is None else partial[2].ravel()
+        log.append([j], np.concatenate([t[k : k + 1], w[k], q])[None])
+        if partial is not None:  # the event node (t_ev, node)
+            log.append([j], np.concatenate([[partial[0]], partial[1], tail])[None])
+        ends[j] = (Event(kind=kind, t=t_event), attempts, int(n_bad[k]), stop, partial is not None)
 
     def drop(done):
         """Remove the rows that ended from the live arrays."""
-        nonlocal rows, t, h, err_prev, w, f, side, cert, tally
+        nonlocal rows, t, h, err_prev, w, f, side, cert, n_bad
         live = ~done
-        rows, t, h, err_prev, w, f, side, cert = (
-            x[live] for x in (rows, t, h, err_prev, w, f, side, cert)
+        rows, t, h, err_prev, w, f, side, cert, n_bad = (
+            x[live] for x in (rows, t, h, err_prev, w, f, side, cert, n_bad)
         )
-        tally = tally[:, live]
 
     attempts = 0
     with np.errstate(all="ignore"):  # out-of-chart and non-finite rows are rejected
         while len(rows):
             # rows that end before a step: the step budget, or h lost in t's roundoff
-            h = np.minimum(h, t_end - t)
+            h = np.minimum(h, t_stop - t)
             # step by the increment t + h really gets, so that the stored
             # ts[i + 1] - ts[i] is the h each step and its interpolant were made with
             h = (t + h) - t
-            h_floor = _H_FLOOR * np.maximum(np.abs(t), 1.0)
+            h_floor = _H_FLOOR * np.maximum(np.abs(t), _ONE)
             if attempts >= opts.max_steps:
                 for k in range(len(rows)):
                     end(k, "step_failure", float(t[k]), "max_steps")
@@ -579,13 +568,20 @@ def integrate_batch(
             attempts += 1
             # h on every component of its row (a column would broadcast, slower)
             hw = np.repeat(h, n).reshape(-1, n)
-            ks = np.empty((7, len(rows), n))  # the stages, k[0] = f (FSAL)
+            # the stage rows [y, v, a]: the stage k_i = [v, a] at x_i = [y, v]
+            # shares its v, so the acceleration is the one value written.
+            # k_0 = f (FSAL); slot 6 holds the step end w_new, slot 7 the
+            # midpoint of the continuous extension, where the guards probe
+            xs = np.empty((8, len(rows), 3 * dim))
+            x, ks = xs[..., :n], xs[:7, :, dim:]
+            ys, vs, accs = xs[..., :dim], xs[..., dim:n], xs[..., n:]
             ks[0] = f
             for i in range(1, 6):
-                deriv(w + hw * _weighted(_A_STACK[i], ks[:i]), out=ks[i])
-            w_new = w + hw * _weighted(_B_STACK, ks[_B_NONZERO])
-            deriv(w_new, out=ks[6])
-            stored = ks[_STORED]
+                np.add(w, hw * _weighted(_A_STACK[i], ks[:i]), out=x[i])
+                accel(ys[i], vs[i], accs[i])
+            w_new = np.add(w, hw * _weighted(_B_STACK, ks.take(_B_NONZERO, 0)), out=x[6])
+            accel(ys[6], vs[6], accs[6])
+            stored = ks.take(_STORED, 0)
 
             # RMS of the error scaled by max(|w|, |w_new|), the squares summed
             # over the components from the first on; a nan stage, as
@@ -593,51 +589,48 @@ def integrate_batch(
             e = hw * _weighted(_E_STACK, stored)
             e /= abs_tol + rel_tol * np.maximum(np.abs(w), np.abs(w_new))
             e *= e
-            err = np.sqrt(np.add.accumulate(e, axis=1)[:, -1] / n)
-            bad = ~np.isfinite(err)
-            accept = err <= 1.0
-            reject = ~(accept | bad)
-            # as integers: adding the masks to the counts would cast bools
-            tally += np.where([accept, reject, bad], 1, 0)
+            err = np.sqrt(np.add.accumulate(e, axis=1)[:, -1] / n_comp)
+            accept = err <= _ONE
+            n_accepted = np.count_nonzero(accept)
 
             # a rejected step shrinks h, a bad one halves it; an accepted one
             # sets it by the PI controller (err = 0 gives the largest factor)
-            shrink = _SAFETY * np.float_power(err, -_PI_ALPHA)
-            grow = shrink * np.float_power(err_prev, _PI_BETA)
-            factor = np.maximum(shrink, _MIN_FACTOR)
-            np.copyto(factor, np.minimum(np.maximum(grow, _MIN_FACTOR), _MAX_FACTOR), where=accept)
-            np.copyto(factor, 0.5, where=bad)
-            np.copyto(err_prev, np.maximum(err, 1e-10), where=accept)
+            shrink = _SAFETY * np.float_power(err, _NEG_PI_ALPHA)
+            grow = np.minimum(shrink * np.float_power(err_prev, _PI_BETA), _MAX_FACTOR)
+            factor = np.maximum(np.where(accept, grow, shrink), _MIN_FACTOR)
+            np.copyto(err_prev, np.maximum(err, _ERR_FLOOR), where=accept)
+            if n_accepted < len(rows):
+                bad = ~np.isfinite(err)
+                np.copyto(factor, 0.5, where=bad)
+                np.add(n_bad, 1, out=n_bad, where=bad)
 
             # guards at the step end and, to catch a crossing inside a long
             # step, at the midpoint of the continuous extension of their
-            # component; a row where one is <= 0 is searched for the event
+            # component, both in one call; an accepted row where one is <= 0
+            # is searched for the event
             full, hit = accept, None
             if guards:
-                w_mid = w + hw * _weighted(_MID_STACK, stored)
-                marks = []
-                for kind, i, g in guards:
-                    at_mid = g(w_mid[:, i], side) <= 0.0
-                    at_end = g(w_new[:, i], side) <= 0.0
-                    marks.append((kind, i, g, at_mid, at_end))
-                    hit = at_mid | at_end if hit is None else hit | at_mid | at_end
-                hit &= accept
-                if np.count_nonzero(hit):
+                np.add(w, hw * _weighted(_MID_STACK, stored), out=x[7])
+                fired = np.empty((len(guards), 2, len(rows)), dtype=bool)
+                for (kind, i, g), at in zip(guards, fired):
+                    np.less_equal(g(x[6:, :, i], side), _ZERO, out=at)
+                if np.count_nonzero(fired):
+                    hit = accept & fired.any(axis=(0, 1))
                     full = accept & ~hit
                     for k in hit.nonzero()[0]:
-                        fired = [
-                            (kind, i, lambda x, g=g, s=side[k]: g(x, s), 0.5 if at_mid[k] else 1.0)
-                            for kind, i, g, at_mid, at_end in marks
+                        crossings = [
+                            (kind, i, lambda u, g=g, s=side[k]: g(u, s), 0.5 if at_mid[k] else 1.0)
+                            for (kind, i, g), (at_end, at_mid) in zip(guards, fired)
                             if at_mid[k] or at_end[k]
                         ]
                         event, partial = _event_step(
-                            fired, float(t[k]), np.array(w[k]), float(h[k]), ks[:, k]
+                            crossings, float(t[k]), np.array(w[k]), float(h[k]), ks[:, k]
                         )
                         end(k, event.kind, event.t, f"{event.kind}_crossing", partial)
 
             # the full steps: store [t, w, q] with the step's interpolant
             # q = K.T @ P, and advance
-            n_f = np.count_nonzero(full)
+            n_f = n_accepted if hit is None else np.count_nonzero(full)
             if n_f:
                 sel = slice(None) if n_f == len(rows) else full.nonzero()[0]
                 # each row's stages as the (n, 6) matrix K.T of a C-ordered K
@@ -654,22 +647,24 @@ def integrate_batch(
 
             # rows that reach t_end (only full steps move t), or that the
             # certificate stops short of the horizon
-            reached = t >= t_end
+            reached = t >= t_stop
             for k in reached.nonzero()[0]:
                 end(k, "t_max", float(t[k]), "t_max")
             done = reached if hit is None else reached | hit
             if certifying:
-                falling = (full & ~reached & (w[:, dim + 1] < 0.0)).nonzero()[0]
-                if len(falling):
-                    t_f, r, r_t = t[falling], w[falling, 1], w[falling, dim + 1]
-                    limit = limits[np.searchsorted(limits, t_f, side="left")]
-                    near = _can_certify(t_f, r, r_t, r_h, limit).nonzero()[0]
-                    falling = falling[near]
-                if len(falling):
+                r, r_t = w[:, 1], w[:, dim + 1]
+                near = full & (r_t < _ZERO)
+                if np.count_nonzero(near):
+                    # on all rows, masked: full steps end above r_h, and a
+                    # reached row's limit is t_end
+                    limit = limits[np.searchsorted(limits[:-1], t, side="left")]
+                    near &= _can_certify(t, r, r_t, r_h, limit)
+                if np.count_nonzero(near):
+                    near = near.nonzero()[0]
                     t_cert = _certified_times(
-                        cert[falling], t_f[near], r[near], r_t[near], r_h, limit[near]
+                        cert[near], t[near], r[near], r_t[near], r_h, limit[near]
                     )
-                    for k, t_k in zip(falling, t_cert.tolist()):
+                    for k, t_k in zip(near, t_cert.tolist()):
                         if t_k == t_k:  # not nan: certified
                             end(k, "horizon", t_k, "horizon_certified")
                             done[k] = True
@@ -753,8 +748,8 @@ class _RecordLog:
         return table.reshape(n, self.width), starts
 
 
-def _trajectory(dim, records, event, counts, stop, partial) -> GeodesicTrajectory:
-    """A row's trajectory from its node records [t, w, q], its end and its counts.
+def _trajectory(dim, records, event, attempts, n_bad, stop, partial) -> GeodesicTrajectory:
+    """A row's trajectory from its node records [t, w, q], its end and its step counts.
 
     ``partial`` tells whether the last step is the step to an event node.
     """
@@ -762,13 +757,14 @@ def _trajectory(dim, records, event, counts, stop, partial) -> GeodesicTrajector
     ts, nodes = records[:, 0], records[:, 1 : 1 + n]
     interp_q = records[:-1, 1 + n :].reshape(-1, n, 4)
     n_full = len(records) - 1 - partial
-    accepted, rejected, domain_rejected = counts
+    accepted = n_full + stop.endswith("_crossing")  # a crossing's step is accepted
+    rejected = attempts - accepted - n_bad
     full_h = ts[1 : 1 + n_full] - ts[:n_full]
     stats = StepStats(
-        rhs_rows=2 + 6 * (accepted + rejected + domain_rejected),
+        rhs_rows=2 + 6 * attempts,
         accepted=accepted,
         rejected=rejected,
-        domain_rejected=domain_rejected,
+        domain_rejected=n_bad,
         h_min=float(full_h.min()) if n_full else math.inf,
         h_max=float(full_h.max()) if n_full else 0.0,
         stop=stop,

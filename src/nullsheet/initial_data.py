@@ -32,8 +32,9 @@ class InitialCurve:
     """Sampled or closed-form initial position/velocity over vartheta.
 
     ``phi``, ``psi`` and ``phi_prime`` map a scalar vartheta to a length-dim
-    coordinate vector.  Periodic curves must agree at both domain endpoints
-    (angular coordinates may differ by an exact multiple of 2*pi).
+    coordinate vector, and a 1-D array of N values to (N, dim) rows.
+    Periodic curves must agree at both domain endpoints (angular coordinates
+    may differ by an exact multiple of 2*pi).
     """
 
     phi: Callable[[float], np.ndarray]
@@ -72,6 +73,25 @@ class InitialCurve:
         return np.linspace(self.theta_min, self.theta_max, n)
 
 
+def _rows(components):
+    """A curve callable of ``InitialCurve``, from one entry per component.
+
+    An entry is a float, or a function of one float evaluated at each point
+    (a constant expression once).
+    """
+
+    def at(vartheta) -> np.ndarray:
+        points = np.ravel(vartheta).tolist()
+        out = np.empty((len(points), len(components)))
+        for k, c in enumerate(components):
+            if isinstance(c, CurveExpression) and c.is_constant() and points:
+                c = c(points[0])
+            out[:, k] = [*map(c, points)] if callable(c) else c
+        return out if np.ndim(vartheta) else out[0]
+
+    return at
+
+
 def curve_from_expressions(
     phi_exprs: Sequence[str],
     psi_exprs: Sequence[str],
@@ -84,20 +104,10 @@ def curve_from_expressions(
     phi_c = [CurveExpression(s) for s in phi_exprs]
     psi_c = [CurveExpression(s) for s in psi_exprs]
     dim = len(phi_c)
-
-    def phi(v: float) -> np.ndarray:
-        return np.array([c(v) for c in phi_c])
-
-    def psi(v: float) -> np.ndarray:
-        return np.array([c(v) for c in psi_c])
-
-    def phi_prime(v: float) -> np.ndarray:
-        return np.array([c.deriv(v) for c in phi_c])
-
     return InitialCurve(
-        phi=phi,
-        psi=psi,
-        phi_prime=phi_prime,
+        phi=_rows(phi_c),
+        psi=_rows(psi_c),
+        phi_prime=_rows([0.0 if c.is_constant() else c.deriv for c in phi_c]),
         theta_min=float(theta_range[0]),
         theta_max=float(theta_range[1]),
         periodic=periodic,
@@ -190,13 +200,9 @@ def curve_from_samples(
 
 def _forms(curve: InitialCurve, spacetime: Spacetime, vartheta) -> InducedMetric:
     """Induced metric at vartheta, a scalar or an array, from one metric call on all rows."""
-    shape = np.shape(vartheta)
-    phi, psi, phi_prime = zip(*[
-        (curve.phi(v), curve.psi(v), curve.phi_prime(v)) for v in np.ravel(vartheta).tolist()
-    ])
-    ind = induced_metric(spacetime, phi, psi, phi_prime)
-    parts = (ind.g00, ind.g01, ind.g11, ind.delta)
-    return InducedMetric(*(np.reshape(c, shape)[()] for c in parts))
+    points, shape = np.ravel(vartheta), np.shape(vartheta)
+    ind = induced_metric(spacetime, curve.phi(points), curve.psi(points), curve.phi_prime(points))
+    return InducedMetric(*(np.reshape(c, shape)[()] for c in vars(ind).values()))
 
 
 def lightlikeness_residual(curve: InitialCurve, spacetime: Spacetime, vartheta):

@@ -47,7 +47,7 @@ from .characteristics import _first
 from .elliptic import complete_elliptic_k, elliptic_f
 from .errors import DomainError, NullsheetError, OracleMismatchError
 from .expressions import CurveExpression
-from .initial_data import InitialCurve
+from .initial_data import InitialCurve, _rows
 from .reduction import ConservedSet, example2_roots, example3_roots
 from .spacetime import SchwarzschildParams
 
@@ -171,9 +171,9 @@ class RadialNullOracle:
 
         lo, hi = map(float, self.params.theta_range)
         return InitialCurve(
-            phi=lambda v: np.array([self.tau0, r0, alpha0(v), v]),
-            psi=lambda v: np.array([psi0, r1, 0.0, 0.0]),
-            phi_prime=lambda v: np.array([0.0, 0.0, alpha0.deriv(v), 1.0]),
+            phi=_rows([self.tau0, r0, alpha0, lambda v: v]),
+            psi=_rows([psi0, r1, 0.0, 0.0]),
+            phi_prime=_rows([0.0, 0.0, alpha0.deriv, 1.0]),
             theta_min=lo,
             theta_max=hi,
             periodic=self.params.periodic,
@@ -220,9 +220,9 @@ def _example2_data(params: OracleParams, r0: float) -> _ExampleData:
     def initial_curve() -> InitialCurve:
         lo, hi = map(float, params.theta_range)
         return InitialCurve(
-            phi=lambda v: np.array([params.tau0, r0, alpha0_val, v]),
-            psi=lambda v: np.array([f_expr(v), 0.0, s * coef * abs(f_expr(v)), 0.0]),
-            phi_prime=lambda v: np.array([0.0, 0.0, 0.0, 1.0]),
+            phi=_rows([params.tau0, r0, alpha0_val, lambda v: v]),
+            psi=_rows([f_expr, 0.0, lambda v: s * coef * abs(f_expr(v)), 0.0]),
+            phi_prime=_rows([0.0, 0.0, 0.0, 1.0]),
             theta_min=lo,
             theta_max=hi,
             periodic=params.periodic,
@@ -251,12 +251,10 @@ def _example3_data(params: OracleParams, r0: float) -> _ExampleData:
         )
 
     def initial_curve() -> InitialCurve:
-        def tangent(v: float) -> np.ndarray:
-            return np.array([1.0, 0.0, s * coef, 0.0])
-
+        tangent = _rows([1.0, 0.0, s * coef, 0.0])
         lo, hi = map(float, params.theta_range)
         return InitialCurve(
-            phi=lambda v: np.array([v, r0, s * coef * v, params.beta0]),
+            phi=_rows([lambda v: v, r0, lambda v: s * coef * v, params.beta0]),
             psi=tangent,
             phi_prime=tangent,
             theta_min=lo,
@@ -363,6 +361,9 @@ class EllipticBranchOracle:
         self._data = data
         self.conserved = data.conserved
         self.initial_curve = data.initial_curve
+        # (E, sqrt(K)) at each vartheta met so far: ``compare`` asks
+        # ``outside`` and then ``evaluate`` about the same nodes
+        self._e_sqrt_k: dict[float, tuple[float, float]] = {}
 
         # evaluation stops slightly outside the horizon: the tau quadrature
         # has a pole at u = 1/(2m)
@@ -462,9 +463,11 @@ class EllipticBranchOracle:
 
     def _t_range(self, t, vartheta):
         """E and sqrt(K) of each node's characteristic, and the t past its certified range."""
-        cs = [self.conserved(v) for v in vartheta.ravel().tolist()]
-        E, K = (np.array([getattr(c, name) for c in cs]).reshape(t.shape) for name in "EK")
-        sqrt_k = np.sqrt(K)
+        known, values = self._e_sqrt_k, vartheta.ravel().tolist()
+        for v in set(values).difference(known):
+            c = self.conserved(v)
+            known[v] = (c.E, math.sqrt(c.K))
+        E, sqrt_k = np.array([known[v] for v in values]).T.reshape((2,) + t.shape)
         return E, sqrt_k, (t < -1e-12) | (t > self._T_end / sqrt_k)
 
     def outside(self, t, vartheta, x=None) -> np.ndarray:

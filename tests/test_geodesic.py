@@ -24,21 +24,26 @@ def rows(*points):
     return np.array(points, dtype=float)
 
 
+def accel(spacetime, y, v):
+    """The acceleration at the rows (y, v), written into a new array."""
+    return spacetime.acceleration_at(y, v, np.empty_like(v))
+
+
 class TestRhs:
     def test_flat_zero(self, flat):
-        a = flat.acceleration_at(rows([0.0, 1.0, 2.0, 3.0]), rows([1.0, 0.5, -0.2, 0.1]))
+        a = accel(flat, rows([0.0, 1.0, 2.0, 3.0]), rows([1.0, 0.5, -0.2, 0.1]))
         assert a.shape == (1, 4) and np.abs(a).max() == 0.0
 
     def test_photon_sphere_radial_balance(self, schw):
-        a = schw.acceleration_at(
-            rows([0.0, 3.0, math.pi / 2, 0.0]), rows([1.0, 0.0, 1.0 / (3 * SQRT3), 0.0])
+        a = accel(
+            schw, rows([0.0, 3.0, math.pi / 2, 0.0]), rows([1.0, 0.0, 1.0 / (3 * SQRT3), 0.0])
         )
         assert abs(a[0, 1]) < 1e-15
 
     def test_r4_circular_radial_balance(self, schw):
         for sign in (1.0, -1.0):
-            a = schw.acceleration_at(
-                rows([0.0, 4.0, math.pi / 2, 0.0]), rows([1.0, 0.0, sign / 8.0, 0.0])
+            a = accel(
+                schw, rows([0.0, 4.0, math.pi / 2, 0.0]), rows([1.0, 0.0, sign / 8.0, 0.0])
             )
             assert abs(a[0, 1]) < 1e-15
 
@@ -46,14 +51,14 @@ class TestRhs:
         # a row outside the chart is flagged with nan, the others are untouched
         y = rows([0.0, 1.5, 1.0, 0.0], [0.0, 4.0, 1.0, 0.0], [0.0, 2.0, 1.0, 0.0])
         v = rows([1.0, 0.0, 0.1, 0.2], [1.0, 0.0, 0.1, 0.2], [1.0, 0.0, 0.1, 0.2])
-        a = schw.acceleration_at(y, v)
+        a = accel(schw, y, v)
         assert np.isnan(a[[0, 2]]).all()
-        assert a[1].tobytes() == schw.acceleration_at(y[1:2], v[1:2])[0].tobytes()
+        assert a[1].tobytes() == accel(schw, y[1:2], v[1:2])[0].tobytes()
 
     def test_flat_spherical_domain_violation(self):
         flat = ns.minkowski_spherical()
         y = rows([0.0, 0.0, 1.0, 0.0], [0.0, -1.0, 1.0, 0.0], [0.0, 1e-300, 1.0, 0.0])
-        a = flat.acceleration_at(y, rows(*[[1.0, -1.0, 0.0, 0.0]] * 3))
+        a = accel(flat, y, rows(*[[1.0, -1.0, 0.0, 0.0]] * 3))
         assert np.isnan(a[:2]).all() and np.isfinite(a[2]).all()
 
 
@@ -203,7 +208,7 @@ class TestFirstIntegralConsistency:
         for t in np.linspace(0.0, 15.0, 61):
             s = traj.sample(t)
             r, r_t = s.y[1], s.v[1]
-            r_tt = schw.acceleration_at(s.y[None], s.v[None])[0, 1]
+            r_tt = accel(schw, s.y[None], s.v[None])[0, 1]
             residual = (
                 r_tt
                 - m / (r * (r - 2 * m)) * r_t**2
@@ -258,12 +263,12 @@ class TestEvents:
         # radial flat motion r = 1 + t leaves the domain r <= 3 at t = 2; the
         # steps there are halved until h underflows
         flat = ns.minkowski_spherical()
-        accel = flat.acceleration_at
+        free = flat.acceleration_at
 
-        def bounded(y, v):
-            a = accel(y, v)
-            a[y[:, 1] > 3.0] = np.nan  # rows outside the chart r <= 3
-            return a
+        def bounded(y, v, out):
+            free(y, v, out)
+            out[y[:, 1] > 3.0] = np.nan  # rows outside the chart r <= 3
+            return out
 
         spacetime = replace(flat, acceleration_at=bounded)
         state0 = ns.GeodesicState(
@@ -313,15 +318,44 @@ class TestEvents:
         assert traj.nodes[-1, 1] <= barrier
 
 
+class TestStageSums:
+    """The stage sums are reduced over the stage axis, one stage after the other."""
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 32, 128])
+    def test_weighted_is_the_left_to_right_sum(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        tableau = [*geodesic._A_STACK[1:], geodesic._B_STACK, geodesic._E_STACK]
+        random = [rng.normal(size=(s, 1, 1)) for s in range(1, 8)]
+        for weights in [*tableau, geodesic._MID_STACK, *random]:
+            s = len(weights)
+            scales = 10.0 ** rng.uniform(-8.0, 8.0, (s, n_rows, 8))
+            values = rng.normal(size=(s, n_rows, 8)) * scales
+            # as the step loop holds them: [v, a] inside rows [y, v, a]
+            rows = np.empty((s, n_rows, 12))
+            rows[..., 4:] = values
+            expected = weights[0] * values[0]
+            for j in range(1, s):
+                expected = expected + weights[j] * values[j]
+            for stages in (values, rows[..., 4:]):
+                assert geodesic._weighted(weights, stages).tobytes() == expected.tobytes()
+
+
 class TestRhsContract:
     @pytest.mark.parametrize(
         "accel",
-        [lambda y, v: np.zeros(4), lambda y, v: [0.0] * 3, lambda y, v: (0.0,) * 4],
-        ids=["ndarray", "short list", "tuple"],
+        [
+            lambda y, v, out: np.zeros(4),
+            lambda y, v, out: [0.0] * 3,
+            lambda y, v, out: (0.0,) * 4,
+            lambda y, v, out: np.add(out, np.zeros(3), out),
+            lambda y, v: np.zeros(np.shape(v)),
+        ],
+        ids=["ndarray", "short list", "tuple", "writes another shape", "no out"],
     )
     def test_acceleration_not_a_float_list_raises(self, accel):
-        # acceleration_at returns an (N, dim) float array for N rows; a (dim,)
-        # array would broadcast into the stage sums, a list or tuple is refused
+        # acceleration_at writes its (N, dim) rows into out and returns out;
+        # another array, a list or a tuple is refused, and so is a call that
+        # fails on the out it is given
         spacetime = replace(ns.minkowski_spherical(), acceleration_at=accel)
         state0 = ns.GeodesicState(
             y=np.array([0.0, 1.0, 1.0, 0.0]), v=np.array([1.0, 1.0, 0.0, 0.0]), t=0.0
@@ -523,7 +557,7 @@ def _reference_step(spacetime, w, h):
     dim = spacetime.dim
 
     def rhs(x):
-        return np.concatenate([x[dim:], spacetime.acceleration_at(x[None, :dim], x[None, dim:])[0]])
+        return np.concatenate([x[dim:], accel(spacetime, x[None, :dim], x[None, dim:])[0]])
 
     K = np.empty((7, 2 * dim))
     K[0] = rhs(w)

@@ -327,14 +327,15 @@ class TestValidateCurve:
         assert report.max_abs_delta == pytest.approx(80.0, rel=1e-12)
 
     def test_one_curve_evaluation_per_sample(self, schw):
-        # light-likeness and Lambda' come from the same pass over the grid
+        # light-likeness and Lambda' come from the same pass over the grid;
+        # a call may cover many samples, so the points are counted
         calls = Counter()
 
         def counted(name):
             fn = getattr(EXPRESSION_CURVE, name)
 
             def wrapper(v):
-                calls[name] += 1
+                calls[name] += np.size(v)
                 return fn(v)
 
             return wrapper

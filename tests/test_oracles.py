@@ -25,7 +25,8 @@ def second_difference(f, t, h=1e-3):
 
 def geodesic_residual(spacetime, evaluate, t, h=1e-3):
     y, y_t, y_tt = second_difference(evaluate, t, h)
-    return np.abs(y_tt - spacetime.acceleration_at(y[None], y_t[None])[0]).max()
+    a = spacetime.acceleration_at(y[None], y_t[None], np.empty((1, len(y))))
+    return np.abs(y_tt - a[0]).max()
 
 
 class TestCaseDetection:

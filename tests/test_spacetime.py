@@ -143,7 +143,7 @@ class TestChristoffelFd:
             name="degenerate",
             dim=2,
             metric_at=lambda x: np.array([[1.0, 1.0], [1.0, 1.0]]),
-            acceleration_at=lambda y, v: np.zeros(np.shape(v)),
+            acceleration_at=None,  # only the connection is under test
         )
         with pytest.raises(DomainError):
             ns.christoffel_from_metric(degenerate, [0.0, 0.0])
@@ -159,7 +159,7 @@ class TestChristoffelFd:
             v = rng.normal(size=4)
             r = x[1]
             f = 1.0 - 2.0 * m / r
-            (a,) = schw.acceleration_at(x[None], v[None])
+            (a,) = schw.acceleration_at(x[None], v[None], np.empty((1, 4)))
             expected = np.array(
                 [a[0] + a[1] / f - 2.0 * m * v[1] ** 2 / (r * r * f * f), *a[1:]]
             )
@@ -227,6 +227,38 @@ class TestInducedMetric:
             assert getattr(c_order, name).tobytes() == getattr(f_order, name).tobytes(), name
 
 
+@pytest.mark.parametrize(
+    "spacetime, outside_r",
+    [
+        (ns.schwarzschild(ns.SchwarzschildParams(m=1.0)), [2.0, 1.5, 0.0]),
+        (ns.minkowski_spherical(), [0.0, -1.0]),
+        (ns.minkowski(), []),
+    ],
+    ids=["schwarzschild", "minkowski_spherical", "minkowski"],
+)
+def test_acceleration_writes_rows_into_out(spacetime, outside_r):
+    """As the integrator calls it: y, v and out are column blocks of one (N, 3 dim) buffer.
+
+    Each row gets the bits of a call on it alone, a row outside the chart
+    is nan, and nothing but out is written.
+    """
+    rng = np.random.default_rng(17)
+    x = random_admissible_points(40, rng)
+    x[: len(outside_r), 1] = outside_r
+    buffer = np.full((len(x), 14), 7.0)  # one column of margin on each side
+    buffer[:, 1:5], buffer[:, 5:9] = x, rng.normal(size=(len(x), 4))
+    y, v, out = buffer[:, 1:5], buffer[:, 5:9], buffer[:, 9:13]
+    before = buffer.copy()
+    assert spacetime.acceleration_at(y, v, out) is out
+    kept = np.r_[0:9, 13]
+    assert buffer[:, kept].tobytes() == before[:, kept].tobytes()
+    assert np.isnan(out[: len(outside_r)]).all()
+    assert np.isfinite(out[len(outside_r) :]).all()
+    for j in range(len(x)):
+        alone = spacetime.acceleration_at(y[j][None].copy(), v[j][None].copy(), np.empty((1, 4)))
+        assert out[j].tobytes() == alone[0].tobytes()
+
+
 class TestDualRhsRoutes:
     def test_explicit_acceleration_matches_contraction(self, schw):
         # called as the integrator calls it, on all rows at once, each
@@ -236,13 +268,13 @@ class TestDualRhsRoutes:
             rng = np.random.default_rng(5)
             x = random_admissible_points(200, rng)
             v = rng.normal(size=(200, 4))
-            a_rows = spacetime.acceleration_at(x, v)
+            a_rows = spacetime.acceleration_at(x, v, np.empty_like(v))
             assert type(a_rows) is np.ndarray and a_rows.dtype == np.float64
             assert a_rows.shape == (200, spacetime.dim)
             for j in range(200):
                 gamma = ns.christoffel_from_metric(spacetime, x[j])
                 a_generic = -np.einsum("mnr,n,r->m", gamma, v[j], v[j])
-                alone = spacetime.acceleration_at(x[j : j + 1], v[j : j + 1])[0]
+                alone = spacetime.acceleration_at(x[j : j + 1], v[j : j + 1], np.empty((1, 4)))[0]
                 assert a_rows[j].tobytes() == alone.tobytes()
                 assert np.abs(a_generic - a_rows[j]).max() < 1e-13 * max(
                     1.0, np.abs(a_generic).max()
