@@ -199,6 +199,12 @@ def parse_config(raw: dict) -> RunConfig:
     })
     if solver_cfg.t_end <= 0:
         raise ConfigError("solver.t_end", "must be positive")
+    for name in ("rel_tol", "abs_tol", "eps_horizon", "eps_axis"):
+        value = getattr(solver_cfg, name)
+        if not (math.isfinite(value) and value >= 0):
+            raise ConfigError(f"solver.{name}", f"must be finite and non-negative, got {value}")
+    if solver_cfg.max_steps < 0:
+        raise ConfigError("solver.max_steps", f"must be non-negative, got {solver_cfg.max_steps}")
 
     out_raw = _block(raw, "output", OutputConfig)
     out_format = out_raw.get("format", "csv")

@@ -27,11 +27,14 @@ Each step is taken with h = (t + h) - t, so the stored node times differ by
 exactly the step sizes.
 
 A trajectory is the node times, the node states [y, v] and one interpolant
-per step (q = K.T @ P), kept as records [t, w, q] of one ``_RecordLog`` per
-run.  One dense-output formula serves sampling, the event search and the
-event state.  Schwarzschild runs terminate at the horizon
-(r <= 2m(1 + eps_horizon)) or the coordinate axis (|sin alpha| <= eps_axis);
-both are recorded as events, as is step-size underflow.
+per step (q = K.T @ P), kept as records [t, w, q].  Each iteration adds
+its records as one block; when the loop ends, the blocks are joined into
+one table of the run and put in row order by one stable argsort, so each
+trajectory is a view into that table.  One dense-output formula serves
+sampling, the event search and the event state.  Schwarzschild runs
+terminate at the horizon (r <= 2m(1 + eps_horizon)) or the coordinate axis
+(|sin alpha| <= eps_axis); both are recorded as events, as is step-size
+underflow.
 
 A run told the t-grid its trajectories will be sampled on (``t_grid``) may
 stop a row at a node from which the radial first integral certifies that
@@ -44,7 +47,6 @@ tau diverges like -2m ln(r - 2m).
 from __future__ import annotations
 
 import math
-import mmap
 import sys
 from dataclasses import dataclass
 
@@ -204,8 +206,9 @@ class GeodesicTrajectory:
     states [y, v] at them and ``interp_q`` (n-1, 2*dim, 4) the interpolant
     of each step; ``sample`` evaluates the continuous extension anywhere in
     [ts[0], t_last].  ``stats`` holds the integrator's counts for it.  The
-    three are views into the record table of the run that made
-    the trajectory.
+    three arrays are views into one table of the run that made the
+    trajectory, which holds the records [t, w, q] of all its rows, grouped
+    by row.
     """
 
     dim: int
@@ -501,8 +504,9 @@ def integrate_batch(
     n_rows = len(states0)
     # each row's nodes as records [t, w, q], q the interpolant of the step
     # from the node (nan at the last node), in the order they are found;
-    # the step to an event node (t_ev, node, interpolant) becomes two records
-    log = _RecordLog(1 + 5 * n, 64 * n_rows, n_rows)  # first room: 64 nodes a row
+    # the step to an event node (t_ev, node, interpolant) becomes two records;
+    # they are kept as blocks of records and the rows that own them
+    blocks, owners = [], []
     tail = np.full(4 * n, np.nan)
     ends: list[tuple | None] = [None] * n_rows
     # the horizon certificate is checked on the nodes with r_t < 0 that _can_certify
@@ -510,11 +514,9 @@ def integrate_batch(
     if certifying:
         cert = _horizon_certificates(spacetime, opts, y0, v0)
         r_h = 2.0 * spacetime.meta["mass"] * (1.0 + opts.eps_horizon)
-        # the grid times before t_end, then t_end (sorted in Python: numpy's
-        # sort is code that nothing else in a run loads)
-        limits = np.array(
-            [*sorted(g for g in np.asarray(t_grid, float).tolist() if g < t_end), t_end]
-        )
+        # the grid times before t_end, then t_end
+        grid = np.sort(np.asarray(t_grid, float))
+        limits = np.append(grid[grid < t_end], t_end)
     else:
         cert = np.empty((n_rows, 0))
 
@@ -528,9 +530,11 @@ def integrate_batch(
     def end(k, kind, t_event, stop, partial=None):
         j = int(rows[k])
         q = tail if partial is None else partial[2].ravel()
-        log.append([j], np.concatenate([t[k : k + 1], w[k], q])[None])
+        blocks.append(np.concatenate([t[k : k + 1], w[k], q])[None])
+        owners.append([j])
         if partial is not None:  # the event node (t_ev, node)
-            log.append([j], np.concatenate([[partial[0]], partial[1], tail])[None])
+            blocks.append(np.concatenate([[partial[0]], partial[1], tail])[None])
+            owners.append([j])
         ends[j] = (Event(kind=kind, t=t_event), attempts, int(n_bad[k]), stop, partial is not None)
 
     def drop(done):
@@ -636,10 +640,8 @@ def integrate_batch(
                 # each row's stages as the (n, 6) matrix K.T of a C-ordered K
                 K = np.ascontiguousarray(stored.transpose(1, 0, 2)[sel])
                 q = np.matmul(K.transpose(0, 2, 1), _P_STORED)
-                log.append(
-                    rows[sel],
-                    np.concatenate([t[sel, None], w[sel], q.reshape(n_f, -1)], axis=1),
-                )
+                blocks.append(np.concatenate([t[sel, None], w[sel], q.reshape(n_f, -1)], axis=1))
+                owners.append(rows[sel])
                 np.copyto(t, t + h, where=full)
                 np.copyto(w, w_new, where=full[:, None])
                 np.copyto(f, ks[6], where=full[:, None])
@@ -671,81 +673,15 @@ def integrate_batch(
             if np.count_nonzero(done):
                 drop(done)
 
-    table, starts = log.grouped()
+    # each row's records together, in the order they were found; the blocks
+    # go before the take, so the records are never held three times
+    owner, table = np.concatenate(owners), np.concatenate(blocks)
+    blocks.clear()
+    table = table.take(np.argsort(owner, kind="stable"), axis=0)
+    starts = [0, *np.cumsum(np.bincount(owner, minlength=n_rows)).tolist()]
     return [
         _trajectory(dim, table[starts[j] : starts[j + 1]], *ends[j]) for j in range(n_rows)
     ]
-
-
-def _anonymous_map(nbytes: int) -> mmap.mmap:
-    """A private anonymous memory map; only the pages written to become resident."""
-    if hasattr(mmap, "MAP_PRIVATE"):  # POSIX: a shared map cannot grow past its first size
-        return mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
-    return mmap.mmap(-1, nbytes)
-
-
-class _RecordLog:
-    """Records of ``width`` floats appended to one anonymous memory map, then grouped by owner.
-
-    The records of all rows share one map, which grows in place (mremap), so
-    each record is written once and never held twice.  The map lies outside
-    the malloc heap: the trajectories neither fragment the heap nor keep it
-    grown, and their memory goes back to the system with the last of them.
-    """
-
-    def __init__(self, width: int, capacity: int, n_owners: int):
-        self.width = width
-        self.map = _anonymous_map(8 * width * capacity)
-        self.count = np.zeros(n_owners, dtype=np.int64)  # records per owner
-        self.owners = bytearray()  # each record's owner, as 8-byte ints
-
-    def append(self, owners, records: np.ndarray) -> None:
-        """Append the rows of the C-ordered float array ``records``, of distinct ``owners``."""
-        end = self.map.tell() + records.nbytes
-        if end > len(self.map):
-            self._grow(max(end, 2 * len(self.map)))
-        self.map.write(records)
-        owners = np.asarray(owners, dtype=np.int64)
-        self.owners += owners.tobytes()
-        self.count[owners] += 1
-
-    def _grow(self, nbytes: int) -> None:
-        try:
-            self.map.resize(nbytes)
-        except (OSError, SystemError):  # no mremap (e.g. macOS): copy to a larger map
-            grown = _anonymous_map(nbytes)
-            grown.write(self.map[: self.map.tell()])
-            self.map.close()
-            self.map = grown
-
-    def grouped(self):
-        """The records as one (n, width) array, those of each owner together in the order appended.
-
-        Returns the array and ``starts``: owner j's records are
-        ``starts[j]:starts[j + 1]``.  The records are moved into place
-        along the cycles of the permutation, so they are never held twice.
-        """
-        starts = np.concatenate([[0], np.cumsum(self.count)]).tolist()
-        # buffers, not lists, whose entries become Python ints one at a
-        # time: each record's owner, and source[i], the record that goes to i
-        owners = memoryview(self.owners).cast("q")
-        n, size, records = len(owners), 8 * self.width, self.map
-        source = memoryview(bytearray(8 * n)).cast("q")
-        free = starts[:-1]
-        for i, j in enumerate(owners):
-            source[free[j]] = i
-            free[j] += 1
-        placed = bytearray(n)
-        for first in range(n):
-            if placed[first]:
-                continue
-            held, i = records[first * size : (first + 1) * size], first
-            while source[i] != first:
-                records.move(i * size, source[i] * size, size)
-                placed[i], i = 1, source[i]
-            records[i * size : (i + 1) * size], placed[i] = held, 1
-        table = np.frombuffer(records, dtype=float, count=n * self.width)
-        return table.reshape(n, self.width), starts
 
 
 def _trajectory(dim, records, event, attempts, n_bad, stop, partial) -> GeodesicTrajectory:

@@ -84,6 +84,23 @@ class TestConfigSchema:
         assert err.startswith("configuration error: spacetime.mass")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            *(
+                (key, value)
+                for key in ("rel_tol", "abs_tol", "eps_horizon", "eps_axis")
+                for value in (-1.0, math.nan, math.inf)
+            ),
+            ("max_steps", -1),
+        ],
+    )
+    def test_bad_solver_option_exit_2(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, solver={key: value})
+        assert main(["validate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: solver.{key}") and err.count("\n") == 1
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ns.ConfigError):
             parse_config({"spacetme": {}})

@@ -8,8 +8,8 @@ result must not depend on which other rows share its batch.
 
 import importlib.util
 import math
-import mmap
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nullsheet as ns
-from nullsheet import geodesic
 from nullsheet.config import build_curve, build_spacetime, load_config
 from scalar_dp5 import integrate_scalar
 
@@ -201,23 +200,16 @@ def test_empty_batch():
     assert ns.integrate_batch(ns.minkowski_spherical(), [], 1.0) == []
 
 
-def test_record_map_copied_where_it_cannot_grow_in_place(configs, monkeypatch):
-    # without mremap (e.g. on macOS) the records are copied to a larger map;
-    # infall-ring's rows outgrow the first map, and the trajectories are the same
-    class FixedMap(mmap.mmap):
-        def resize(self, nbytes):
-            raise SystemError("mmap: resizing not available--no mremap()")
-
-    spacetime, states0, t_end, opts, t_grid = pipeline_inputs(configs["infall-ring"])
-    want = ns.integrate_batch(spacetime, states0, t_end, opts, t_grid=t_grid)
-    grown = []
-
-    def fixed_map(nbytes):
-        grown.append(nbytes)
-        return FixedMap(-1, nbytes, flags=mmap.MAP_PRIVATE)
-
-    monkeypatch.setattr(geodesic, "_anonymous_map", fixed_map)
-    got = ns.integrate_batch(spacetime, states0, t_end, opts, t_grid=t_grid)
-    assert len(grown) > 1
-    for a, b in zip(got, want):
-        assert_same(a, b)
+def test_records_held_at_most_twice_while_grouped(tmp_path):
+    # the blocks of records are freed before the table is taken in row
+    # order, so the records are held twice at most (three times otherwise)
+    infall = _workloads().InfallRing(0, tmp_path)  # 32 characteristics
+    spacetime, states0, t_end, opts, t_grid = pipeline_inputs(infall.config)
+    tracemalloc.start()
+    try:
+        batch = ns.integrate_batch(spacetime, states0, t_end, opts, t_grid=t_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    record_bytes = sum(len(tr.ts) for tr in batch) * (1 + 10 * spacetime.dim) * 8
+    assert peak <= 2.5 * record_bytes
