@@ -197,12 +197,15 @@ def parse_config(raw: dict) -> RunConfig:
         )
         for f in fields(SolverConfig)
     })
-    if solver_cfg.t_end <= 0:
-        raise ConfigError("solver.t_end", "must be positive")
+    if not (math.isfinite(solver_cfg.t_end) and solver_cfg.t_end > 0):
+        raise ConfigError("solver.t_end", f"must be finite and positive, got {solver_cfg.t_end}")
     for name in ("rel_tol", "abs_tol", "eps_horizon", "eps_axis"):
         value = getattr(solver_cfg, name)
         if not (math.isfinite(value) and value >= 0):
             raise ConfigError(f"solver.{name}", f"must be finite and non-negative, got {value}")
+    # the error scale abs_tol + rel_tol |w| must be positive where w = 0
+    if solver_cfg.abs_tol == 0:
+        raise ConfigError("solver.abs_tol", "must be positive, got 0.0")
     if solver_cfg.max_steps < 0:
         raise ConfigError("solver.max_steps", f"must be non-negative, got {solver_cfg.max_steps}")
 

@@ -1,10 +1,13 @@
 """Geodesic integration of characteristic t-curves with event monitoring.
 
 Each surface point evolves by y''^mu + Gamma^mu_{nu rho}(y) y'^nu y'^rho = 0.
-The integrator is an embedded Dormand-Prince 5(4) pair with PI step-size
-control and the standard quartic continuous extension (Hairer, Norsett &
-Wanner, Solving ODEs I, II.6), so trajectories can be sampled densely
-without re-integration.
+The integrator is DOP853, the embedded Dormand-Prince 8(5,3) pair of
+Hairer's code (Hairer, Norsett & Wanner, Solving ODEs I, II.10): 12 stages
+with the last one reused (FSAL), Hairer's error norm, which damps the
+5th-order estimate where the 3rd-order one is far larger, PI step-size
+control, and the 7th-order continuous extension, which 3 more stages of each
+accepted step give, so trajectories can be sampled densely without
+re-integration.
 
 The characteristics are independent geodesics, so one step loop advances
 all of them together (``integrate_batch``) as the rows of an (N, 2*dim)
@@ -12,27 +15,29 @@ array [y, v].  Each row keeps its own t, step size h, PI controller state
 and step counts.  An iteration attempts one step on every live row; per
 stage, ``Spacetime.acceleration_at(y, v, out)`` writes all rows'
 accelerations into ``out``, the a block of the stage rows [y, v, a], whose
-[v, a] is the stage.  A row whose stage left the chart (flagged with nan)
-or is not finite halves its own h.  The guards are evaluated on all rows,
-at the step end and at the midpoint of the guarded component's continuous
+[v, a] is the stage.  A row whose stage or step end left the chart
+(flagged with nan) or is not finite halves its own h; so does an accepted
+row whose dense-output stage did.  The guards are evaluated on the
+accepted rows, at the step end and at the midpoint of the continuous
 extension, in one call; the event search and the event node run only on
 the rows where one fires, and the horizon certificate only on the rows
 with r_t < 0 that would reach the horizon before their next grid time at
 their present speed.  Rows that end are dropped.  The stage sums are one
-reduction over the stage axis, which adds the stages in stage order; they,
-the error norm and the controller are element-wise numpy in the order of
-the scalar loop they replaced, with every power taken by
+reduction over the stage axis, which adds the stages in stage order (zero
+weights included); they, the error norm and the controller are
+element-wise numpy in the order of a scalar loop, with every power taken by
 ``np.float_power``, so a row's bits do not depend on the batch it sits in.
 Each step is taken with h = (t + h) - t, so the stored node times differ by
 exactly the step sizes.
 
 A trajectory is the node times, the node states [y, v] and one interpolant
-per step (q = K.T @ P), kept as records [t, w, q].  Each iteration adds
-its records as one block; when the loop ends, the blocks are joined into
-one table of the run and put in row order by one stable argsort, so each
-trajectory is a view into that table.  One dense-output formula serves
-sampling, the event search and the event state.  Schwarzschild runs
-terminate at the horizon (r <= 2m(1 + eps_horizon)) or the coordinate axis
+per step (q, the coefficients of sigma .. sigma^7), kept as records
+[t, w, q].  Each iteration adds its records as one block; when the loop
+ends, the blocks are joined into one table of the run and put in row order
+by one stable argsort, so each trajectory is a view into that table.  One
+dense-output formula serves sampling, the guards' midpoint probe, the
+event search and the event state.  Schwarzschild runs terminate at the
+horizon (r <= 2m(1 + eps_horizon)) or the coordinate axis
 (|sin alpha| <= eps_axis); both are recorded as events, as is step-size
 underflow.
 
@@ -56,61 +61,181 @@ from .errors import DomainError, NullsheetError
 from .reduction import ConservedSet, _cubic_at, first_integrals, radial_cubic
 from .spacetime import SchwarzschildParams, Spacetime
 
-# Dormand-Prince 5(4) tableau (FSAL: the 7th stage is the next first stage).
+# DOP853, the 8(5,3) pair of Dormand and Prince in Hairer's DOP853 (Hairer,
+# Norsett & Wanner, Solving ODEs I, II.10), with the coefficients of
+# scipy.integrate's copy of it.  Row i of _A weighs the stages k_0 .. k_{i-1}
+# of the argument of stage i: rows 1-11 are the step's stages, row 12 the
+# weights B of its result w_new, whose derivative k_12 is the next step's
+# k_0 (FSAL), and rows 13-15 the three extra stages of the dense output.
 _A = [
     np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+    np.array([0.05260015195876773]),
+    np.array([0.0197250569845379, 0.0591751709536137]),
+    np.array([0.02958758547680685, 0.0, 0.08876275643042054]),
+    np.array([0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792]),
+    np.array([0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242]),
+    np.array(
+        [0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125]
+    ),
+    np.array(
+        [
+            0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+            -0.015319437748624402, 0.008273789163814023,
+        ]
+    ),
+    np.array(
+        [
+            0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+            27.59209969944671, 20.154067550477894, -43.48988418106996,
+        ]
+    ),
+    np.array(
+        [
+            0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+            21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627,
+        ]
+    ),
+    np.array(
+        [
+            -0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+            -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+            -3.0467644718982196,
+        ]
+    ),
+    np.array(
+        [
+            2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+            -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+            12.360567175794303, 0.6433927460157636,
+        ]
+    ),
+    np.array(
+        [
+            0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+            -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+            0.04471061572777259,
+        ]
+    ),
+    np.array(
+        [
+            0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+            -0.2462390374708025, -0.12419142326381637, 0.15329179827876568, 0.00820105229563469,
+            0.007567897660545699, -0.008298,
+        ]
+    ),
+    np.array(
+        [
+            0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776, 0.053541988307438566,
+            -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932, 0.0003825710908356584,
+            -0.00034046500868740456, 0.1413124436746325,
+        ]
+    ),
+    np.array(
+        [
+            -0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599,
+            4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
+            2.9475147891527724, -9.15095847217987,
+        ]
+    ),
 ]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
-# quartic interpolant weights (continuous extension of the 5(4) pair)
-_P = np.array(
+_B = _A[12]
+# the 5th- and 3rd-order error weights over k_0 .. k_12; k_12 weighs 0, so
+# a step end out of the chart (a nan k_12) fails the step like a stage
+_E5 = np.array(
     [
-        [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-        [0.0, 0.0, 0.0, 0.0],
-        [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-        [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-        [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-        [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-        [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+        0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+        1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+        -0.022355307863886294, 0.0,
     ]
+)
+_E3 = np.array(
+    [
+        -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+        -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+        0.02265179219836082, 0.0,
+    ]
+)
+# the dense output w + sigma (F_0 + (1 - sigma) (F_1 + sigma (F_2 + ...))),
+# F_j = h sum_s G[j, s] k_s: F_0 = w_new - w, F_1 = h k_0 - F_0,
+# F_2 = 2 F_0 - h (k_0 + k_12) and F_3 .. F_6 the rows of _D
+_D = np.array(
+    [
+        [
+            -8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
+            2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+            0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+            -4.436036387594894,
+        ],
+        [
+            10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
+            -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+            -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+            35.81684148639408,
+        ],
+        [
+            19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
+            527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+            0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+            11.99229113618279,
+        ],
+        [
+            -25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
+            357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+            29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+            -149.72683625798564,
+        ],
+    ]
+)
+# the stages with a dense-output weight (k_1 .. k_4 have none)
+_DENSE = np.array([0, *range(5, 16)])
+_G = np.zeros((7, 16))
+_G[0, :12] = _B
+_G[1] = -_G[0]
+_G[1, 0] += 1.0
+_G[2] = 2.0 * _G[0]
+_G[2, [0, 12]] -= 1.0
+_G[3:] = _D
+_G_DENSE = _G[:, _DENSE].T
+# the nested form's terms sigma, sigma (1 - sigma), sigma^2 (1 - sigma), ..,
+# sigma^4 (1 - sigma)^3 in the powers sigma .. sigma^7: the interpolant is
+# q = (K.T @ G.T) @ _T in two products.  The rounding of each F_j then
+# cancels at sigma = 1, where the terms past F_0 vanish; one product with
+# G.T @ _T (entries up to 545) rounds each power on its own, and puts the
+# dense output at sigma = 1 some 240 times farther from the node
+_T = np.array(
+    [
+        [1, 0, 0, 0, 0, 0, 0],
+        [1, -1, 0, 0, 0, 0, 0],
+        [0, 1, -1, 0, 0, 0, 0],
+        [0, 1, -2, 1, 0, 0, 0],
+        [0, 0, 1, -2, 1, 0, 0],
+        [0, 0, 1, -3, 3, -1, 0],
+        [0, 0, 0, 1, -3, 3, -1],
+    ],
+    dtype=float,
 )
 
 # the step loop's scalars are 0-d arrays: numpy takes them as they are,
 # where it would convert a Python float on every call
 _ZERO, _ONE, _ERR_FLOOR = np.array(0.0), np.array(1.0), np.array(1e-10)
 # PI controller: factor SAFETY err^-alpha err_prev^beta, within [MIN, MAX],
-# err_prev at least _ERR_FLOOR
+# err_prev at least _ERR_FLOOR; the exponents are those of order 5 scaled
+# to order 8; _E3_WEIGHT is Hairer's weight of the 3rd-order error
 _SAFETY = np.array(0.9)
 _MIN_FACTOR = np.array(0.2)
 _MAX_FACTOR = np.array(10.0)
-_NEG_PI_ALPHA = np.array(-(0.7 / 5.0))
-_PI_BETA = np.array(0.4 / 5.0)
-_POWERS = np.arange(1.0, 5.0)
+_NEG_PI_ALPHA = np.array(-(0.7 / 8.0))
+_PI_BETA = np.array(0.4 / 8.0)
+_E3_WEIGHT = np.array(0.01)
+_POWERS = np.arange(1.0, 8.0)
 # smallest step, relative to max(|t|, 1), that is not lost in the roundoff of t
 _H_FLOOR = np.array(16.0 * sys.float_info.epsilon)
 
-# the stages with interpolant or error weight (row 1 of _P and _E is zero),
-# which are the ones a trajectory stores
-_STORED = np.array([0, 2, 3, 4, 5, 6])
-_P_STORED = _P[_STORED]
 # the step loop's weights as (s, 1, 1) columns over a stack of s stages of
-# all rows: a stage's argument weighs k_0 .. k_{s-1}; the step's result
-# w_new the nonzero k_0, k_2 .. k_5 (_A[6] is _B[:6], so w_new is also the
-# last stage's argument); the error and the interpolant at sigma = 1/2,
-# sum_k P[s, k] 2^-(k+1), the stored stages
+# all rows: a stage's argument weighs k_0 .. k_{s-1}, the error k_0 .. k_12
 _A_STACK = [a[:, None, None] for a in _A]
-_B_NONZERO = np.array([0, 2, 3, 4, 5])
-_B_STACK = _B[_B_NONZERO][:, None, None]
-_E_STACK = _E[_STORED][:, None, None]
-_MID_STACK = (_P_STORED * 0.5**_POWERS).sum(axis=1)[:, None, None]
+_E5_STACK = _E5[:, None, None]
+_E3_STACK = _E3[:, None, None]
 # how far past t_last a trajectory may be sampled, and so how far before a
 # grid time a run must end for the surface to count that time as reached
 REACH_SLACK = 1e-12
@@ -152,18 +277,19 @@ class Event:
 class StepStats:
     """How hard the integrator worked on one characteristic.
 
-    Modelled on the counters of Hairer's DOPRI5 (nfcn, naccpt, nrejct):
+    Modelled on the counters of Hairer's DOP853 (nfcn, naccpt, nrejct):
     ``rhs_rows`` is the number of acceleration rows evaluated for it, two to
-    choose the first step and six per attempted step; ``accepted`` counts
-    the steps that passed the error test, a final event step cut short
-    included; ``rejected`` those that failed it; ``domain_rejected`` those
-    retried with half the step because a stage left the chart or was not
-    finite.  ``h_min`` and ``h_max`` range over the full steps, never over
-    the fraction of a step that ends on an event (inf and 0.0 without a
-    full step).  ``stop`` is why the run ended: ``t_max``, ``max_steps``,
-    ``step_underflow``, ``horizon_certified`` (on the radial first
-    integral's bound), or ``horizon_crossing`` or ``axis_crossing`` (at a
-    bisected crossing).
+    choose the first step, twelve per attempted step and three more, for the
+    dense output, per step that passed the error test; ``accepted`` counts
+    the steps that passed it, a final event step cut short included;
+    ``rejected`` those that failed it; ``domain_rejected`` those retried
+    with half the step because a stage, the step end or a dense-output
+    stage left the chart or was not finite.  ``h_min`` and ``h_max`` range
+    over the full steps, never over the fraction of a step that ends on an
+    event (inf and 0.0 without a full step).  ``stop`` is why the run ended:
+    ``t_max``, ``max_steps``, ``step_underflow``, ``horizon_certified`` (on
+    the radial first integral's bound), or ``horizon_crossing`` or
+    ``axis_crossing`` (at a bisected crossing).
     """
 
     rhs_rows: int
@@ -185,10 +311,10 @@ class SolverOptions:
 
 
 def _dense(w, h, q, sigma):
-    """Continuous extension w + h q [sigma, sigma^2, sigma^3, sigma^4] of a step.
+    """Continuous extension w + h q [sigma, sigma^2, .., sigma^7] of a step.
 
     ``w`` (..., 2*dim) is the state at the step start, ``h`` the step size,
-    ``q`` (..., 2*dim, 4) the step's interpolant and ``sigma`` in [0, 1] the
+    ``q`` (..., 2*dim, 7) the step's interpolant and ``sigma`` in [0, 1] the
     fraction of the step.  The leading axes run over rows; for rows, ``h``
     and ``sigma`` are (..., 1) columns.
     """
@@ -198,12 +324,22 @@ def _dense(w, h, q, sigma):
     return w + h * (q @ basis[..., None])[..., 0]
 
 
+def _interpolants(ks):
+    """Each row's interpolant q (N, 2*dim, 7) from its stages ``ks`` (16, N, 2*dim).
+
+    The terms F_j / h of DOP853's nested dense output (K.T @ G.T), then
+    their expansion in the powers of sigma (_T).
+    """
+    K = np.ascontiguousarray(ks.take(_DENSE, axis=0).transpose(1, 2, 0))
+    return np.matmul(np.matmul(K, _G_DENSE), _T)
+
+
 @dataclass
 class GeodesicTrajectory:
     """Dense-output solution of one characteristic's geodesic.
 
     ``ts`` (n,) holds the accepted node times, ``nodes`` (n, 2*dim) the
-    states [y, v] at them and ``interp_q`` (n-1, 2*dim, 4) the interpolant
+    states [y, v] at them and ``interp_q`` (n-1, 2*dim, 7) the interpolant
     of each step; ``sample`` evaluates the continuous extension anywhere in
     [ts[0], t_last].  ``stats`` holds the integrator's counts for it.  The
     three arrays are views into one table of the run that made the
@@ -291,7 +427,7 @@ def _initial_steps(accel, t0, w0, f0, rel_tol, abs_tol, t_end):
         f1 = np.concatenate([x1[:, dim:], a1], axis=1)
         d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2, axis=1)) / h0
         d = np.maximum(d1, d2)
-        h1 = np.where(d <= 1e-15, np.maximum(1e-6, h0 * 1e-3), np.float_power(0.01 / d, 0.2))
+        h1 = np.where(d <= 1e-15, np.maximum(1e-6, h0 * 1e-3), np.float_power(0.01 / d, 0.125))
     span = np.abs(t_end - t0)
     h = np.minimum(np.minimum(100 * h0, h1), span)
     # a row whose trial state left the chart starts with a tenth of h0
@@ -335,24 +471,37 @@ def _weighted(weights, stages):
     return np.add.reduce(weights * stages, axis=0)
 
 
-def _event_step(fired, t, w, h, ks):
+def _stage(accel, i, w, h, xs, ks):
+    """Stage i of a step from w with the step sizes h (on every component).
+
+    Writes its argument x_i = w + h sum_j A[i, j] k_j into ``xs[i]`` and the
+    stage k_i = [v, a] at it into ``ks[i]``: the acceleration is written by
+    ``accel`` into the a half.
+    """
+    dim = ks.shape[-1] // 2
+    x, k = xs[i], ks[i]
+    np.add(w, h * _weighted(_A_STACK[i], ks[:i]), out=x)
+    k[:, :dim] = x[:, dim:]
+    accel(x[:, :dim], x[:, dim:], k[:, dim:])
+
+
+def _event_step(fired, t, w, h, q):
     """The event of a step where guards fired: (Event, partial step or None).
 
-    ``ks`` are the step's seven stages at the row, as (7, 2*dim).  The partial step is
+    ``q`` is the step's interpolant at the row.  The partial step is
     (t_ev, node, interpolant on [t, t_ev]); a crossing at the step start
     has none, and the run ends on the existing node.
     """
-    q = np.array(ks).T @ _P
     kind, t_ev, sig_ev = _first_crossing(fired, t, w, h, q)
     if sig_ev == 0.0:
         return Event(kind=kind, t=t_ev), None
-    # the node is the full step's quartic at the fraction that the stored
+    # the node is the full step's interpolant at the fraction that the stored
     # t_ev really is, one ulp of t later if rounding put t_ev before the
     # crossing; so is the partial step's interpolant, on [0, sig_ev]
     if t_ev - t < sig_ev * h:
         t_ev = math.nextafter(t_ev, math.inf)
     sig_ev = (t_ev - t) / h
-    partial = (t_ev, _dense(w, h, q, sig_ev), q * np.float_power(sig_ev, np.arange(4.0)))
+    partial = (t_ev, _dense(w, h, q, sig_ev), q * np.float_power(sig_ev, np.arange(7.0)))
     return Event(kind=kind, t=t_ev), partial
 
 
@@ -507,7 +656,7 @@ def integrate_batch(
     # the step to an event node (t_ev, node, interpolant) becomes two records;
     # they are kept as blocks of records and the rows that own them
     blocks, owners = [], []
-    tail = np.full(4 * n, np.nan)
+    tail = np.full(7 * n, np.nan)
     ends: list[tuple | None] = [None] * n_rows
     # the horizon certificate is checked on the nodes with r_t < 0 that _can_certify
     certifying = t_grid is not None and "mass" in spacetime.meta
@@ -521,11 +670,13 @@ def integrate_batch(
         cert = np.empty((n_rows, 0))
 
     # the live rows: original index, t, h, PI state, state, derivative,
-    # axis side, certificate data and the count of their domain-rejected
-    # steps; every live row attempts one step per iteration, so a row's
-    # attempts are the iterations it lived through
+    # axis side, certificate data, the count of their domain-rejected steps
+    # and, of those, the steps that failed on a dense-output stage; every
+    # live row attempts one step per iteration, so a row's attempts are the
+    # iterations it lived through
     rows, t, w, err_prev = np.arange(n_rows), t0.copy(), w0.copy(), np.ones(n_rows)
     n_bad = np.zeros(n_rows, dtype=np.int64)
+    n_late = np.zeros(n_rows, dtype=np.int64)
 
     def end(k, kind, t_event, stop, partial=None):
         j = int(rows[k])
@@ -535,14 +686,15 @@ def integrate_batch(
         if partial is not None:  # the event node (t_ev, node)
             blocks.append(np.concatenate([[partial[0]], partial[1], tail])[None])
             owners.append([j])
-        ends[j] = (Event(kind=kind, t=t_event), attempts, int(n_bad[k]), stop, partial is not None)
+        counts = (attempts, int(n_bad[k]), int(n_late[k]))
+        ends[j] = (Event(kind=kind, t=t_event), *counts, stop, partial is not None)
 
     def drop(done):
         """Remove the rows that ended from the live arrays."""
-        nonlocal rows, t, h, err_prev, w, f, side, cert, n_bad
+        nonlocal rows, t, h, err_prev, w, f, side, cert, n_bad, n_late
         live = ~done
-        rows, t, h, err_prev, w, f, side, cert, n_bad = (
-            x[live] for x in (rows, t, h, err_prev, w, f, side, cert, n_bad)
+        rows, t, h, err_prev, w, f, side, cert, n_bad, n_late = (
+            x[live] for x in (rows, t, h, err_prev, w, f, side, cert, n_bad, n_late)
         )
 
     attempts = 0
@@ -570,32 +722,54 @@ def integrate_batch(
                     break
 
             attempts += 1
+            n_live = len(rows)
             # h on every component of its row (a column would broadcast, slower)
             hw = np.repeat(h, n).reshape(-1, n)
-            # the stage rows [y, v, a]: the stage k_i = [v, a] at x_i = [y, v]
-            # shares its v, so the acceleration is the one value written.
-            # k_0 = f (FSAL); slot 6 holds the step end w_new, slot 7 the
-            # midpoint of the continuous extension, where the guards probe
-            xs = np.empty((8, len(rows), 3 * dim))
-            x, ks = xs[..., :n], xs[:7, :, dim:]
-            ys, vs, accs = xs[..., :dim], xs[..., dim:n], xs[..., n:]
+            # the stage arguments x_i = [y, v] and the stages k_i = [v, a],
+            # each in a buffer of its own, where the stage sums read
+            # contiguous rows; k_0 = f (FSAL).  Slot 12 of xs holds the step
+            # end w_new, slots 13-15 the dense output's stage arguments and
+            # slot 16 the midpoint of the continuous extension, where the
+            # guards probe
+            xs, ks = np.empty((17, n_live, n)), np.empty((16, n_live, n))
             ks[0] = f
-            for i in range(1, 6):
-                np.add(w, hw * _weighted(_A_STACK[i], ks[:i]), out=x[i])
-                accel(ys[i], vs[i], accs[i])
-            w_new = np.add(w, hw * _weighted(_B_STACK, ks.take(_B_NONZERO, 0)), out=x[6])
-            accel(ys[6], vs[6], accs[6])
-            stored = ks.take(_STORED, 0)
+            for i in range(1, 13):
+                _stage(accel, i, w, hw, xs, ks)
+            w_new = xs[12]
 
-            # RMS of the error scaled by max(|w|, |w_new|), the squares summed
-            # over the components from the first on; a nan stage, as
-            # out-of-chart rows give, makes it nan
-            e = hw * _weighted(_E_STACK, stored)
-            e /= abs_tol + rel_tol * np.maximum(np.abs(w), np.abs(w_new))
-            e *= e
-            err = np.sqrt(np.add.accumulate(e, axis=1)[:, -1] / n_comp)
+            # Hairer's error: the 5th-order estimate, damped where the
+            # 3rd-order one is far larger, from the RMS of each scaled by
+            # max(|w|, |w_new|), the squares summed over the components from
+            # the first on; a nan stage, as out-of-chart rows give, makes it nan
+            scale = abs_tol + rel_tol * np.maximum(np.abs(w), np.abs(w_new))
+            sq = []
+            for stack in (_E5_STACK, _E3_STACK):
+                e = _weighted(stack, ks[:13])
+                e /= scale
+                e *= e
+                sq.append(np.add.accumulate(e, axis=1)[:, -1])
+            deno = sq[0] + _E3_WEIGHT * sq[1]
+            err = h * sq[0] / np.sqrt(np.where(deno > _ZERO, deno, _ONE) * n_comp)
             accept = err <= _ONE
             n_accepted = np.count_nonzero(accept)
+
+            # the dense output's stages, on the rows that passed (views of
+            # all rows when every row did); a row where one is not finite
+            # fails its step after all
+            if n_accepted:
+                sel = slice(None) if n_accepted == n_live else accept.nonzero()[0]
+                xa, ka, wa, hwa = xs[:, sel], ks[:, sel], w[sel], hw[sel]
+                for i in range(13, 16):
+                    _stage(accel, i, wa, hwa, xa, ka)
+                late = ~np.isfinite(ka[13:16, :, dim:]).all(axis=(0, 2))
+                if np.count_nonzero(late):
+                    sel = np.arange(n_live)[sel]
+                    err[sel[late]], accept[sel[late]] = np.nan, False
+                    n_late[sel[late]] += 1
+                    n_accepted -= np.count_nonzero(late)
+                    keep = ~late
+                    sel, xa, ka = sel[keep], xa[:, keep], ka[:, keep]
+                    wa, hwa = wa[keep], hwa[keep]
 
             # a rejected step shrinks h, a bad one halves it; an accepted one
             # sets it by the PI controller (err = 0 gives the largest factor)
@@ -603,48 +777,51 @@ def integrate_batch(
             grow = np.minimum(shrink * np.float_power(err_prev, _PI_BETA), _MAX_FACTOR)
             factor = np.maximum(np.where(accept, grow, shrink), _MIN_FACTOR)
             np.copyto(err_prev, np.maximum(err, _ERR_FLOOR), where=accept)
-            if n_accepted < len(rows):
+            if n_accepted < n_live:
                 bad = ~np.isfinite(err)
                 np.copyto(factor, 0.5, where=bad)
                 np.add(n_bad, 1, out=n_bad, where=bad)
 
-            # guards at the step end and, to catch a crossing inside a long
-            # step, at the midpoint of the continuous extension of their
-            # component, both in one call; an accepted row where one is <= 0
-            # is searched for the event
+            # the accepted rows' interpolants; the guards at the step end
+            # and, to catch a crossing inside a long step, at the midpoint of
+            # the continuous extension, both in one call; a row where one is
+            # <= 0 is searched for the event, the others made full steps
             full, hit = accept, None
-            if guards:
-                np.add(w, hw * _weighted(_MID_STACK, stored), out=x[7])
-                fired = np.empty((len(guards), 2, len(rows)), dtype=bool)
-                for (kind, i, g), at in zip(guards, fired):
-                    np.less_equal(g(x[6:, :, i], side), _ZERO, out=at)
-                if np.count_nonzero(fired):
-                    hit = accept & fired.any(axis=(0, 1))
-                    full = accept & ~hit
-                    for k in hit.nonzero()[0]:
-                        crossings = [
-                            (kind, i, lambda u, g=g, s=side[k]: g(u, s), 0.5 if at_mid[k] else 1.0)
-                            for (kind, i, g), (at_end, at_mid) in zip(guards, fired)
-                            if at_mid[k] or at_end[k]
-                        ]
-                        event, partial = _event_step(
-                            crossings, float(t[k]), np.array(w[k]), float(h[k]), ks[:, k]
-                        )
-                        end(k, event.kind, event.t, f"{event.kind}_crossing", partial)
+            if n_accepted:
+                q = _interpolants(ka)
+                if guards:
+                    xa[16] = _dense(wa, hwa, q, 0.5)
+                    fired = np.empty((len(guards), 2, n_accepted), dtype=bool)
+                    for (kind, i, g), at in zip(guards, fired):
+                        np.less_equal(g(xa[12::4, :, i], side[sel]), _ZERO, out=at)
+                    if np.count_nonzero(fired):
+                        sel = np.arange(n_live)[sel]
+                        hit_a = fired.any(axis=(0, 1))
+                        hit = np.zeros(n_live, dtype=bool)
+                        hit[sel[hit_a]] = True
+                        full = accept & ~hit
+                        for j in hit_a.nonzero()[0]:
+                            k = sel[j]
+                            crossings = [
+                                (kind, i, lambda u, g=g, s=side[k]: g(u, s),
+                                 0.5 if at_mid[j] else 1.0)
+                                for (kind, i, g), (at_end, at_mid) in zip(guards, fired)
+                                if at_mid[j] or at_end[j]
+                            ]
+                            event, partial = _event_step(
+                                crossings, float(t[k]), np.array(w[k]), float(h[k]), q[j]
+                            )
+                            end(k, event.kind, event.t, f"{event.kind}_crossing", partial)
+                        sel, q = sel[~hit_a], q[~hit_a]
 
-            # the full steps: store [t, w, q] with the step's interpolant
-            # q = K.T @ P, and advance
-            n_f = n_accepted if hit is None else np.count_nonzero(full)
-            if n_f:
-                sel = slice(None) if n_f == len(rows) else full.nonzero()[0]
-                # each row's stages as the (n, 6) matrix K.T of a C-ordered K
-                K = np.ascontiguousarray(stored.transpose(1, 0, 2)[sel])
-                q = np.matmul(K.transpose(0, 2, 1), _P_STORED)
-                blocks.append(np.concatenate([t[sel, None], w[sel], q.reshape(n_f, -1)], axis=1))
-                owners.append(rows[sel])
-                np.copyto(t, t + h, where=full)
-                np.copyto(w, w_new, where=full[:, None])
-                np.copyto(f, ks[6], where=full[:, None])
+                # the full steps: store [t, w, q] and advance
+                if len(q):
+                    record = [t[sel, None], w[sel], q.reshape(len(q), -1)]
+                    blocks.append(np.concatenate(record, axis=1))
+                    owners.append(rows[sel])
+                    np.copyto(t, t + h, where=full)
+                    np.copyto(w, w_new, where=full[:, None])
+                    np.copyto(f, ks[12], where=full[:, None])
             h = h * factor
 
             # rows that reach t_end (only full steps move t), or that the
@@ -684,20 +861,22 @@ def integrate_batch(
     ]
 
 
-def _trajectory(dim, records, event, attempts, n_bad, stop, partial) -> GeodesicTrajectory:
+def _trajectory(
+    dim, records, event, attempts, n_bad, n_late, stop, partial
+) -> GeodesicTrajectory:
     """A row's trajectory from its node records [t, w, q], its end and its step counts.
 
     ``partial`` tells whether the last step is the step to an event node.
     """
     n = 2 * dim
     ts, nodes = records[:, 0], records[:, 1 : 1 + n]
-    interp_q = records[:-1, 1 + n :].reshape(-1, n, 4)
+    interp_q = records[:-1, 1 + n :].reshape(-1, n, 7)
     n_full = len(records) - 1 - partial
     accepted = n_full + stop.endswith("_crossing")  # a crossing's step is accepted
     rejected = attempts - accepted - n_bad
     full_h = ts[1 : 1 + n_full] - ts[:n_full]
     stats = StepStats(
-        rhs_rows=2 + 6 * attempts,
+        rhs_rows=2 + 12 * attempts + 3 * (accepted + n_late),
         accepted=accepted,
         rejected=rejected,
         domain_rejected=n_bad,

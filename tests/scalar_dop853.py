@@ -1,19 +1,18 @@
-"""The scalar Dormand-Prince loop, kept as the reference for the batched one.
+"""The scalar DOP853 loop, kept as the reference for the batched one.
 
 ``integrate_scalar`` advances one characteristic on Python floats, with the
-list-based accelerations below: the stage sums are unrolled over the nonzero
-tableau entries, the acceleration raises DomainError outside its chart and
-a step whose stage raises is retried with half the step.  ``geodesic.
-integrate_batch`` must give bitwise the same trajectories, events and step
-counts; the tests compare the two.  The event search and the
-dense output are ``geodesic``'s own, which both loops call once per event
-step.
+list-based accelerations below: each stage sum runs over the tableau row in
+stage order, zero weights included, as the batched loop's reductions do;
+the acceleration raises DomainError outside its chart and a step whose stage
+raises is retried with half the step.  ``geodesic.integrate_batch`` must
+give bitwise the same trajectories, events and step counts; the tests
+compare the two.  The interpolant, the dense output and the event search
+are ``geodesic``'s own, which both loops call on the same rows.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 import sys
 
 import numpy as np
@@ -21,9 +20,6 @@ import numpy as np
 from nullsheet import geodesic
 from nullsheet.errors import DomainError, NullsheetError
 from nullsheet.geodesic import (
-    _B,
-    _E,
-    _P,
     REACH_SLACK,
     Event,
     GeodesicTrajectory,
@@ -31,27 +27,25 @@ from nullsheet.geodesic import (
     StepStats,
     _dense,
     _first_crossing,
+    _interpolants,
 )
 from nullsheet.reduction import _cubic_at, first_integrals, radial_cubic
 from nullsheet.spacetime import HORIZON_MARGIN, SchwarzschildParams
 
-_A = geodesic._A
+_A = [a.tolist() for a in geodesic._A]
+_E5, _E3 = geodesic._E5.tolist(), geodesic._E3.tolist()
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_PI_ALPHA, _PI_BETA = 0.7 / 5.0, 0.4 / 5.0
-_POWERS = np.arange(1.0, 5.0)
+_PI_ALPHA, _PI_BETA = 0.7 / 8.0, 0.4 / 8.0
 _H_FLOOR = 16.0 * sys.float_info.epsilon
-(_A10,) = _A[1].tolist()
-_A20, _A21 = _A[2].tolist()
-_A30, _A31, _A32 = _A[3].tolist()
-_A40, _A41, _A42, _A43 = _A[4].tolist()
-_A50, _A51, _A52, _A53, _A54 = _A[5].tolist()
-_B0, _B2, _B3, _B4, _B5 = _B[[0, 2, 3, 4, 5]].tolist()
-_STORED = [0, 2, 3, 4, 5, 6]
-_E0, _E2, _E3, _E4, _E5, _E6 = _E[_STORED].tolist()
-_P_STORED = _P[_STORED]
-_M0, _M2, _M3, _M4, _M5, _M6 = (_P_STORED * 0.5**_POWERS).sum(axis=1).tolist()
-_CHUNK_STEPS = 64
 _CERT_MARGIN = 1.01
+
+
+def _combo(weights, ks, c):
+    """sum_j weights[j] * ks[j][c], added in order of j."""
+    acc = weights[0] * ks[0][c]
+    for a, k in zip(weights[1:], ks[1:]):
+        acc += a * k[c]
+    return acc
 
 
 def schwarzschild_acceleration(m: float):
@@ -143,7 +137,7 @@ def _initial_step(deriv, t0, w0, f0, rel_tol, abs_tol, t_end):
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** 0.125
     return min(100 * h0, h1, abs(t_end - t0))
 
 
@@ -224,6 +218,9 @@ def integrate_scalar(spacetime, state0, t_end, options=None, *, t_grid=None):
         v = w[dim:]
         return v + accel(w[:dim], v)
 
+    def stage(w, h, i, ks):
+        return deriv([x + h * _combo(_A[i], ks, c) for c, x in enumerate(w)])
+
     guards = _guards(spacetime, opts, y0)
     for kind, i, g in guards:
         if g(state0.y[i]) <= 0.0:
@@ -234,16 +231,12 @@ def integrate_scalar(spacetime, state0, t_end, options=None, *, t_grid=None):
     w = y + v
     f = v + accel(y, v)
 
-    width = 1 + (1 + len(_STORED)) * n
-    record = struct.Struct(f"{width}d")
-    chunks = [bytearray(_CHUNK_STEPS * record.size)]
-    n_full = 0
-    t0, w0 = t, w
+    ts, nodes, qs = [t], [w], []
     partial_step = None
     events = []
     stop = None
     rel_tol, abs_tol = opts.rel_tol, opts.abs_tol
-    accepted = rejected = domain_rejected = 0
+    accepted = rejected = domain_rejected = late = 0
 
     h = _initial_step(deriv, t, w, f, rel_tol, abs_tol, t_end)
     err_prev = 1.0
@@ -268,47 +261,46 @@ def integrate_scalar(spacetime, state0, t_end, options=None, *, t_grid=None):
             break
 
         n_steps += 1
-        k0 = f
+        ks = [f]
         try:
-            k1 = deriv([x + h * (_A10 * p0) for x, p0 in zip(w, k0)])
-            k2 = deriv([x + h * (_A20 * p0 + _A21 * p1) for x, p0, p1 in zip(w, k0, k1)])
-            k3 = deriv([
-                x + h * (_A30 * p0 + _A31 * p1 + _A32 * p2)
-                for x, p0, p1, p2 in zip(w, k0, k1, k2)
-            ])
-            k4 = deriv([
-                x + h * (_A40 * p0 + _A41 * p1 + _A42 * p2 + _A43 * p3)
-                for x, p0, p1, p2, p3 in zip(w, k0, k1, k2, k3)
-            ])
-            k5 = deriv([
-                x + h * (_A50 * p0 + _A51 * p1 + _A52 * p2 + _A53 * p3 + _A54 * p4)
-                for x, p0, p1, p2, p3, p4 in zip(w, k0, k1, k2, k3, k4)
-            ])
-            w_new = [
-                x + h * (_B0 * p0 + _B2 * p2 + _B3 * p3 + _B4 * p4 + _B5 * p5)
-                for x, p0, p2, p3, p4, p5 in zip(w, k0, k2, k3, k4, k5)
-            ]
-            k6 = deriv(w_new)
+            for i in range(1, 12):
+                ks.append(stage(w, h, i, ks))
+            w_new = [x + h * _combo(_A[12], ks, c) for c, x in enumerate(w)]
+            ks.append(deriv(w_new))
         except DomainError:
             domain_rejected += 1
             h *= 0.5
             continue
 
-        sq = 0.0
-        for x, x_new, p0, p2, p3, p4, p5, p6 in zip(w, w_new, k0, k2, k3, k4, k5, k6):
-            e = h * (_E0 * p0 + _E2 * p2 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6)
+        sq5 = sq3 = 0.0
+        for c, (x, x_new) in enumerate(zip(w, w_new)):
             if x < 0.0:
                 x = -x
             if x_new < 0.0:
                 x_new = -x_new
-            e /= abs_tol + rel_tol * (x if x > x_new else x_new)
-            sq += e * e
-        err = math.sqrt(sq / n)
+            scale = abs_tol + rel_tol * (x if x > x_new else x_new)
+            e5 = _combo(_E5, ks, c) / scale
+            e3 = _combo(_E3, ks, c) / scale
+            sq5 += e5 * e5
+            sq3 += e3 * e3
+        deno = sq5 + 0.01 * sq3
+        if not deno > 0.0:
+            deno = 1.0
+        err = h * sq5 / math.sqrt(deno * n)
 
         if err > 1.0:
             rejected += 1
             factor = max(_MIN_FACTOR, _SAFETY * err ** (-_PI_ALPHA))
             h *= factor
+            continue
+
+        try:
+            for i in range(13, 16):
+                ks.append(stage(w, h, i, ks))
+        except DomainError:
+            domain_rejected += 1
+            late += 1
+            h *= 0.5
             continue
 
         accepted += 1
@@ -320,19 +312,18 @@ def integrate_scalar(spacetime, state0, t_end, options=None, *, t_grid=None):
             factor = factor if factor < _MAX_FACTOR else _MAX_FACTOR
         err_prev = 1e-10 if err < 1e-10 else err
 
+        w_np = np.array(w)
+        q = _interpolants(np.array(ks)[:, None])[0]
         triggered = None
         fired = []
+        if guards:
+            mid = _dense(w_np[None], np.full((1, n), h), q[None], 0.5)[0].tolist()
         for kind, i, g in guards:
-            y_mid = w[i] + h * (
-                _M0 * k0[i] + _M2 * k2[i] + _M3 * k3[i] + _M4 * k4[i] + _M5 * k5[i] + _M6 * k6[i]
-            )
-            if g(y_mid) <= 0.0:
+            if g(mid[i]) <= 0.0:
                 fired.append((kind, i, g, 0.5))
             elif g(w_new[i]) <= 0.0:
                 fired.append((kind, i, g, 1.0))
         if fired:
-            w_np = np.array(w)
-            q = np.array([k0, k1, k2, k3, k4, k5, k6]).T @ _P
             triggered = _first_crossing(fired, t, w_np, h, q)
 
         if triggered is not None:
@@ -342,18 +333,16 @@ def integrate_scalar(spacetime, state0, t_end, options=None, *, t_grid=None):
                     t_ev = math.nextafter(t_ev, math.inf)
                 sig_ev = (t_ev - t) / h
                 partial_step = (
-                    t_ev, _dense(w_np, h, q, sig_ev), q * np.float_power(sig_ev, np.arange(4.0))
+                    t_ev, _dense(w_np, h, q, sig_ev), q * np.float_power(sig_ev, np.arange(7.0))
                 )
             events.append(Event(kind=kind, t=t_ev))
             stop = f"{kind}_crossing"
             break
 
-        t, w, f = t + h, w_new, k6
-        i = n_full % _CHUNK_STEPS
-        if i == 0 and n_full:
-            chunks.append(bytearray(_CHUNK_STEPS * record.size))
-        record.pack_into(chunks[-1], i * record.size, t, *w, *k0, *k2, *k3, *k4, *k5, *k6)
-        n_full += 1
+        t, w, f = t + h, w_new, ks[12]
+        ts.append(t)
+        nodes.append(w)
+        qs.append(q)
         h *= factor
 
         if t >= t_end:
@@ -369,23 +358,16 @@ def integrate_scalar(spacetime, state0, t_end, options=None, *, t_grid=None):
                 stop = "horizon_certified"
                 break
 
-    n_nodes = 1 + n_full + (partial_step is not None)
-    ts, nodes = np.empty(n_nodes), np.empty((n_nodes, n))
-    interp_q = np.empty((n_nodes - 1, n, 4))
-    ts[0], nodes[0] = t0, w0
-    for c, chunk in enumerate(chunks):
-        i = c * _CHUNK_STEPS
-        rows = np.frombuffer(chunk).reshape(_CHUNK_STEPS, width)[: n_full - i]
-        j = i + len(rows)
-        ts[1 + i : 1 + j] = rows[:, 0]
-        nodes[1 + i : 1 + j] = rows[:, 1 : 1 + n]
-        K = rows[:, 1 + n :].reshape(-1, len(_STORED), n)
-        np.matmul(K.transpose(0, 2, 1), _P_STORED, out=interp_q[i:j])
+    n_full = len(qs)
     if partial_step is not None:
-        ts[-1], nodes[-1], interp_q[-1] = partial_step
+        ts.append(partial_step[0])
+        nodes.append(partial_step[1])
+        qs.append(partial_step[2])
+    ts, nodes = np.array(ts), np.array(nodes, dtype=float)
+    interp_q = np.array(qs).reshape(-1, n, 7)
     full_h = ts[1 : 1 + n_full] - ts[:n_full]
     stats = StepStats(
-        rhs_rows=2 + 6 * n_steps,
+        rhs_rows=2 + 12 * n_steps + 3 * (accepted + late),
         accepted=accepted,
         rejected=rejected,
         domain_rejected=domain_rejected,

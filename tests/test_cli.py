@@ -93,6 +93,8 @@ class TestConfigSchema:
                 for value in (-1.0, math.nan, math.inf)
             ),
             ("max_steps", -1),
+            *(("t_end", value) for value in (math.nan, math.inf, -math.inf)),
+            ("abs_tol", 0.0),
         ],
     )
     def test_bad_solver_option_exit_2(self, tmp_path, capsys, key, value):

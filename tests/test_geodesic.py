@@ -5,6 +5,7 @@ from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -132,7 +133,7 @@ class TestDenseOutput:
 
 class TestToleranceScaling:
     def test_error_tracks_tolerance(self, schw, ex1_curve):
-        # global error of the 5(4) pair scales roughly linearly with rel_tol
+        # the global error scales roughly linearly with rel_tol
         errs = []
         for rel in (1e-6, 1e-8, 1e-10):
             opts = ns.SolverOptions(rel_tol=rel, abs_tol=rel * 1e-2)
@@ -280,6 +281,32 @@ class TestEvents:
         assert traj.t_last == pytest.approx(2.0, abs=1e-12)
         assert traj.nodes[:, 1].max() <= 3.0
 
+    def test_dense_stage_out_of_chart_rejects_the_step(self):
+        # a band of coordinate time that only the dense output's stage at
+        # c = 1/5 of one step falls in: that step, which passed its error
+        # test, is retried with half the step, whose stages all miss the band
+        flat = ns.minkowski()
+        state0 = ns.GeodesicState(y=np.zeros(4), v=np.array([1.0, 0.5, 0.0, 0.0]), t=0.0)
+        free = ns.integrate(flat, state0, 50.0)
+        i = len(free.ts) // 2
+        t_i, h = free.ts[i], free.ts[i + 1] - free.ts[i]
+        zero = flat.acceleration_at
+
+        def banded(y, v, out):
+            zero(y, v, out)
+            band = (t_i + 0.19 * h < y[:, 0]) & (y[:, 0] < t_i + 0.21 * h)
+            out[band] = np.nan  # rows outside the chart
+            return out
+
+        traj = ns.integrate(replace(flat, acceleration_at=banded), state0, 50.0)
+        s = traj.stats
+        assert s.domain_rejected == 1 and s.stop == "t_max"
+        np.testing.assert_array_equal(traj.ts[: i + 2], [*free.ts[: i + 1], t_i + 0.5 * h])
+        assert np.isfinite(traj.nodes).all() and np.isfinite(traj.interp_q).all()
+        # the rejected step evaluated its three dense-output stages too
+        attempts = s.accepted + s.rejected + s.domain_rejected
+        assert s.rhs_rows == 2 + 12 * attempts + 3 * (s.accepted + 1)
+
     def test_flat_infall_never_reaches_the_origin(self):
         # minkowski_spherical's chart is r > 0: a radial infall that would
         # reach r = 0 at t = 1 has its steps past the origin rejected until h
@@ -302,7 +329,7 @@ class TestEvents:
         # negative
         flat = ns.minkowski_spherical()
         state0 = ns.GeodesicState(
-            y=np.array([0.0, 3.0, np.pi / 2, 0.0]), v=np.array([1.0, -0.5, 0.0, 0.05]), t=0.0
+            y=np.array([0.0, 3.0, np.pi / 2, 0.0]), v=np.array([1.0, -0.5, 0.0, 0.06]), t=0.0
         )
         free = ns.integrate(flat, state0, 10.0)
         r_nodes = free.nodes[:, 1]
@@ -324,9 +351,9 @@ class TestStageSums:
     @pytest.mark.parametrize("n_rows", [1, 2, 32, 128])
     def test_weighted_is_the_left_to_right_sum(self, n_rows):
         rng = np.random.default_rng(n_rows)
-        tableau = [*geodesic._A_STACK[1:], geodesic._B_STACK, geodesic._E_STACK]
-        random = [rng.normal(size=(s, 1, 1)) for s in range(1, 8)]
-        for weights in [*tableau, geodesic._MID_STACK, *random]:
+        tableau = [*geodesic._A_STACK[1:], geodesic._E5_STACK, geodesic._E3_STACK]
+        random = [rng.normal(size=(s, 1, 1)) for s in range(1, 17)]
+        for weights in [*tableau, *random]:
             s = len(weights)
             scales = 10.0 ** rng.uniform(-8.0, 8.0, (s, n_rows, 8))
             values = rng.normal(size=(s, n_rows, 8)) * scales
@@ -543,7 +570,7 @@ class TestEventStep:
 
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(EVENT_KINDS), fractions=st.lists(st.floats(0.0, 1.0), min_size=1))
-    def test_last_step_is_the_full_step_quartic(self, event_steps, kind, fractions):
+    def test_last_step_is_the_full_step_interpolant(self, event_steps, kind, fractions):
         traj, w, h, q = event_steps[kind]
         t_i = traj.ts[-2]
         t = t_i + (traj.t_last - t_i) * np.array(fractions)
@@ -552,18 +579,85 @@ class TestEventStep:
         _assert_states_close(np.hstack([got.y, got.v]), want)
 
 
-def _reference_step(spacetime, w, h):
-    """One DP5 step of the numpy tableau: (state after h, interpolant q)."""
+def _reference_stages(spacetime, w, h):
+    """The 16 stages of one DOP853 step of the numpy tableau, as (16, 2*dim).
+
+    Each stage sum adds its terms in stage order, as the step loop does: the
+    dense-output weights (up to 528 in size) would turn the one-ulp stage
+    differences of another order into differences of q of the size that
+    ``TestOneStepReference`` allows.
+    """
     dim = spacetime.dim
 
     def rhs(x):
         return np.concatenate([x[dim:], accel(spacetime, x[None, :dim], x[None, dim:])[0]])
 
-    K = np.empty((7, 2 * dim))
+    K = np.empty((16, 2 * dim))
     K[0] = rhs(w)
-    for s in range(1, 7):
-        K[s] = rhs(w + h * (K[:s].T @ geodesic._A[s]))
-    return w + h * (K.T @ geodesic._B), K.T @ geodesic._P
+    for s in range(1, 16):
+        a = geodesic._A[s]
+        total = a[0] * K[0]
+        for j in range(1, s):
+            total = total + a[j] * K[j]
+        K[s] = rhs(w + h * total)
+    return K
+
+
+def _reference_step(spacetime, w, h):
+    """One DOP853 step of the numpy tableau: (state after h, interpolant q).
+
+    q expands Hairer's nested dense output w + sigma (F_0 + (1 - sigma) (F_1 +
+    sigma (F_2 + ...))) in the powers sigma .. sigma^7 with numpy.polynomial.
+    """
+    K = _reference_stages(spacetime, w, h)
+    F0 = K[:12].T @ geodesic._B
+    F = [F0, K[0] - F0, 2.0 * F0 - K[0] - K[12], *(K.T @ geodesic._D.T).T]
+    q = np.zeros((len(w), 8))
+    term = np.array([0.0, 1.0])
+    for j, F_j in enumerate(F):
+        q[:, : len(term)] += np.outer(F_j, term)
+        term = P.polymul(term, [0.0, 1.0] if j % 2 else [1.0, -1.0])
+    return w + h * F0, q[:, 1:]
+
+
+class TestTableau:
+    """The DOP853 coefficients, the order of a step and of its dense output."""
+
+    def test_coefficients_are_scipys_bit_for_bit(self):
+        coefficients = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        for i in range(1, 16):
+            assert geodesic._A[i].tobytes() == coefficients.A[i, :i].tobytes(), i
+        for name in ("E5", "E3", "D"):
+            assert getattr(geodesic, "_" + name).tobytes() == getattr(coefficients, name).tobytes()
+
+    # an eccentric orbit at r ~ 8m, and steps where the errors stand above rounding
+    W0 = np.array([0.0, 8.0, math.pi / 2, 0.0, 1.2, 0.15, 0.0, 0.04])
+
+    def _exact(self, schw, h, substeps=64):
+        w = self.W0
+        for _ in range(substeps):
+            w = _reference_step(schw, w, h / substeps)[0]
+        return w
+
+    def test_local_error_is_eighth_order(self, schw):
+        # O(h^9) per step: 2^9 as h halves, above 2^8 before the asymptotic range
+        errors = [
+            np.abs(_reference_step(schw, self.W0, h)[0] - self._exact(schw, h)).max()
+            for h in (4.0, 2.0)
+        ]
+        assert math.log2(errors[0] / errors[1]) > 8.0
+
+    def test_dense_output_is_seventh_order(self, schw):
+        # O(h^8) inside the step: 2^8 as h halves
+        errors = []
+        for h in (4.0, 2.0, 1.0):
+            K = _reference_stages(schw, self.W0, h)
+            q = geodesic._interpolants(K[:, None])[0]
+            dense = [geodesic._dense(self.W0, h, q, sigma) for sigma in (0.25, 0.5, 0.75)]
+            exact = [self._exact(schw, sigma * h) for sigma in (0.25, 0.5, 0.75)]
+            errors.append(np.abs(np.array(dense) - np.array(exact)).max())
+        assert math.log2(errors[0] / errors[1]) > 7.5
+        assert math.log2(errors[1] / errors[2]) > 7.5
 
 
 class TestOneStepReference:
@@ -674,7 +768,7 @@ class TestTracedFields:
             nbytes = ts.nbytes + sum(s.y.nbytes + s.v.nbytes for s in states)
             nbytes += sum(q.nbytes for q in traj.interp_q)
             n = len(ts)
-            assert nbytes == 8 * (n * (1 + 2 * dim) + (n - 1) * 2 * dim * 4)
+            assert nbytes == 8 * (n * (1 + 2 * dim) + (n - 1) * 2 * dim * 7)
 
     def test_traced_pass(self, tmp_path, monkeypatch):
         tracer = _load_perfbench("tracer")
@@ -699,7 +793,7 @@ class TestTracedFields:
         steps = sum(len(traj.ts) - 1 for traj in trajectories)
         assert chars == sum(traj.events[0].kind == "t_max" for traj in trajectories) == 8
         assert steps > 0 and min(np.diff(traj.ts).min() for traj in trajectories) > 0.0
-        assert sum(traj.stats.rhs_rows for traj in trajectories) >= 6 * steps
+        assert sum(traj.stats.rhs_rows for traj in trajectories) >= 15 * steps
         # per characteristic: n = steps + 1 nodes of (t, y, v), n - 1 interpolants
         nbytes = sum(
             traj.ts.nbytes
@@ -707,4 +801,4 @@ class TestTracedFields:
             + sum(q.nbytes for q in traj.interp_q)
             for traj in trajectories
         )
-        assert nbytes == 8 * ((steps + chars) * 9 + steps * 8 * 4)
+        assert nbytes == 8 * ((steps + chars) * 9 + steps * 8 * 7)
