@@ -2,10 +2,10 @@
 
 A run is described by one YAML document with nested blocks; every numeric
 tolerance knob of the pipeline is exposed here so runs are reproducible
-from the file alone.
+from the file alone.  The dataclasses below give each leaf its default, and
+the table ``LEAVES`` its domain: one parser per leaf, keyed by dotted path
+(``"solver.abs_tol"``), and whether the leaf is required.
 """
-
-from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
@@ -77,15 +77,6 @@ class RunConfig:
     compare: CompareConfig
 
 
-_KNOWN_BLOCKS = {f.name for f in fields(RunConfig)}
-
-
-def _require(mapping: dict, key: str, path: str):
-    if key not in mapping or mapping[key] is None:
-        raise ConfigError(f"{path}.{key}", "required field is missing")
-    return mapping[key]
-
-
 def _as_float(value, path: str) -> float:
     if isinstance(value, bool):
         raise ConfigError(path, f"expected a real number, got {value!r}")
@@ -97,6 +88,20 @@ def _as_float(value, path: str) -> float:
         except Exception as exc:
             raise ConfigError(path, f"not a number: {value!r} ({exc})") from exc
     raise ConfigError(path, f"expected a real number, got {value!r}")
+
+
+def _positive(value, path: str) -> float:
+    x = _as_float(value, path)
+    if not (math.isfinite(x) and x > 0):
+        raise ConfigError(path, f"must be finite and positive, got {x}")
+    return x
+
+
+def _non_negative(value, path: str) -> float:
+    x = _as_float(value, path)
+    if not (math.isfinite(x) and x >= 0):
+        raise ConfigError(path, f"must be finite and non-negative, got {x}")
+    return x
 
 
 def _as_range(value, path: str) -> tuple[float, float]:
@@ -116,10 +121,37 @@ def _as_int(value, path: str) -> int:
     return value
 
 
+def _int_at_least(low: int):
+    def parse(value, path: str) -> int:
+        n = _as_int(value, path)
+        if n < low:
+            raise ConfigError(path, f"must be an integer >= {low}, got {n}")
+        return n
+
+    return parse
+
+
+def _one_of(*choices):
+    def parse(value, path: str):
+        # an equal value of another type (True for 1, 1.0 for 1) is no choice
+        if not any(type(value) is type(c) and value == c for c in choices):
+            names = ", ".join(map(str, choices))
+            raise ConfigError(path, f"must be one of {names}, got {value!r}")
+        return value
+
+    return parse
+
+
 def _as_bool(value, path: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(path, f"expected a boolean, got {value!r}")
     return value
+
+
+def _curve_data(value, path: str) -> list | str:
+    if isinstance(value, str) or (isinstance(value, list) and len(value) == 4):
+        return value
+    raise ConfigError(path, "expected 4 expressions or a sample-file path")
 
 
 def _check_mapping(value, path: str) -> dict:
@@ -130,13 +162,10 @@ def _check_mapping(value, path: str) -> dict:
     return value
 
 
-def _block(raw: dict, name: str, cls) -> dict:
-    """The mapping under ``name``, rejecting keys that ``cls`` has no field for."""
-    block = _check_mapping(raw.get(name), name)
-    unknown = set(block) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigError(f"{name}.{sorted(unknown)[0]}", "unknown key")
-    return block
+def _reject_unknown(mapping: dict, known, prefix: str) -> None:
+    for key in mapping:
+        if key not in known:
+            raise ConfigError(f"{prefix}{key}", "unknown key")
 
 
 # oracle.params fields that are not real numbers; f and alpha0 may also be
@@ -146,124 +175,85 @@ _ORACLE_PARAM_CHECKS = {
 }
 
 
-def parse_config(raw: dict) -> RunConfig:
-    """Validate a raw mapping against the schema, applying defaults."""
-    raw = _check_mapping(raw, "<root>")
-    unknown = set(raw) - _KNOWN_BLOCKS
-    if unknown:
-        raise ConfigError(sorted(unknown)[0], "unknown top-level key")
+def _oracle_params(value, path: str) -> dict:
+    params = dict(_check_mapping(value, path))
+    _reject_unknown(params, OracleParams.__dataclass_fields__, f"{path}.")
+    for key, item in params.items():
+        if not (key in ("f", "alpha0") and isinstance(item, str)):
+            params[key] = _ORACLE_PARAM_CHECKS.get(key, _as_float)(item, f"{path}.{key}")
+    return params
 
-    st_raw = _block(raw, "spacetime", SpacetimeConfig)
-    st_type = st_raw.get("type", "schwarzschild")
-    if st_type not in ("schwarzschild", "minkowski_spherical"):
-        raise ConfigError("spacetime.type", f"unknown spacetime {st_type!r}")
-    mass = None
-    if st_type == "schwarzschild":
-        mass = _as_float(_require(st_raw, "mass", "spacetime"), "spacetime.mass")
-        if not (math.isfinite(mass) and mass > 0):
-            raise ConfigError("spacetime.mass", f"must be finite and positive, got {mass}")
-    spacetime_cfg = SpacetimeConfig(type=st_type, mass=mass)
 
-    id_raw = _block(raw, "initial_data", InitialDataConfig)
-    phi = _require(id_raw, "phi", "initial_data")
-    psi = _require(id_raw, "psi", "initial_data")
-    for name, value in (("phi", phi), ("psi", psi)):
-        if isinstance(value, str):
-            continue  # sample-file path
-        if not isinstance(value, list) or len(value) != 4:
-            raise ConfigError(
-                f"initial_data.{name}",
-                "expected 4 expressions or a sample-file path",
-            )
-    theta_range = _as_range(
-        id_raw.get("theta_range", [0.0, 2.0 * math.pi]), "initial_data.theta_range"
-    )
-    samples = _as_int(id_raw.get("samples", 64), "initial_data.samples")
-    if samples < 4:
-        raise ConfigError("initial_data.samples", "need at least 4 characteristics")
-    periodic = _as_bool(id_raw.get("periodic", False), "initial_data.periodic")
-    initial_cfg = InitialDataConfig(
-        phi=phi,
-        psi=psi,
-        theta_range=theta_range,
-        samples=samples,
-        periodic=periodic,
-    )
-
-    sv_raw = _block(raw, "solver", SolverConfig)
-    solver_cfg = SolverConfig(**{
-        f.name: (_as_int if isinstance(f.default, int) else _as_float)(
-            sv_raw.get(f.name, f.default), f"solver.{f.name}"
-        )
-        for f in fields(SolverConfig)
-    })
-    if not (math.isfinite(solver_cfg.t_end) and solver_cfg.t_end > 0):
-        raise ConfigError("solver.t_end", f"must be finite and positive, got {solver_cfg.t_end}")
-    for name in ("rel_tol", "abs_tol", "eps_horizon", "eps_axis"):
-        value = getattr(solver_cfg, name)
-        if not (math.isfinite(value) and value >= 0):
-            raise ConfigError(f"solver.{name}", f"must be finite and non-negative, got {value}")
+# Every leaf of the six blocks, by dotted path: the parser that enforces its
+# domain, and whether the leaf is required.  The defaults are those of the
+# dataclasses above.
+LEAVES = {
+    "spacetime.type": (_one_of("schwarzschild", "minkowski_spherical"), False),
+    "spacetime.mass": (_positive, False),  # required for schwarzschild, in parse_config
+    "initial_data.phi": (_curve_data, True),
+    "initial_data.psi": (_curve_data, True),
+    "initial_data.theta_range": (_as_range, False),
+    "initial_data.samples": (_int_at_least(4), False),
+    "initial_data.periodic": (_as_bool, False),
+    "solver.rel_tol": (_non_negative, False),
     # the error scale abs_tol + rel_tol |w| must be positive where w = 0
-    if solver_cfg.abs_tol == 0:
-        raise ConfigError("solver.abs_tol", "must be positive, got 0.0")
-    if solver_cfg.max_steps < 0:
-        raise ConfigError("solver.max_steps", f"must be non-negative, got {solver_cfg.max_steps}")
+    "solver.abs_tol": (_positive, False),
+    "solver.max_steps": (_int_at_least(0), False),
+    "solver.eps_horizon": (_non_negative, False),
+    "solver.eps_axis": (_non_negative, False),
+    "solver.t_end": (_positive, False),
+    "output.format": (_one_of("csv", "json"), False),
+    "output.path": (lambda value, path: str(value), False),
+    "output.t_samples": (_int_at_least(2), False),
+    "output.theta_samples": (_int_at_least(1), False),
+    "oracle.example": (_one_of(1, 2, 3), True),
+    "oracle.case": (_one_of("auto", "I", "II", "III"), False),
+    "oracle.params": (_oracle_params, False),
+    "compare.tol": (_positive, False),
+}
 
-    out_raw = _block(raw, "output", OutputConfig)
-    out_format = out_raw.get("format", "csv")
-    if out_format not in ("csv", "json"):
-        raise ConfigError("output.format", f"unknown format {out_format!r}")
-    theta_samples = out_raw.get("theta_samples")
-    if theta_samples is not None:
-        theta_samples = _as_int(theta_samples, "output.theta_samples")
-        if theta_samples < 1:
-            raise ConfigError("output.theta_samples", "need at least 1 theta sample")
-    output_cfg = OutputConfig(
-        format=out_format,
-        path=str(out_raw.get("path", "surface." + out_format)),
-        t_samples=_as_int(out_raw.get("t_samples", 11), "output.t_samples"),
-        theta_samples=theta_samples,
-    )
-    if output_cfg.t_samples < 2:
-        raise ConfigError("output.t_samples", "need at least 2 time samples")
 
-    oracle_cfg = None
-    if raw.get("oracle") is not None:
-        or_raw = _block(raw, "oracle", OracleBlockConfig)
-        example = _as_int(_require(or_raw, "example", "oracle"), "oracle.example")
-        if example not in (1, 2, 3):
-            raise ConfigError("oracle.example", f"must be 1, 2 or 3, got {example}")
-        case = str(or_raw.get("case", "auto"))
-        if case not in ("auto", "I", "II", "III"):
-            raise ConfigError("oracle.case", f"must be auto/I/II/III, got {case!r}")
-        params = dict(_check_mapping(or_raw.get("params"), "oracle.params"))
-        unknown = set(params) - set(OracleParams.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(
-                f"oracle.params.{sorted(unknown)[0]}", "unknown oracle parameter"
-            )
-        for key, value in params.items():
-            if not (key in ("f", "alpha0") and isinstance(value, str)):
-                check = _ORACLE_PARAM_CHECKS.get(key, _as_float)
-                params[key] = check(value, f"oracle.params.{key}")
+def parse_config(raw: dict) -> RunConfig:
+    """Validate a raw mapping against the schema, applying defaults.
+
+    A null block or leaf counts as absent.  Each given leaf goes through its
+    parser in ``LEAVES``; the rules that tie leaves together follow.
+    """
+    raw = _check_mapping(raw, "<root>")
+    _reject_unknown(raw, {block.name for block in fields(RunConfig)}, "")
+    blocks = {}
+    for block in fields(RunConfig):
+        cls = block.type
+        if not isinstance(cls, type):  # `OracleBlockConfig | None`: the block is optional
+            if raw.get(block.name) is None:
+                blocks[block.name] = None
+                continue
+            cls = cls.__args__[0]
+        given = _check_mapping(raw.get(block.name), block.name)
+        _reject_unknown(given, {leaf.name for leaf in fields(cls)}, f"{block.name}.")
+        leaves = {}
+        for leaf in fields(cls):
+            path = f"{block.name}.{leaf.name}"
+            parse, required = LEAVES[path]
+            if given.get(leaf.name) is not None:
+                leaves[leaf.name] = parse(given[leaf.name], path)
+            elif required:
+                raise ConfigError(path, "required field is missing")
+        if block.name == "output":  # the default path follows the format
+            leaves.setdefault("path", "surface." + leaves.get("format", OutputConfig.format))
+        blocks[block.name] = cls(**leaves)
+    cfg = RunConfig(**blocks)
+
+    if cfg.spacetime.type == "schwarzschild" and cfg.spacetime.mass is None:
+        raise ConfigError("spacetime.mass", "required field is missing")
+    if cfg.oracle is not None:
         # the oracle describes the run's own spacetime and curve unless told otherwise
-        if mass is not None:
-            params.setdefault("m", mass)
-        params.setdefault("theta_range", theta_range)
-        params.setdefault("periodic", periodic)
-        oracle_cfg = OracleBlockConfig(example=example, case=case, params=params)
-
-    cmp_raw = _block(raw, "compare", CompareConfig)
-    compare_cfg = CompareConfig(tol=_as_float(cmp_raw.get("tol", 1e-6), "compare.tol"))
-
-    return RunConfig(
-        spacetime=spacetime_cfg,
-        initial_data=initial_cfg,
-        solver=solver_cfg,
-        output=output_cfg,
-        oracle=oracle_cfg,
-        compare=compare_cfg,
-    )
+        params = cfg.oracle.params
+        if cfg.spacetime.mass is not None:
+            params.setdefault("m", cfg.spacetime.mass)
+        params.setdefault("theta_range", cfg.initial_data.theta_range)
+        params.setdefault("periodic", cfg.initial_data.periodic)
+    return cfg
 
 
 def load_config(path) -> RunConfig:

@@ -14,7 +14,7 @@ import yaml
 import nullsheet as ns
 import nullsheet.cli
 from nullsheet.cli import main, run_pipeline
-from nullsheet.config import build_curve, build_spacetime, load_config, parse_config
+from nullsheet.config import LEAVES, build_curve, build_spacetime, load_config, parse_config
 
 SHIPPED = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -85,23 +85,50 @@ class TestConfigSchema:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "key, value",
+        "block, key, value",
         [
-            *(
-                (key, value)
-                for key in ("rel_tol", "abs_tol", "eps_horizon", "eps_axis")
-                for value in (-1.0, math.nan, math.inf)
-            ),
-            ("max_steps", -1),
-            *(("t_end", value) for value in (math.nan, math.inf, -math.inf)),
-            ("abs_tol", 0.0),
+            pytest.param(block, key, value, id=f"{key}-{value}")
+            for block, key, value in (
+                *(
+                    ("solver", key, value)
+                    for key in ("rel_tol", "abs_tol", "eps_horizon", "eps_axis")
+                    for value in (-1.0, math.nan, math.inf)
+                ),
+                ("solver", "max_steps", -1),
+                *(("solver", "t_end", value) for value in (math.nan, math.inf, -math.inf)),
+                ("solver", "abs_tol", 0.0),
+                *(("compare", "tol", value) for value in (math.inf, 0.0, -1.0, math.nan)),
+            )
         ],
     )
-    def test_bad_solver_option_exit_2(self, tmp_path, capsys, key, value):
-        cfg = write_config(tmp_path, solver={key: value})
+    def test_bad_solver_option_exit_2(self, tmp_path, capsys, block, key, value):
+        cfg = write_config(tmp_path, **{block: {key: value}})
         assert main(["validate", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"configuration error: solver.{key}") and err.count("\n") == 1
+        assert err.startswith(f"configuration error: {block}.{key}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("leaf", sorted(LEAVES))
+    def test_null_leaf_counts_as_absent(self, tmp_path, leaf):
+        block, key = leaf.split(".")
+        outcomes = []
+        for null in (True, False):
+            raw = yaml.safe_load(write_config(tmp_path).read_text())
+            if null:
+                raw[block][key] = None
+            else:
+                raw[block].pop(key, None)
+            try:
+                outcomes.append(parse_config(raw))
+            except ns.ConfigError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+    def test_readme_schema_names_every_leaf(self):
+        readme = (SHIPPED.parent / "README.md").read_text(encoding="utf-8")
+        schema = readme.split("### Configuration schema", 1)[1]
+        raw = yaml.safe_load(schema.split("```yaml\n", 1)[1].split("```", 1)[0])
+        parse_config(raw)
+        assert sorted(f"{block}.{key}" for block in raw for key in raw[block]) == sorted(LEAVES)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ns.ConfigError):

@@ -13,12 +13,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nullsheet.cli import main
+from nullsheet.config import LEAVES, parse_config
 
 SHIPPED = pathlib.Path(__file__).resolve().parents[1] / "configs"
 CONFIGS = ("radial_null.yaml", "photon_sphere.yaml", "boosted_circular.yaml")
 COMMANDS = (("validate",), ("classify",), ("compare",), ("solve", "--force"))
 NON_NUMERIC = ("x", [1.0, 2.0], None, True)
-VALUES = (0, 1e308, -1e308, math.nan, math.inf, 1e-300) + NON_NUMERIC
+HUGE = 1e308
+VALUES = (0, -1, HUGE, -1e308, math.nan, math.inf, -math.inf, 1e-300) + NON_NUMERIC
 # a large value of these leaves only makes a run long
 RUN_LENGTH = {
     ("solver", "t_end"),
@@ -30,10 +32,13 @@ SHORT_T_END = 0.5  # keeps every integrating trial short
 
 
 def _shipped(name: str) -> dict:
+    """A shipped config with every declared leaf it leaves out set to its default."""
     raw = yaml.safe_load((SHIPPED / name).read_text())
     raw["solver"]["t_end"] = SHORT_T_END
-    # the same theta grid as null, but a leaf the fuzz can mutate
-    raw["output"]["theta_samples"] = raw["initial_data"]["samples"]
+    cfg = parse_config(raw)
+    for leaf in LEAVES:
+        block, key = leaf.split(".")
+        raw[block].setdefault(key, getattr(getattr(cfg, block), key))
     return raw
 
 
@@ -53,7 +58,8 @@ TRIALS = [
     (name, leaf, value)
     for name in CONFIGS
     for leaf in _leaves(_shipped(name))
-    for value in (NON_NUMERIC if leaf in RUN_LENGTH else VALUES)
+    for value in VALUES
+    if not (value == HUGE and leaf in RUN_LENGTH)
 ]
 
 
@@ -110,6 +116,10 @@ def run_trial(trial, command, workdir: pathlib.Path) -> int:
 @example(
     trial=("photon_sphere.yaml", ("initial_data", "theta_range", 1), 1e-300), command=("compare",)
 )
+# leaves once outside every check: an infinite tolerance passed every
+# compare, and t_end = nan escaped as a raw ValueError
+@example(trial=("radial_null.yaml", ("compare", "tol"), math.inf), command=("compare",))
+@example(trial=("radial_null.yaml", ("solver", "t_end"), math.nan), command=("solve", "--force"))
 def test_mutated_leaf_exits_with_a_documented_code(trial, command, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # a mutated output.path is relative to the run
     assert run_trial(trial, command, tmp_path) in (0, 1, 2)
