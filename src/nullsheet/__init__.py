@@ -29,14 +29,12 @@ from .errors import (
 from .geodesic import (
     DriftReport,
     Event,
-    GeodesicState,
     GeodesicTrajectory,
     SolverOptions,
     StepStats,
     conserved_along,
     integrate,
     integrate_batch,
-    tangent_norm,
 )
 from .initial_data import (
     InitialCurve,
@@ -93,9 +91,8 @@ __all__ = [
     "ConfigError", "CoverageError", "DegenerateDataError", "DomainError",
     "ExpressionError", "MapBreakdownError", "MapInversionError",
     "NullsheetError", "OracleMismatchError",
-    "DriftReport", "Event", "GeodesicState", "GeodesicTrajectory",
+    "DriftReport", "Event", "GeodesicTrajectory",
     "SolverOptions", "StepStats", "conserved_along", "integrate", "integrate_batch",
-    "tangent_norm",
     "ConservedSet", "InitialCurve", "conserved_from_data", "curve_from_expressions",
     "curve_from_samples", "lambda0", "lightlikeness_residual", "validate_curve",
     "OracleKind", "OracleParams", "check_oracle_consistency", "make_oracle",

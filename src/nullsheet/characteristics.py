@@ -175,8 +175,10 @@ def burgers_residual_grid(
     """Max |lambda_t + lambda lambda_theta| by centered differences.
 
     Both grids must be uniform; the residual is evaluated on interior nodes
-    only.  Each t row is inverted in one call, so Lambda must take arrays.  Second-order convergence of this quantity under refinement is the
-    numerical witness that the transported field solves the Burgers equation.
+    only.  Each t row is inverted in one call, so Lambda must take arrays.
+    Second-order convergence of this quantity under refinement is the
+    numerical witness that the transported field solves the Burgers
+    equation.
     """
     t_values = np.asarray(t_values, dtype=float)
     theta_values = np.asarray(theta_values, dtype=float)

@@ -26,9 +26,9 @@ from .errors import (
     OracleMismatchError,
 )
 # ``integrate`` is not called here; it stays a name of this module, which
-# perfbench/tracer.py resolves and wraps
+# perfbench/tracer.py resolves and wraps.  It goes when the tracer wraps
+# ``integrate_batch`` instead (ROADMAP item 1).
 from .geodesic import (
-    GeodesicState,
     GeodesicTrajectory,
     conserved_along,
     integrate,  # noqa: F401
@@ -64,11 +64,12 @@ def run_pipeline(
     cmap = map_from_initial_data(curve, spacetime)
     char_thetas = curve.grid(cfg.initial_data.samples)
     t_grid = np.linspace(0.0, cfg.solver.t_end, cfg.output.t_samples)
-    y0, v0 = curve.phi(char_thetas), curve.psi(char_thetas)
-    states0 = [GeodesicState(y=y, v=v, t=0.0) for y, v in zip(y0, v0)]
     # the trajectories need to serve the t-grid only, which lets a
     # characteristic falling into the horizon stop early
-    trajectories = integrate_batch(spacetime, states0, cfg.solver.t_end, cfg.solver, t_grid=t_grid)
+    trajectories = integrate_batch(
+        spacetime, curve.phi(char_thetas), curve.psi(char_thetas), cfg.solver.t_end, cfg.solver,
+        t_grid=t_grid,
+    )
 
     theta_grid = curve.grid(cfg.output.theta_samples or cfg.initial_data.samples)
 
@@ -104,8 +105,7 @@ def cmd_validate(args) -> int:
 def _print_solve_summary(result: PipelineResult, spacetime: Spacetime) -> None:
     kinds: dict[str, int] = {}
     for traj in result.trajectories:
-        for ev in traj.events:
-            kinds[ev.kind] = kinds.get(ev.kind, 0) + 1
+        kinds[traj.event.kind] = kinds.get(traj.event.kind, 0) + 1
     print(f"characteristics          : {len(result.trajectories)}")
     print(f"events                   : {kinds}")
     if spacetime.name == "schwarzschild":
@@ -175,11 +175,7 @@ def cmd_solve(args) -> int:
             _dump_characteristics(result, args.dump_characteristics)
         print(f"wrote characteristic table to {args.dump_characteristics}")
     _print_solve_summary(result, spacetime)
-    failed = any(
-        ev.kind == "step_failure"
-        for traj in result.trajectories
-        for ev in traj.events
-    )
+    failed = any(traj.event.kind == "step_failure" for traj in result.trajectories)
     return 1 if failed else 0
 
 

@@ -148,6 +148,12 @@ def _as_bool(value, path: str) -> bool:
     return value
 
 
+def _as_str(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(path, f"expected a string, got {value!r}")
+    return value
+
+
 def _curve_data(value, path: str) -> list | str:
     if isinstance(value, str) or (isinstance(value, list) and len(value) == 4):
         return value
@@ -203,7 +209,7 @@ LEAVES = {
     "solver.eps_axis": (_non_negative, False),
     "solver.t_end": (_positive, False),
     "output.format": (_one_of("csv", "json"), False),
-    "output.path": (lambda value, path: str(value), False),
+    "output.path": (_as_str, False),
     "output.t_samples": (_int_at_least(2), False),
     "output.theta_samples": (_int_at_least(1), False),
     "oracle.example": (_one_of(1, 2, 3), True),

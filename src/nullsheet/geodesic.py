@@ -11,11 +11,13 @@ re-integration.
 
 The characteristics are independent geodesics, so one step loop advances
 all of them together (``integrate_batch``) as the rows of an (N, 2*dim)
-array [y, v].  Each row keeps its own t, step size h, PI controller state
-and step counts.  An iteration attempts one step on every live row; per
-stage, ``Spacetime.acceleration_at(y, v, out)`` writes all rows'
-accelerations into ``out``, the a block of the stage rows [y, v, a], whose
-[v, a] is the stage.  A row whose stage or step end left the chart
+array [y, v].  The start states come in as the (N, dim) rows y0 and v0,
+every one at t = 0, and a trajectory is sampled as rows [y, v] too.  Each
+row keeps its own t, step size h, PI controller state and step counts.
+An iteration attempts one step on every live row; per stage,
+``Spacetime.acceleration_at(y, v, out)`` writes all rows' accelerations
+into ``out``, the a block of the stage rows [y, v, a], whose [v, a] is the
+stage.  A row whose stage or step end left the chart
 (flagged with nan) or is not finite halves its own h; so does an accepted
 row whose dense-output stage did.  The guards are evaluated on the
 accepted rows, at the step end and at the midpoint of the continuous
@@ -245,20 +247,8 @@ _CERT_MARGIN = 1.01
 
 
 @dataclass(frozen=True)
-class GeodesicState:
-    """Position, velocity and parameter time of one surface point.
-
-    A state sampled at an array of times holds rows: y and v are (..., dim).
-    """
-
-    y: np.ndarray
-    v: np.ndarray
-    t: float | np.ndarray
-
-
-@dataclass(frozen=True)
 class Event:
-    """Why and when a run stopped.
+    """Why and when a run stopped; each trajectory has one.
 
     ``t`` is the time of the crossing, found by bisection, or the node time
     of a ``t_max`` or ``step_failure``.  A ``horizon`` event of a run that
@@ -341,7 +331,8 @@ class GeodesicTrajectory:
     ``ts`` (n,) holds the accepted node times, ``nodes`` (n, 2*dim) the
     states [y, v] at them and ``interp_q`` (n-1, 2*dim, 7) the interpolant
     of each step; ``sample`` evaluates the continuous extension anywhere in
-    [ts[0], t_last].  ``stats`` holds the integrator's counts for it.  The
+    [ts[0], t_last] as rows laid out like ``nodes``.  ``event`` is why and
+    when the run stopped, ``stats`` the integrator's counts for it.  The
     three arrays are views into one table of the run that made the
     trajectory, which holds the records [t, w, q] of all its rows, grouped
     by row.
@@ -350,22 +341,16 @@ class GeodesicTrajectory:
     dim: int
     ts: np.ndarray
     nodes: np.ndarray
-    events: list[Event]
+    event: Event
     interp_q: np.ndarray
     stats: StepStats
-
-    @property
-    def states(self) -> list[GeodesicState]:
-        """One state per node; y and v are views into ``nodes``."""
-        dim = self.dim
-        return [GeodesicState(y=w[:dim], v=w[dim:], t=t) for t, w in zip(self.ts, self.nodes)]
 
     @property
     def t_last(self) -> float:
         return float(self.ts[-1])
 
-    def sample(self, t) -> GeodesicState:
-        """Dense-output state at t in [ts[0], t_last]; t is a scalar or an array."""
+    def sample(self, t) -> np.ndarray:
+        """Dense-output states [y, v] at t in [ts[0], t_last], of shape t.shape + (2*dim,)."""
         ts = self.ts
         t = np.asarray(t, dtype=float)
         outside = (t < ts[0] - REACH_SLACK) | (t > ts[-1] + REACH_SLACK)
@@ -376,12 +361,10 @@ class GeodesicTrajectory:
             )
         t = np.clip(t, ts[0], ts[-1])
         if len(ts) == 1:  # no step was taken: every t is node 0
-            w = self.nodes[np.zeros(t.shape, dtype=int)]
-        else:
-            i = np.minimum(np.searchsorted(ts, t, side="right") - 1, len(ts) - 2)
-            h = (ts[i + 1] - ts[i])[..., None]
-            w = _dense(self.nodes[i], h, self.interp_q[i], (t - ts[i])[..., None] / h)
-        return GeodesicState(y=w[..., : self.dim], v=w[..., self.dim :], t=t[()])
+            return self.nodes[np.zeros(t.shape, dtype=int)]
+        i = np.minimum(np.searchsorted(ts, t, side="right") - 1, len(ts) - 2)
+        h = (ts[i + 1] - ts[i])[..., None]
+        return _dense(self.nodes[i], h, self.interp_q[i], (t - ts[i])[..., None] / h)
 
 
 def _guards(spacetime: Spacetime, opts: SolverOptions, y0: np.ndarray):
@@ -407,7 +390,7 @@ def _guards(spacetime: Spacetime, opts: SolverOptions, y0: np.ndarray):
     return guards, side
 
 
-def _initial_steps(accel, t0, w0, f0, rel_tol, abs_tol, t_end):
+def _initial_steps(accel, w0, f0, rel_tol, abs_tol, t_end):
     """Hairer-style automatic first step of each row; ``accel`` is ``Spacetime.acceleration_at``."""
     # a state, derivative or tolerance out of float range makes h0 inf or nan
     with np.errstate(all="ignore"):
@@ -428,11 +411,10 @@ def _initial_steps(accel, t0, w0, f0, rel_tol, abs_tol, t_end):
         d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2, axis=1)) / h0
         d = np.maximum(d1, d2)
         h1 = np.where(d <= 1e-15, np.maximum(1e-6, h0 * 1e-3), np.float_power(0.01 / d, 0.125))
-    span = np.abs(t_end - t0)
-    h = np.minimum(np.minimum(100 * h0, h1), span)
+    h = np.minimum(np.minimum(100 * h0, h1), t_end)
     # a row whose trial state left the chart starts with a tenth of h0
     out = ~np.isfinite(f1).all(axis=1)
-    return np.where(out, np.minimum(h0 * 0.1, span), h)
+    return np.where(out, np.minimum(h0 * 0.1, t_end), h)
 
 
 def _first_crossing(fired, t, w, h, q):
@@ -566,15 +548,17 @@ def _certified_times(cert, t, r, r_t, r_h, limit):
     return np.where((low > 0.0) & (t_cert < limit - REACH_SLACK), t_cert, np.nan)
 
 
-def _start_rows(spacetime: Spacetime, states0, t_end):
-    """(t0, y0, v0) of the start states as rows, checked as a run needs them."""
-    for state0 in states0:
-        if not t_end > state0.t:
-            raise ValueError(f"t_end = {t_end} must exceed t0 = {state0.t}")
-    n_rows, dim = len(states0), spacetime.dim
-    t0 = np.array([float(s.t) for s in states0])
-    y0 = np.array([np.asarray(s.y, float) for s in states0]).reshape(n_rows, dim)
-    v0 = np.array([np.asarray(s.v, float) for s in states0]).reshape(n_rows, dim)
+def _start_rows(spacetime: Spacetime, y0, v0, t_end):
+    """The start rows y0 and v0 as float arrays, checked as a run needs them."""
+    # C-contiguous, so that the accelerations and the metric see rows laid
+    # out as they are in the step loop, whatever the caller's layout
+    y0, v0 = np.ascontiguousarray(y0, dtype=float), np.ascontiguousarray(v0, dtype=float)
+    if not (y0.shape == v0.shape and y0.ndim == 2 and y0.shape[1] == spacetime.dim):
+        raise ValueError(
+            f"y0 {y0.shape} and v0 {v0.shape} must both be (N, {spacetime.dim}) rows"
+        )
+    if not t_end > 0.0:
+        raise ValueError(f"t_end = {t_end!r} must be positive")
     # metric_at raises DomainError outside the chart, naming the first such
     # start state when it is given that one alone; a start state out of
     # float range fails below
@@ -585,7 +569,7 @@ def _start_rows(spacetime: Spacetime, states0, t_end):
             for y in y0:
                 spacetime.metric_at(y)
             raise
-    return t0, y0, v0
+    return y0, v0
 
 
 def _start_derivative(spacetime: Spacetime, y0, v0):
@@ -616,26 +600,27 @@ def _start_derivative(spacetime: Spacetime, y0, v0):
 
 def integrate_batch(
     spacetime: Spacetime,
-    states0,
+    y0,
+    v0,
     t_end: float,
     options: SolverOptions | None = None,
     *,
     t_grid=None,
 ) -> list[GeodesicTrajectory]:
-    """Integrate one geodesic per start state forward to t_end or an event.
+    """Integrate one geodesic per start row (y0, v0) from t = 0 to t_end or an event.
 
-    All rows advance in one step loop; each row's trajectory, events and
-    counts are those it has integrated alone.  With ``t_grid``, the times
-    the trajectories will be sampled at, a Schwarzschild row stops on the
-    first node that the radial first integral certifies to reach the
-    horizon before the next grid time (see ``Event``); its samples on the
-    grid times it reaches, and which those are, equal the full run's.
+    ``y0`` and ``v0`` are (N, dim) rows.  All rows advance in one step loop;
+    each row's trajectory, event and counts are those it has integrated
+    alone.  With ``t_grid``, the times the trajectories will be sampled at,
+    a Schwarzschild row stops on the first node that the radial first
+    integral certifies to reach the horizon before the next grid time (see
+    ``Event``); its samples on the grid times it reaches, and which those
+    are, equal the full run's.
     """
     opts = options or SolverOptions()
-    states0 = list(states0)
-    if not states0:
+    y0, v0 = _start_rows(spacetime, y0, v0, t_end)
+    if not len(y0):
         return []
-    t0, y0, v0 = _start_rows(spacetime, states0, t_end)
     guards, side = _guards(spacetime, opts, y0)
     for kind, i, g in guards:
         with np.errstate(invalid="ignore"):
@@ -645,12 +630,12 @@ def integrate_batch(
     n = 2 * dim
     w0 = np.concatenate([y0, v0], axis=1)
     f = _start_derivative(spacetime, y0, v0)
-    h = _initial_steps(accel, t0, w0, f, opts.rel_tol, opts.abs_tol, t_end)
+    h = _initial_steps(accel, w0, f, opts.rel_tol, opts.abs_tol, t_end)
     # the loop's scalars as 0-d arrays, like the module's
     rel_tol, abs_tol, t_stop = (np.array(float(c)) for c in (opts.rel_tol, opts.abs_tol, t_end))
     n_comp = np.array(float(n))
 
-    n_rows = len(states0)
+    n_rows = len(y0)
     # each row's nodes as records [t, w, q], q the interpolant of the step
     # from the node (nan at the last node), in the order they are found;
     # the step to an event node (t_ev, node, interpolant) becomes two records;
@@ -674,7 +659,7 @@ def integrate_batch(
     # and, of those, the steps that failed on a dense-output stage; every
     # live row attempts one step per iteration, so a row's attempts are the
     # iterations it lived through
-    rows, t, w, err_prev = np.arange(n_rows), t0.copy(), w0.copy(), np.ones(n_rows)
+    rows, t, w, err_prev = np.arange(n_rows), np.zeros(n_rows), w0.copy(), np.ones(n_rows)
     n_bad = np.zeros(n_rows, dtype=np.int64)
     n_late = np.zeros(n_rows, dtype=np.int64)
 
@@ -885,26 +870,22 @@ def _trajectory(
         stop=stop,
     )
     return GeodesicTrajectory(
-        dim=dim, ts=ts, nodes=nodes, events=[event], interp_q=interp_q, stats=stats
+        dim=dim, ts=ts, nodes=nodes, event=event, interp_q=interp_q, stats=stats
     )
 
 
 def integrate(
     spacetime: Spacetime,
-    state0: GeodesicState,
+    y0,
+    v0,
     t_end: float,
     options: SolverOptions | None = None,
     *,
     t_grid=None,
 ) -> GeodesicTrajectory:
-    """Integrate one geodesic from state0: ``integrate_batch`` on one start state."""
-    return integrate_batch(spacetime, [state0], t_end, options, t_grid=t_grid)[0]
-
-
-def tangent_norm(spacetime: Spacetime, state: GeodesicState) -> float:
-    """g~(v, v) of the trajectory tangent; need not vanish on null surfaces."""
-    g = spacetime.metric_at(state.y)
-    return float(state.v @ g @ state.v)
+    """Integrate one geodesic from the start state (y0, v0): ``integrate_batch`` on one row."""
+    y0, v0 = np.asarray(y0, dtype=float)[None], np.asarray(v0, dtype=float)[None]
+    return integrate_batch(spacetime, y0, v0, t_end, options, t_grid=t_grid)[0]
 
 
 @dataclass(frozen=True)

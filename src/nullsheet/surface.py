@@ -148,8 +148,7 @@ def build_surface(
     reached = ends >= t_grid[:, None] - REACH_SLACK
     samples = np.full((nt, n_char, 2 * dim), np.nan)
     for k, traj in enumerate(trajectories):
-        state = traj.sample(t_grid[reached[:, k]])
-        samples[reached[:, k], k] = np.hstack([state.y, state.v])
+        samples[reached[:, k], k] = traj.sample(t_grid[reached[:, k]])
 
     # a slice splines its largest contiguous alive run of characteristics
     # (first, last); slices with the same run share the spline's knots

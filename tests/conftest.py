@@ -71,11 +71,8 @@ def ex3_circular_curve(ex3_circular_oracle):
 
 
 def integrate_curve(spacetime, curve, vartheta, t_end, **kwargs):
-    state0 = ns.GeodesicState(
-        y=curve.phi(vartheta), v=curve.psi(vartheta), t=0.0
-    )
     opts = ns.SolverOptions(**kwargs) if kwargs else None
-    return ns.integrate(spacetime, state0, t_end, opts)
+    return ns.integrate(spacetime, curve.phi(vartheta), curve.psi(vartheta), t_end, opts)
 
 
 @pytest.fixture(scope="session")

@@ -141,7 +141,7 @@ def _initial_step(deriv, t0, w0, f0, rel_tol, abs_tol, t_end):
     return min(100 * h0, h1, abs(t_end - t0))
 
 
-def _horizon_certificate(spacetime, opts, state0, t_grid, t_end):
+def _horizon_certificate(spacetime, opts, y0, v0, t_grid, t_end):
     """The check that lets a run serving ``t_grid`` stop short of the horizon.
 
     Returns ``certify(t, r, r_t)`` for accepted nodes with r_t < 0, visited
@@ -156,7 +156,6 @@ def _horizon_certificate(spacetime, opts, state0, t_grid, t_end):
     (r - r_h) / sqrt(min P).
     """
     m = spacetime.meta["mass"]
-    y0, v0 = np.asarray(state0.y, float), np.asarray(state0.v, float)
     with np.errstate(all="ignore"):  # data out of float range certifies nothing
         E, L, K, C = (float(x) for x in first_integrals(SchwarzschildParams(m=m), y0, v0))
     cubic = radial_cubic(m, E, L, K, C)
@@ -205,10 +204,13 @@ def _horizon_certificate(spacetime, opts, state0, t_grid, t_end):
 
 
 
-def integrate_scalar(spacetime, state0, t_end, options=None, *, t_grid=None):
-    """One characteristic on Python floats: the reference for ``integrate_batch``."""
+def integrate_scalar(spacetime, y0, v0, t_end, options=None, *, t_grid=None):
+    """One characteristic from (y0, v0) at t = 0 on Python floats.
+
+    The reference for ``integrate_batch``.
+    """
     opts = options or SolverOptions()
-    y0 = np.asarray(state0.y, float)
+    y0, v0 = np.asarray(y0, float), np.asarray(v0, float)
     spacetime.metric_at(y0)
     dim = spacetime.dim
     n = 2 * dim
@@ -223,17 +225,17 @@ def integrate_scalar(spacetime, state0, t_end, options=None, *, t_grid=None):
 
     guards = _guards(spacetime, opts, y0)
     for kind, i, g in guards:
-        if g(state0.y[i]) <= 0.0:
+        if g(y0[i]) <= 0.0:
             raise DomainError(f"initial state already violates the {kind} guard")
 
-    t, t_end = float(state0.t), float(t_end)
-    y, v = y0.tolist(), np.asarray(state0.v, float).tolist()
+    t, t_end = 0.0, float(t_end)
+    y, v = y0.tolist(), v0.tolist()
     w = y + v
     f = v + accel(y, v)
 
     ts, nodes, qs = [t], [w], []
     partial_step = None
-    events = []
+    event = None
     stop = None
     rel_tol, abs_tol = opts.rel_tol, opts.abs_tol
     accepted = rejected = domain_rejected = late = 0
@@ -247,7 +249,7 @@ def integrate_scalar(spacetime, state0, t_end, options=None, *, t_grid=None):
 
     while t < t_end:
         if n_steps >= opts.max_steps:
-            events.append(Event(kind="step_failure", t=t))
+            event = Event(kind="step_failure", t=t)
             stop = "max_steps"
             break
         if t_end - t < h:
@@ -256,7 +258,7 @@ def integrate_scalar(spacetime, state0, t_end, options=None, *, t_grid=None):
         h_floor = _H_FLOOR * (t if t > 1.0 else -t if t < -1.0 else 1.0)
         if h < h_floor:
             kind = "t_max" if t_end - t < h_floor else "step_failure"
-            events.append(Event(kind=kind, t=t))
+            event = Event(kind=kind, t=t)
             stop = "t_max" if kind == "t_max" else "step_underflow"
             break
 
@@ -335,7 +337,7 @@ def integrate_scalar(spacetime, state0, t_end, options=None, *, t_grid=None):
                 partial_step = (
                     t_ev, _dense(w_np, h, q, sig_ev), q * np.float_power(sig_ev, np.arange(7.0))
                 )
-            events.append(Event(kind=kind, t=t_ev))
+            event = Event(kind=kind, t=t_ev)
             stop = f"{kind}_crossing"
             break
 
@@ -346,15 +348,15 @@ def integrate_scalar(spacetime, state0, t_end, options=None, *, t_grid=None):
         h *= factor
 
         if t >= t_end:
-            events.append(Event(kind="t_max", t=t))
+            event = Event(kind="t_max", t=t)
             stop = "t_max"
             break
         if w[i_rt] < rt_gate:
             if certify is None:
-                certify = _horizon_certificate(spacetime, opts, state0, t_grid, t_end)
+                certify = _horizon_certificate(spacetime, opts, y0, v0, t_grid, t_end)
             t_cert = certify(t, w[1], w[i_rt])
             if t_cert is not None:
-                events.append(Event(kind="horizon", t=t_cert))
+                event = Event(kind="horizon", t=t_cert)
                 stop = "horizon_certified"
                 break
 
@@ -376,5 +378,5 @@ def integrate_scalar(spacetime, state0, t_end, options=None, *, t_grid=None):
         stop=stop,
     )
     return GeodesicTrajectory(
-        dim=dim, ts=ts, nodes=nodes, events=events, interp_q=interp_q, stats=stats
+        dim=dim, ts=ts, nodes=nodes, event=event, interp_q=interp_q, stats=stats
     )

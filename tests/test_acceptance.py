@@ -22,14 +22,7 @@ def report(criterion, passed, detail):
 
 
 def integrate_many(spacetime, curve, thetas, t_end):
-    return [
-        ns.integrate(
-            spacetime,
-            ns.GeodesicState(y=curve.phi(v), v=curve.psi(v), t=0.0),
-            t_end,
-        )
-        for v in thetas
-    ]
+    return ns.integrate_batch(spacetime, curve.phi(thetas), curve.psi(thetas), t_end)
 
 
 def build_mesh(spacetime, curve, n_char, t_grid, theta_grid=None):
@@ -84,11 +77,7 @@ def elliptic_runs(schw):
         oracle = ns.make_oracle(example, "auto", ns.OracleParams(**params))
         curve = oracle.initial_curve()
         for vth in vths:
-            traj = ns.integrate(
-                schw,
-                ns.GeodesicState(y=curve.phi(vth), v=curve.psi(vth), t=0.0),
-                t_end,
-            )
+            traj = ns.integrate(schw, curve.phi(vth), curve.psi(vth), t_end)
             runs.append((name, oracle, curve, vth, traj))
     return runs
 
@@ -102,9 +91,9 @@ class TestCriterion1RadialNullSurface:
         for vth, traj in zip(thetas, trajs):
             for t in ts:
                 s = traj.sample(t)
-                r_err = max(r_err, abs(s.y[1] - (t + 10.0)))
+                r_err = max(r_err, abs(s[1] - (t + 10.0)))
                 tau_res = max(
-                    tau_res, ex1_oracle.relation_residual(t, s.y, vth)
+                    tau_res, ex1_oracle.relation_residual(t, s[:4], vth)
                 )
         passed = r_err < 1e-8 and tau_res < 1e-6
         report(
@@ -126,8 +115,8 @@ class TestCriterion2PhotonSphere:
         for traj in trajs:
             for t in ts:
                 s = traj.sample(t)
-                r_err = max(r_err, abs(s.y[1] - 3.0))
-                a_err = max(a_err, abs(s.y[2] - (t / (3 * SQRT3) + 1.0)))
+                r_err = max(r_err, abs(s[1] - 3.0))
+                a_err = max(a_err, abs(s[2] - (t / (3 * SQRT3) + 1.0)))
         passed = r_err < 1e-6 and a_err < 1e-6
         report(
             2,
@@ -146,11 +135,11 @@ class TestCriterion3BoostedCircular:
         r_err = tau_err = norm_err = 0.0
         for vth, traj in zip(thetas, trajs):
             for t in ts:
-                s = traj.sample(t)
-                r_err = max(r_err, abs(s.y[1] - 4.0))
-                tau_err = max(tau_err, abs(s.y[0] - (t + vth)))
+                y, v = np.split(traj.sample(t), 2)
+                r_err = max(r_err, abs(y[1] - 4.0))
+                tau_err = max(tau_err, abs(y[0] - (t + vth)))
                 norm_err = max(
-                    norm_err, abs(ns.tangent_norm(schw, s) - (-0.25))
+                    norm_err, abs(ns.induced_metric(schw, y, v, v).g00 - (-0.25))
                 )
         passed = r_err < 1e-6 and tau_err < 1e-8 and norm_err < 1e-8
         report(
@@ -171,7 +160,7 @@ class TestCriterion4EllipticBranches:
         for name, oracle, _, vth, traj in elliptic_runs:
             ts = np.linspace(0.0, traj.t_last * 0.999, 60)
             res = max(
-                oracle.relation_residual(t, traj.sample(t).y, vth) for t in ts
+                oracle.relation_residual(t, traj.sample(t)[:4], vth) for t in ts
             )
             worst[name] = max(worst.get(name, 0.0), res)
         overall = max(worst.values())
@@ -221,9 +210,9 @@ class TestCriterion6ConservedQuantities:
             rep = ns.conserved_along(m1_params, traj)
             drift = max(drift, rep.max_rel_drift)
             cs = rep.initial  # node-0 constants equal the data constants
-            for s in traj.states[:: max(1, len(traj.states) // 30)]:
-                rt2 = ns.rt_squared(s.y[1], cs, m1_params)
-                fi_res = max(fi_res, abs(s.v[1] ** 2 - rt2))
+            for w in traj.nodes[:: max(1, len(traj.nodes) // 30)]:
+                rt2 = ns.rt_squared(w[1], cs, m1_params)
+                fi_res = max(fi_res, abs(w[5] ** 2 - rt2))
         passed = drift < 1e-9 and fi_res < 1e-8
         report(
             6,

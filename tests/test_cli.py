@@ -337,10 +337,9 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err == "error: Lambda undefined at vartheta = 0.0: |g11| = nan\n"
         # ... and integrated on its own, r**3 overflows the acceleration at the start
-        state = ns.GeodesicState(y=np.array([0.0, 1e308, math.pi / 2, 0.0]),
-                                 v=np.array([1.25, 1.0, 0.0, 0.0]), t=0.0)
+        y0, v0 = np.array([0.0, 1e308, math.pi / 2, 0.0]), np.array([1.25, 1.0, 0.0, 0.0])
         with pytest.raises(ns.NullsheetError, match="^integration failed: acceleration overflows"):
-            ns.integrate(ns.schwarzschild(ns.SchwarzschildParams(m=1.0)), state, 10.0)
+            ns.integrate(ns.schwarzschild(ns.SchwarzschildParams(m=1.0)), y0, v0, 10.0)
 
     def test_flat_infall_stops_at_the_origin(self, tmp_path, capsys):
         # a radial infall in the flat spherical chart reaches r = 0 at t = 1;
@@ -462,6 +461,17 @@ class TestSolveCommand:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not surface.exists()
 
+    @pytest.mark.parametrize("value", [[1, 2], True, 3.5], ids=["list", "true", "number"])
+    def test_non_string_output_path_exit_2(self, tmp_path, capsys, monkeypatch, value):
+        # a path that is not a string once wrote a file named "[1, 2]" or "True"
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, output={"path": value})
+        assert main(["solve", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: output.path: expected a string")
+        assert err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["run.yaml"]
+
     def test_minkowski_spherical_cone(self, tmp_path):
         # flat-space cone string: radial null data in spherical coordinates
         cfg = write_config(
@@ -516,17 +526,12 @@ class TestHorizonStop:
         result = run_pipeline(cfg, spacetime, curve)
         char_thetas = curve.grid(cfg.initial_data.samples)
         full = [
-            ns.integrate(
-                spacetime,
-                ns.GeodesicState(y=curve.phi(v), v=curve.psi(v), t=0.0),
-                cfg.solver.t_end,
-                cfg.solver,
-            )
+            ns.integrate(spacetime, curve.phi(v), curve.psi(v), cfg.solver.t_end, cfg.solver)
             for v in char_thetas
         ]
         for cut, whole in zip(result.trajectories, full):
-            assert [e.kind for e in cut.events] == [e.kind for e in whole.events] == ["horizon"]
-            assert cut.t_last < whole.t_last < cut.events[0].t
+            assert cut.event.kind == whole.event.kind == "horizon"
+            assert cut.t_last < whole.t_last < cut.event.t
         wrap = ns.wrap_offset_from_curve(curve) if curve.periodic else None
         mesh = ns.build_surface(
             full, char_thetas, result.cmap, result.mesh.t_grid, result.mesh.theta_grid,

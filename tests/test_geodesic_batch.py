@@ -1,7 +1,7 @@
 """``integrate_batch`` against the scalar reference loop and against itself.
 
 The batched loop advances every characteristic as one row of an array; it
-must give each row bitwise the trajectory, events and step counts of a
+must give each row bitwise the trajectory, event and step counts of a
 scalar loop on Python floats (``scalar_dop853.integrate_scalar``), and a
 row's result must not depend on which other rows share its batch.
 """
@@ -35,24 +35,21 @@ def _workloads():
 
 
 def assert_same(got, want):
-    """Two trajectories bitwise equal: nodes, interpolants, events and counts."""
+    """Two trajectories bitwise equal: nodes, interpolants, event and counts."""
     for name in ("ts", "nodes", "interp_q"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-    assert got.events == want.events
+    assert got.event == want.event
     assert got.stats == want.stats
 
 
 def pipeline_inputs(path):
-    """(spacetime, start states, t_end, options, t_grid) as ``run_pipeline`` forms them."""
+    """(spacetime, y0, v0, t_end, options, t_grid) as ``run_pipeline`` forms them."""
     cfg = load_config(path)
     spacetime, curve = build_spacetime(cfg), build_curve(cfg)
-    states0 = [
-        ns.GeodesicState(y=curve.phi(v), v=curve.psi(v), t=0.0)
-        for v in curve.grid(cfg.initial_data.samples)
-    ]
+    thetas = curve.grid(cfg.initial_data.samples)
     t_grid = np.linspace(0.0, cfg.solver.t_end, cfg.output.t_samples)
-    return spacetime, states0, cfg.solver.t_end, cfg.solver, t_grid
+    return spacetime, curve.phi(thetas), curve.psi(thetas), cfg.solver.t_end, cfg.solver, t_grid
 
 
 @pytest.fixture(scope="module")
@@ -73,20 +70,20 @@ class TestAgainstScalarReference:
     @pytest.mark.parametrize("grid", [True, False], ids=["t_grid", "full"])
     @pytest.mark.parametrize("name", CONFIGS)
     def test_config(self, configs, name, grid):
-        spacetime, states0, t_end, opts, t_grid = pipeline_inputs(configs[name])
+        spacetime, y0, v0, t_end, opts, t_grid = pipeline_inputs(configs[name])
         t_grid = t_grid if grid else None
-        batch = ns.integrate_batch(spacetime, states0, t_end, opts, t_grid=t_grid)
-        assert len(batch) == len(states0)
-        for got, state0 in zip(batch, states0):
-            assert_same(got, integrate_scalar(spacetime, state0, t_end, opts, t_grid=t_grid))
+        batch = ns.integrate_batch(spacetime, y0, v0, t_end, opts, t_grid=t_grid)
+        assert len(batch) == len(y0)
+        for got, y, v in zip(batch, y0, v0):
+            assert_same(got, integrate_scalar(spacetime, y, v, t_end, opts, t_grid=t_grid))
 
     def test_infall_ring_ends_on_the_certificate(self, configs):
         # the grid run of infall-ring stops every row on the horizon
         # certificate, at different iterations, and the full run bisects
         # every crossing
-        spacetime, states0, t_end, opts, t_grid = pipeline_inputs(configs["infall-ring"])
-        cut = ns.integrate_batch(spacetime, states0, t_end, opts, t_grid=t_grid)
-        full = ns.integrate_batch(spacetime, states0, t_end, opts)
+        spacetime, y0, v0, t_end, opts, t_grid = pipeline_inputs(configs["infall-ring"])
+        cut = ns.integrate_batch(spacetime, y0, v0, t_end, opts, t_grid=t_grid)
+        full = ns.integrate_batch(spacetime, y0, v0, t_end, opts)
         assert {tr.stats.stop for tr in cut} == {"horizon_certified"}
         assert {tr.stats.stop for tr in full} == {"horizon_crossing"}
         assert len({len(tr.ts) for tr in cut}) > 1
@@ -94,15 +91,16 @@ class TestAgainstScalarReference:
 
 def _example_start(example, params, vartheta):
     curve = ns.make_oracle(example, "auto", params).initial_curve()
-    return ns.GeodesicState(y=curve.phi(vartheta), v=curve.psi(vartheta), t=0.0)
+    return curve.phi(vartheta), curve.psi(vartheta)
 
 
-def _state(y, v):
-    return ns.GeodesicState(y=np.array(y), v=np.array(v), t=0.0)
+def _rows(starts):
+    """Start states (y, v) as the rows (y0, v0)."""
+    return tuple(np.array(part, dtype=float) for part in zip(*starts))
 
 
 def _pools():
-    """Start states that end in different ways, at different iterations, per spacetime."""
+    """Start rows (y0, v0) that end in different ways, at different iterations, per spacetime."""
     ex1 = ns.OracleParams(m=1.0, r0=10.0, r1=1.0, alpha0="pi/2 + 0.3*sin(vartheta)")
     plunge = ns.OracleParams(m=1.0, r0=3.0, sign_alpha=1, theta_range=(1.0, 2.0),
                              periodic=False)
@@ -111,22 +109,22 @@ def _pools():
     schwarzschild = [
         _example_start(1, ex1, 0.4),                      # t_max
         _example_start(1, ex1, 2.9),                      # t_max
-        _state([0.0, 4.0, math.pi / 2, 0.0], [1.0, 0.0, 1.0 / 8.0, 0.0]),  # circular, t_max
+        ([0.0, 4.0, math.pi / 2, 0.0], [1.0, 0.0, 1.0 / 8.0, 0.0]),  # circular, t_max
         _example_start(3, plunge, 1.5),                   # horizon
         _example_start(2, infall, 1.0),                   # horizon
-        _state([0.0, 6.0, 1.0, 0.0], [1.0, -0.9, 0.0, 0.0]),  # horizon, domain rejections
-        _state([0.5, 4.0, 0.05, 0.5], [1.0, 0.0, -1.0 / 8.0, 0.0]),  # axis
+        ([0.0, 6.0, 1.0, 0.0], [1.0, -0.9, 0.0, 0.0]),  # horizon, domain rejections
+        ([0.5, 4.0, 0.05, 0.5], [1.0, 0.0, -1.0 / 8.0, 0.0]),  # axis
     ]
     flat = [
-        _state([0.0, 1.0, math.pi / 2, 0.0], [1.0, -1.0, 0.0, 0.0]),  # r = 0: domain, step_failure
-        _state([0.0, 2.0, 1.0, 0.0], [1.0, -0.7, 0.0, 0.0]),          # r = 0 later
-        _state([0.0, 1.0, 1.0, 0.5], [1.0, 0.5, 0.3, 0.2]),           # t_max
-        _state([0.0, 3.0, math.pi / 2, 0.0], [1.0, -0.5, 0.0, 0.05]), # t_max
-        _state([0.0, 3.0, 0.05, 0.5], [1.0, 0.0, -0.1, 0.0]),         # axis
+        ([0.0, 1.0, math.pi / 2, 0.0], [1.0, -1.0, 0.0, 0.0]),  # r = 0: domain, step_failure
+        ([0.0, 2.0, 1.0, 0.0], [1.0, -0.7, 0.0, 0.0]),          # r = 0 later
+        ([0.0, 1.0, 1.0, 0.5], [1.0, 0.5, 0.3, 0.2]),           # t_max
+        ([0.0, 3.0, math.pi / 2, 0.0], [1.0, -0.5, 0.0, 0.05]), # t_max
+        ([0.0, 3.0, 0.05, 0.5], [1.0, 0.0, -0.1, 0.0]),         # axis
     ]
     return {
-        "schwarzschild": (ns.schwarzschild(ns.SchwarzschildParams(m=1.0)), schwarzschild),
-        "minkowski_spherical": (ns.minkowski_spherical(), flat),
+        "schwarzschild": (ns.schwarzschild(ns.SchwarzschildParams(m=1.0)), _rows(schwarzschild)),
+        "minkowski_spherical": (ns.minkowski_spherical(), _rows(flat)),
     }
 
 
@@ -136,12 +134,14 @@ _alone = {}
 
 
 def _run_alone(name, k, opts, grid):
-    """The trajectory of start state k of pool ``name`` in a batch of one, cached."""
+    """The trajectory of start row k of pool ``name`` in a batch of one, cached."""
     key = (name, k, opts, grid)
     if key not in _alone:
-        spacetime, pool = POOLS[name]
+        spacetime, (y0, v0) = POOLS[name]
         t_grid = np.linspace(0.0, T_END, 7) if grid else None
-        (_alone[key],) = ns.integrate_batch(spacetime, [pool[k]], T_END, opts, t_grid=t_grid)
+        (_alone[key],) = ns.integrate_batch(
+            spacetime, y0[k : k + 1], v0[k : k + 1], T_END, opts, t_grid=t_grid
+        )
     return _alone[key]
 
 
@@ -155,13 +155,12 @@ class TestBatchIndependence:
         data=st.data(),
     )
     def test_any_subset_equals_batches_of_one(self, name, rel_tol, max_steps, grid, data):
-        spacetime, pool = POOLS[name]
-        order = data.draw(st.permutations(range(len(pool))))
-        rows = order[: data.draw(st.integers(1, len(pool)))]
+        spacetime, (y0, v0) = POOLS[name]
+        order = data.draw(st.permutations(range(len(y0))))
+        rows = order[: data.draw(st.integers(1, len(y0)))]
         opts = ns.SolverOptions(rel_tol=rel_tol, abs_tol=rel_tol * 1e-2, max_steps=max_steps)
         t_grid = np.linspace(0.0, T_END, 7) if grid else None
-        batch = ns.integrate_batch(spacetime, [pool[k] for k in rows], T_END, opts,
-                                   t_grid=t_grid)
+        batch = ns.integrate_batch(spacetime, y0[rows], v0[rows], T_END, opts, t_grid=t_grid)
         for k, got in zip(rows, batch):
             assert_same(got, _run_alone(name, k, opts, grid))
 
@@ -170,11 +169,11 @@ class TestBatchIndependence:
         # the pools give the subsets above rows that end by t_max, at the
         # horizon or the axis, on a step failure, and rows with domain
         # rejections
-        spacetime, pool = POOLS[name]
+        spacetime, (y0, v0) = POOLS[name]
         stops, domain = set(), 0
         for rel_tol in (1e-6, 1e-3):
             opts = ns.SolverOptions(rel_tol=rel_tol, abs_tol=rel_tol * 1e-2)
-            for tr in ns.integrate_batch(spacetime, pool, T_END, opts):
+            for tr in ns.integrate_batch(spacetime, y0, v0, T_END, opts):
                 stops.add(tr.stats.stop)
                 domain += tr.stats.domain_rejected
         want = {"t_max", "axis_crossing"}
@@ -184,8 +183,8 @@ class TestBatchIndependence:
 
 
 def test_counts_are_consistent(configs):
-    spacetime, states0, t_end, opts, t_grid = pipeline_inputs(configs["infall-ring"])
-    for tr in ns.integrate_batch(spacetime, states0, t_end, opts):
+    spacetime, y0, v0, t_end, opts, t_grid = pipeline_inputs(configs["infall-ring"])
+    for tr in ns.integrate_batch(spacetime, y0, v0, t_end, opts):
         s = tr.stats
         attempted = s.accepted + s.rejected + s.domain_rejected
         assert s.rhs_rows == 2 + 12 * attempted + 3 * s.accepted
@@ -197,17 +196,42 @@ def test_counts_are_consistent(configs):
 
 
 def test_empty_batch():
-    assert ns.integrate_batch(ns.minkowski_spherical(), [], 1.0) == []
+    empty = np.empty((0, 4))
+    assert ns.integrate_batch(ns.minkowski_spherical(), empty, empty, 1.0) == []
+
+
+@pytest.mark.parametrize(
+    "y0, v0",
+    [
+        (np.zeros((2, 4)), np.zeros((3, 4))),
+        (np.zeros((2, 4)), np.zeros((2, 3))),
+        (np.zeros((2, 3)), np.zeros((2, 3))),
+        (np.zeros(4), np.zeros(4)),
+        (np.zeros((1, 2, 4)), np.zeros((1, 2, 4))),
+        (np.empty((0, 3)), np.empty((0, 3))),
+    ],
+    ids=["rows", "v0 columns", "columns", "one state", "3-d", "empty, columns"],
+)
+def test_start_rows_of_another_shape_raise(y0, v0):
+    with pytest.raises(ValueError, match=r"must both be \(N, 4\) rows"):
+        ns.integrate_batch(ns.minkowski_spherical(), y0, v0, 1.0)
+
+
+@pytest.mark.parametrize("t_end", [0.0, -1.0, math.nan])
+def test_t_end_not_positive_raises(t_end):
+    y0, v0 = np.array([[0.0, 1.0, 1.0, 0.5]]), np.array([[1.0, 0.5, 0.3, 0.2]])
+    with pytest.raises(ValueError, match="must be positive"):
+        ns.integrate_batch(ns.minkowski_spherical(), y0, v0, t_end)
 
 
 def test_records_held_at_most_twice_while_grouped(tmp_path):
     # the blocks of records are freed before the table is taken in row
     # order, so the records are held twice at most (three times otherwise)
     infall = _workloads().InfallRing(0, tmp_path)  # 32 characteristics
-    spacetime, states0, t_end, opts, t_grid = pipeline_inputs(infall.config)
+    spacetime, y0, v0, t_end, opts, t_grid = pipeline_inputs(infall.config)
     tracemalloc.start()
     try:
-        batch = ns.integrate_batch(spacetime, states0, t_end, opts, t_grid=t_grid)
+        batch = ns.integrate_batch(spacetime, y0, v0, t_end, opts, t_grid=t_grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -224,11 +224,10 @@ class TestProfileFromData:
         curve = oracle.initial_curve()
         vth = 0.8
         profile = ns.profile_from_data(curve.phi(vth), curve.psi(vth), m1_params)
-        state0 = ns.GeodesicState(y=curve.phi(vth), v=curve.psi(vth), t=0.0)
-        traj = ns.integrate(schw, state0, 12.0)
+        traj = ns.integrate(schw, curve.phi(vth), curve.psi(vth), 12.0)
         for t in np.linspace(0.3, 12.0, 25):
-            s = traj.sample(t)
-            r, r_t, a_t = s.y[1], s.v[1], s.v[2]
+            y, v = np.split(traj.sample(t), 2)
+            r, r_t, a_t = y[1], v[1], v[2]
             if abs(a_t) < 1e-12:
                 continue
             du_dalpha = (-r_t / r**2) / a_t
@@ -257,7 +256,7 @@ def assert_radial_integral_along(schw, m1_params, y, v, t_end, tol):
     ``tol`` bounds the relative error of a node's state; each residual may
     reach it times C's conditioning at the node.
     """
-    traj = ns.integrate(schw, ns.GeodesicState(y=y, v=v, t=0.0), t_end)
+    traj = ns.integrate(schw, y, v, t_end)
     E, L, K, C = first_integrals(m1_params, traj.nodes[:, :4], traj.nodes[:, 4:])
     cs = ns.ConservedSet(E=float(E[0]), L=float(L[0]), K=float(K[0]), C=float(C[0]))
     r, rt2 = traj.nodes[:, 1], traj.nodes[:, 5] ** 2
@@ -277,7 +276,7 @@ class TestRadialIntegralWithAngularMomentum:
         y = np.array([0.0, 8.0, 1.0, 0.0])
         v = np.array([1.3, -0.2, 0.02, 0.03])
         traj = assert_radial_integral_along(schw, m1_params, y, v, 10.0, 1e-10)
-        assert traj.events[0].kind == "t_max"
+        assert traj.event.kind == "t_max"
         assert ns.cubic_coefficients(y, v, m1_params) == pytest.approx(
             (0.2701525990031016, -0.046404626413679394), rel=1e-12
         )

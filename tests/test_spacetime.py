@@ -13,13 +13,12 @@ X4 = np.array([0.0, 4.0, math.pi / 2, 0.0])
 def assert_outside_chart(spacetime, r):
     """The metric, the integrator and the connection raise DomainError at radius r."""
     x = np.array([0.0, r, 1.0, 0.0])
-    state0 = ns.GeodesicState(y=x, v=np.array([1.0, 0.0, 0.0, 0.0]), t=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # e.g. a ComplexWarning from a complex r
         with pytest.raises(DomainError):
             spacetime.metric_at(x)
         with pytest.raises(DomainError):
-            ns.integrate(spacetime, state0, 1.0)
+            ns.integrate(spacetime, x, np.array([1.0, 0.0, 0.0, 0.0]), 1.0)
         with pytest.raises(DomainError):
             ns.christoffel_from_metric(spacetime, x)
 
@@ -96,11 +95,10 @@ def test_spacetime_is_metric_plus_acceleration():
         metric_at=flat.metric_at,
         acceleration_at=flat.acceleration_at,
     )
-    state0 = ns.GeodesicState(
-        y=np.array([0.0, 5.0, math.pi / 2, 0.0]), v=np.array([1.0, 1.0, 0.0, 0.0]), t=0.0
+    traj = ns.integrate(
+        user, np.array([0.0, 5.0, math.pi / 2, 0.0]), np.array([1.0, 1.0, 0.0, 0.0]), 2.0
     )
-    traj = ns.integrate(user, state0, 2.0)
-    assert [e.kind for e in traj.events] == ["t_max"]
+    assert traj.event.kind == "t_max"
     assert traj.nodes[-1, 1] == pytest.approx(7.0, rel=1e-10)
 
 

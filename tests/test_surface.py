@@ -20,15 +20,7 @@ def solve_characteristics(spacetime, curve, n, t_end, **opts):
     cmap = ns.map_from_initial_data(curve, spacetime)
     thetas = curve.grid(n)
     options = ns.SolverOptions(**opts) if opts else None
-    trajs = [
-        ns.integrate(
-            spacetime,
-            ns.GeodesicState(y=curve.phi(v), v=curve.psi(v), t=0.0),
-            t_end,
-            options,
-        )
-        for v in thetas
-    ]
+    trajs = ns.integrate_batch(spacetime, curve.phi(thetas), curve.psi(thetas), t_end, options)
     return cmap, thetas, trajs
 
 
@@ -59,12 +51,7 @@ def two_alive_runs(schw):
     thetas = curve.grid(16)
     ends = np.where(np.arange(16) < 5, 1.0, 2.0)
     ends[5] = 0.5
-    trajs = [
-        ns.integrate(
-            schw, ns.GeodesicState(y=curve.phi(v), v=curve.psi(v), t=0.0), end
-        )
-        for v, end in zip(thetas, ends)
-    ]
+    trajs = [ns.integrate(schw, curve.phi(v), curve.psi(v), end) for v, end in zip(thetas, ends)]
     t_grid = np.array([0.0, 0.25, 0.75, 1.5])
     theta_grid = np.linspace(0.05, 2 * math.pi - 0.05, 40)
     return trajs, thetas, cmap, t_grid, theta_grid
@@ -183,15 +170,11 @@ class TestBuildSurface:
         cmap = ns.map_from_initial_data(curve, schw)
         thetas = curve.grid(12)
         t_grid = np.linspace(0.0, 10.0, 11)
-        trajs = [  # with the grid, so that the horizon certificate runs
-            ns.integrate(
-                schw, ns.GeodesicState(y=curve.phi(v), v=curve.psi(v), t=0.0), 10.0,
-                t_grid=t_grid,
-            )
-            for v in thetas
-        ]
-        assert all(event.kind == "horizon" for traj in trajs for event in traj.events)
-        assert any(traj.t_last < traj.events[0].t for traj in trajs)  # certified stops
+        trajs = ns.integrate_batch(  # with the grid, so that the horizon certificate runs
+            schw, curve.phi(thetas), curve.psi(thetas), 10.0, t_grid=t_grid
+        )
+        assert all(traj.event.kind == "horizon" for traj in trajs)
+        assert any(traj.t_last < traj.event.t for traj in trajs)  # certified stops
         theta_grid = np.linspace(-1.0, 1.0, 9)
         mesh = ns.build_surface(trajs, thetas, cmap, t_grid, theta_grid, schw)
         assert not mesh.truncated[0].any()
@@ -204,7 +187,7 @@ class TestBuildSurface:
         # vartheta = theta: a truncated node lies past the event of one of
         # the two characteristics around it, or its slice has fewer than the
         # 4 characteristics a spline needs
-        ends = np.array([traj.events[0].t for traj in trajs])
+        ends = np.array([traj.event.t for traj in trajs])
         k = np.searchsorted(thetas, theta).clip(1, len(thetas) - 1)
         past_event = np.minimum(ends[k - 1], ends[k]) < t
         reached = np.array([traj.t_last for traj in trajs]) >= t[:, None] - REACH_SLACK
