@@ -67,6 +67,7 @@ from .spacetime import (
     InducedMetric,
     SchwarzschildParams,
     Spacetime,
+    StepChart,
     christoffel_from_metric,
     induced_metric,
     minkowski,
@@ -99,7 +100,7 @@ __all__ = [
     "CaseLabel", "CubicProfile", "cubic_coefficients",
     "example2_coefficients", "example2_roots", "example3_roots",
     "profile_from_data", "rt_squared", "solve_cubic",
-    "InducedMetric", "SchwarzschildParams", "Spacetime",
+    "InducedMetric", "SchwarzschildParams", "Spacetime", "StepChart",
     "christoffel_from_metric", "induced_metric", "minkowski",
     "minkowski_spherical", "schwarzschild",
     "DeltaReport", "SurfaceMesh", "build_surface", "delta_monitor",

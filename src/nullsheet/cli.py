@@ -63,14 +63,11 @@ def run_pipeline(
     """Solve the Cauchy problem for ``curve`` in ``spacetime``, built from ``cfg``."""
     cmap = map_from_initial_data(curve, spacetime)
     char_thetas = curve.grid(cfg.initial_data.samples)
-    t_grid = np.linspace(0.0, cfg.solver.t_end, cfg.output.t_samples)
-    # the trajectories need to serve the t-grid only, which lets a
-    # characteristic falling into the horizon stop early
     trajectories = integrate_batch(
-        spacetime, curve.phi(char_thetas), curve.psi(char_thetas), cfg.solver.t_end, cfg.solver,
-        t_grid=t_grid,
+        spacetime, curve.phi(char_thetas), curve.psi(char_thetas), cfg.solver.t_end, cfg.solver
     )
 
+    t_grid = np.linspace(0.0, cfg.solver.t_end, cfg.output.t_samples)
     theta_grid = curve.grid(cfg.output.theta_samples or cfg.initial_data.samples)
 
     wrap = wrap_offset_from_curve(curve) if curve.periodic else None

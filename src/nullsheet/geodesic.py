@@ -12,8 +12,12 @@ re-integration.
 The characteristics are independent geodesics, so one step loop advances
 all of them together (``integrate_batch``) as the rows of an (N, 2*dim)
 array [y, v].  The start states come in as the (N, dim) rows y0 and v0,
-every one at t = 0, and a trajectory is sampled as rows [y, v] too.  Each
-row keeps its own t, step size h, PI controller state and step counts.
+every one at t = 0, and a trajectory is sampled as rows [y, v] too, both in
+the chart of ``Spacetime.metric_at``.  A spacetime with a ``step_chart`` is
+stepped in that chart: Schwarzschild in ingoing Eddington-Finkelstein time,
+where nothing diverges at r = 2m, so a row falls to the horizon guard in a
+few steps.  Each row keeps its own t, step size h, PI controller state and
+step counts.
 An iteration attempts one step on every live row; per stage,
 ``Spacetime.acceleration_at(y, v, out)`` writes all rows' accelerations
 into ``out``, the a block of the stage rows [y, v, a], whose [v, a] is the
@@ -22,10 +26,8 @@ stage.  A row whose stage or step end left the chart
 row whose dense-output stage did.  The guards are evaluated on the
 accepted rows, at the step end and at the midpoint of the continuous
 extension, in one call; the event search and the event node run only on
-the rows where one fires, and the horizon certificate only on the rows
-with r_t < 0 that would reach the horizon before their next grid time at
-their present speed.  Rows that end are dropped.  The stage sums are one
-reduction over the stage axis, which adds the stages in stage order (zero
+the rows where one fires.  Rows that end are dropped.  The stage sums are
+one reduction over the stage axis, which adds the stages in stage order (zero
 weights included); they, the error norm and the controller are
 element-wise numpy in the order of a scalar loop, with every power taken by
 ``np.float_power``, so a row's bits do not depend on the batch it sits in.
@@ -39,16 +41,11 @@ ends, the blocks are joined into one table of the run and put in row order
 by one stable argsort, so each trajectory is a view into that table.  One
 dense-output formula serves sampling, the guards' midpoint probe, the
 event search and the event state.  Schwarzschild runs terminate at the
-horizon (r <= 2m(1 + eps_horizon)) or the coordinate axis
+horizon (r <= 2m(1 + max(eps_horizon, 1e-10))) or the coordinate axis
 (|sin alpha| <= eps_axis); both are recorded as events, as is step-size
-underflow.
-
-A run told the t-grid its trajectories will be sampled on (``t_grid``) may
-stop a row at a node from which the radial first integral certifies that
-r reaches the horizon before the next grid time (``_horizon_certificates``).
-Its grid samples, and which grid times it reaches, are those of the full
-run, which would spend most of its steps on the approach to r = 2m, where
-tau diverges like -2m ln(r - 2m).
+underflow.  A crossing is located on the step's continuous extension by
+Illinois regula falsi (Dowell & Jarratt, BIT 11 (1971) 168-174), in seven
+or eight evaluations where bisection takes some 51.
 """
 
 from __future__ import annotations
@@ -56,12 +53,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, NullsheetError
-from .reduction import ConservedSet, _cubic_at, first_integrals, radial_cubic
-from .spacetime import SchwarzschildParams, Spacetime
+from .reduction import ConservedSet, first_integrals
+from .spacetime import HORIZON_MARGIN, SchwarzschildParams, Spacetime
 
 # DOP853, the 8(5,3) pair of Dormand and Prince in Hairer's DOP853 (Hairer,
 # Norsett & Wanner, Solving ODEs I, II.10), with the coefficients of
@@ -241,22 +239,14 @@ _E3_STACK = _E3[:, None, None]
 # how far past t_last a trajectory may be sampled, and so how far before a
 # grid time a run must end for the surface to count that time as reached
 REACH_SLACK = 1e-12
-# factor on the certified time to the horizon, for the integration error of
-# the trajectory that a full run would follow
-_CERT_MARGIN = 1.01
 
 
 @dataclass(frozen=True)
 class Event:
     """Why and when a run stopped; each trajectory has one.
 
-    ``t`` is the time of the crossing, found by bisection, or the node time
-    of a ``t_max`` or ``step_failure``.  A ``horizon`` event of a run that
-    stopped on the radial first integral's certificate (``integrate_batch``
-    with a ``t_grid``) has as ``t`` the certified upper bound on the time
-    the run reaches r = 2m(1 + eps_horizon); its trajectory ends on the certifying
-    node, so ``t_last`` < ``t``.  No guard is checked past that node, so the
-    full run may instead end at the axis before ``t``.
+    ``t`` is the time of the crossing, the trajectory's last node, or the
+    node time of a ``t_max`` or ``step_failure``.
     """
 
     kind: str  # horizon | axis | step_failure | t_max
@@ -277,9 +267,8 @@ class StepStats:
     stage left the chart or was not finite.  ``h_min`` and ``h_max`` range
     over the full steps, never over the fraction of a step that ends on an
     event (inf and 0.0 without a full step).  ``stop`` is why the run ended:
-    ``t_max``, ``max_steps``, ``step_underflow``, ``horizon_certified`` (on
-    the radial first integral's bound), or ``horizon_crossing`` or
-    ``axis_crossing`` (at a bisected crossing).
+    ``t_max``, ``max_steps``, ``step_underflow``, or ``horizon_crossing`` or
+    ``axis_crossing`` (at a located crossing).
     """
 
     rhs_rows: int
@@ -330,12 +319,15 @@ class GeodesicTrajectory:
 
     ``ts`` (n,) holds the accepted node times, ``nodes`` (n, 2*dim) the
     states [y, v] at them and ``interp_q`` (n-1, 2*dim, 7) the interpolant
-    of each step; ``sample`` evaluates the continuous extension anywhere in
-    [ts[0], t_last] as rows laid out like ``nodes``.  ``event`` is why and
-    when the run stopped, ``stats`` the integrator's counts for it.  The
-    three arrays are views into one table of the run that made the
-    trajectory, which holds the records [t, w, q] of all its rows, grouped
-    by row.
+    of each step, all in the chart the run stepped in: for Schwarzschild,
+    ingoing Eddington-Finkelstein rows [v, r, alpha, beta, ...].  ``dense``
+    evaluates the continuous extension anywhere in [ts[0], t_last] as rows
+    laid out like ``nodes``, and ``sample`` maps them to the chart of
+    ``Spacetime.metric_at`` with ``back`` (None when the two are one).
+    ``event`` is why and when the run stopped, ``stats`` the integrator's
+    counts for it.  The three arrays are views into one table of the run
+    that made the trajectory, which holds the records [t, w, q] of all its
+    rows, grouped by row.
     """
 
     dim: int
@@ -344,13 +336,19 @@ class GeodesicTrajectory:
     event: Event
     interp_q: np.ndarray
     stats: StepStats
+    back: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
     def t_last(self) -> float:
         return float(self.ts[-1])
 
     def sample(self, t) -> np.ndarray:
-        """Dense-output states [y, v] at t in [ts[0], t_last], of shape t.shape + (2*dim,)."""
+        """States [y, v] at t in [ts[0], t_last] in metric_at's chart, of shape t.shape + (2*dim,)."""
+        rows = self.dense(t)
+        return rows if self.back is None else self.back(rows)
+
+    def dense(self, t) -> np.ndarray:
+        """The continuous extension at t in [ts[0], t_last], as rows laid out like ``nodes``."""
         ts = self.ts
         t = np.asarray(t, dtype=float)
         outside = (t < ts[0] - REACH_SLACK) | (t > ts[-1] + REACH_SLACK)
@@ -381,7 +379,10 @@ def _guards(spacetime: Spacetime, opts: SolverOptions, y0: np.ndarray):
     side = np.ones(len(y0))
     meta = spacetime.meta
     if "mass" in meta:
-        barrier = np.array(2.0 * meta["mass"] * (1.0 + opts.eps_horizon))
+        # at the latest on the edge of the chart of metric_at, where tau is
+        # still finite; it has none at r = 2m
+        eps = max(opts.eps_horizon, HORIZON_MARGIN)
+        barrier = np.array(2.0 * meta["mass"] * (1.0 + eps))
         guards.append(("horizon", 1, lambda r, side: r - barrier))
     if meta.get("spherical"):
         eps = np.array(opts.eps_axis)
@@ -420,28 +421,53 @@ def _initial_steps(accel, w0, f0, rel_tol, abs_tol, t_end):
 def _first_crossing(fired, t, w, h, q):
     """The earliest crossing in the step [t, t + h] of the guards that fired.
 
-    ``w`` is the state at the step start and ``q`` the step's interpolant.
-    ``fired`` holds (kind, i, g, sig_hi) for each guard that is <= 0 at the
-    fraction sig_hi (1/2 or 1) of the step; each is bisected on [0, sig_hi].
+    ``w`` is the state at the step start, where every guard is > 0, and
+    ``q`` the step's interpolant.  ``fired`` holds (kind, i, g, sig_hi,
+    g_hi) for each guard whose value g_hi is <= 0 at the fraction sig_hi
+    (1/2 or 1) of the step; each is located on [0, sig_hi] by ``_illinois``.
     Returns (kind, t_ev, sigma) with t_ev = t + sigma h.
     """
     triggered = None
-    for kind, i, g, sig_hi in fired:
+    for kind, i, g, sig_hi, g_hi in fired:
 
         def g_sigma(sigma, i=i, g=g):
-            return g(_dense(w, h, q, sigma)[i])
+            return float(g(_dense(w, h, q, sigma)[i]))
 
-        # bisect, keeping g(lo) > 0 >= g(hi); the result hi never lies
-        # before the crossing
-        lo, hi = 0.0, (0.0 if g_sigma(0.0) <= 0.0 else sig_hi)
-        while hi - lo > 1e-15 + 8.9e-16 * hi:
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if g_sigma(mid) > 0.0 else (lo, mid)
-        sig_ev = hi
+        sig_ev = _illinois(g_sigma, float(g(w[i])), sig_hi, g_hi)
         t_candidate = t + sig_ev * h
         if triggered is None or t_candidate < triggered[1]:
             triggered = (kind, t_candidate, sig_ev)
     return triggered
+
+
+def _illinois(g, g_lo, hi, g_hi):
+    """The upper end of a bracket [lo, hi] of a root of g, shrunk from [0, hi].
+
+    Illinois regula falsi (Dowell & Jarratt, BIT 11 (1971) 168-174): each
+    trial is where the secant through the bracket's ends crosses 0, and when
+    the same end is replaced twice in a row, the value kept at the other end
+    is halved.  The bracket keeps g(lo) > 0 >= g(hi), from g(0) = ``g_lo``
+    and g(hi) = ``g_hi``, so the result never lies before the crossing; it
+    stops once hi - lo <= 1e-15 + 8.9e-16 hi, or at a trial where g is 0.
+    A trial keeps half that width from either end, so the trial after one
+    next to the root closes the bracket.
+    """
+    lo, replaced = 0.0, 0
+    while g_hi != 0.0 and hi - lo > (width := 1e-15 + 8.9e-16 * hi):
+        x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        x = min(max(x, lo + 0.5 * width), hi - 0.5 * width)
+        g_x = g(x)
+        if g_x > 0.0:
+            lo, g_lo = x, g_x
+            if replaced > 0:
+                g_hi *= 0.5
+            replaced = 1
+        else:
+            hi, g_hi = x, g_x
+            if replaced < 0:
+                g_lo *= 0.5
+            replaced = -1
+    return hi
 
 
 def _weighted(weights, stages):
@@ -468,84 +494,20 @@ def _stage(accel, i, w, h, xs, ks):
 
 
 def _event_step(fired, t, w, h, q):
-    """The event of a step where guards fired: (Event, partial step or None).
+    """The event of a step where guards fired: (Event, partial step).
 
     ``q`` is the step's interpolant at the row.  The partial step is
-    (t_ev, node, interpolant on [t, t_ev]); a crossing at the step start
-    has none, and the run ends on the existing node.
+    (t_ev, node, interpolant on [t, t_ev]).
     """
     kind, t_ev, sig_ev = _first_crossing(fired, t, w, h, q)
-    if sig_ev == 0.0:
-        return Event(kind=kind, t=t_ev), None
     # the node is the full step's interpolant at the fraction that the stored
-    # t_ev really is, one ulp of t later if rounding put t_ev before the
-    # crossing; so is the partial step's interpolant, on [0, sig_ev]
-    if t_ev - t < sig_ev * h:
+    # t_ev really is, one ulp of t later if rounding put that fraction before
+    # the one located; so is the partial step's interpolant, on [0, sig_ev]
+    if (t_ev - t) / h < sig_ev:
         t_ev = math.nextafter(t_ev, math.inf)
     sig_ev = (t_ev - t) / h
     partial = (t_ev, _dense(w, h, q, sig_ev), q * np.float_power(sig_ev, np.arange(7.0)))
     return Event(kind=kind, t=t_ev), partial
-
-
-def _horizon_certificates(spacetime: Spacetime, opts: SolverOptions, y0, v0) -> np.ndarray:
-    """Each row's data for the check that lets a run serving a t-grid stop short of the horizon.
-
-    In u = 1/r the radial first integral is the cubic P(u) of
-    ``reduction.radial_cubic`` with the constants of the row's node 0.  If
-    P > 0 on [1/r, 1/r_h], r_t cannot change sign there, so r falls to
-    r_h = 2m(1 + eps_horizon) within (r - r_h) / sqrt(min P); P's minimum
-    on [u, u_h] is at an end or at a root of P' inside.  Returns rows
-    [c3, c2, c1, c0, P(u_h), u_1, P(u_1), u_2, P(u_2)] with the roots u_i of
-    P' in (0, u_h), nan where there is none; ``_certified_times`` reads
-    them.  A row whose cubic is out of float range is all nan: it never
-    certifies.
-    """
-    m = spacetime.meta["mass"]
-    u_h = 1.0 / (2.0 * m * (1.0 + opts.eps_horizon))
-    with np.errstate(all="ignore"):
-        E, L, K, C = first_integrals(SchwarzschildParams(m=m), y0, v0)
-        cubic = radial_cubic(m, E, L, K, C)
-        columns = [*cubic, _cubic_at(cubic, u_h)]
-        # P'(u) = 0 at u = (1 -+ sqrt(1 - 12 m^2 (E^2 - C) / J)) / (6m)
-        J = -cubic[1]
-        disc = np.where(J > 0.0, 1.0 - 12.0 * m * m * (E * E - C) / J, -1.0)
-        for u_c in ((1.0 - np.sqrt(disc)) / (6.0 * m), (1.0 + np.sqrt(disc)) / (6.0 * m)):
-            inner = (disc >= 0.0) & (0.0 < u_c) & (u_c < u_h)
-            columns += [np.where(inner, u_c, np.nan), np.where(inner, _cubic_at(cubic, u_c), np.nan)]
-    rows = np.column_stack(columns)
-    rows[~np.isfinite(rows[:, :4]).all(axis=1)] = np.nan
-    return rows
-
-
-def _can_certify(t, r, r_t, r_h, limit):
-    """Whether ``_certified_times`` may certify falling nodes (r_t < 0, r > r_h).
-
-    Its bound on r_t^2 is at most r_t^2, so it certifies no time earlier than
-    t + (r - r_h) / |r_t|, by a margin of 1%, far above rounding.
-    """
-    return t + (r - r_h) / -r_t < limit - REACH_SLACK
-
-
-def _certified_times(cert, t, r, r_t, r_h, limit):
-    """The certified time by which each node reaches r_h, nan where none is certified.
-
-    The nodes are accepted ones with r_t < 0, at times t, of rows whose
-    ``_horizon_certificates`` data is ``cert``.  A time counts only if it is
-    before the node's ``limit``, the first of the grid times before t_end,
-    then t_end, at or after t, by more than ``REACH_SLACK``: a grid time
-    equal to t is not served by the node, whose own sample there would come
-    from the step before it.
-    """
-    c3, c2, c1, c0, p_h, u_1, p_1, u_2, p_2 = cert.T
-    u = 1.0 / r
-    p = _cubic_at((c3, c2, c1, c0), u)
-    low = np.where(p < p_h, p, p_h)
-    for u_c, p_c in ((u_1, p_1), (u_2, p_2)):
-        low = np.where((u_c > u) & (p_c < low), p_c, low)
-    # less the integral's drift that the node shows
-    low = low - np.abs(r_t * r_t - p)
-    t_cert = t + _CERT_MARGIN * (r - r_h) / np.sqrt(low)
-    return np.where((low > 0.0) & (t_cert < limit - REACH_SLACK), t_cert, np.nan)
 
 
 def _start_rows(spacetime: Spacetime, y0, v0, t_end):
@@ -604,18 +566,13 @@ def integrate_batch(
     v0,
     t_end: float,
     options: SolverOptions | None = None,
-    *,
-    t_grid=None,
 ) -> list[GeodesicTrajectory]:
     """Integrate one geodesic per start row (y0, v0) from t = 0 to t_end or an event.
 
-    ``y0`` and ``v0`` are (N, dim) rows.  All rows advance in one step loop;
-    each row's trajectory, event and counts are those it has integrated
-    alone.  With ``t_grid``, the times the trajectories will be sampled at,
-    a Schwarzschild row stops on the first node that the radial first
-    integral certifies to reach the horizon before the next grid time (see
-    ``Event``); its samples on the grid times it reaches, and which those
-    are, equal the full run's.
+    ``y0`` and ``v0`` are (N, dim) rows in the chart of ``metric_at``, mapped
+    into the spacetime's ``step_chart`` if it has one.  All rows advance in
+    one step loop; each row's trajectory, event and counts are those it has
+    integrated alone.
     """
     opts = options or SolverOptions()
     y0, v0 = _start_rows(spacetime, y0, v0, t_end)
@@ -629,7 +586,10 @@ def integrate_batch(
     t_end, dim, accel = float(t_end), spacetime.dim, spacetime.acceleration_at
     n = 2 * dim
     w0 = np.concatenate([y0, v0], axis=1)
-    f = _start_derivative(spacetime, y0, v0)
+    chart = spacetime.step_chart
+    if chart is not None:
+        w0 = np.ascontiguousarray(chart.into(w0))
+    f = _start_derivative(spacetime, w0[:, :dim], w0[:, dim:])
     h = _initial_steps(accel, w0, f, opts.rel_tol, opts.abs_tol, t_end)
     # the loop's scalars as 0-d arrays, like the module's
     rel_tol, abs_tol, t_stop = (np.array(float(c)) for c in (opts.rel_tol, opts.abs_tol, t_end))
@@ -643,19 +603,9 @@ def integrate_batch(
     blocks, owners = [], []
     tail = np.full(7 * n, np.nan)
     ends: list[tuple | None] = [None] * n_rows
-    # the horizon certificate is checked on the nodes with r_t < 0 that _can_certify
-    certifying = t_grid is not None and "mass" in spacetime.meta
-    if certifying:
-        cert = _horizon_certificates(spacetime, opts, y0, v0)
-        r_h = 2.0 * spacetime.meta["mass"] * (1.0 + opts.eps_horizon)
-        # the grid times before t_end, then t_end
-        grid = np.sort(np.asarray(t_grid, float))
-        limits = np.append(grid[grid < t_end], t_end)
-    else:
-        cert = np.empty((n_rows, 0))
 
     # the live rows: original index, t, h, PI state, state, derivative,
-    # axis side, certificate data, the count of their domain-rejected steps
+    # axis side, the count of their domain-rejected steps
     # and, of those, the steps that failed on a dense-output stage; every
     # live row attempts one step per iteration, so a row's attempts are the
     # iterations it lived through
@@ -676,10 +626,10 @@ def integrate_batch(
 
     def drop(done):
         """Remove the rows that ended from the live arrays."""
-        nonlocal rows, t, h, err_prev, w, f, side, cert, n_bad, n_late
+        nonlocal rows, t, h, err_prev, w, f, side, n_bad, n_late
         live = ~done
-        rows, t, h, err_prev, w, f, side, cert, n_bad, n_late = (
-            x[live] for x in (rows, t, h, err_prev, w, f, side, cert, n_bad, n_late)
+        rows, t, h, err_prev, w, f, side, n_bad, n_late = (
+            x[live] for x in (rows, t, h, err_prev, w, f, side, n_bad, n_late)
         )
 
     attempts = 0
@@ -776,9 +726,10 @@ def integrate_batch(
                 q = _interpolants(ka)
                 if guards:
                     xa[16] = _dense(wa, hwa, q, 0.5)
-                    fired = np.empty((len(guards), 2, n_accepted), dtype=bool)
-                    for (kind, i, g), at in zip(guards, fired):
-                        np.less_equal(g(xa[12::4, :, i], side[sel]), _ZERO, out=at)
+                    values = np.empty((len(guards), 2, n_accepted))
+                    for (kind, i, g), at in zip(guards, values):
+                        at[...] = g(xa[12::4, :, i], side[sel])
+                    fired = values <= _ZERO
                     if np.count_nonzero(fired):
                         sel = np.arange(n_live)[sel]
                         hit_a = fired.any(axis=(0, 1))
@@ -787,11 +738,14 @@ def integrate_batch(
                         full = accept & ~hit
                         for j in hit_a.nonzero()[0]:
                             k = sel[j]
+                            # each fired guard with its first fraction <= 0
                             crossings = [
-                                (kind, i, lambda u, g=g, s=side[k]: g(u, s),
-                                 0.5 if at_mid[j] else 1.0)
-                                for (kind, i, g), (at_end, at_mid) in zip(guards, fired)
-                                if at_mid[j] or at_end[j]
+                                (kind, i, lambda u, g=g, s=side[k]: g(u, s), *(
+                                    (0.5, float(at_mid[j])) if at_mid[j] <= 0.0
+                                    else (1.0, float(at_end[j]))
+                                ))
+                                for (kind, i, g), (at_end, at_mid) in zip(guards, values)
+                                if at_mid[j] <= 0.0 or at_end[j] <= 0.0
                             ]
                             event, partial = _event_step(
                                 crossings, float(t[k]), np.array(w[k]), float(h[k]), q[j]
@@ -809,29 +763,11 @@ def integrate_batch(
                     np.copyto(f, ks[12], where=full[:, None])
             h = h * factor
 
-            # rows that reach t_end (only full steps move t), or that the
-            # certificate stops short of the horizon
+            # rows that reach t_end (only full steps move t)
             reached = t >= t_stop
             for k in reached.nonzero()[0]:
                 end(k, "t_max", float(t[k]), "t_max")
             done = reached if hit is None else reached | hit
-            if certifying:
-                r, r_t = w[:, 1], w[:, dim + 1]
-                near = full & (r_t < _ZERO)
-                if np.count_nonzero(near):
-                    # on all rows, masked: full steps end above r_h, and a
-                    # reached row's limit is t_end
-                    limit = limits[np.searchsorted(limits[:-1], t, side="left")]
-                    near &= _can_certify(t, r, r_t, r_h, limit)
-                if np.count_nonzero(near):
-                    near = near.nonzero()[0]
-                    t_cert = _certified_times(
-                        cert[near], t[near], r[near], r_t[near], r_h, limit[near]
-                    )
-                    for k, t_k in zip(near, t_cert.tolist()):
-                        if t_k == t_k:  # not nan: certified
-                            end(k, "horizon", t_k, "horizon_certified")
-                            done[k] = True
             if np.count_nonzero(done):
                 drop(done)
 
@@ -841,17 +777,20 @@ def integrate_batch(
     blocks.clear()
     table = table.take(np.argsort(owner, kind="stable"), axis=0)
     starts = [0, *np.cumsum(np.bincount(owner, minlength=n_rows)).tolist()]
+    back = None if chart is None else chart.back
     return [
-        _trajectory(dim, table[starts[j] : starts[j + 1]], *ends[j]) for j in range(n_rows)
+        _trajectory(dim, table[starts[j] : starts[j + 1]], *ends[j], back)
+        for j in range(n_rows)
     ]
 
 
 def _trajectory(
-    dim, records, event, attempts, n_bad, n_late, stop, partial
+    dim, records, event, attempts, n_bad, n_late, stop, partial, back
 ) -> GeodesicTrajectory:
     """A row's trajectory from its node records [t, w, q], its end and its step counts.
 
-    ``partial`` tells whether the last step is the step to an event node.
+    ``partial`` tells whether the last step is the step to an event node,
+    ``back`` maps its rows to the chart of ``metric_at``.
     """
     n = 2 * dim
     ts, nodes = records[:, 0], records[:, 1 : 1 + n]
@@ -870,22 +809,16 @@ def _trajectory(
         stop=stop,
     )
     return GeodesicTrajectory(
-        dim=dim, ts=ts, nodes=nodes, event=event, interp_q=interp_q, stats=stats
+        dim=dim, ts=ts, nodes=nodes, event=event, interp_q=interp_q, stats=stats, back=back
     )
 
 
 def integrate(
-    spacetime: Spacetime,
-    y0,
-    v0,
-    t_end: float,
-    options: SolverOptions | None = None,
-    *,
-    t_grid=None,
+    spacetime: Spacetime, y0, v0, t_end: float, options: SolverOptions | None = None
 ) -> GeodesicTrajectory:
     """Integrate one geodesic from the start state (y0, v0): ``integrate_batch`` on one row."""
     y0, v0 = np.asarray(y0, dtype=float)[None], np.asarray(v0, dtype=float)[None]
-    return integrate_batch(spacetime, y0, v0, t_end, options, t_grid=t_grid)[0]
+    return integrate_batch(spacetime, y0, v0, t_end, options)[0]
 
 
 @dataclass(frozen=True)
@@ -904,7 +837,8 @@ def conserved_along(params: SchwarzschildParams, trajectory: GeodesicTrajectory)
     integral; ``initial`` holds the constants, C included, at node 0.
     """
     dim = trajectory.dim
-    E, L, K, C = first_integrals(params, trajectory.nodes[:, :dim], trajectory.nodes[:, dim:])
+    states = trajectory.sample(trajectory.ts)
+    E, L, K, C = first_integrals(params, states[:, :dim], states[:, dim:])
     series = np.column_stack([E, L, K])
     drift = np.abs(series - series[0])
     scales = np.maximum(1.0, np.abs(series[0]))

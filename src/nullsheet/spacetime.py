@@ -6,8 +6,15 @@ uses coordinates (tau, r, alpha, beta) with indices 0..3, line element
     ds^2 = -(1 - 2m/r) dtau^2 + (1 - 2m/r)^(-1) dr^2
            + r^2 (dalpha^2 + sin(alpha)^2 dbeta^2),
 
-valid outside the horizon r > 2m.  A surface x(t, theta) embedded in the
-ambient spacetime carries the induced metric g_ab = g~(x_a, x_b); its
+valid outside the horizon r > 2m.  Its geodesics are stepped in ingoing
+Eddington-Finkelstein time v = tau + r + 2m ln(r/2m - 1) (Misner, Thorne &
+Wheeler, Gravitation, 31.4), in which the line element
+
+    ds^2 = -(1 - 2m/r) dv^2 + 2 dv dr + r^2 (dalpha^2 + sin(alpha)^2 dbeta^2)
+
+and the geodesic acceleration are regular at r = 2m.  A surface x(t, theta)
+embedded in the ambient spacetime carries the induced metric
+g_ab = g~(x_a, x_b); its
 degeneracy indicator is delta = g01^2 - g00*g11 (zero on light-like
 surfaces, positive on time-like ones, negative on space-like ones).
 
@@ -59,6 +66,19 @@ class InducedMetric:
 
 
 @dataclass(frozen=True)
+class StepChart:
+    """A second chart, regular where ``metric_at``'s is not, that geodesics are stepped in.
+
+    ``into`` maps rows [y, v] (..., 2*dim) of the spacetime's own chart into
+    it and ``back`` maps its rows back; each returns new rows, v mapped as a
+    tangent at y.
+    """
+
+    into: Callable[[np.ndarray], np.ndarray]
+    back: Callable[[np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True)
 class Spacetime:
     """An ambient metric: its components and its geodesic acceleration.
 
@@ -70,15 +90,17 @@ class Spacetime:
     its arithmetic: ``christoffel_from_metric`` derives the connection from
     it by the complex step.
     ``acceleration_at(y, v, out)`` is the closed-form geodesic acceleration
-    -Gamma^mu_{nu rho} v^nu v^rho, row by row.  The integrator calls it once
-    per stage with the positions y and velocities v of all the
-    characteristics it advances and ``out``, (N, dim) float arrays that are
-    strided views into its stage buffer; it writes the rows into ``out`` and
-    returns ``out``.  It does not raise for a row outside its chart: it
-    fills the row with nan, and the integrator rejects only that row's step.
-    Each row's result depends on that row alone, with the bits a call on
-    that row by itself gives.  It must agree with the contraction of
-    ``christoffel_from_metric``, against which the tests check it.
+    -Gamma^mu_{nu rho} v^nu v^rho, row by row, in the chart the integrator
+    steps in: ``step_chart``'s if there is one, else ``metric_at``'s.  The
+    integrator calls it once per stage with the positions y and velocities
+    v of all the characteristics it advances and ``out``, (N, dim) float
+    arrays that are strided views into its stage buffer; it writes the rows
+    into ``out`` and returns ``out``.  It does not raise for a row outside
+    its chart: it fills the row with nan, and the integrator rejects only
+    that row's step.  Each row's result depends on that row alone, with the
+    bits a call on that row by itself gives.  It must agree with the
+    contraction of ``christoffel_from_metric`` of the metric in that chart,
+    against which the tests check it.
     """
 
     name: str
@@ -86,6 +108,7 @@ class Spacetime:
     metric_at: Callable[[np.ndarray], np.ndarray]
     acceleration_at: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     meta: Mapping[str, float] = field(default_factory=dict)
+    step_chart: StepChart | None = None
 
 
 def _diagonal(*entries) -> np.ndarray:
@@ -100,7 +123,7 @@ def _diagonal(*entries) -> np.ndarray:
 
 # constants of the accelerations as 0-d arrays: numpy takes them as they
 # are, where it would convert a Python float on every call
-_TWO, _NEG_TWO, _THREE = np.array(2.0), np.array(-2.0), np.array(3.0)
+_TWO, _NEG_TWO = np.array(2.0), np.array(-2.0)
 
 
 def _angular(out, r, v1, v2, v3, sin_a, cos_a) -> None:
@@ -118,11 +141,45 @@ def _angular(out, r, v1, v2, v3, sin_a, cos_a) -> None:
             np.copyto(a3, a3 - _TWO * cos_a / sin_a * v2 * v3, where=spin)
 
 
+def _eddington_finkelstein(m: float) -> StepChart:
+    """Ingoing Eddington-Finkelstein time v for Schwarzschild's rows [tau, r, alpha, beta, ...].
+
+    v = tau + r + 2m ln(r/2m - 1) and v' = tau' + r'/f, f = 1 - 2m/r, and
+    back tau = v - r - 2m ln(r/2m - 1), tau' = v' - r'/f.  The chart holds
+    for r > 0; a point at or inside r = 2m has no tau, and maps back to a
+    tau of nan or inf.
+    """
+    two_m = np.array(2.0 * m)
+
+    def shifts(w):
+        """r + 2m ln(r/2m - 1) and r'/f; r - 2m is exact near the horizon."""
+        r, r_t = w[..., 1], w[..., 5]
+        rm = r - two_m
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return r + two_m * np.log(rm / two_m), r_t * r / rm
+
+    def into(w):
+        w = np.array(w, dtype=float)
+        tortoise, r_t_f = shifts(w)
+        w[..., 0] += tortoise
+        w[..., 4] += r_t_f
+        return w
+
+    def back(w):
+        w = np.array(w, dtype=float)
+        tortoise, r_t_f = shifts(w)
+        w[..., 0] -= tortoise
+        w[..., 4] -= r_t_f
+        return w
+
+    return StepChart(into=into, back=back)
+
+
 def schwarzschild(params: SchwarzschildParams) -> Spacetime:
-    """Schwarzschild exterior in (tau, r, alpha, beta) coordinates."""
+    """Schwarzschild exterior in (tau, r, alpha, beta), stepped in (v, r, alpha, beta)."""
     m = float(params.m)
     r_min = 2.0 * m * (1.0 + HORIZON_MARGIN)
-    m_, two_m, neg_two_m, r_floor = (np.array(c) for c in (m, 2.0 * m, -2.0 * m, r_min))
+    m_, two_m = np.array(m), np.array(2.0 * m)
 
     def metric(x):
         r, alpha = x[..., 1], x[..., 2]
@@ -132,25 +189,24 @@ def schwarzschild(params: SchwarzschildParams) -> Spacetime:
         f = 1.0 - 2.0 * m / r
         return _diagonal(-f, 1.0 / f, r * r, r * r * np.sin(alpha) ** 2)
 
-    # a zero divisor occurs only on rows flagged below, or in the cot term
-    # of rows that drop it (errstate as a decorator costs half the block)
+    # in Eddington-Finkelstein rows [v, r, alpha, beta]: no term has a pole
+    # at r = 2m; a zero divisor occurs only on rows flagged below, or in the
+    # cot term of rows that drop it (errstate as a decorator costs half the
+    # block)
     @np.errstate(divide="ignore", invalid="ignore")
     def acceleration(y, v, out):
         r, alpha = y[:, 1], y[:, 2]
         # columns by index: unpacking v.T makes the same views at twice the cost
         v0, v1, v2, v3 = v[:, 0], v[:, 1], v[:, 2], v[:, 3]
         sin_a, cos_a = np.sin(alpha), np.cos(alpha)
-        rm = r - two_m
-        r_rm = r * rm
-        np.multiply(neg_two_m / r_rm * v0, v1, out[:, 0])
-        np.subtract(
-            rm * sin_a * sin_a * v3 * v3 + rm * v2 * v2 + m_ / r_rm * v1 * v1,
-            m_ * rm / np.float_power(r, _THREE) * v0 * v0,
-            out[:, 1],
-        )
+        m_r2 = m_ / (r * r)
+        # v'' = -(m/r^2) v'^2 + r (alpha'^2 + sin^2 alpha beta'^2)
+        a0 = np.subtract(r * (v2 * v2 + sin_a * sin_a * v3 * v3), m_r2 * v0 * v0, out[:, 0])
+        # r'' = f v'' + (2m/r^2) r' v'
+        np.add((r - two_m) / r * a0, _TWO * m_r2 * v1 * v0, out[:, 1])
         _angular(out[:, 2:], r, v1, v2, v3, sin_a, cos_a)
         # rows outside the chart; a nan r makes its row nan by itself
-        if np.count_nonzero(outside := r < r_floor):
+        if np.count_nonzero(outside := r <= 0.0):
             out[outside] = np.nan
         return out
 
@@ -160,6 +216,7 @@ def schwarzschild(params: SchwarzschildParams) -> Spacetime:
         metric_at=metric,
         acceleration_at=acceleration,
         meta={"mass": m, "spherical": True},
+        step_chart=_eddington_finkelstein(m),
     )
 
 

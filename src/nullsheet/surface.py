@@ -1,15 +1,18 @@
 """Surface assembly from per-characteristic geodesics, with export round trips.
 
 Each geodesic trajectory is sampled once, over the part of the t-grid it
-reaches.  A t-slice splines those samples across its longest contiguous run
-of alive characteristics, and slices with the same run share the spline's
-knots.  The mesh is assembled in blocks of such slices, at most
+reaches, in the chart it was stepped in (``Spacetime.step_chart``: for
+Schwarzschild, ingoing Eddington-Finkelstein time v, which stays smooth
+across characteristics that near r = 2m, where tau diverges).  A t-slice
+splines those samples across its longest contiguous run of alive
+characteristics, and slices with the same run share the spline's knots.  The mesh is assembled in blocks of such slices, at most
 ``_BLOCK_NODES`` nodes each, as flat node arrays with a slice index per
 node: one spline solve over all the block's value columns, one ``invert``
 with t given per node to pull every covered column theta back to vartheta,
 one evaluation of the spline and of its derivative (each node reading its
 own slice's columns through ``CubicSpline.gather``), and the embedding, its
-tangents and the induced metric from array calls (one pullback):
+tangents, mapped back to the chart of ``metric_at``, and the induced metric
+from array calls (one pullback):
 
     x(t, theta) = y(t, vartheta),
     x_theta     = y_vartheta * dvartheta/dtheta,
@@ -143,12 +146,13 @@ def build_surface(
     # winding trend of each characteristic's position; none on velocities
     detrend = np.outer(char_thetas - theta_min, np.append(trend, np.zeros(dim)))
 
-    # each trajectory sampled once over the t-grid nodes it reaches:
-    # samples[i, k] = [y, y_t] of characteristic k at t_grid[i]
+    # each trajectory sampled once over the t-grid nodes it reaches, in the
+    # stepping chart: samples[i, k] = [y, y_t] of characteristic k at t_grid[i]
     reached = ends >= t_grid[:, None] - REACH_SLACK
     samples = np.full((nt, n_char, 2 * dim), np.nan)
     for k, traj in enumerate(trajectories):
-        samples[reached[:, k], k] = traj.sample(t_grid[reached[:, k]])
+        samples[reached[:, k], k] = traj.dense(t_grid[reached[:, k]])
+    chart = spacetime.step_chart
 
     # a slice splines its largest contiguous alive run of characteristics
     # (first, last); slices with the same run share the spline's knots
@@ -197,7 +201,11 @@ def build_surface(
                 y_v += trend
 
             xt = y_t - (lam * jac_v)[:, None] * y_v
-            ind = induced_metric(spacetime, y, xt, jac_v[:, None] * y_v)
+            xth = jac_v[:, None] * y_v
+            if chart is not None:  # the tangents mapped back at the spline's point
+                xth = chart.back(np.concatenate([y, xth], axis=1))[:, dim:]
+                y, xt = np.split(chart.back(np.concatenate([y, xt], axis=1)), 2, axis=1)
+            ind = induced_metric(spacetime, y, xt, xth)
             # scale stays positive on null surfaces, where g00 and g01 both
             # vanish and the naive g01^2 + |g00 g11| collapses to zero
             scale = (np.abs(ind.g00) + np.abs(ind.g01) + np.abs(ind.g11)) ** 2

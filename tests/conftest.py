@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 import nullsheet as ns
@@ -88,3 +91,22 @@ def photon_trajectory(schw, photon_curve):
 @pytest.fixture(scope="session")
 def ex3_circular_trajectory(schw, ex3_circular_curve):
     return integrate_curve(schw, ex3_circular_curve, 1.0, 5.0)
+
+
+@pytest.fixture(scope="session")
+def infall_rings():
+    """Periodic rings of infalling null data at r0 = 2.5m, as the benchmark's infall-ring.
+
+    Seed -> curve: example 2 with f = 1 + a sin(vartheta + p), a and p drawn
+    from the seed as ``perfbench/workloads.py`` draws them.
+    """
+    rings = {}
+    for seed in range(3):
+        rng = random.Random(seed)
+        a, p = rng.uniform(0.2, 0.3), rng.uniform(0.0, 2.0 * math.pi)
+        f = f"1 + {a!r}*sin(vartheta + {p!r})"
+        rings[seed] = ns.curve_from_expressions(
+            ["0", "2.5", "1.2", "vartheta"], [f, "0", f"sqrt(1.25)/6.25*abs({f})", "0"],
+            (0.0, 2.0 * math.pi), periodic=True,
+        )
+    return rings

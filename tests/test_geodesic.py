@@ -14,6 +14,7 @@ import nullsheet as ns
 import nullsheet.cli
 from nullsheet import geodesic
 from nullsheet.errors import DomainError
+from nullsheet.spacetime import HORIZON_MARGIN
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -49,12 +50,15 @@ class TestRhs:
             assert abs(a[0, 1]) < 1e-15
 
     def test_domain_violation(self, schw):
-        # a row outside the chart is flagged with nan, the others are untouched
-        y = rows([0.0, 1.5, 1.0, 0.0], [0.0, 4.0, 1.0, 0.0], [0.0, 2.0, 1.0, 0.0])
-        v = rows([1.0, 0.0, 0.1, 0.2], [1.0, 0.0, 0.1, 0.2], [1.0, 0.0, 0.1, 0.2])
+        # the Eddington-Finkelstein chart holds for r > 0, across r = 2m: a
+        # row outside it is flagged with nan, the others are untouched
+        y = rows([0.0, 0.0, 1.0, 0.0], [0.0, 2.0, 1.0, 0.0], [0.0, -1.0, 1.0, 0.0],
+                 [0.0, 1.5, 1.0, 0.0])
+        v = rows(*[[1.0, -0.5, 0.1, 0.2]] * 4)
         a = accel(schw, y, v)
-        assert np.isnan(a[[0, 2]]).all()
-        assert a[1].tobytes() == accel(schw, y[1:2], v[1:2])[0].tobytes()
+        assert np.isnan(a[[0, 2]]).all() and np.isfinite(a[[1, 3]]).all()
+        for k in (1, 3):
+            assert a[k].tobytes() == accel(schw, y[k : k + 1], v[k : k + 1])[0].tobytes()
 
     def test_flat_spherical_domain_violation(self):
         flat = ns.minkowski_spherical()
@@ -106,9 +110,10 @@ class TestIntegrateAgainstClosedForms:
 
 class TestDenseOutput:
     def test_continuity_at_nodes(self, ex1_trajectory):
+        # the nodes are Eddington-Finkelstein rows, as the continuous extension
         for i in range(1, len(ex1_trajectory.ts) - 1):
             t = float(ex1_trajectory.ts[i])
-            s = ex1_trajectory.sample(t)
+            s = ex1_trajectory.dense(t)
             assert np.abs(s - ex1_trajectory.nodes[i]).max() < 1e-12
 
     def test_single_node_trajectory(self, schw, ex1_curve):
@@ -194,7 +199,9 @@ class TestFirstIntegralConsistency:
         traj = ns.integrate(schw, curve.phi(vth), curve.psi(vth), 15.0)
         m = 1.0
         for t in np.linspace(0.0, 15.0, 61):
-            y, v = np.split(traj.sample(t), 2)
+            # the acceleration takes the Eddington-Finkelstein rows; r is
+            # the same coordinate in both charts
+            y, v = np.split(traj.dense(t), 2)
             r, r_t = y[1], v[1]
             r_tt = accel(schw, y[None], v[None])[0, 1]
             residual = (
@@ -233,6 +240,16 @@ class TestEvents:
     def test_t_max_event(self, ex1_trajectory):
         assert ex1_trajectory.event.kind == "t_max"
         assert ex1_trajectory.event.t == pytest.approx(20.0)
+
+    def test_horizon_guard_stays_in_the_chart(self, schw):
+        # eps_horizon = 0 would put the event node at r = 2m, where tau has
+        # no value; the guard holds at the chart's edge, 2m (1 + 1e-10)
+        start = _event_starts()["horizon, example 2"]
+        traj = ns.integrate(schw, *start, ns.SolverOptions(eps_horizon=0.0))
+        assert traj.stats.stop == "horizon_crossing"
+        edge = 2.0 * (1.0 + HORIZON_MARGIN)
+        assert 2.0 < traj.nodes[-1, 1] <= edge < traj.nodes[:-1, 1].min()
+        assert np.isfinite(traj.sample(traj.ts)).all()
 
     def test_initial_state_violating_guard(self, schw):
         with pytest.raises(DomainError):
@@ -388,70 +405,57 @@ def plunges(draw):
     return curve.phi(vartheta), curve.psi(vartheta), 30.0
 
 
-class TestHorizonCertificate:
-    """``integrate(..., t_grid=...)`` against the full run it may stop short of."""
+class TestEventLocation:
+    """Crossings located by Illinois regula falsi on the step's continuous extension."""
+
+    def test_infall_ring_crossings(self, schw, infall_rings, monkeypatch):
+        # dense-output evaluations per crossing, where bisection to the same
+        # width takes some 51
+        evals, counting = [], [False]
+        dense, first_crossing = geodesic._dense, geodesic._first_crossing
+
+        def counted_dense(*args):
+            if counting[0]:
+                evals[-1] += 1
+            return dense(*args)
+
+        def counted_crossing(*args):
+            evals.append(0)
+            counting[0] = True
+            try:
+                return first_crossing(*args)
+            finally:
+                counting[0] = False
+
+        monkeypatch.setattr(geodesic, "_dense", counted_dense)
+        monkeypatch.setattr(geodesic, "_first_crossing", counted_crossing)
+        barrier = 2.0 * (1.0 + ns.SolverOptions().eps_horizon)
+        for curve in infall_rings.values():
+            thetas = curve.grid(32)
+            y0, v0 = curve.phi(thetas), curve.psi(thetas)
+            evals.clear()
+            batch = ns.integrate_batch(schw, y0, v0, 10.0)
+            assert len(evals) == len(batch)
+            assert max(evals) <= 12
+            for k, traj in enumerate(batch):
+                assert traj.stats.stop == "horizon_crossing"
+                assert traj.nodes[-1, 1] - barrier <= 0.0 < (traj.nodes[:-1, 1] - barrier).min()
+                assert traj.t_last == traj.event.t
+                assert traj.event == ns.integrate(schw, y0[k], v0[k], 10.0).event
 
     @settings(max_examples=40, deadline=None)
-    @given(start=plunges(), data=st.data())
-    def test_grid_samples_and_reach_equal_the_full_run(self, schw, start, data):
-        y0, v0, t_end = start
-        full = ns.integrate(schw, y0, v0, t_end)
-        # grid times anywhere, and near the full run's end, where a stop is tight
-        t_ev = full.t_last
-        near = st.floats(max(0.0, t_ev - 0.2), min(t_end, t_ev + 0.2))
-        times = data.draw(st.lists(st.one_of(st.floats(0.0, t_end), near),
-                                   min_size=1, max_size=10, unique=True))
-        t_grid = np.sort(times)
-        cut = ns.integrate(schw, y0, v0, t_end, t_grid=t_grid)
-
-        reached = full.t_last >= t_grid - geodesic.REACH_SLACK
-        assert ((cut.t_last >= t_grid - geodesic.REACH_SLACK) == reached).all()
-        assert cut.sample(t_grid[reached]).tobytes() == full.sample(t_grid[reached]).tobytes()
-
-        n = len(cut.ts)
-        assert cut.ts.tobytes() == full.ts[:n].tobytes()
-        assert cut.nodes.tobytes() == full.nodes[:n].tobytes()
-        if cut.t_last < cut.event.t:  # stopped on the certificate
-            assert cut.event.kind == "horizon"
-            assert full.event.kind in ("horizon", "axis")
-            assert cut.event.t >= full.event.t
+    @given(start=plunges())
+    def test_event_node_is_past_the_crossing(self, schw, start):
+        traj = ns.integrate(schw, *start)
+        assume(traj.event.kind in ("horizon", "axis"))
+        opts = ns.SolverOptions()
+        if traj.event.kind == "horizon":
+            g = traj.nodes[:, 1] - 2.0 * (1.0 + opts.eps_horizon)
         else:
-            assert cut.event == full.event and n == len(full.ts)
-
-    @settings(max_examples=100, deadline=None)
-    @given(start=plunges(), fall=st.floats(0.0, 1.0), drift=st.floats(-1e-3, 1e-3),
-           t=st.floats(0.0, 30.0), reach=st.floats(0.5, 3.0))
-    def test_filter_keeps_every_certified_node(self, schw, start, fall, drift, t, reach):
-        """integrate_batch checks only the falling nodes that ``_can_certify`` passes."""
-        y0, v0, _ = start
-        opts = geodesic.SolverOptions()
-        cert = geodesic._horizon_certificates(schw, opts, y0[None], v0[None])
-        r_h = 2.0 * (1.0 + opts.eps_horizon)
-        # a node between the start and the horizon, r_t from the radial
-        # integral with the drift of an integration
-        r = r_h + (1.0 - fall) * (y0[1] - r_h) + 1e-9
-        p = geodesic._cubic_at(tuple(cert[0, :4]), 1.0 / r)
-        assume(p > 0.0)
-        r_t = -math.sqrt(p) * (1.0 + drift)
-        # the next limit near the time at which r_h is reached at speed |r_t|
-        limit = t + reach * (r - r_h) / -r_t
-        node = np.array([t]), np.array([r]), np.array([r_t])
-        with np.errstate(all="ignore"):  # as in integrate_batch: a low bound <= 0 is nan
-            t_cert = geodesic._certified_times(cert, *node, r_h, np.array([limit]))
-        if np.isfinite(t_cert[0]):
-            assert t_cert[0] > t + (r - r_h) / -r_t
-            assert geodesic._can_certify(*node, r_h, np.array([limit]))[0]
-
-    @settings(max_examples=10, deadline=None)
-    @given(times=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=10, unique=True))
-    def test_no_mass_no_certificate(self, times):
-        flat = ns.minkowski_spherical()
-        state0 = np.array([0.0, 3.0, 1.0, 0.5]), np.array([1.0, -0.5, 0.3, 0.2])
-        full = ns.integrate(flat, *state0, 10.0)
-        cut = ns.integrate(flat, *state0, 10.0, t_grid=np.sort(times))
-        assert cut.event == full.event
-        for name in ("ts", "nodes", "interp_q"):
-            assert getattr(cut, name).tobytes() == getattr(full, name).tobytes()
+            g = np.sign(np.sin(start[0][2])) * np.sin(traj.nodes[:, 2]) - opts.eps_axis
+        assert g[-1] <= 0.0 < g[:-1].min()
+        assert traj.t_last == traj.event.t
+        assert traj.stats.stop == f"{traj.event.kind}_crossing"
 
 
 class TestTangentNorm:
@@ -533,7 +537,7 @@ class TestEventStep:
     @pytest.mark.parametrize("kind", EVENT_KINDS)
     def test_sample_at_t_last_is_the_event_node(self, event_steps, kind):
         traj = event_steps[kind][0]
-        _assert_states_close(traj.sample(traj.t_last), traj.nodes[-1])
+        _assert_states_close(traj.dense(traj.t_last), traj.nodes[-1])
 
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(EVENT_KINDS), fractions=st.lists(st.floats(0.0, 1.0), min_size=1))
@@ -542,7 +546,7 @@ class TestEventStep:
         t_i = traj.ts[-2]
         t = t_i + (traj.t_last - t_i) * np.array(fractions)
         want = geodesic._dense(w, h, q, ((t - t_i) / h)[:, None])
-        _assert_states_close(traj.sample(t), want)
+        _assert_states_close(traj.dense(t), want)
 
 
 def _reference_stages(spacetime, w, h):
@@ -596,8 +600,11 @@ class TestTableau:
         for name in ("E5", "E3", "D"):
             assert getattr(geodesic, "_" + name).tobytes() == getattr(coefficients, name).tobytes()
 
-    # an eccentric orbit at r ~ 8m, and steps where the errors stand above rounding
-    W0 = np.array([0.0, 8.0, math.pi / 2, 0.0, 1.2, 0.15, 0.0, 0.04])
+    # an eccentric orbit at r ~ 8m, as the Eddington-Finkelstein row the
+    # acceleration takes, and steps where the errors stand above rounding
+    W0 = ns.schwarzschild(ns.SchwarzschildParams(m=1.0)).step_chart.into(
+        np.array([0.0, 8.0, math.pi / 2, 0.0, 1.2, 0.15, 0.0, 0.04])
+    )
 
     def _exact(self, schw, h, substeps=64):
         w = self.W0
@@ -700,9 +707,9 @@ class TestSampleProperties:
         # sigma = 0 at every node before the last, which is the dense output
         # of its step at sigma = 1 (TestOneStepReference)
         traj = ended[kind]
-        assert traj.sample(traj.ts[:-1]).tobytes() == traj.nodes[:-1].tobytes()
+        assert traj.dense(traj.ts[:-1]).tobytes() == traj.nodes[:-1].tobytes()
         for i in (0, len(traj.ts) // 2, len(traj.ts) - 2):
-            assert traj.sample(traj.ts[i]).tobytes() == traj.nodes[i].tobytes()
+            assert traj.dense(traj.ts[i]).tobytes() == traj.nodes[i].tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data(), kind=st.sampled_from(["t_max", "horizon", "axis"]),

@@ -24,7 +24,14 @@ def second_difference(f, t, h=1e-3):
 
 
 def geodesic_residual(spacetime, evaluate, t, h=1e-3):
-    y, y_t, y_tt = second_difference(evaluate, t, h)
+    """|y'' - acceleration| of the positions ``evaluate`` gives, in the chart the acceleration takes."""
+    chart = spacetime.step_chart
+
+    def stepped(s):
+        y = evaluate(s)
+        return y if chart is None else chart.into(np.concatenate([y, np.zeros_like(y)]))[: len(y)]
+
+    y, y_t, y_tt = second_difference(stepped, t, h)
     a = spacetime.acceleration_at(y[None], y_t[None], np.empty((1, len(y))))
     return np.abs(y_tt - a[0]).max()
 

@@ -257,9 +257,11 @@ def assert_radial_integral_along(schw, m1_params, y, v, t_end, tol):
     reach it times C's conditioning at the node.
     """
     traj = ns.integrate(schw, y, v, t_end)
-    E, L, K, C = first_integrals(m1_params, traj.nodes[:, :4], traj.nodes[:, 4:])
+    # the nodes as rows of the (tau, r, alpha, beta) chart
+    states = traj.sample(traj.ts)
+    E, L, K, C = first_integrals(m1_params, states[:, :4], states[:, 4:])
     cs = ns.ConservedSet(E=float(E[0]), L=float(L[0]), K=float(K[0]), C=float(C[0]))
-    r, rt2 = traj.nodes[:, 1], traj.nodes[:, 5] ** 2
+    r, rt2 = states[:, 1], states[:, 5] ** 2
     profile = ns.solve_cubic(1.0, *ns.cubic_coefficients(y, v, m1_params))
     J = cs.K + cs.L**2
     bound = tol * np.maximum(1.0, radial_constant_conditioning(m1_params.m, r, rt2, E, K + L * L))

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -147,25 +148,64 @@ class TestChristoffelFd:
             ns.christoffel_from_metric(degenerate, [0.0, 0.0])
 
     def test_off_diagonal_metric_matches_mapped_schwarzschild(self, schw):
-        # a Schwarzschild geodesic in ingoing Eddington-Finkelstein coordinates
-        # has velocity (v0 + v1/f, v1, v2, v3), whose t-derivative is the
-        # Schwarzschild acceleration with d(v1/f)/dt added to component 0
+        # Schwarzschild's acceleration acts in ingoing Eddington-Finkelstein
+        # coordinates, whose metric is regular across r = 2m: points inside
+        # the horizon included
         m = schw.meta["mass"]
-        ef = ingoing_eddington_finkelstein(m)
         rng = np.random.default_rng(13)
-        for x in random_admissible_points(200, rng):
+        x = random_admissible_points(200, rng)
+        x[:60, 1] = rng.uniform(0.1, 2.0, 60) * m
+        v = rng.normal(size=(200, 4))
+        a_rows = schw.acceleration_at(x, v, np.empty_like(v))
+        ef = ingoing_eddington_finkelstein(m)
+        for j in range(200):
+            got = -np.einsum("mnr,n,r->m", ns.christoffel_from_metric(ef, x[j]), v[j], v[j])
+            assert np.abs(got - a_rows[j]).max() < 1e-13 * max(1.0, np.abs(got).max())
+
+
+class TestEddingtonFinkelsteinMap:
+    """Schwarzschild's ``step_chart``: v = tau + r + 2m ln(r/2m - 1), v' = tau' + r'/f."""
+
+    def test_round_trip(self, schw):
+        rng = np.random.default_rng(7)
+        w = np.column_stack([random_admissible_points(500, rng), rng.normal(size=(500, 4))])
+        # down to r = 2m (1 + 1e-10), the chart's edge
+        w[:100, 1] = 2.0 * (1.0 + 10.0 ** rng.uniform(-10.0, -1.0, 100))
+        chart = schw.step_chart
+        stepped = chart.into(w)
+        r, r_t = w[:, 1], w[:, 5]
+        f = 1.0 - 2.0 / r
+        np.testing.assert_allclose(stepped[:, 0], w[:, 0] + r + 2.0 * np.log(r / 2.0 - 1.0),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(stepped[:, 4], w[:, 4] + r_t / f, rtol=1e-6)
+        assert stepped[:, [1, 2, 3, 5, 6, 7]].tobytes() == w[:, [1, 2, 3, 5, 6, 7]].tobytes()
+        back = chart.back(stepped)
+        # to the rounding of the larger of the two terms that were added
+        for col, term in ((0, stepped[:, 0] - w[:, 0]), (4, r_t / f)):
+            scale = np.maximum(np.abs(w[:, col]), np.abs(term))
+            assert (np.abs(back[:, col] - w[:, col]) <= 4e-16 * scale).all()
+        assert back[:, [1, 2, 3, 5, 6, 7]].tobytes() == w[:, [1, 2, 3, 5, 6, 7]].tobytes()
+
+    def test_inside_the_horizon_has_no_tau(self, schw):
+        w = np.array([[0.0, 2.0, 1.0, 0.0, 1.0, -1.0, 0.0, 0.0],
+                      [0.0, 1.5, 1.0, 0.0, 1.0, -1.0, 0.0, 0.0]])
+        assert not np.isfinite(schw.step_chart.back(w)[:, 0]).any()
+
+    def test_metric_is_the_mapped_metric(self, schw):
+        # the metric the acceleration is checked against is Schwarzschild's,
+        # pulled back by the map: g_EF = J^T g J with J = d(tau, r, ...) /
+        # d(v, r, ...), whose only off-diagonal entry is dtau/dr = -1/f; and
+        # the map carries a velocity as J^-1 does
+        rng = np.random.default_rng(3)
+        ef = ingoing_eddington_finkelstein(1.0)
+        for x in random_admissible_points(50, rng):
+            f = 1.0 - 2.0 / x[1]
+            J = np.eye(4)
+            J[0, 1] = -1.0 / f
             v = rng.normal(size=4)
-            r = x[1]
-            f = 1.0 - 2.0 * m / r
-            (a,) = schw.acceleration_at(x[None], v[None], np.empty((1, 4)))
-            expected = np.array(
-                [a[0] + a[1] / f - 2.0 * m * v[1] ** 2 / (r * r * f * f), *a[1:]]
-            )
-            v_ef = np.array([v[0] + v[1] / f, v[1], v[2], v[3]])
-            got = -np.einsum("mnr,n,r->m", ns.christoffel_from_metric(ef, x), v_ef, v_ef)
-            assert np.abs(got - expected).max() < 1e-13 * max(
-                1.0, np.abs(expected).max()
-            )
+            w_ef = schw.step_chart.into(np.concatenate([x, v]))
+            np.testing.assert_allclose(ef.metric_at(w_ef[:4]), J.T @ schw.metric_at(x) @ J, atol=1e-12)
+            np.testing.assert_allclose(J @ w_ef[4:], v, rtol=1e-12, atol=1e-12)
 
 
 class TestInducedMetric:
@@ -228,7 +268,7 @@ class TestInducedMetric:
 @pytest.mark.parametrize(
     "spacetime, outside_r",
     [
-        (ns.schwarzschild(ns.SchwarzschildParams(m=1.0)), [2.0, 1.5, 0.0]),
+        (ns.schwarzschild(ns.SchwarzschildParams(m=1.0)), [0.0, -1.0]),
         (ns.minkowski_spherical(), [0.0, -1.0]),
         (ns.minkowski(), []),
     ],
@@ -262,7 +302,9 @@ class TestDualRhsRoutes:
         # called as the integrator calls it, on all rows at once, each
         # spacetime returns one float row per point, with the bits of a call
         # on that point alone
-        for spacetime in (schw, ns.minkowski_spherical(), ns.minkowski()):
+        # Schwarzschild's acceleration takes Eddington-Finkelstein rows
+        stepped = replace(schw, metric_at=ingoing_eddington_finkelstein(1.0).metric_at)
+        for spacetime in (stepped, ns.minkowski_spherical(), ns.minkowski()):
             rng = np.random.default_rng(5)
             x = random_admissible_points(200, rng)
             v = rng.normal(size=(200, 4))

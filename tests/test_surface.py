@@ -170,11 +170,9 @@ class TestBuildSurface:
         cmap = ns.map_from_initial_data(curve, schw)
         thetas = curve.grid(12)
         t_grid = np.linspace(0.0, 10.0, 11)
-        trajs = ns.integrate_batch(  # with the grid, so that the horizon certificate runs
-            schw, curve.phi(thetas), curve.psi(thetas), 10.0, t_grid=t_grid
-        )
+        trajs = ns.integrate_batch(schw, curve.phi(thetas), curve.psi(thetas), 10.0)
         assert all(traj.event.kind == "horizon" for traj in trajs)
-        assert any(traj.t_last < traj.event.t for traj in trajs)  # certified stops
+        assert all(traj.t_last == traj.event.t for traj in trajs)  # on the crossing
         theta_grid = np.linspace(-1.0, 1.0, 9)
         mesh = ns.build_surface(trajs, thetas, cmap, t_grid, theta_grid, schw)
         assert not mesh.truncated[0].any()
@@ -193,6 +191,17 @@ class TestBuildSurface:
         reached = np.array([traj.t_last for traj in trajs]) >= t[:, None] - REACH_SLACK
         assert (past_event | (reached.sum(axis=1) < 4)).all()
         assert past_event.any()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_infall_ring_is_lightlike_to_the_horizon(self, schw, infall_rings, seed):
+        # splined in Eddington-Finkelstein time, which stays smooth across
+        # characteristics near r = 2m, where tau diverges
+        mesh = build_example_mesh(schw, infall_rings[seed], 32, np.linspace(0.0, 10.0, 11))
+        live = ~mesh.truncated
+        assert live.any() and mesh.truncated.any()
+        assert (mesh.x[live][:, 1] < 2.2).any()  # nodes near the horizon
+        assert TYPE_TIMELIKE not in mesh.type_label[live]
+        assert np.abs(mesh.delta[live]).max() <= 1e-6
 
     def test_two_alive_runs_keep_the_longer(self, schw):
         trajs, thetas, cmap, t_grid, theta_grid = two_alive_runs(schw)
