@@ -262,10 +262,15 @@ def parse_config(raw: dict) -> RunConfig:
     return cfg
 
 
+# libyaml's parser when PyYAML was built with it, some 8x faster on a config;
+# both build the same documents from the safe tags
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_YAML_LOADER)
     except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         # yaml's messages span lines; an error is one line
         raise ConfigError(str(path), "cannot read: " + " ".join(str(exc).split())) from exc

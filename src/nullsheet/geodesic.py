@@ -4,10 +4,11 @@ Each surface point evolves by y''^mu + Gamma^mu_{nu rho}(y) y'^nu y'^rho = 0.
 The integrator is DOP853, the embedded Dormand-Prince 8(5,3) pair of
 Hairer's code (Hairer, Norsett & Wanner, Solving ODEs I, II.10): 12 stages
 with the last one reused (FSAL), Hairer's error norm, which damps the
-5th-order estimate where the 3rd-order one is far larger, PI step-size
-control, and the 7th-order continuous extension, which 3 more stages of each
-accepted step give, so trajectories can be sampled densely without
-re-integration.
+5th-order estimate where the 3rd-order one is far larger, predictive
+step-size control (Gustafsson, ACM TOMS 20 (1994) 496-517; Hairer & Wanner,
+Solving ODEs II, IV.8), and the 7th-order continuous extension, which 3
+more stages of each accepted step give, so trajectories can be sampled
+densely without re-integration.
 
 The characteristics are independent geodesics, so one step loop advances
 all of them together (``integrate_batch``) as the rows of an (N, 2*dim)
@@ -16,8 +17,8 @@ every one at t = 0, and a trajectory is sampled as rows [y, v] too, both in
 the chart of ``Spacetime.metric_at``.  A spacetime with a ``step_chart`` is
 stepped in that chart: Schwarzschild in ingoing Eddington-Finkelstein time,
 where nothing diverges at r = 2m, so a row falls to the horizon guard in a
-few steps.  Each row keeps its own t, step size h, PI controller state and
-step counts.
+few steps.  Each row keeps its own t, step size h, the step size and error
+of its last accepted step, which the controller reads, and step counts.
 An iteration attempts one step on every live row; per stage,
 ``Spacetime.acceleration_at(y, v, out)`` writes all rows' accelerations
 into ``out``, the a block of the stage rows [y, v, a], whose [v, a] is the
@@ -26,11 +27,12 @@ stage.  A row whose stage or step end left the chart
 row whose dense-output stage did.  The guards are evaluated on the
 accepted rows, at the step end and at the midpoint of the continuous
 extension, in one call; the event search and the event node run only on
-the rows where one fires.  Rows that end are dropped.  The stage sums are
-one reduction over the stage axis, which adds the stages in stage order (zero
-weights included); they, the error norm and the controller are
-element-wise numpy in the order of a scalar loop, with every power taken by
-``np.float_power``, so a row's bits do not depend on the batch it sits in.
+the rows where one fires, all of them at once.  Rows that end are dropped.
+The stage sums are one reduction over the stage axis, which adds the stages
+in stage order (zero weights included); they, the error norm and the
+controller are element-wise numpy in the order of a scalar loop, with every
+power taken by ``np.float_power``, so a row's bits do not depend on the
+batch it sits in.
 Each step is taken with h = (t + h) - t, so the stored node times differ by
 exactly the step sizes.
 
@@ -44,8 +46,9 @@ event search and the event state.  Schwarzschild runs terminate at the
 horizon (r <= 2m(1 + max(eps_horizon, 1e-10))) or the coordinate axis
 (|sin alpha| <= eps_axis); both are recorded as events, as is step-size
 underflow.  A crossing is located on the step's continuous extension by
-Illinois regula falsi (Dowell & Jarratt, BIT 11 (1971) 168-174), in seven
-or eight evaluations where bisection takes some 51.
+Illinois regula falsi (Dowell & Jarratt, BIT 11 (1971) 168-174), in five
+to seven evaluations where bisection takes some 51; each round evaluates
+the rows still searching in one call.
 """
 
 from __future__ import annotations
@@ -218,14 +221,14 @@ _T = np.array(
 # the step loop's scalars are 0-d arrays: numpy takes them as they are,
 # where it would convert a Python float on every call
 _ZERO, _ONE, _ERR_FLOOR = np.array(0.0), np.array(1.0), np.array(1e-10)
-# PI controller: factor SAFETY err^-alpha err_prev^beta, within [MIN, MAX],
-# err_prev at least _ERR_FLOOR; the exponents are those of order 5 scaled
-# to order 8; _E3_WEIGHT is Hairer's weight of the 3rd-order error
+# predictive (Gustafsson) controller: factor SAFETY err^(-1/8), within
+# [MIN, MAX], times min(1, (h / h_prev) (err_prev / err)^(1/8)) on an
+# accepted step, h_prev and err_prev (at least _ERR_FLOOR) those of the row's
+# previous accepted step; _E3_WEIGHT is Hairer's weight of the 3rd-order error
 _SAFETY = np.array(0.9)
 _MIN_FACTOR = np.array(0.2)
 _MAX_FACTOR = np.array(10.0)
-_NEG_PI_ALPHA = np.array(-(0.7 / 8.0))
-_PI_BETA = np.array(0.4 / 8.0)
+_EIGHTH, _NEG_EIGHTH = np.array(1.0 / 8.0), np.array(-1.0 / 8.0)
 _E3_WEIGHT = np.array(0.01)
 _POWERS = np.arange(1.0, 8.0)
 # smallest step, relative to max(|t|, 1), that is not lost in the roundoff of t
@@ -418,56 +421,74 @@ def _initial_steps(accel, w0, f0, rel_tol, abs_tol, t_end):
     return np.where(out, np.minimum(h0 * 0.1, t_end), h)
 
 
-def _first_crossing(fired, t, w, h, q):
-    """The earliest crossing in the step [t, t + h] of the guards that fired.
+def _first_crossings(guards, values, t, w, h, q, side):
+    """The earliest crossing in each row's step [t, t + h] of the guards that fired.
 
-    ``w`` is the state at the step start, where every guard is > 0, and
-    ``q`` the step's interpolant.  ``fired`` holds (kind, i, g, sig_hi,
-    g_hi) for each guard whose value g_hi is <= 0 at the fraction sig_hi
-    (1/2 or 1) of the step; each is located on [0, sig_hi] by ``_illinois``.
-    Returns (kind, t_ev, sigma) with t_ev = t + sigma h.
+    Each row is a step where some guard fired: ``w`` is the state at the
+    step start, where every guard is > 0, ``q`` the step's interpolant and
+    ``values`` (guards, 2, rows) each guard's value at the step end and at
+    the midpoint.  A guard fired on a row where one of the two is <= 0; it is
+    located on [0, 1/2] when the midpoint is, else on [0, 1], by one
+    ``_illinois`` over the rows where it fired.  Returns each row's guard
+    (an index into ``guards``), t_ev = t + sigma h and sigma; ties go to the
+    first guard.
     """
-    triggered = None
-    for kind, i, g, sig_hi, g_hi in fired:
+    n = len(t)
+    which, t_ev, sig_ev = np.zeros(n, dtype=int), np.zeros(n), np.zeros(n)
+    found = np.zeros(n, dtype=bool)
+    for k, ((_, i, g), (at_end, at_mid)) in enumerate(zip(guards, values)):
+        mid = at_mid <= 0.0
+        rows = (mid | (at_end <= 0.0)).nonzero()[0]
+        if not len(rows):
+            continue
+        w_k, h_k, q_k, side_k = w[rows], h[rows, None], q[rows], side[rows]
 
-        def g_sigma(sigma, i=i, g=g):
-            return float(g(_dense(w, h, q, sigma)[i]))
+        def g_sigma(sub, sigma, i=i, g=g):
+            at = _dense(w_k[sub], h_k[sub], q_k[sub], sigma[:, None])
+            return g(at[:, i], side_k[sub])
 
-        sig_ev = _illinois(g_sigma, float(g(w[i])), sig_hi, g_hi)
-        t_candidate = t + sig_ev * h
-        if triggered is None or t_candidate < triggered[1]:
-            triggered = (kind, t_candidate, sig_ev)
-    return triggered
+        hi = np.where(mid, 0.5, 1.0)[rows]
+        g_hi = np.where(mid, at_mid, at_end)[rows]
+        sig = _illinois(g_sigma, g(w_k[:, i], side_k), hi, g_hi)
+        t_k = t[rows] + sig * h[rows]
+        take = ~found[rows] | (t_k < t_ev[rows])
+        rows = rows[take]
+        which[rows], t_ev[rows], sig_ev[rows], found[rows] = k, t_k[take], sig[take], True
+    return which, t_ev, sig_ev
 
 
 def _illinois(g, g_lo, hi, g_hi):
-    """The upper end of a bracket [lo, hi] of a root of g, shrunk from [0, hi].
+    """Per row, the upper end of a bracket [lo, hi] of a root of g, shrunk from [0, hi].
 
     Illinois regula falsi (Dowell & Jarratt, BIT 11 (1971) 168-174): each
     trial is where the secant through the bracket's ends crosses 0, and when
     the same end is replaced twice in a row, the value kept at the other end
     is halved.  The bracket keeps g(lo) > 0 >= g(hi), from g(0) = ``g_lo``
-    and g(hi) = ``g_hi``, so the result never lies before the crossing; it
-    stops once hi - lo <= 1e-15 + 8.9e-16 hi, or at a trial where g is 0.
-    A trial keeps half that width from either end, so the trial after one
-    next to the root closes the bracket.
+    and g(hi) = ``g_hi``, so the result never lies before the crossing; a
+    row stops once hi - lo <= 1e-15 + 8.9e-16 hi, or at a trial where g is
+    0.  A trial keeps half that width from either end, so the trial after
+    one next to the root closes the bracket.  ``g(rows, sigma)`` evaluates
+    g on the given rows at their fractions sigma; every round evaluates it
+    once, on the rows still going.  ``hi``, ``g_lo`` and ``g_hi`` are
+    updated in place.
     """
-    lo, replaced = 0.0, 0
-    while g_hi != 0.0 and hi - lo > (width := 1e-15 + 8.9e-16 * hi):
-        x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-        x = min(max(x, lo + 0.5 * width), hi - 0.5 * width)
-        g_x = g(x)
-        if g_x > 0.0:
-            lo, g_lo = x, g_x
-            if replaced > 0:
-                g_hi *= 0.5
-            replaced = 1
-        else:
-            hi, g_hi = x, g_x
-            if replaced < 0:
-                g_lo *= 0.5
-            replaced = -1
-    return hi
+    lo, replaced = np.zeros_like(hi), np.zeros_like(hi)
+    todo = np.arange(len(hi))
+    while True:
+        width = 1e-15 + 8.9e-16 * hi[todo]
+        going = (g_hi[todo] != 0.0) & (hi[todo] - lo[todo] > width)
+        todo, width = todo[going], width[going]
+        if not len(todo):
+            return hi
+        a, b, g_a, g_b, r = lo[todo], hi[todo], g_lo[todo], g_hi[todo], replaced[todo]
+        x = b - g_b * (b - a) / (g_b - g_a)
+        x = np.minimum(np.maximum(x, a + 0.5 * width), b - 0.5 * width)
+        g_x = g(todo, x)
+        up = g_x > 0.0
+        lo[todo], hi[todo] = np.where(up, x, a), np.where(up, b, x)
+        g_lo[todo] = np.where(up, g_x, np.where(r < 0.0, 0.5 * g_a, g_a))
+        g_hi[todo] = np.where(up, np.where(r > 0.0, 0.5 * g_b, g_b), g_x)
+        replaced[todo] = np.where(up, 1.0, -1.0)
 
 
 def _weighted(weights, stages):
@@ -493,21 +514,20 @@ def _stage(accel, i, w, h, xs, ks):
     accel(x[:, :dim], x[:, dim:], k[:, dim:])
 
 
-def _event_step(fired, t, w, h, q):
-    """The event of a step where guards fired: (Event, partial step).
+def _event_steps(guards, values, t, w, h, q, side):
+    """The events of steps where guards fired, as ``_first_crossings`` takes them.
 
-    ``q`` is the step's interpolant at the row.  The partial step is
-    (t_ev, node, interpolant on [t, t_ev]).
+    Returns each row's guard (an index into ``guards``), its event time t_ev,
+    its event node and the interpolant of its partial step on [t, t_ev].
     """
-    kind, t_ev, sig_ev = _first_crossing(fired, t, w, h, q)
+    which, t_ev, sig_ev = _first_crossings(guards, values, t, w, h, q, side)
     # the node is the full step's interpolant at the fraction that the stored
     # t_ev really is, one ulp of t later if rounding put that fraction before
     # the one located; so is the partial step's interpolant, on [0, sig_ev]
-    if (t_ev - t) / h < sig_ev:
-        t_ev = math.nextafter(t_ev, math.inf)
+    t_ev = np.where((t_ev - t) / h < sig_ev, np.nextafter(t_ev, np.inf), t_ev)
     sig_ev = (t_ev - t) / h
-    partial = (t_ev, _dense(w, h, q, sig_ev), q * np.float_power(sig_ev, np.arange(7.0)))
-    return Event(kind=kind, t=t_ev), partial
+    nodes = _dense(w, h[:, None], q, sig_ev[:, None])
+    return which, t_ev, nodes, q * np.float_power(sig_ev[:, None, None], np.arange(7.0))
 
 
 def _start_rows(spacetime: Spacetime, y0, v0, t_end):
@@ -604,12 +624,13 @@ def integrate_batch(
     tail = np.full(7 * n, np.nan)
     ends: list[tuple | None] = [None] * n_rows
 
-    # the live rows: original index, t, h, PI state, state, derivative,
-    # axis side, the count of their domain-rejected steps
-    # and, of those, the steps that failed on a dense-output stage; every
-    # live row attempts one step per iteration, so a row's attempts are the
-    # iterations it lived through
-    rows, t, w, err_prev = np.arange(n_rows), np.zeros(n_rows), w0.copy(), np.ones(n_rows)
+    # the live rows: original index, t, h, the step size and error of the
+    # last accepted step, state, derivative, axis side, the count of their
+    # domain-rejected steps and, of those, the steps that failed on a
+    # dense-output stage; every live row attempts one step per iteration, so
+    # a row's attempts are the iterations it lived through
+    rows, t, w = np.arange(n_rows), np.zeros(n_rows), w0.copy()
+    h_prev, err_prev = np.zeros(n_rows), np.ones(n_rows)
     n_bad = np.zeros(n_rows, dtype=np.int64)
     n_late = np.zeros(n_rows, dtype=np.int64)
 
@@ -626,10 +647,10 @@ def integrate_batch(
 
     def drop(done):
         """Remove the rows that ended from the live arrays."""
-        nonlocal rows, t, h, err_prev, w, f, side, n_bad, n_late
+        nonlocal rows, t, h, h_prev, err_prev, w, f, side, n_bad, n_late
         live = ~done
-        rows, t, h, err_prev, w, f, side, n_bad, n_late = (
-            x[live] for x in (rows, t, h, err_prev, w, f, side, n_bad, n_late)
+        rows, t, h, h_prev, err_prev, w, f, side, n_bad, n_late = (
+            x[live] for x in (rows, t, h, h_prev, err_prev, w, f, side, n_bad, n_late)
         )
 
     attempts = 0
@@ -707,11 +728,15 @@ def integrate_batch(
                     wa, hwa = wa[keep], hwa[keep]
 
             # a rejected step shrinks h, a bad one halves it; an accepted one
-            # sets it by the PI controller (err = 0 gives the largest factor)
-            shrink = _SAFETY * np.float_power(err, _NEG_PI_ALPHA)
-            grow = np.minimum(shrink * np.float_power(err_prev, _PI_BETA), _MAX_FACTOR)
+            # sets it by the predictive controller, whose second factor is 1
+            # on a row without an earlier accepted step (h_prev = 0 there);
+            # err = 0 gives the largest factor
+            shrink = _SAFETY * np.float_power(err, _NEG_EIGHTH)
+            predict = np.minimum(h / h_prev * np.float_power(err_prev / err, _EIGHTH), _ONE)
+            grow = np.minimum(shrink * predict, _MAX_FACTOR)
             factor = np.maximum(np.where(accept, grow, shrink), _MIN_FACTOR)
             np.copyto(err_prev, np.maximum(err, _ERR_FLOOR), where=accept)
+            np.copyto(h_prev, h, where=accept)
             if n_accepted < n_live:
                 bad = ~np.isfinite(err)
                 np.copyto(factor, 0.5, where=bad)
@@ -733,24 +758,17 @@ def integrate_batch(
                     if np.count_nonzero(fired):
                         sel = np.arange(n_live)[sel]
                         hit_a = fired.any(axis=(0, 1))
+                        ks_hit = sel[hit_a]
                         hit = np.zeros(n_live, dtype=bool)
-                        hit[sel[hit_a]] = True
+                        hit[ks_hit] = True
                         full = accept & ~hit
-                        for j in hit_a.nonzero()[0]:
-                            k = sel[j]
-                            # each fired guard with its first fraction <= 0
-                            crossings = [
-                                (kind, i, lambda u, g=g, s=side[k]: g(u, s), *(
-                                    (0.5, float(at_mid[j])) if at_mid[j] <= 0.0
-                                    else (1.0, float(at_end[j]))
-                                ))
-                                for (kind, i, g), (at_end, at_mid) in zip(guards, values)
-                                if at_mid[j] <= 0.0 or at_end[j] <= 0.0
-                            ]
-                            event, partial = _event_step(
-                                crossings, float(t[k]), np.array(w[k]), float(h[k]), q[j]
-                            )
-                            end(k, event.kind, event.t, f"{event.kind}_crossing", partial)
+                        which, t_ev, nodes, q_ev = _event_steps(
+                            guards, values[:, :, hit_a], t[ks_hit], w[ks_hit], h[ks_hit],
+                            q[hit_a], side[ks_hit],
+                        )
+                        for j, k in enumerate(ks_hit):
+                            kind, t_j = guards[which[j]][0], float(t_ev[j])
+                            end(k, kind, t_j, f"{kind}_crossing", (t_j, nodes[j], q_ev[j]))
                         sel, q = sel[~hit_a], q[~hit_a]
 
                 # the full steps: store [t, w, q] and advance

@@ -31,7 +31,9 @@ integrals, taken from the branch start and signed to grow along it,
 
 t = T / sqrt(K) and tau = tau_init + (E / sqrt(K)) Tau, so one pair of
 integrals serves every characteristic of an oracle.  Both come from one
-fixed tanh-sinh rule, its 203 nodes mapped onto [xi_start, xi].
+fixed tanh-sinh rule, its 203 nodes mapped onto [xi_start, xi]; the Newton
+solve for xi(T) adds to them over its short steps by a 10-point
+Gauss-Legendre rule.
 """
 
 from __future__ import annotations
@@ -70,9 +72,29 @@ def _tanh_sinh_rule() -> tuple[np.ndarray, np.ndarray]:
 
 
 _TS_NODES, _TS_WEIGHTS = _tanh_sinh_rule()
-# nodes per Newton solve of EllipticBranchOracle; its (nodes, 203) quadrature
-# temporaries then stay below the heap peak that the rest of a compare pass
-# of a 32-characteristic ring reaches (at 32 nodes they raised it by 35 KiB)
+# the 10-point Gauss-Legendre rule on [-1, 1] (Abramowitz & Stegun, table
+# 25.4), exact to degree 19: it integrates over the short interval of one
+# Newton step of EllipticBranchOracle
+_GL_HALF = np.array([
+    0.1488743389816312108848260, 0.4333953941292471907992659, 0.6794095682990244062343274,
+    0.8650633666889845107320967, 0.9739065285171717200779640,
+])
+_GL_HALF_WEIGHTS = np.array([
+    0.2955242247147528701738930, 0.2692667193099963550912269, 0.2190863625159820439955349,
+    0.1494513491505805931457763, 0.0666713443086881375935688,
+])
+_GL_NODES = np.concatenate([-_GL_HALF[::-1], _GL_HALF])
+_GL_WEIGHTS = np.concatenate([_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS])
+# the largest relative change of an integrand over a Newton step that the
+# Gauss-Legendre rule integrates: a pole or square-root branch point past
+# the step's end is then at least 5 step lengths away, and the rule's error
+# far below rounding
+_SHORT_STEP = 0.1
+# nodes per tanh-sinh quadrature of EllipticBranchOracle's Newton solve; its
+# (nodes, 203) temporaries then stay below the heap peak that the rest of a
+# compare pass of a 32-characteristic ring reaches (at 32 nodes they raised
+# it by 35 KiB).  The Newton steps themselves run on all nodes at once: their
+# Gauss-Legendre temporaries are (nodes, 10)
 _NEWTON_BLOCK = 16
 
 
@@ -332,9 +354,9 @@ class EllipticBranchOracle:
     largest root) or "cos" for escape (u shrinks from the middle root).
     The alpha <-> u relation is exact; t(xi) and tau(xi) are scaled from
     the unit integrals T(xi) and Tau(xi), which the tanh-sinh rule gives
-    together.  ``evaluate`` inverts T by Newton, for a block of nodes at a
-    time, starting from the linear guess through T(xi_end); T(xi_end) also
-    bounds the certified range of t.
+    together.  ``evaluate`` inverts T by Newton, for all nodes at once,
+    starting from the linear guess through T(xi_end); T(xi_end) also bounds
+    the certified range of t.
     """
 
     def __init__(
@@ -430,36 +452,63 @@ class EllipticBranchOracle:
         dT = self.c / (u * u * np.sqrt(1.0 - self.k2 * np.square(np.sin(0.5 * xi))))
         return dT, dT / (1.0 - 2.0 * self.m * u)
 
-    def _integrals(self, xi):
-        """T(xi) and Tau(xi) by the tanh-sinh rule mapped onto [xi_start, xi], per xi."""
-        half = 0.5 * (np.asarray(xi)[..., None] - self.xi_start)
-        dT, dTau = self._integrands(self.xi_start + half * (1.0 + _TS_NODES))
-        # a stacked matmul sums each xi's 203 terms in the order of a dot product
-        weights = ((self._direction * half) * _TS_WEIGHTS)[..., None, :]
+    def _quadrature(self, a, b, nodes, weights):
+        """T(b) - T(a) and Tau(b) - Tau(a) by a rule on [-1, 1] mapped onto [a, b], per (a, b)."""
+        half = 0.5 * (np.asarray(b)[..., None] - np.asarray(a)[..., None])
+        dT, dTau = self._integrands(np.asarray(a)[..., None] + half * (1.0 + nodes))
+        # a stacked matmul sums each interval's terms in the order of a dot product
+        weights = ((self._direction * half) * weights)[..., None, :]
         return (weights @ dT[..., None])[..., 0, 0], (weights @ dTau[..., None])[..., 0, 0]
 
-    def _xi_of_T(self, T_target, tol):
-        """xi with T(xi) within ``tol`` of ``T_target`` by Newton, and Tau there, per node.
+    def _integrals(self, xi):
+        """T(xi) and Tau(xi) by the tanh-sinh rule mapped onto [xi_start, xi], per xi."""
+        return self._quadrature(self.xi_start, xi, _TS_NODES, _TS_WEIGHTS)
 
-        Each iteration runs on the nodes of a block that have not converged.
+    def _xi_of_T(self, T_target, tol):
+        """xi with T(xi) within ``tol`` of ``T_target`` by Newton, and T and Tau there, per node.
+
+        The tanh-sinh rule gives T and Tau at the first guess.  A Newton step
+        over which neither integrand changes by more than _SHORT_STEP adds
+        the integrals over [xi_old, xi_new] by the 10-point Gauss-Legendre
+        rule, exact there to rounding; a longer one, which that rule would
+        get wrong near a singularity of an integrand past the branch's ends,
+        takes the tanh-sinh rule at xi_new again.  Each iteration runs on the
+        nodes that have not converged and whose last step moved xi.
         """
         lo, hi = min(self.xi_start, self.xi_end), max(self.xi_start, self.xi_end)
         xi = self.xi_start + (self.xi_end - self.xi_start) * T_target / self._T_end
-        Tau = np.empty_like(xi)
-        for first in range(0, len(xi), _NEWTON_BLOCK):
-            todo = np.arange(first, min(first + _NEWTON_BLOCK, len(xi)))
-            for _ in range(60):
-                T, Tau[todo] = self._integrals(xi[todo])
-                err = T - T_target[todo]
-                going = ~(np.abs(err) < tol[todo])
-                todo, err = todo[going], err[going]
-                if not len(todo):
-                    break
-                step = err / (self._direction * self._integrands(xi[todo])[0])
-                xi[todo] = np.minimum(np.maximum(xi[todo] - step, lo), hi)
-            else:
-                Tau[todo] = self._integrals(xi[todo])[1]
-        return xi, Tau
+        T, Tau = np.empty_like(xi), np.empty_like(xi)
+
+        def full_rule(nodes):
+            for first in range(0, len(nodes), _NEWTON_BLOCK):
+                block = nodes[first : first + _NEWTON_BLOCK]
+                T[block], Tau[block] = self._integrals(xi[block])
+
+        todo = np.arange(len(xi))
+        full_rule(todo)
+        dT, dTau = self._integrands(xi)
+        for _ in range(60):
+            err = T[todo] - T_target[todo]
+            going = ~(np.abs(err) < tol[todo])
+            todo, err, dT, dTau = todo[going], err[going], dT[going], dTau[going]
+            if not len(todo):
+                break
+            old = xi[todo]
+            xi[todo] = new = np.minimum(np.maximum(old - err / (self._direction * dT), lo), hi)
+            # a node whose step leaves xi as it is would take that step again
+            # every round up to the cap, where T is as far from its target
+            moved = new != old
+            todo, old, new, dT, dTau = (a[moved] for a in (todo, old, new, dT, dTau))
+            dT_new, dTau_new = self._integrands(new)
+            short = (np.abs(dT_new - dT) <= _SHORT_STEP * dT) & (
+                np.abs(dTau_new - dTau) <= _SHORT_STEP * np.abs(dTau)
+            )
+            gained = self._quadrature(old[short], new[short], _GL_NODES, _GL_WEIGHTS)
+            T[todo[short]] += gained[0]
+            Tau[todo[short]] += gained[1]
+            full_rule(todo[~short])
+            dT, dTau = dT_new, dTau_new
+        return xi, T, Tau
 
     def _t_range(self, t, vartheta):
         """E and sqrt(K) of each node's characteristic, and the t past its certified range."""
@@ -481,7 +530,7 @@ class EllipticBranchOracle:
         if np.any(out):
             raise DomainError(f"t = {_first(out, t)[0]!r} outside the oracle's certified range")
         # stop Newton once t, not T, is within 1e-13 (1 + |t|)
-        xi, Tau = self._xi_of_T(
+        xi, _, Tau = self._xi_of_T(
             (t * sqrt_k).ravel(), (1e-13 * (1.0 + np.abs(t)) * sqrt_k).ravel()
         )
         xi, Tau = xi.reshape(t.shape), Tau.reshape(t.shape)

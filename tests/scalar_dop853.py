@@ -4,11 +4,13 @@
 list-based accelerations below: each stage sum runs over the tableau row in
 stage order, zero weights included, as the batched loop's reductions do;
 the acceleration raises DomainError outside its chart and a step whose stage
-raises is retried with half the step.  Schwarzschild is stepped in ingoing
+raises is retried with half the step.  The step size follows the same
+predictive (Gustafsson) controller.  Schwarzschild is stepped in ingoing
 Eddington-Finkelstein time, the start state mapped by the spacetime's
 ``step_chart``.  ``geodesic.integrate_batch`` must give bitwise the same
-trajectories, events and step counts; the tests compare the two.  The interpolant, the dense output and the event search
-are ``geodesic``'s own, which both loops call on the same rows.
+trajectories, events and step counts; the tests compare the two.  The
+interpolant, the dense output, the guards and the event search and event
+step are ``geodesic``'s own, which this loop calls on its one row.
 """
 
 from __future__ import annotations
@@ -26,15 +28,14 @@ from nullsheet.geodesic import (
     SolverOptions,
     StepStats,
     _dense,
-    _first_crossing,
+    _event_steps,
+    _guards,
     _interpolants,
 )
-from nullsheet.spacetime import HORIZON_MARGIN
 
 _A = [a.tolist() for a in geodesic._A]
 _E5, _E3 = geodesic._E5.tolist(), geodesic._E3.tolist()
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_PI_ALPHA, _PI_BETA = 0.7 / 8.0, 0.4 / 8.0
 _H_FLOOR = 16.0 * sys.float_info.epsilon
 
 
@@ -100,19 +101,6 @@ def list_acceleration(spacetime):
     raise ValueError(f"no list acceleration for {spacetime.name}")
 
 
-def _guards(spacetime, opts, y0):
-    guards = []
-    meta = spacetime.meta
-    if "mass" in meta:
-        barrier = 2.0 * meta["mass"] * (1.0 + max(opts.eps_horizon, HORIZON_MARGIN))
-        guards.append(("horizon", 1, lambda r: r - barrier))
-    if meta.get("spherical"):
-        eps = opts.eps_axis
-        side = 1.0 if math.sin(y0[2]) >= 0.0 else -1.0
-        guards.append(("axis", 2, lambda alpha: side * math.sin(alpha) - eps))
-    return guards
-
-
 def _initial_step(deriv, t0, w0, f0, rel_tol, abs_tol, t_end):
     w0, f0 = np.array(w0), np.array(f0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -155,9 +143,9 @@ def integrate_scalar(spacetime, y0, v0, t_end, options=None):
     def stage(w, h, i, ks):
         return deriv([x + h * _combo(_A[i], ks, c) for c, x in enumerate(w)])
 
-    guards = _guards(spacetime, opts, y0)
+    guards, side = _guards(spacetime, opts, y0[None])
     for kind, i, g in guards:
-        if g(y0[i]) <= 0.0:
+        if g(y0[i : i + 1], side)[0] <= 0.0:
             raise DomainError(f"initial state already violates the {kind} guard")
 
     t, t_end = 0.0, float(t_end)
@@ -174,7 +162,7 @@ def integrate_scalar(spacetime, y0, v0, t_end, options=None):
     accepted = rejected = domain_rejected = late = 0
 
     h = _initial_step(deriv, t, w, f, rel_tol, abs_tol, t_end)
-    err_prev = 1.0
+    h_prev = err_prev = None  # of the last accepted step
     n_steps = 0
 
     while t < t_end:
@@ -222,7 +210,7 @@ def integrate_scalar(spacetime, y0, v0, t_end, options=None):
 
         if err > 1.0:
             rejected += 1
-            factor = max(_MIN_FACTOR, _SAFETY * err ** (-_PI_ALPHA))
+            factor = max(_MIN_FACTOR, _SAFETY * err ** -0.125)
             h *= factor
             continue
 
@@ -239,36 +227,30 @@ def integrate_scalar(spacetime, y0, v0, t_end, options=None):
         if err == 0.0:
             factor = _MAX_FACTOR
         else:
-            factor = _SAFETY * err ** (-_PI_ALPHA) * err_prev ** (_PI_BETA)
+            factor = _SAFETY * err ** -0.125
+            if h_prev is not None:
+                predict = h / h_prev * (err_prev / err) ** 0.125
+                factor *= predict if predict < 1.0 else 1.0
             factor = factor if factor > _MIN_FACTOR else _MIN_FACTOR
             factor = factor if factor < _MAX_FACTOR else _MAX_FACTOR
-        err_prev = 1e-10 if err < 1e-10 else err
+        h_prev, err_prev = h, 1e-10 if err < 1e-10 else err
 
-        w_np = np.array(w)
-        q = _interpolants(np.array(ks)[:, None])[0]
-        triggered = None
-        fired = []
+        w_np = np.array(w)[None]
+        q = _interpolants(np.array(ks)[:, None])
         if guards:
-            mid = _dense(w_np[None], np.full((1, n), h), q[None], 0.5)[0].tolist()
-        for kind, i, g in guards:
-            if g(mid[i]) <= 0.0:
-                fired.append((kind, i, g, 0.5, g(mid[i])))
-            elif g(w_new[i]) <= 0.0:
-                fired.append((kind, i, g, 1.0, g(w_new[i])))
-        if fired:
-            triggered = _first_crossing(fired, t, w_np, h, q)
-
-        if triggered is not None:
-            kind, t_ev, sig_ev = triggered
-            if (t_ev - t) / h < sig_ev:
-                t_ev = math.nextafter(t_ev, math.inf)
-            sig_ev = (t_ev - t) / h
-            partial_step = (
-                t_ev, _dense(w_np, h, q, sig_ev), q * np.float_power(sig_ev, np.arange(7.0))
-            )
-            event = Event(kind=kind, t=t_ev)
-            stop = f"{kind}_crossing"
-            break
+            # the guards at the step end and at the midpoint, as (guards, 2, 1)
+            ends = np.array([w_new, _dense(w_np, np.full((1, n), h), q, 0.5)[0]])[:, None]
+            values = np.array([g(ends[:, :, i], side) for kind, i, g in guards])
+            if (values <= 0.0).any():
+                which, t_ev, node, q_ev = _event_steps(
+                    guards, values, np.array([t]), w_np, np.array([h]), q, side
+                )
+                kind, t_ev = guards[which[0]][0], float(t_ev[0])
+                partial_step = (t_ev, node[0], q_ev[0])
+                event = Event(kind=kind, t=t_ev)
+                stop = f"{kind}_crossing"
+                break
+        q = q[0]
 
         t, w, f = t + h, w_new, ks[12]
         ts.append(t)

@@ -8,6 +8,7 @@ documented exit codes (0, 1 or 2) and raise nothing.
 import math
 import pathlib
 
+import pytest
 import yaml
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -63,18 +64,41 @@ TRIALS = [
 ]
 
 
+def _mutate(raw: dict, leaves, value) -> dict:
+    """``raw`` with each of ``leaves`` set to ``value``."""
+    for leaf in leaves:
+        node = raw
+        for key in leaf[:-1]:
+            node = node[key]
+        node[leaf[-1]] = value
+    return raw
+
+
 def run_trial(trial, command, workdir: pathlib.Path) -> int:
     """Write the mutated config into ``workdir`` and run ``command`` on it there."""
     name, leaf, value = trial
     raw = _shipped(name)
     raw["output"]["path"] = str(workdir / "surface.csv")
-    node = raw
-    for key in leaf[:-1]:
-        node = node[key]
-    node[leaf[-1]] = value
+    _mutate(raw, [leaf], value)
     cfg = workdir / "fuzz.yaml"
     cfg.write_text(yaml.safe_dump(raw))
     return main([*command, "--config", str(cfg)])
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML is built without libyaml")
+def test_c_and_python_loaders_agree():
+    # load_config parses with libyaml's loader where PyYAML has it; it must
+    # build the documents the pure-Python one does (compared by repr, so
+    # that nan equals nan).  The shipped configs, and per config and value
+    # of the trials one document with every leaf set to it: each leaf with
+    # each value that a trial puts there
+    texts = [(SHIPPED / name).read_text() for name in CONFIGS]
+    for name in CONFIGS:
+        leaves = list(_leaves(_shipped(name)))
+        texts += [yaml.safe_dump(_mutate(_shipped(name), leaves, value)) for value in VALUES]
+    for text in texts:
+        want = yaml.load(text, Loader=yaml.SafeLoader)
+        assert repr(yaml.load(text, Loader=yaml.CSafeLoader)) == repr(want)
 
 
 @settings(

@@ -410,25 +410,27 @@ class TestEventLocation:
 
     def test_infall_ring_crossings(self, schw, infall_rings, monkeypatch):
         # dense-output evaluations per crossing, where bisection to the same
-        # width takes some 51
-        evals, counting = [], [False]
-        dense, first_crossing = geodesic._dense, geodesic._first_crossing
+        # width takes some 51; the search runs on all rows of a step at once,
+        # so each evaluated row is told apart by its step start w
+        evals, counting = [], [None]
+        dense, first_crossings = geodesic._dense, geodesic._first_crossings
 
-        def counted_dense(*args):
-            if counting[0]:
-                evals[-1] += 1
-            return dense(*args)
+        def counted_dense(w, *args):
+            if counting[0] is not None:
+                for row in w:
+                    counting[0][row.tobytes()] += 1
+            return dense(w, *args)
 
-        def counted_crossing(*args):
-            evals.append(0)
-            counting[0] = True
+        def counted_crossings(guards, values, t, w, *args):
+            counting[0] = dict.fromkeys((row.tobytes() for row in w), 0)
             try:
-                return first_crossing(*args)
+                return first_crossings(guards, values, t, w, *args)
             finally:
-                counting[0] = False
+                evals.extend(counting[0].values())
+                counting[0] = None
 
         monkeypatch.setattr(geodesic, "_dense", counted_dense)
-        monkeypatch.setattr(geodesic, "_first_crossing", counted_crossing)
+        monkeypatch.setattr(geodesic, "_first_crossings", counted_crossings)
         barrier = 2.0 * (1.0 + ns.SolverOptions().eps_horizon)
         for curve in infall_rings.values():
             thetas = curve.grid(32)
@@ -518,8 +520,8 @@ def event_steps(schw):
             mp.setattr(geodesic, "_dense", lambda *args: calls.append(args) or dense(*args))
             traj = ns.integrate(schw, *start)
         assert traj.event.kind == kind.split(",")[0]
-        w, h, q, _ = calls[-1]  # the last call places the event node
-        out[kind] = (traj, w, h, q)
+        w, h, q, _ = calls[-1]  # the last call places the event node, on one row
+        out[kind] = (traj, w[0], h[0, 0], q[0])
     return out
 
 

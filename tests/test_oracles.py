@@ -286,6 +286,25 @@ def test_integrals_against_quad(example, params):
         assert abs(Tau - ref_Tau) <= tau_tol * ref_Tau, (frac, Tau, ref_Tau)
 
 
+@pytest.mark.parametrize("example, params", BRANCHES.values(), ids=BRANCHES.keys())
+def test_newton_increments_against_the_full_rule(example, params):
+    """T and Tau that Newton sums step by step equal the tanh-sinh rule at the xi it returns.
+
+    Over the whole certified range of T, up to within 1e-9 of its end: T
+    within the Newton tolerance, Tau within 1e-11 of its size.
+    """
+    oracle = ns.make_oracle(example, "auto", ns.OracleParams(**params))
+    T_end = float(oracle._T_end)
+    target = np.concatenate([
+        np.linspace(0.0, 1.0, 41) * T_end, T_end - np.array([1e-3, 1e-6, 1e-8, 1e-9, 1e-10])
+    ])
+    tol = 1e-13 * (1.0 + target)
+    xi, T, Tau = oracle._xi_of_T(target, tol)
+    fresh_T, fresh_Tau = oracle._integrals(xi)
+    assert (np.abs(T - fresh_T) <= tol).all(), np.abs(T - fresh_T).max()
+    assert (np.abs(Tau - fresh_Tau) <= 1e-11 * np.abs(fresh_Tau)).all()
+
+
 class TestConsistencyGuard:
     def test_wrong_mass_detected(self, ex1_oracle, ex1_curve):
         with pytest.raises(OracleMismatchError):
