@@ -28,7 +28,6 @@ from .errors import (
 )
 from .geodesic import (
     DriftReport,
-    Event,
     GeodesicTrajectory,
     SolverOptions,
     StepStats,
@@ -92,7 +91,7 @@ __all__ = [
     "ConfigError", "CoverageError", "DegenerateDataError", "DomainError",
     "ExpressionError", "MapBreakdownError", "MapInversionError",
     "NullsheetError", "OracleMismatchError",
-    "DriftReport", "Event", "GeodesicTrajectory",
+    "DriftReport", "GeodesicTrajectory",
     "SolverOptions", "StepStats", "conserved_along", "integrate", "integrate_batch",
     "ConservedSet", "InitialCurve", "conserved_from_data", "curve_from_expressions",
     "curve_from_samples", "lambda0", "lightlikeness_residual", "validate_curve",

@@ -100,11 +100,11 @@ def cmd_validate(args) -> int:
 
 
 def _print_solve_summary(result: PipelineResult, spacetime: Spacetime) -> None:
-    kinds: dict[str, int] = {}
+    stops: dict[str, int] = {}
     for traj in result.trajectories:
-        kinds[traj.event.kind] = kinds.get(traj.event.kind, 0) + 1
+        stops[traj.stats.stop] = stops.get(traj.stats.stop, 0) + 1
     print(f"characteristics          : {len(result.trajectories)}")
-    print(f"events                   : {kinds}")
+    print(f"events                   : {stops}")
     if spacetime.name == "schwarzschild":
         params = SchwarzschildParams(m=spacetime.meta["mass"])
         worst = 0.0
@@ -172,7 +172,9 @@ def cmd_solve(args) -> int:
             _dump_characteristics(result, args.dump_characteristics)
         print(f"wrote characteristic table to {args.dump_characteristics}")
     _print_solve_summary(result, spacetime)
-    failed = any(traj.event.kind == "step_failure" for traj in result.trajectories)
+    failed = any(
+        traj.stats.stop in ("max_steps", "step_underflow") for traj in result.trajectories
+    )
     return 1 if failed else 0
 
 

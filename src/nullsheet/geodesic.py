@@ -7,8 +7,8 @@ with the last one reused (FSAL), Hairer's error norm, which damps the
 5th-order estimate where the 3rd-order one is far larger, predictive
 step-size control (Gustafsson, ACM TOMS 20 (1994) 496-517; Hairer & Wanner,
 Solving ODEs II, IV.8), and the 7th-order continuous extension, which 3
-more stages of each accepted step give, so trajectories can be sampled
-densely without re-integration.
+more stages of each step give, so trajectories can be sampled densely
+without re-integration.
 
 The characteristics are independent geodesics, so one step loop advances
 all of them together (``integrate_batch``) as the rows of an (N, 2*dim)
@@ -19,15 +19,18 @@ stepped in that chart: Schwarzschild in ingoing Eddington-Finkelstein time,
 where nothing diverges at r = 2m, so a row falls to the horizon guard in a
 few steps.  Each row keeps its own t, step size h, the step size and error
 of its last accepted step, which the controller reads, and step counts.
-An iteration attempts one step on every live row; per stage,
-``Spacetime.acceleration_at(y, v, out)`` writes all rows' accelerations
-into ``out``, the a block of the stage rows [y, v, a], whose [v, a] is the
-stage.  A row whose stage or step end left the chart
-(flagged with nan) or is not finite halves its own h; so does an accepted
-row whose dense-output stage did.  The guards are evaluated on the
-accepted rows, at the step end and at the midpoint of the continuous
-extension, in one call; the event search and the event node run only on
-the rows where one fires, all of them at once.  Rows that end are dropped.
+An iteration attempts one step on every live row, and every live row takes
+all 15 stages; per stage, ``Spacetime.acceleration_at(y, v, out)`` writes
+all rows' accelerations into ``out``, the a block of the stage rows
+[y, v, a], whose [v, a] is the stage.  Which rows passed the error test,
+failed it late (a dense-output stage not finite), fired a guard or made a
+full step are boolean masks over the live rows.  A row whose stage or step
+end left the chart (flagged with nan) or is not finite halves its own h; so
+does a row that failed late.  The interpolants and the guards, at the step
+end and at the midpoint of the continuous extension, are evaluated on all
+live rows, the guards in one call; the event search and the event node run
+only on the accepted rows where one fires, all of them at once.  Rows that
+end are dropped.
 The stage sums are one reduction over the stage axis, which adds the stages
 in stage order (zero weights included); they, the error norm and the
 controller are element-wise numpy in the order of a scalar loop, with every
@@ -44,11 +47,11 @@ by one stable argsort, so each trajectory is a view into that table.  One
 dense-output formula serves sampling, the guards' midpoint probe, the
 event search and the event state.  Schwarzschild runs terminate at the
 horizon (r <= 2m(1 + max(eps_horizon, 1e-10))) or the coordinate axis
-(|sin alpha| <= eps_axis); both are recorded as events, as is step-size
-underflow.  A crossing is located on the step's continuous extension by
-Illinois regula falsi (Dowell & Jarratt, BIT 11 (1971) 168-174), in five
-to seven evaluations where bisection takes some 51; each round evaluates
-the rows still searching in one call.
+(|sin alpha| <= eps_axis).  ``StepStats.stop`` records why a row ended,
+and its last node when.  A crossing is located on the step's continuous
+extension by Illinois regula falsi (Dowell & Jarratt, BIT 11 (1971)
+168-174), in five to seven evaluations where bisection takes some 51; each
+round evaluates the rows still searching in one call.
 """
 
 from __future__ import annotations
@@ -245,32 +248,21 @@ REACH_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
-class Event:
-    """Why and when a run stopped; each trajectory has one.
-
-    ``t`` is the time of the crossing, the trajectory's last node, or the
-    node time of a ``t_max`` or ``step_failure``.
-    """
-
-    kind: str  # horizon | axis | step_failure | t_max
-    t: float
-
-
-@dataclass(frozen=True)
 class StepStats:
     """How hard the integrator worked on one characteristic.
 
     Modelled on the counters of Hairer's DOP853 (nfcn, naccpt, nrejct):
     ``rhs_rows`` is the number of acceleration rows evaluated for it, two to
-    choose the first step, twelve per attempted step and three more, for the
-    dense output, per step that passed the error test; ``accepted`` counts
+    choose the first step and fifteen per attempted step, the dense output's
+    three included, as every live row takes all stages; ``accepted`` counts
     the steps that passed it, a final event step cut short included;
     ``rejected`` those that failed it; ``domain_rejected`` those retried
     with half the step because a stage, the step end or a dense-output
     stage left the chart or was not finite.  ``h_min`` and ``h_max`` range
     over the full steps, never over the fraction of a step that ends on an
-    event (inf and 0.0 without a full step).  ``stop`` is why the run ended:
-    ``t_max``, ``max_steps``, ``step_underflow``, or ``horizon_crossing`` or
+    event (inf and 0.0 without a full step).  ``stop`` is the one record of
+    why the run ended, and the trajectory's ``t_last`` when: ``t_max``,
+    ``max_steps``, ``step_underflow``, or ``horizon_crossing`` or
     ``axis_crossing`` (at a located crossing).
     """
 
@@ -327,16 +319,15 @@ class GeodesicTrajectory:
     evaluates the continuous extension anywhere in [ts[0], t_last] as rows
     laid out like ``nodes``, and ``sample`` maps them to the chart of
     ``Spacetime.metric_at`` with ``back`` (None when the two are one).
-    ``event`` is why and when the run stopped, ``stats`` the integrator's
-    counts for it.  The three arrays are views into one table of the run
-    that made the trajectory, which holds the records [t, w, q] of all its
-    rows, grouped by row.
+    ``stats`` holds the integrator's counts for it and why it stopped
+    (``t_last`` is when).  The three arrays are views into one table of the
+    run that made the trajectory, which holds the records [t, w, q] of all
+    its rows, grouped by row.
     """
 
     dim: int
     ts: np.ndarray
     nodes: np.ndarray
-    event: Event
     interp_q: np.ndarray
     stats: StepStats
     back: Callable[[np.ndarray], np.ndarray] | None = None
@@ -591,7 +582,7 @@ def integrate_batch(
 
     ``y0`` and ``v0`` are (N, dim) rows in the chart of ``metric_at``, mapped
     into the spacetime's ``step_chart`` if it has one.  All rows advance in
-    one step loop; each row's trajectory, event and counts are those it has
+    one step loop; each row's trajectory and counts are those it has
     integrated alone.
     """
     opts = options or SolverOptions()
@@ -625,16 +616,14 @@ def integrate_batch(
     ends: list[tuple | None] = [None] * n_rows
 
     # the live rows: original index, t, h, the step size and error of the
-    # last accepted step, state, derivative, axis side, the count of their
-    # domain-rejected steps and, of those, the steps that failed on a
-    # dense-output stage; every live row attempts one step per iteration, so
-    # a row's attempts are the iterations it lived through
+    # last accepted step, state, derivative, axis side and the count of their
+    # domain-rejected steps; every live row attempts one step per iteration,
+    # so a row's attempts are the iterations it lived through
     rows, t, w = np.arange(n_rows), np.zeros(n_rows), w0.copy()
     h_prev, err_prev = np.zeros(n_rows), np.ones(n_rows)
     n_bad = np.zeros(n_rows, dtype=np.int64)
-    n_late = np.zeros(n_rows, dtype=np.int64)
 
-    def end(k, kind, t_event, stop, partial=None):
+    def end(k, stop, partial=None):
         j = int(rows[k])
         q = tail if partial is None else partial[2].ravel()
         blocks.append(np.concatenate([t[k : k + 1], w[k], q])[None])
@@ -642,15 +631,14 @@ def integrate_batch(
         if partial is not None:  # the event node (t_ev, node)
             blocks.append(np.concatenate([[partial[0]], partial[1], tail])[None])
             owners.append([j])
-        counts = (attempts, int(n_bad[k]), int(n_late[k]))
-        ends[j] = (Event(kind=kind, t=t_event), *counts, stop, partial is not None)
+        ends[j] = (attempts, int(n_bad[k]), stop, partial is not None)
 
     def drop(done):
         """Remove the rows that ended from the live arrays."""
-        nonlocal rows, t, h, h_prev, err_prev, w, f, side, n_bad, n_late
+        nonlocal rows, t, h, h_prev, err_prev, w, f, side, n_bad
         live = ~done
-        rows, t, h, h_prev, err_prev, w, f, side, n_bad, n_late = (
-            x[live] for x in (rows, t, h, h_prev, err_prev, w, f, side, n_bad, n_late)
+        rows, t, h, h_prev, err_prev, w, f, side, n_bad = (
+            x[live] for x in (rows, t, h, h_prev, err_prev, w, f, side, n_bad)
         )
 
     attempts = 0
@@ -664,15 +652,13 @@ def integrate_batch(
             h_floor = _H_FLOOR * np.maximum(np.abs(t), _ONE)
             if attempts >= opts.max_steps:
                 for k in range(len(rows)):
-                    end(k, "step_failure", float(t[k]), "max_steps")
+                    end(k, "max_steps")
                 break
             ended = h < h_floor
             if np.count_nonzero(ended):
                 for k in ended.nonzero()[0]:
-                    if t_end - t[k] < h_floor[k]:  # within roundoff of t_end
-                        end(k, "t_max", float(t[k]), "t_max")
-                    else:
-                        end(k, "step_failure", float(t[k]), "step_underflow")
+                    # within roundoff of t_end, or h lost before it
+                    end(k, "t_max" if t_end - t[k] < h_floor[k] else "step_underflow")
                 drop(ended)
                 if not len(rows):
                     break
@@ -689,7 +675,7 @@ def integrate_batch(
             # guards probe
             xs, ks = np.empty((17, n_live, n)), np.empty((16, n_live, n))
             ks[0] = f
-            for i in range(1, 13):
+            for i in range(1, 16):
                 _stage(accel, i, w, hw, xs, ks)
             w_new = xs[12]
 
@@ -706,26 +692,12 @@ def integrate_batch(
                 sq.append(np.add.accumulate(e, axis=1)[:, -1])
             deno = sq[0] + _E3_WEIGHT * sq[1]
             err = h * sq[0] / np.sqrt(np.where(deno > _ZERO, deno, _ONE) * n_comp)
+            # a step that passed fails late when a dense-output stage is not
+            # finite; its err becomes nan, so it is a bad step
             accept = err <= _ONE
-            n_accepted = np.count_nonzero(accept)
-
-            # the dense output's stages, on the rows that passed (views of
-            # all rows when every row did); a row where one is not finite
-            # fails its step after all
-            if n_accepted:
-                sel = slice(None) if n_accepted == n_live else accept.nonzero()[0]
-                xa, ka, wa, hwa = xs[:, sel], ks[:, sel], w[sel], hw[sel]
-                for i in range(13, 16):
-                    _stage(accel, i, wa, hwa, xa, ka)
-                late = ~np.isfinite(ka[13:16, :, dim:]).all(axis=(0, 2))
-                if np.count_nonzero(late):
-                    sel = np.arange(n_live)[sel]
-                    err[sel[late]], accept[sel[late]] = np.nan, False
-                    n_late[sel[late]] += 1
-                    n_accepted -= np.count_nonzero(late)
-                    keep = ~late
-                    sel, xa, ka = sel[keep], xa[:, keep], ka[:, keep]
-                    wa, hwa = wa[keep], hwa[keep]
+            late = accept & ~np.isfinite(ks[13:16, :, dim:]).all(axis=(0, 2))
+            np.copyto(err, np.nan, where=late)
+            accept &= ~late
 
             # a rejected step shrinks h, a bad one halves it; an accepted one
             # sets it by the predictive controller, whose second factor is 1
@@ -737,55 +709,46 @@ def integrate_batch(
             factor = np.maximum(np.where(accept, grow, shrink), _MIN_FACTOR)
             np.copyto(err_prev, np.maximum(err, _ERR_FLOOR), where=accept)
             np.copyto(h_prev, h, where=accept)
-            if n_accepted < n_live:
-                bad = ~np.isfinite(err)
-                np.copyto(factor, 0.5, where=bad)
-                np.add(n_bad, 1, out=n_bad, where=bad)
+            bad = ~np.isfinite(err)
+            np.copyto(factor, 0.5, where=bad)
+            n_bad += bad
 
-            # the accepted rows' interpolants; the guards at the step end
-            # and, to catch a crossing inside a long step, at the midpoint of
-            # the continuous extension, both in one call; a row where one is
-            # <= 0 is searched for the event, the others made full steps
-            full, hit = accept, None
-            if n_accepted:
-                q = _interpolants(ka)
-                if guards:
-                    xa[16] = _dense(wa, hwa, q, 0.5)
-                    values = np.empty((len(guards), 2, n_accepted))
-                    for (kind, i, g), at in zip(guards, values):
-                        at[...] = g(xa[12::4, :, i], side[sel])
-                    fired = values <= _ZERO
-                    if np.count_nonzero(fired):
-                        sel = np.arange(n_live)[sel]
-                        hit_a = fired.any(axis=(0, 1))
-                        ks_hit = sel[hit_a]
-                        hit = np.zeros(n_live, dtype=bool)
-                        hit[ks_hit] = True
-                        full = accept & ~hit
-                        which, t_ev, nodes, q_ev = _event_steps(
-                            guards, values[:, :, hit_a], t[ks_hit], w[ks_hit], h[ks_hit],
-                            q[hit_a], side[ks_hit],
-                        )
-                        for j, k in enumerate(ks_hit):
-                            kind, t_j = guards[which[j]][0], float(t_ev[j])
-                            end(k, kind, t_j, f"{kind}_crossing", (t_j, nodes[j], q_ev[j]))
-                        sel, q = sel[~hit_a], q[~hit_a]
+            # the interpolants; the guards at the step end and, to catch a
+            # crossing inside a long step, at the midpoint of the continuous
+            # extension, both in one call; an accepted row where one is <= 0
+            # is searched for the event, the other accepted rows made full steps
+            q = _interpolants(ks)
+            hit = np.zeros(n_live, dtype=bool)
+            if guards:
+                xs[16] = _dense(w, hw, q, 0.5)
+                values = np.empty((len(guards), 2, n_live))
+                for (_, i, g), at in zip(guards, values):
+                    at[...] = g(xs[12::4, :, i], side)
+                hit = accept & (values <= _ZERO).any(axis=(0, 1))
+                if np.count_nonzero(hit):
+                    which, t_ev, nodes, q_ev = _event_steps(
+                        guards, values[:, :, hit], t[hit], w[hit], h[hit], q[hit], side[hit]
+                    )
+                    for j, k in enumerate(hit.nonzero()[0]):
+                        stop = f"{guards[which[j]][0]}_crossing"
+                        end(k, stop, (float(t_ev[j]), nodes[j], q_ev[j]))
 
-                # the full steps: store [t, w, q] and advance
-                if len(q):
-                    record = [t[sel, None], w[sel], q.reshape(len(q), -1)]
-                    blocks.append(np.concatenate(record, axis=1))
-                    owners.append(rows[sel])
-                    np.copyto(t, t + h, where=full)
-                    np.copyto(w, w_new, where=full[:, None])
-                    np.copyto(f, ks[12], where=full[:, None])
+            # the full steps: store [t, w, q] and advance
+            full = accept & ~hit
+            if np.count_nonzero(full):
+                record = [t[full, None], w[full], q[full].reshape(-1, 7 * n)]
+                blocks.append(np.concatenate(record, axis=1))
+                owners.append(rows[full])
+                np.copyto(t, t + h, where=full)
+                np.copyto(w, w_new, where=full[:, None])
+                np.copyto(f, ks[12], where=full[:, None])
             h = h * factor
 
             # rows that reach t_end (only full steps move t)
             reached = t >= t_stop
             for k in reached.nonzero()[0]:
-                end(k, "t_max", float(t[k]), "t_max")
-            done = reached if hit is None else reached | hit
+                end(k, "t_max")
+            done = reached | hit
             if np.count_nonzero(done):
                 drop(done)
 
@@ -802,9 +765,7 @@ def integrate_batch(
     ]
 
 
-def _trajectory(
-    dim, records, event, attempts, n_bad, n_late, stop, partial, back
-) -> GeodesicTrajectory:
+def _trajectory(dim, records, attempts, n_bad, stop, partial, back) -> GeodesicTrajectory:
     """A row's trajectory from its node records [t, w, q], its end and its step counts.
 
     ``partial`` tells whether the last step is the step to an event node,
@@ -814,20 +775,19 @@ def _trajectory(
     ts, nodes = records[:, 0], records[:, 1 : 1 + n]
     interp_q = records[:-1, 1 + n :].reshape(-1, n, 7)
     n_full = len(records) - 1 - partial
-    accepted = n_full + stop.endswith("_crossing")  # a crossing's step is accepted
-    rejected = attempts - accepted - n_bad
+    accepted = n_full + partial  # a crossing's step is accepted
     full_h = ts[1 : 1 + n_full] - ts[:n_full]
     stats = StepStats(
-        rhs_rows=2 + 12 * attempts + 3 * (accepted + n_late),
+        rhs_rows=2 + 15 * attempts,
         accepted=accepted,
-        rejected=rejected,
+        rejected=attempts - accepted - n_bad,
         domain_rejected=n_bad,
         h_min=float(full_h.min()) if n_full else math.inf,
         h_max=float(full_h.max()) if n_full else 0.0,
         stop=stop,
     )
     return GeodesicTrajectory(
-        dim=dim, ts=ts, nodes=nodes, event=event, interp_q=interp_q, stats=stats, back=back
+        dim=dim, ts=ts, nodes=nodes, interp_q=interp_q, stats=stats, back=back
     )
 
 

@@ -465,14 +465,16 @@ class EllipticBranchOracle:
         return self._quadrature(self.xi_start, xi, _TS_NODES, _TS_WEIGHTS)
 
     def _xi_of_T(self, T_target, tol):
-        """xi with T(xi) within ``tol`` of ``T_target`` by Newton, and T and Tau there, per node.
+        """xi where T(xi) = ``T_target`` by Newton, and T and Tau there, per node.
 
-        The tanh-sinh rule gives T and Tau at the first guess.  A Newton step
-        over which neither integrand changes by more than _SHORT_STEP adds
-        the integrals over [xi_old, xi_new] by the 10-point Gauss-Legendre
-        rule, exact there to rounding; a longer one, which that rule would
-        get wrong near a singularity of an integrand past the branch's ends,
-        takes the tanh-sinh rule at xi_new again.  Each iteration runs on the
+        A node stops once T is within ``tol`` of its target and so is Tau,
+        whose error is T's times |dTau/dT|.  The tanh-sinh rule gives T and
+        Tau at the first guess.  A Newton step over which neither integrand
+        changes by more than _SHORT_STEP adds the integrals over
+        [xi_old, xi_new] by the 10-point Gauss-Legendre rule, exact there to
+        rounding; a longer one, which that rule would get wrong near a
+        singularity of an integrand past the branch's ends, takes the
+        tanh-sinh rule at xi_new again.  Each iteration runs on the
         nodes that have not converged and whose last step moved xi.
         """
         lo, hi = min(self.xi_start, self.xi_end), max(self.xi_start, self.xi_end)
@@ -488,8 +490,10 @@ class EllipticBranchOracle:
         full_rule(todo)
         dT, dTau = self._integrands(xi)
         for _ in range(60):
+            # Tau's error is T's times dTau/dT = 1/(1 - 2mu), some 1e6 at
+            # the horizon cap, so a node stops on the larger of the two
             err = T[todo] - T_target[todo]
-            going = ~(np.abs(err) < tol[todo])
+            going = ~(np.abs(err) * np.maximum(1.0, np.abs(dTau / dT)) < tol[todo])
             todo, err, dT, dTau = todo[going], err[going], dT[going], dTau[going]
             if not len(todo):
                 break
@@ -529,7 +533,8 @@ class EllipticBranchOracle:
         E, sqrt_k, out = self._t_range(t, vartheta)
         if np.any(out):
             raise DomainError(f"t = {_first(out, t)[0]!r} outside the oracle's certified range")
-        # stop Newton once t, not T, is within 1e-13 (1 + |t|)
+        # stop Newton once t, not T, is within 1e-13 (1 + |t|), and Tau within
+        # the tolerance that gives T
         xi, _, Tau = self._xi_of_T(
             (t * sqrt_k).ravel(), (1e-13 * (1.0 + np.abs(t)) * sqrt_k).ravel()
         )
@@ -609,11 +614,13 @@ def check_oracle_consistency(
     hi = min(curve.theta_max, ref.theta_max)
     if not hi > lo:
         raise OracleMismatchError("oracle and config vartheta domains do not overlap")
-    for v in np.linspace(lo, hi, n):
-        dphi = np.max(np.abs(curve.phi(v) - ref.phi(v)))
-        dpsi = np.max(np.abs(curve.psi(v) - ref.psi(v)))
-        if not (dphi <= 1e-9 and dpsi <= 1e-9):
-            raise OracleMismatchError(
-                f"initial data differ from the oracle's at vartheta = {v}: "
-                f"|dphi| = {dphi:.3e}, |dpsi| = {dpsi:.3e}"
-            )
+    v = np.linspace(lo, hi, n)
+    dphi = np.max(np.abs(curve.phi(v) - ref.phi(v)), axis=1)
+    dpsi = np.max(np.abs(curve.psi(v) - ref.psi(v)), axis=1)
+    bad = ~((dphi <= 1e-9) & (dpsi <= 1e-9))
+    if bad.any():
+        k = int(bad.argmax())
+        raise OracleMismatchError(
+            f"initial data differ from the oracle's at vartheta = {v[k]}: "
+            f"|dphi| = {dphi[k]:.3e}, |dpsi| = {dpsi[k]:.3e}"
+        )

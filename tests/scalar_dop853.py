@@ -8,7 +8,7 @@ raises is retried with half the step.  The step size follows the same
 predictive (Gustafsson) controller.  Schwarzschild is stepped in ingoing
 Eddington-Finkelstein time, the start state mapped by the spacetime's
 ``step_chart``.  ``geodesic.integrate_batch`` must give bitwise the same
-trajectories, events and step counts; the tests compare the two.  The
+trajectories and step counts; the tests compare the two.  The
 interpolant, the dense output, the guards and the event search and event
 step are ``geodesic``'s own, which this loop calls on its one row.
 """
@@ -23,7 +23,6 @@ import numpy as np
 from nullsheet import geodesic
 from nullsheet.errors import DomainError, NullsheetError
 from nullsheet.geodesic import (
-    Event,
     GeodesicTrajectory,
     SolverOptions,
     StepStats,
@@ -156,10 +155,9 @@ def integrate_scalar(spacetime, y0, v0, t_end, options=None):
 
     ts, nodes, qs = [t], [w], []
     partial_step = None
-    event = None
     stop = None
     rel_tol, abs_tol = opts.rel_tol, opts.abs_tol
-    accepted = rejected = domain_rejected = late = 0
+    accepted = rejected = domain_rejected = 0
 
     h = _initial_step(deriv, t, w, f, rel_tol, abs_tol, t_end)
     h_prev = err_prev = None  # of the last accepted step
@@ -167,7 +165,6 @@ def integrate_scalar(spacetime, y0, v0, t_end, options=None):
 
     while t < t_end:
         if n_steps >= opts.max_steps:
-            event = Event(kind="step_failure", t=t)
             stop = "max_steps"
             break
         if t_end - t < h:
@@ -175,9 +172,7 @@ def integrate_scalar(spacetime, y0, v0, t_end, options=None):
         h = (t + h) - t
         h_floor = _H_FLOOR * (t if t > 1.0 else -t if t < -1.0 else 1.0)
         if h < h_floor:
-            kind = "t_max" if t_end - t < h_floor else "step_failure"
-            event = Event(kind=kind, t=t)
-            stop = "t_max" if kind == "t_max" else "step_underflow"
+            stop = "t_max" if t_end - t < h_floor else "step_underflow"
             break
 
         n_steps += 1
@@ -219,7 +214,6 @@ def integrate_scalar(spacetime, y0, v0, t_end, options=None):
                 ks.append(stage(w, h, i, ks))
         except DomainError:
             domain_rejected += 1
-            late += 1
             h *= 0.5
             continue
 
@@ -247,7 +241,6 @@ def integrate_scalar(spacetime, y0, v0, t_end, options=None):
                 )
                 kind, t_ev = guards[which[0]][0], float(t_ev[0])
                 partial_step = (t_ev, node[0], q_ev[0])
-                event = Event(kind=kind, t=t_ev)
                 stop = f"{kind}_crossing"
                 break
         q = q[0]
@@ -259,7 +252,6 @@ def integrate_scalar(spacetime, y0, v0, t_end, options=None):
         h *= factor
 
         if t >= t_end:
-            event = Event(kind="t_max", t=t)
             stop = "t_max"
             break
 
@@ -272,7 +264,8 @@ def integrate_scalar(spacetime, y0, v0, t_end, options=None):
     interp_q = np.array(qs).reshape(-1, n, 7)
     full_h = ts[1 : 1 + n_full] - ts[:n_full]
     stats = StepStats(
-        rhs_rows=2 + 12 * n_steps + 3 * (accepted + late),
+        # the batched loop takes all 15 stages on every attempt, rejected or not
+        rhs_rows=2 + 15 * n_steps,
         accepted=accepted,
         rejected=rejected,
         domain_rejected=domain_rejected,
@@ -281,6 +274,6 @@ def integrate_scalar(spacetime, y0, v0, t_end, options=None):
         stop=stop,
     )
     return GeodesicTrajectory(
-        dim=dim, ts=ts, nodes=nodes, event=event, interp_q=interp_q, stats=stats,
+        dim=dim, ts=ts, nodes=nodes, interp_q=interp_q, stats=stats,
         back=None if chart is None else chart.back,
     )

@@ -10,6 +10,7 @@ import importlib.util
 import math
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nullsheet as ns
+from nullsheet import geodesic
 from nullsheet.config import build_curve, build_spacetime, load_config
 from scalar_dop853 import integrate_scalar
 
@@ -35,11 +37,10 @@ def _workloads():
 
 
 def assert_same(got, want):
-    """Two trajectories bitwise equal: nodes, interpolants, event and counts."""
+    """Two trajectories bitwise equal: nodes, interpolants and counts, the stop included."""
     for name in ("ts", "nodes", "interp_q"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-    assert got.event == want.event
     assert got.stats == want.stats
 
 
@@ -91,7 +92,7 @@ class TestAgainstScalarReference:
         spacetime, y0, v0, t_end, opts, _ = pipeline_inputs(configs["infall-ring"])
         batch = ns.integrate_batch(spacetime, y0, v0, t_end, opts)
         assert {tr.stats.stop for tr in batch} == {"horizon_crossing"}
-        assert len({tr.event.t for tr in batch}) == len(batch)
+        assert len({tr.t_last for tr in batch}) == len(batch)
         assert sum(tr.stats.domain_rejected for tr in batch) == 0
 
 
@@ -216,12 +217,90 @@ class TestBatchIndependence:
             assert rejecting
 
 
+def _attempt(spacetime, y0, v0, t_end, j):
+    """What the j-th step attempt of the run of the start row (y0, v0) alone did.
+
+    "event", "accepted", "rejected" or "domain_rejected", read off the
+    counts of two runs alone that stop after j - 1 and after j attempts.
+    """
+    before, after = (
+        ns.integrate(spacetime, y0, v0, t_end, ns.SolverOptions(max_steps=k)).stats
+        for k in (j - 1, j)
+    )
+    if before.stop == "max_steps" and after.stop.endswith("_crossing"):
+        return "event"
+    (grown,) = [
+        name for name in ("accepted", "rejected", "domain_rejected")
+        if getattr(after, name) > getattr(before, name)
+    ]
+    return grown
+
+
+class TestMixedIteration:
+    """One iteration where rows make a full step, fail the error test, end on
+    an event and fail on a dense-output stage alone, each as it does alone."""
+
+    J = 4  # the iteration, counted from 1, where the four outcomes meet
+    T_END = 50.0
+
+    @pytest.fixture(scope="class")
+    def mixed(self):
+        # straight lines in flat Cartesian (t, x, y, z), one per z: a row at
+        # z = 2 runs free, z = 0 meets a band of t that only the dense
+        # output's stage at c = 1/5 of its step J falls in (as in
+        # test_geodesic's banded flat spacetime), z = 1 a kick in y midway
+        # through its step J, and z = 3 falls in x to a barrier that step J
+        # crosses
+        flat = ns.minkowski()
+        y0 = np.array([[0.0, 5.0, 0.0, 2.0], [0.0, 5.0, 0.0, 0.0],
+                       [0.0, 5.0, 0.0, 1.0], [0.0, 5.0, 0.0, 3.0]])
+        v0 = np.array([[1.0, 0.3, 0.1, 0.0], [1.0, 0.5, 0.0, 0.0],
+                       [1.0, 0.2, 0.3, 0.0], [1.0, -0.9, 0.0, 0.0]])
+        steps = []  # each row's step J, [t_j, t_j + h], when it runs free
+        for tr in ns.integrate_batch(flat, y0, v0, self.T_END):
+            steps.append((tr.ts[self.J - 1], tr.ts[self.J] - tr.ts[self.J - 1]))
+        (t_l, h_l), (t_r, h_r), (t_e, h_e) = steps[1:]
+        zero = flat.acceleration_at
+
+        def accel(y, v, out):
+            zero(y, v, out)
+            t, z = y[:, 0], y[:, 3]
+            out[(z == 0.0) & (t_l + 0.19 * h_l < t) & (t < t_l + 0.21 * h_l)] = np.nan
+            out[(z == 1.0) & (t_r + 0.5 * h_r < t) & (t < t_r + 0.7 * h_r), 2] = 1e3
+            return out
+
+        # the horizon guard reads x; it fires past the barrier
+        barrier = y0[3, 1] + v0[3, 1] * (t_e + 0.6 * h_e)
+        mass = barrier / (2.0 * (1.0 + ns.SolverOptions().eps_horizon))
+        spacetime = replace(flat, acceleration_at=accel, meta={**flat.meta, "mass": mass})
+        return spacetime, y0, v0
+
+    def test_the_band_meets_one_dense_output_stage(self):
+        # the stage of fraction c of step J, [t_l, t_l + h_l], is at t_l + c h_l
+        c = np.array([a.sum() for a in geodesic._A[1:]])
+        assert np.flatnonzero((0.19 < c) & (c < 0.21)).tolist() == [13]  # stage 14
+
+    def test_the_four_outcomes_meet_in_one_iteration(self, mixed):
+        spacetime, y0, v0 = mixed
+        outcomes = [_attempt(spacetime, y, v, self.T_END, self.J) for y, v in zip(y0, v0)]
+        assert outcomes == ["accepted", "domain_rejected", "rejected", "event"]
+
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]])
+    def test_each_row_as_alone(self, mixed, order):
+        spacetime, y0, v0 = mixed
+        batch = ns.integrate_batch(spacetime, y0[order], v0[order], self.T_END)
+        for k, got in zip(order, batch):
+            assert_same(got, ns.integrate(spacetime, y0[k], v0[k], self.T_END))
+        stops = {k: got.stats.stop for k, got in zip(order, batch)}
+        assert stops == {0: "t_max", 1: "t_max", 2: "t_max", 3: "horizon_crossing"}
+
+
 def test_counts_are_consistent(configs):
     spacetime, y0, v0, t_end, opts, _ = pipeline_inputs(configs["infall-ring"])
     for tr in ns.integrate_batch(spacetime, y0, v0, t_end, opts):
         s = tr.stats
         attempted = s.accepted + s.rejected + s.domain_rejected
-        assert s.rhs_rows == 2 + 12 * attempted + 3 * s.accepted
+        assert s.rhs_rows == 2 + 15 * attempted
         # the event step is accepted but cut, so it is not a full step
         assert len(tr.ts) - 1 == s.accepted
         full = np.diff(tr.ts[:-1])

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 import sys
@@ -323,6 +324,23 @@ class TestConsistencyGuard:
             ex1_oracle, ns.SchwarzschildParams(m=1.0), ex1_curve
         )
 
+    def test_message_names_the_first_vartheta_that_differs(self, ex1_oracle, ex1_curve):
+        # psi differs from the oracle's past the middle of the 9 varthetas,
+        # and its first component is nan at the last, which fails too
+        psi = ex1_curve.psi
+
+        def bent(v):
+            out = psi(v)
+            out[..., 1] += np.where(np.asarray(v) > 3.0, 1e-6, 0.0)
+            out[..., 0] = np.where(np.asarray(v) > 6.0, np.nan, out[..., 0])
+            return out
+
+        curve = dataclasses.replace(ex1_curve, psi=bent, periodic=False)
+        first = np.linspace(curve.theta_min, curve.theta_max, 9)[4]
+        with pytest.raises(OracleMismatchError, match=rf"at vartheta = {first}: "
+                           r"\|dphi\| = 0\.000e\+00, \|dpsi\| = 1\.000e-06$"):
+            ns.check_oracle_consistency(ex1_oracle, ns.SchwarzschildParams(m=1.0), curve)
+
 
 def _perfbench_workloads():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -377,3 +395,47 @@ def test_array_call_equals_a_call_per_node(source, tmp_path):
     for k, (alone_ref, alone_residual) in enumerate(v for v in per_node if v is not None):
         assert alone_ref.tobytes() == ref[k].tobytes()
         assert np.float64(alone_residual).tobytes() == residual[k].tobytes()
+
+
+def test_tau_next_to_the_horizon_cap_against_quad():
+    """tau 1e-6 before the certified end of infall-ring's sec branch, against QUADPACK.
+
+    At r = 2.0000034m, dTau/dT = 1/(1 - 2mu) is some 6e5, so Newton must stop
+    on Tau's error, not on T's alone.  The reference finds xi where T = t
+    sqrt(K) by brentq on a quad of dT/dxi, and Tau there by a quad of
+    dTau/dxi corrected to first order for what brentq leaves of T.
+    """
+    from scipy.optimize import brentq
+
+    oracle = ns.make_oracle(2, "auto", ns.OracleParams(
+        m=1.0, r0=2.5, f="1 + 0.25*sin(vartheta)", alpha0="1.2", sign_alpha=1,
+    ))
+    assert oracle.branch == "sec"
+    m, c, k2, mid, hi = oracle.m, oracle.c, oracle.k2, oracle.u_mid, oracle.u_hi
+
+    def u(xi):
+        return mid + (hi - mid) / math.cos(0.5 * xi) ** 2
+
+    def dT(xi):
+        return c / (u(xi) ** 2 * math.sqrt(1.0 - k2 * math.sin(0.5 * xi) ** 2))
+
+    def dTau(xi):
+        return dT(xi) / (1.0 - 2.0 * m * u(xi))
+
+    def integral(integrand, xi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            return quad(integrand, 0.0, xi, epsabs=0.0, epsrel=2e-14, limit=500)[0]
+
+    for vartheta in (0.0, 2.5, 4.0):
+        conserved = oracle.conserved(vartheta)
+        sqrt_k = math.sqrt(conserved.K)
+        t = (1.0 - 1e-6) * float(oracle._T_end) / sqrt_k
+        target = t * sqrt_k
+        xi = brentq(lambda x: integral(dT, x) - target, 0.0, oracle.xi_end,
+                    xtol=1e-16, rtol=8.9e-16)
+        Tau = integral(dTau, xi) + (target - integral(dT, xi)) * dTau(xi) / dT(xi)
+        ref = oracle._data.tau_init(vartheta) + conserved.E / sqrt_k * Tau
+        tau, r = oracle.evaluate(np.array([t]), np.array([vartheta]))[0, :2]
+        assert r == pytest.approx(2.0000034, abs=1e-7)
+        assert abs(tau - ref) <= 1e-9, (vartheta, tau, ref)

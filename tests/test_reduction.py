@@ -278,7 +278,7 @@ class TestRadialIntegralWithAngularMomentum:
         y = np.array([0.0, 8.0, 1.0, 0.0])
         v = np.array([1.3, -0.2, 0.02, 0.03])
         traj = assert_radial_integral_along(schw, m1_params, y, v, 10.0, 1e-10)
-        assert traj.event.kind == "t_max"
+        assert traj.stats.stop == "t_max"
         assert ns.cubic_coefficients(y, v, m1_params) == pytest.approx(
             (0.2701525990031016, -0.046404626413679394), rel=1e-12
         )

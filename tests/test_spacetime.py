@@ -99,7 +99,7 @@ def test_spacetime_is_metric_plus_acceleration():
     traj = ns.integrate(
         user, np.array([0.0, 5.0, math.pi / 2, 0.0]), np.array([1.0, 1.0, 0.0, 0.0]), 2.0
     )
-    assert traj.event.kind == "t_max"
+    assert traj.stats.stop == "t_max"
     assert traj.nodes[-1, 1] == pytest.approx(7.0, rel=1e-10)
 
 

@@ -171,8 +171,7 @@ class TestBuildSurface:
         thetas = curve.grid(12)
         t_grid = np.linspace(0.0, 10.0, 11)
         trajs = ns.integrate_batch(schw, curve.phi(thetas), curve.psi(thetas), 10.0)
-        assert all(traj.event.kind == "horizon" for traj in trajs)
-        assert all(traj.t_last == traj.event.t for traj in trajs)  # on the crossing
+        assert all(traj.stats.stop == "horizon_crossing" for traj in trajs)
         theta_grid = np.linspace(-1.0, 1.0, 9)
         mesh = ns.build_surface(trajs, thetas, cmap, t_grid, theta_grid, schw)
         assert not mesh.truncated[0].any()
@@ -185,7 +184,7 @@ class TestBuildSurface:
         # vartheta = theta: a truncated node lies past the event of one of
         # the two characteristics around it, or its slice has fewer than the
         # 4 characteristics a spline needs
-        ends = np.array([traj.event.t for traj in trajs])
+        ends = np.array([traj.t_last for traj in trajs])
         k = np.searchsorted(thetas, theta).clip(1, len(thetas) - 1)
         past_event = np.minimum(ends[k - 1], ends[k]) < t
         reached = np.array([traj.t_last for traj in trajs]) >= t[:, None] - REACH_SLACK
