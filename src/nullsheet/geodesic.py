@@ -814,8 +814,8 @@ def conserved_along(params: SchwarzschildParams, trajectory: GeodesicTrajectory)
     The relative drift is measured against max(1, |initial value|) per
     integral; ``initial`` holds the constants, C included, at node 0.
     """
-    dim = trajectory.dim
-    states = trajectory.sample(trajectory.ts)
+    dim, back = trajectory.dim, trajectory.back
+    states = trajectory.nodes if back is None else back(trajectory.nodes)
     E, L, K, C = first_integrals(params, states[:, :dim], states[:, dim:])
     series = np.column_stack([E, L, K])
     drift = np.abs(series - series[0])

@@ -30,10 +30,10 @@ integrals, taken from the branch start and signed to grow along it,
     Tau(xi) = int c / (u^2 (1 - 2mu) sqrt(1 - k^2 sin^2(xi/2))) dxi,
 
 t = T / sqrt(K) and tau = tau_init + (E / sqrt(K)) Tau, so one pair of
-integrals serves every characteristic of an oracle.  Both come from one
-fixed tanh-sinh rule, its 203 nodes mapped onto [xi_start, xi]; the Newton
-solve for xi(T) adds to them over its short steps by a 10-point
-Gauss-Legendre rule.
+integrals serves every characteristic of an oracle.  A branch tabulates
+them at its panel edges, by compensated sums of a 10-point Gauss-Legendre
+rule per panel; the same rule adds the rest of a panel, and Newton for
+xi(T) runs inside the panel whose edge values bracket T.
 """
 
 from __future__ import annotations
@@ -57,24 +57,16 @@ CASE_TOL = 1e-12  # relative tolerance on r0/m for double-root detection
 _HORIZON_PAD = 1e-8
 
 
-def _tanh_sinh_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the tanh-sinh rule on [-1, 1] (Takahasi & Mori 1974).
-
-    Step h = 1/32 and |k| <= 120, less the nodes where tanh rounds to +-1:
-    203 nodes, whose weights decay double-exponentially toward the ends.
-    """
-    kh = np.arange(-120, 121) / 32.0
-    s = 0.5 * np.pi * np.sinh(kh)
-    nodes = np.tanh(s)
-    weights = (0.5 * np.pi / 32.0) * np.cosh(kh) / np.cosh(s) ** 2
-    inside = np.abs(nodes) < 1.0
-    return nodes[inside], weights[inside]
-
-
-_TS_NODES, _TS_WEIGHTS = _tanh_sinh_rule()
+# the panel edges of EllipticBranchOracle's tables on [-1, 1]: the nodes of
+# the tanh-sinh rule of step 1/32 and |k| <= 120 (Takahasi & Mori 1974), 203
+# inside (-1, 1) and the rest rounded onto the ends.  They crowd
+# double-exponentially toward both ends of a branch, where the integrands'
+# nearest singularities sit (the horizon pole of dTau just past the end of a
+# "sec" branch)
+_TS_NODES = np.tanh(0.5 * np.pi * np.sinh(np.arange(-120, 121) / 32.0))
 # the 10-point Gauss-Legendre rule on [-1, 1] (Abramowitz & Stegun, table
-# 25.4), exact to degree 19: it integrates over the short interval of one
-# Newton step of EllipticBranchOracle
+# 25.4), exact to degree 19: it integrates over one panel of
+# EllipticBranchOracle's tables, or over the part of one up to a given xi
 _GL_HALF = np.array([
     0.1488743389816312108848260, 0.4333953941292471907992659, 0.6794095682990244062343274,
     0.8650633666889845107320967, 0.9739065285171717200779640,
@@ -85,17 +77,18 @@ _GL_HALF_WEIGHTS = np.array([
 ])
 _GL_NODES = np.concatenate([-_GL_HALF[::-1], _GL_HALF])
 _GL_WEIGHTS = np.concatenate([_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS])
-# the largest relative change of an integrand over a Newton step that the
-# Gauss-Legendre rule integrates: a pole or square-root branch point past
-# the step's end is then at least 5 step lengths away, and the rule's error
-# far below rounding
-_SHORT_STEP = 0.1
-# nodes per tanh-sinh quadrature of EllipticBranchOracle's Newton solve; its
-# (nodes, 203) temporaries then stay below the heap peak that the rest of a
-# compare pass of a 32-characteristic ring reaches (at 32 nodes they raised
-# it by 35 KiB).  The Newton steps themselves run on all nodes at once: their
-# Gauss-Legendre temporaries are (nodes, 10)
-_NEWTON_BLOCK = 16
+
+
+def _running_sums(terms) -> np.ndarray:
+    """0 and the partial sums of ``terms``, each compensated for roundoff (Kahan)."""
+    sums, total, carry = [0.0], 0.0, 0.0
+    for term in terms.tolist():
+        y = term - carry
+        new = total + y
+        carry = (new - total) - y
+        total = new
+        sums.append(total - carry)
+    return np.array(sums)
 
 
 def _each(fn, a) -> np.ndarray:
@@ -353,10 +346,10 @@ class EllipticBranchOracle:
     ``branch`` is "sec" for infall toward the horizon (u grows from the
     largest root) or "cos" for escape (u shrinks from the middle root).
     The alpha <-> u relation is exact; t(xi) and tau(xi) are scaled from
-    the unit integrals T(xi) and Tau(xi), which the tanh-sinh rule gives
-    together.  ``evaluate`` inverts T by Newton, for all nodes at once,
-    starting from the linear guess through T(xi_end); T(xi_end) also bounds
-    the certified range of t.
+    the unit integrals T(xi) and Tau(xi) of the branch's table.
+    ``evaluate`` inverts T by Newton, for all nodes at once; the table's
+    last T bounds the certified range of t, outside which lies a
+    characteristic at rest (K = 0).
     """
 
     def __init__(
@@ -403,7 +396,17 @@ class EllipticBranchOracle:
             raise ValueError(f"unknown branch {branch!r}")
         # t and tau grow while xi runs from xi_start to xi_end
         self._direction = 1.0 if branch == "sec" else -1.0
-        self._T_end = self._integrals(self.xi_end)[0]
+        # each edge is offset from its nearer end, so that none passes an end
+        # by rounding; the edges that round onto the one before them are dropped
+        span = self.xi_end - self.xi_start
+        edges = np.where(_TS_NODES < 0.0, self.xi_start + span * (0.5 + 0.5 * _TS_NODES),
+                         self.xi_end - span * (0.5 - 0.5 * _TS_NODES))
+        self._edges = edges = edges[np.append(True, edges[1:] != edges[:-1])]
+        # plain partial sums drift by a few ulp toward the far end, and tau
+        # next to the horizon cap, where dTau/dT is some 1e6, with them
+        panels = self._quadrature(edges[:-1], edges[1:])
+        self._T, self._Tau = map(_running_sums, panels)
+        self._T_end = float(self._T[-1])
 
     # -- substitution and its inverse ------------------------------------
     # np.square, not ** 2, which is libm pow on a numpy scalar and so could
@@ -452,76 +455,58 @@ class EllipticBranchOracle:
         dT = self.c / (u * u * np.sqrt(1.0 - self.k2 * np.square(np.sin(0.5 * xi))))
         return dT, dT / (1.0 - 2.0 * self.m * u)
 
-    def _quadrature(self, a, b, nodes, weights):
-        """T(b) - T(a) and Tau(b) - Tau(a) by a rule on [-1, 1] mapped onto [a, b], per (a, b)."""
+    def _quadrature(self, a, b):
+        """T(b) - T(a) and Tau(b) - Tau(a) by the Gauss-Legendre rule, per (a, b)."""
         half = 0.5 * (np.asarray(b)[..., None] - np.asarray(a)[..., None])
-        dT, dTau = self._integrands(np.asarray(a)[..., None] + half * (1.0 + nodes))
+        dT, dTau = self._integrands(np.asarray(a)[..., None] + half * (1.0 + _GL_NODES))
         # a stacked matmul sums each interval's terms in the order of a dot product
-        weights = ((self._direction * half) * weights)[..., None, :]
+        weights = ((self._direction * half) * _GL_WEIGHTS)[..., None, :]
         return (weights @ dT[..., None])[..., 0, 0], (weights @ dTau[..., None])[..., 0, 0]
 
     def _integrals(self, xi):
-        """T(xi) and Tau(xi) by the tanh-sinh rule mapped onto [xi_start, xi], per xi."""
-        return self._quadrature(self.xi_start, xi, _TS_NODES, _TS_WEIGHTS)
+        """T(xi) and Tau(xi): the table at the start of xi's panel and the rule over the rest of it."""
+        i = np.searchsorted(self._direction * self._edges[1:-1], self._direction * xi, "right")
+        dT, dTau = self._quadrature(self._edges[i], xi)
+        return self._T[i] + dT, self._Tau[i] + dTau
 
     def _xi_of_T(self, T_target, tol):
         """xi where T(xi) = ``T_target`` by Newton, and T and Tau there, per node.
 
-        A node stops once T is within ``tol`` of its target and so is Tau,
-        whose error is T's times |dTau/dT|.  The tanh-sinh rule gives T and
-        Tau at the first guess.  A Newton step over which neither integrand
-        changes by more than _SHORT_STEP adds the integrals over
-        [xi_old, xi_new] by the 10-point Gauss-Legendre rule, exact there to
-        rounding; a longer one, which that rule would get wrong near a
-        singularity of an integrand past the branch's ends, takes the
-        tanh-sinh rule at xi_new again.  Each iteration runs on the
-        nodes that have not converged and whose last step moved xi.
+        Each node starts from linear interpolation across the panel whose
+        edge values of T bracket its target, and its steps stay inside that
+        panel.  It stops once T is within ``tol`` of its target and so is
+        Tau, whose error is T's times |dTau/dT|, or once its step is below
+        one ulp of xi.
         """
-        lo, hi = min(self.xi_start, self.xi_end), max(self.xi_start, self.xi_end)
-        xi = self.xi_start + (self.xi_end - self.xi_start) * T_target / self._T_end
-        T, Tau = np.empty_like(xi), np.empty_like(xi)
-
-        def full_rule(nodes):
-            for first in range(0, len(nodes), _NEWTON_BLOCK):
-                block = nodes[first : first + _NEWTON_BLOCK]
-                T[block], Tau[block] = self._integrals(xi[block])
-
-        todo = np.arange(len(xi))
-        full_rule(todo)
-        dT, dTau = self._integrands(xi)
+        edges, T_edges = self._edges, self._T
+        # the first panel whose end reaches the target; its start is below it
+        i = np.searchsorted(T_edges[1:-1], T_target)
+        a, b = edges[i], edges[i + 1]
+        nxt = a + (b - a) * (T_target - T_edges[i]) / (T_edges[i + 1] - T_edges[i])
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
         for _ in range(60):
+            xi = nxt
+            T, Tau = self._integrals(xi)
+            dT, dTau = self._integrands(xi)
+            err = T - T_target
+            nxt = np.minimum(np.maximum(xi - err / (self._direction * dT), lo), hi)
             # Tau's error is T's times dTau/dT = 1/(1 - 2mu), some 1e6 at
             # the horizon cap, so a node stops on the larger of the two
-            err = T[todo] - T_target[todo]
-            going = ~(np.abs(err) * np.maximum(1.0, np.abs(dTau / dT)) < tol[todo])
-            todo, err, dT, dTau = todo[going], err[going], dT[going], dTau[going]
-            if not len(todo):
+            converged = np.abs(err) * np.maximum(1.0, np.abs(dTau / dT)) < tol
+            going = ~converged & (np.abs(nxt - xi) >= np.finfo(float).eps * np.abs(xi))
+            if not going.any():
                 break
-            old = xi[todo]
-            xi[todo] = new = np.minimum(np.maximum(old - err / (self._direction * dT), lo), hi)
-            # a node whose step leaves xi as it is would take that step again
-            # every round up to the cap, where T is as far from its target
-            moved = new != old
-            todo, old, new, dT, dTau = (a[moved] for a in (todo, old, new, dT, dTau))
-            dT_new, dTau_new = self._integrands(new)
-            short = (np.abs(dT_new - dT) <= _SHORT_STEP * dT) & (
-                np.abs(dTau_new - dTau) <= _SHORT_STEP * np.abs(dTau)
-            )
-            gained = self._quadrature(old[short], new[short], _GL_NODES, _GL_WEIGHTS)
-            T[todo[short]] += gained[0]
-            Tau[todo[short]] += gained[1]
-            full_rule(todo[~short])
-            dT, dTau = dT_new, dTau_new
+            nxt = np.where(going, nxt, xi)
         return xi, T, Tau
 
     def _t_range(self, t, vartheta):
-        """E and sqrt(K) of each node's characteristic, and the t past its certified range."""
+        """E and sqrt(K) of each node's characteristic, and the nodes outside its certified range."""
         known, values = self._e_sqrt_k, vartheta.ravel().tolist()
         for v in set(values).difference(known):
             c = self.conserved(v)
             known[v] = (c.E, math.sqrt(c.K))
         E, sqrt_k = np.array([known[v] for v in values]).T.reshape((2,) + t.shape)
-        return E, sqrt_k, (t < -1e-12) | (t > self._T_end / sqrt_k)
+        return E, sqrt_k, (t < -1e-12) | (t * sqrt_k > self._T_end) | (sqrt_k == 0.0)
 
     def outside(self, t, vartheta, x=None) -> np.ndarray:
         """The nodes outside the certified range of t or, given points x, of u."""

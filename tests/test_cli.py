@@ -666,6 +666,29 @@ class TestCompareCommand:
         assert lines[6] == f"skipped nodes            : {3 * 16}"
         assert lines[-1] == "verdict                  : PASS"
 
+    def test_a_characteristic_at_rest_is_outside_the_elliptic_oracle(self, tmp_path, capsys):
+        # an infalling ring with tau_t = f = sin(vartheta): at vartheta = 0 the
+        # characteristic has K = 0 and never moves along the sec branch, so
+        # its nodes are skipped, and the oracle has no sample there
+        f = "sin(vartheta)"
+        cfg = write_config(
+            tmp_path,
+            initial_data={
+                "phi": ["0", "2.5", "1.2", "vartheta"],
+                "psi": [f, "0", f"sqrt(1.25)/6.25*abs({f})", "0"],
+            },
+            oracle={
+                "example": 2,
+                "params": {"r0": 2.5, "f": f, "tau0": 0.0, "alpha0": "1.2", "sign_alpha": 1},
+            },
+        )
+        assert main(["compare", "--config", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "verdict                  : PASS"
+        assert int(lines[6].removeprefix("skipped nodes            : ")) > 0
+        assert main(["oracle", "--config", str(cfg), "--vartheta", "0"]) == 0
+        assert capsys.readouterr().out == "t,tau,r,alpha,beta\n"
+
 
 
 class TestClassifyCommand:

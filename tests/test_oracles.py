@@ -256,7 +256,7 @@ for r0 in (2.05, 4.1):
 
 @pytest.mark.parametrize("example, params", BRANCHES.values(), ids=BRANCHES.keys())
 def test_integrals_against_quad(example, params):
-    """T and Tau of the tanh-sinh rule against QUADPACK, along the whole branch."""
+    """T and Tau of the branch's table and Gauss-Legendre rule against QUADPACK, along the whole branch."""
     oracle = ns.make_oracle(example, "auto", ns.OracleParams(**params))
     m, c, k2 = oracle.m, oracle.c, oracle.k2
     lo, mid, hi = oracle.u_lo, oracle.u_mid, oracle.u_hi
@@ -288,22 +288,47 @@ def test_integrals_against_quad(example, params):
 
 
 @pytest.mark.parametrize("example, params", BRANCHES.values(), ids=BRANCHES.keys())
-def test_newton_increments_against_the_full_rule(example, params):
-    """T and Tau that Newton sums step by step equal the tanh-sinh rule at the xi it returns.
+def test_newton_stops_within_a_few_integrand_calls(example, params):
+    """Newton for xi(T) stops within 8 calls of the integrands per node.
 
-    Over the whole certified range of T, up to within 1e-9 of its end: T
-    within the Newton tolerance, Tau within 1e-11 of its size.
+    One node at a time, over the whole certified range of T up to within
+    1e-10 of its end: each node ends with T within the Newton tolerance, or
+    with a step left below one ulp of xi.
     """
     oracle = ns.make_oracle(example, "auto", ns.OracleParams(**params))
-    T_end = float(oracle._T_end)
-    target = np.concatenate([
+    integrands, calls = oracle._integrands, []
+
+    def counted(xi):
+        calls.append(xi)
+        return integrands(xi)
+
+    oracle._integrands = counted
+    T_end = oracle._T_end
+    targets = np.concatenate([
         np.linspace(0.0, 1.0, 41) * T_end, T_end - np.array([1e-3, 1e-6, 1e-8, 1e-9, 1e-10])
     ])
-    tol = 1e-13 * (1.0 + target)
-    xi, T, Tau = oracle._xi_of_T(target, tol)
-    fresh_T, fresh_Tau = oracle._integrals(xi)
-    assert (np.abs(T - fresh_T) <= tol).all(), np.abs(T - fresh_T).max()
-    assert (np.abs(Tau - fresh_Tau) <= 1e-11 * np.abs(fresh_Tau)).all()
+    for target in targets:
+        calls.clear()
+        tol = 1e-13 * (1.0 + target)
+        xi, T, _ = (float(a[0]) for a in oracle._xi_of_T(np.array([target]), np.array([tol])))
+        assert len(calls) <= 8, (target, len(calls))
+        dT, dTau = integrands(xi)
+        err = abs(T - target)
+        assert err * max(1.0, abs(dTau / dT)) < tol or err <= dT * np.finfo(float).eps * abs(xi), (
+            target, err, xi
+        )
+
+
+@pytest.mark.parametrize("example, params", BRANCHES.values(), ids=BRANCHES.keys())
+def test_table_sums_round_like_fsum(example, params):
+    """T and Tau at every panel edge are within 1 ulp of math.fsum over the panels before it."""
+    oracle = ns.make_oracle(example, "auto", ns.OracleParams(**params))
+    edges = oracle._edges
+    for panels, table in zip(oracle._quadrature(edges[:-1], edges[1:]), (oracle._T, oracle._Tau)):
+        panels = panels.tolist()
+        for k, value in enumerate(table.tolist()):
+            exact = math.fsum(panels[:k])
+            assert abs(value - exact) <= math.ulp(exact), (k, value, exact)
 
 
 class TestConsistencyGuard:
