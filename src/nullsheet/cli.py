@@ -107,10 +107,9 @@ def _print_solve_summary(result: PipelineResult, spacetime: Spacetime) -> None:
     print(f"events                   : {stops}")
     if spacetime.name == "schwarzschild":
         params = SchwarzschildParams(m=spacetime.meta["mass"])
-        worst = 0.0
-        for traj in result.trajectories:
-            worst = max(worst, conserved_along(params, traj).max_rel_drift)
-        print(f"max conserved drift      : {worst:.3e}")
+        drifts = [conserved_along(params, traj).max_rel_drift for traj in result.trajectories]
+        # np.max, not a fold with max, so that a nan drift shows
+        print(f"max conserved drift      : {np.max(drifts):.3e}")
     report = delta_monitor(result.mesh)
     print(f"delta monitor            : {report}")
 

@@ -4,14 +4,16 @@ Expressions are functions of the single curve parameter ``vartheta`` built
 from +, -, *, /, **, parentheses, numeric literals, ``pi`` and the functions
 sin, cos, tan, sqrt, exp, log, atan (alias arctan) and abs.  The whitelisted
 syntax tree is compiled once into ``lambda vartheta: <body>`` and run twice
-over: on floats with the ``math`` functions for values, and on dual numbers
-``(value, derivative)`` for exact forward-mode derivatives of curve tangents.
+over, each time on all points at once: on arrays with numpy's functions for
+values, and on dual numbers ``(value, derivative)`` for exact derivatives.
 """
 
 from __future__ import annotations
 
 import ast
 import math
+
+import numpy as np
 
 from .errors import ExpressionError
 
@@ -24,8 +26,10 @@ class _Dual:
     """
 
     __slots__ = ("v", "d")
+    # numpy's operators defer to these, instead of taking a dual for an object
+    __array_ufunc__ = None
 
-    def __init__(self, v: float, d: float):
+    def __init__(self, v, d):
         self.v = v
         self.d = d
 
@@ -68,16 +72,16 @@ class _Dual:
     def __pow__(self, o):
         if isinstance(o, _Dual):
             p = self.v ** o.v
-            return _Dual(p, p * (o.d * math.log(self.v) + o.v * self.d / self.v))
+            return _Dual(p, p * (o.d * np.log(self.v) + o.v * self.d / self.v))
         return _Dual(self.v ** o, o * self.v ** (o - 1.0) * self.d)
 
     def __rpow__(self, o):
         p = o ** self.v
-        return _Dual(p, p * math.log(o) * self.d)
+        return _Dual(p, p * np.log(o) * self.d)
 
 
 def _lift(f, df):
-    """``f`` on floats, and on duals with the chain rule through ``df``."""
+    """``f`` on floats and arrays, and on duals with the chain rule through ``df``."""
 
     def lifted(u):
         if isinstance(u, _Dual):
@@ -87,17 +91,17 @@ def _lift(f, df):
     return lifted
 
 
-# name: (function, derivative)
+# name: (function, derivative); fabs, unlike abs, refuses a complex number
 _FUNCS = {
-    "sin": (math.sin, math.cos),
-    "cos": (math.cos, lambda x: -math.sin(x)),
-    "tan": (math.tan, lambda x: math.tan(x) ** 2 + 1.0),
-    "sqrt": (math.sqrt, lambda x: 0.5 / math.sqrt(x)),
-    "exp": (math.exp, math.exp),
-    "log": (math.log, lambda x: 1.0 / x),
-    "atan": (math.atan, lambda x: 1.0 / (1.0 + x * x)),
-    "arctan": (math.atan, lambda x: 1.0 / (1.0 + x * x)),
-    "abs": (math.fabs, lambda x: float((x > 0) - (x < 0))),  # abs'(0) = 0
+    "sin": (np.sin, np.cos),
+    "cos": (np.cos, lambda x: -np.sin(x)),
+    "tan": (np.tan, lambda x: np.tan(x) ** 2 + 1.0),
+    "sqrt": (np.sqrt, lambda x: 0.5 / np.sqrt(x)),
+    "exp": (np.exp, np.exp),
+    "log": (np.log, lambda x: 1.0 / x),
+    "atan": (np.arctan, lambda x: 1.0 / (1.0 + x * x)),
+    "arctan": (np.arctan, lambda x: 1.0 / (1.0 + x * x)),
+    "abs": (np.fabs, np.sign),  # abs'(0) = 0
 }
 
 # the compiled lambda's globals: nothing but the grammar's names
@@ -123,8 +127,9 @@ _ALLOWED_NODES = (
     ast.Constant,
 )
 
-# what evaluating a grammatical expression can raise on bad data: division
-# by zero, math domain errors, overflow, and complex intermediates
+# what a subexpression free of vartheta, on floats, can raise: division by
+# zero, overflow, and a complex power reaching fabs; numpy's functions on
+# arrays give inf or nan instead
 _EVAL_ERRORS = (ArithmeticError, ValueError, TypeError)
 
 
@@ -183,7 +188,10 @@ def _compile(text: str, tree: ast.Expression):
 
 
 class CurveExpression:
-    """A parsed expression together with its analytic vartheta-derivative."""
+    """A parsed expression and its analytic vartheta-derivative, at a float or an array.
+
+    A non-finite value raises ExpressionError naming the first vartheta where it occurs.
+    """
 
     def __init__(self, text: str):
         self.text = text
@@ -194,28 +202,29 @@ class CurveExpression:
         )
         code = _compile(text, tree)
         self._fn = eval(code, _VALUE_NS)
-        self._dfn = eval(code, _DUAL_NS)
+        dual = eval(code, _DUAL_NS)
+        self._dfn = (lambda v: 0.0) if self._constant else (lambda v: dual(_Dual(v, 1.0)).d)
 
-    def _finite(self, fn, vartheta) -> float:
+    def _finite(self, fn, vartheta):
+        # a float runs as an array of one, so that its bits are those it
+        # has in any batch; a constant is spread over the points
+        x = np.asarray(vartheta, dtype=float).ravel()
         try:
-            value = float(fn(float(vartheta)))
+            with np.errstate(all="ignore"):
+                value = np.full(x.shape, fn(x))
         except _EVAL_ERRORS as exc:
-            raise ExpressionError(
-                f"{self.text!r} at vartheta = {vartheta!r}: {exc}"
-            ) from exc
-        if not math.isfinite(value):
-            raise ExpressionError(
-                f"{self.text!r} at vartheta = {vartheta!r} is {value!r}"
-            )
-        return value
+            raise ExpressionError(f"{self.text!r}: {exc}") from exc
+        # a complex value, from a power of negative constants, fails too
+        if value.dtype != float or not np.isfinite(value).all():
+            bad = ~np.isfinite(value) | (value.dtype != float)
+            raise ExpressionError(f"{self.text!r} at vartheta = {x[bad][0]} is {value[bad][0]}")
+        return value.reshape(np.shape(vartheta)) if np.ndim(vartheta) else float(value[0])
 
-    def __call__(self, vartheta: float) -> float:
+    def __call__(self, vartheta):
         return self._finite(self._fn, vartheta)
 
-    def deriv(self, vartheta: float) -> float:
-        if self._constant:
-            return 0.0
-        return self._finite(lambda v: self._dfn(_Dual(v, 1.0)).d, vartheta)
+    def deriv(self, vartheta):
+        return self._finite(self._dfn, vartheta)
 
     def is_constant(self) -> bool:
         return self._constant

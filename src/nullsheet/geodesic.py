@@ -295,7 +295,9 @@ def _dense(w, h, q, sigma):
     # float_power is libm pow for every element, like ** on a scalar sigma;
     # ** on an array may round the powers differently
     basis = np.float_power(sigma, _POWERS)
-    return w + h * (q @ basis[..., None])[..., 0]
+    # far out a state overflows to inf or nan, which the callers' checks read
+    with np.errstate(over="ignore", invalid="ignore"):
+        return w + h * (q @ basis[..., None])[..., 0]
 
 
 def _interpolants(ks):

@@ -49,8 +49,8 @@ class InitialCurve:
         if not self.theta_max > self.theta_min:
             raise ValueError("empty vartheta domain")
         if self.periodic:
-            lo_phi, hi_phi = self.phi(self.theta_min), self.phi(self.theta_max)
-            lo_psi, hi_psi = self.psi(self.theta_min), self.psi(self.theta_max)
+            ends = np.array([self.theta_min, self.theta_max])
+            (lo_phi, hi_phi), (lo_psi, hi_psi) = self.phi(ends), self.psi(ends)
             # two infinite endpoints differ by nan, which this check lets
             # through to the checks on the data
             with np.errstate(invalid="ignore"):
@@ -76,17 +76,15 @@ class InitialCurve:
 def _rows(components):
     """A curve callable of ``InitialCurve``, from one entry per component.
 
-    An entry is a float, or a function of one float evaluated at each point
-    (a constant expression once).
+    An entry is a float, or a function of an array of vartheta, which
+    evaluates it once over all the points.
     """
 
     def at(vartheta) -> np.ndarray:
-        points = np.ravel(vartheta).tolist()
+        points = np.ravel(vartheta)
         out = np.empty((len(points), len(components)))
         for k, c in enumerate(components):
-            if isinstance(c, CurveExpression) and c.is_constant() and points:
-                c = c(points[0])
-            out[:, k] = [*map(c, points)] if callable(c) else c
+            out[:, k] = c(points) if callable(c) else c
         return out if np.ndim(vartheta) else out[0]
 
     return at
@@ -103,15 +101,14 @@ def curve_from_expressions(
         raise ExpressionError("phi and psi must have the same number of components")
     phi_c = [CurveExpression(s) for s in phi_exprs]
     psi_c = [CurveExpression(s) for s in psi_exprs]
-    dim = len(phi_c)
     return InitialCurve(
         phi=_rows(phi_c),
         psi=_rows(psi_c),
-        phi_prime=_rows([0.0 if c.is_constant() else c.deriv for c in phi_c]),
+        phi_prime=_rows([c.deriv for c in phi_c]),
         theta_min=float(theta_range[0]),
         theta_max=float(theta_range[1]),
         periodic=periodic,
-        dim=dim,
+        dim=len(phi_c),
     )
 
 

@@ -91,11 +91,6 @@ def _running_sums(terms) -> np.ndarray:
     return np.array(sums)
 
 
-def _each(fn, a) -> np.ndarray:
-    """``fn`` of one float at every element of the array ``a``."""
-    return np.array([fn(v) for v in a.ravel().tolist()]).reshape(a.shape)
-
-
 def _points(*coords) -> np.ndarray:
     """Points (..., 4) from coordinates given per node or shared by all nodes."""
     return np.stack(np.broadcast_arrays(*coords), axis=-1)
@@ -152,7 +147,7 @@ class RadialNullOracle:
         self.sign = params.sign
         self._alpha0 = _as_curve_expression(params.alpha0)
 
-    def conserved(self, vartheta: float) -> ConservedSet:
+    def conserved(self, vartheta) -> ConservedSet:
         return ConservedSet(E=self.sign * self.r1, L=0.0, K=0.0, C=self.r1**2)
 
     def outside(self, t, vartheta, x=None) -> np.ndarray:
@@ -163,7 +158,7 @@ class RadialNullOracle:
     def _lhs(self, r):
         """r - r0 + 2m ln((r - 2m) / (r0 - 2m)), which is sign (tau - tau0) on the surface."""
         m, r0 = self.m, self.r0
-        return r - r0 + 2.0 * m * _each(math.log, (r - 2.0 * m) / (r0 - 2.0 * m))
+        return r - r0 + 2.0 * m * np.log((r - 2.0 * m) / (r0 - 2.0 * m))
 
     def evaluate(self, t, vartheta) -> np.ndarray:
         t, vartheta = np.broadcast_arrays(t, vartheta)
@@ -172,7 +167,7 @@ class RadialNullOracle:
             raise DomainError(f"radial solution reached the horizon at t = {_first(out, t)[0]!r}")
         r = self.r1 * t + self.r0
         tau = self.tau0 + self.sign * self._lhs(r)
-        return _points(tau, r, _each(self._alpha0, vartheta), vartheta)
+        return _points(tau, r, self._alpha0(vartheta), vartheta)
 
     def relation_residual(self, t, x, vartheta) -> np.ndarray:
         """Residual of the implicit tau(r) relation."""
@@ -204,7 +199,7 @@ class _ExampleData:
     """
 
     initial_curve: Callable[[], InitialCurve]
-    conserved: Callable[[float], ConservedSet]
+    conserved: Callable[[float | np.ndarray], ConservedSet]
     tau_init: Callable[[float], float]
     alpha_init: Callable[[float], float]
     beta_of: Callable[[float], float]
@@ -223,7 +218,7 @@ def _example2_data(params: OracleParams, r0: float) -> _ExampleData:
     s = params.sign_alpha
     coef = math.sqrt(r0 * (r0 - 2.0 * m)) / (r0 * r0)
 
-    def conserved(v: float) -> ConservedSet:
+    def conserved(v) -> ConservedSet:
         f = f_expr(v)
         E = (1.0 - 2.0 * m / r0) * f
         K = r0 * (r0 - 2.0 * m) * f * f
@@ -260,7 +255,7 @@ def _example3_data(params: OracleParams, r0: float) -> _ExampleData:
     s = params.sign_alpha
     coef = math.sqrt(2.0 * m * (r0 - 2.0 * m)) / (r0 * r0)  # = 1/(8m) at r0 = 4m
 
-    def conserved(v: float) -> ConservedSet:
+    def conserved(v) -> ConservedSet:
         return ConservedSet(
             E=1.0 - 2.0 * m / r0, L=0.0, K=2.0 * m * (r0 - 2.0 * m), C=0.0
         )
@@ -319,7 +314,7 @@ class PhotonSphereOracle(_CircularOracle):
 
     def evaluate(self, t, vartheta) -> np.ndarray:
         t, vartheta = np.broadcast_arrays(t, vartheta)
-        f = _each(self._f, vartheta)
+        f = self._f(vartheta)
         tau = f * t + self.tau0
         alpha = self.alpha0 + self.s_alpha * np.abs(f) * t / (3.0 * math.sqrt(3.0) * self.m)
         return _points(tau, self.r0, alpha, vartheta)
@@ -376,9 +371,6 @@ class EllipticBranchOracle:
         self._data = data
         self.conserved = data.conserved
         self.initial_curve = data.initial_curve
-        # (E, sqrt(K)) at each vartheta met so far: ``compare`` asks
-        # ``outside`` and then ``evaluate`` about the same nodes
-        self._e_sqrt_k: dict[float, tuple[float, float]] = {}
 
         # evaluation stops slightly outside the horizon: the tau quadrature
         # has a pole at u = 1/(2m)
@@ -421,9 +413,9 @@ class EllipticBranchOracle:
         """xi at u, with u clamped to the branch start."""
         if self.branch == "sec":
             ratio = (self.u_hi - self.u_mid) / (np.maximum(u, self.u_hi) - self.u_mid)
-            return 2.0 * _each(math.acos, np.sqrt(np.minimum(1.0, np.maximum(0.0, ratio))))
+            return 2.0 * np.arccos(np.sqrt(np.minimum(1.0, np.maximum(0.0, ratio))))
         arg = 1.0 - 2.0 * (np.minimum(u, self.u_mid) - self.u_lo) / (self.u_mid - self.u_lo)
-        return _each(math.acos, np.minimum(1.0, np.maximum(-1.0, arg)))
+        return np.arccos(np.minimum(1.0, np.maximum(-1.0, arg)))
 
     def _u_outside(self, x):
         """The points x (..., 4) whose u is beyond the branch start by more than rounding."""
@@ -501,11 +493,8 @@ class EllipticBranchOracle:
 
     def _t_range(self, t, vartheta):
         """E and sqrt(K) of each node's characteristic, and the nodes outside its certified range."""
-        known, values = self._e_sqrt_k, vartheta.ravel().tolist()
-        for v in set(values).difference(known):
-            c = self.conserved(v)
-            known[v] = (c.E, math.sqrt(c.K))
-        E, sqrt_k = np.array([known[v] for v in values]).T.reshape((2,) + t.shape)
+        c = self.conserved(vartheta)
+        E, sqrt_k = c.E, np.sqrt(c.K)
         return E, sqrt_k, (t < -1e-12) | (t * sqrt_k > self._T_end) | (sqrt_k == 0.0)
 
     def outside(self, t, vartheta, x=None) -> np.ndarray:

@@ -33,23 +33,23 @@ DOUBLE_ROOT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ConservedSet:
-    """First integrals of one Schwarzschild characteristic.
+    """First integrals of a Schwarzschild characteristic (floats), or of many (arrays).
 
     E is the energy-like integral tau_t (1 - 2m/r), L the azimuthal integral
     beta_t r^2 sin^2(alpha), K the Carter-like integral (non-negative), and
     C the constant term of the radial first integral r_t^2 = P(1/r).
     """
 
-    E: float
-    L: float
-    K: float
-    C: float
+    E: float | np.ndarray
+    L: float | np.ndarray
+    K: float | np.ndarray
+    C: float | np.ndarray
 
     def __post_init__(self):
-        if self.K < -1e-12:
-            raise ValueError(f"K must be non-negative, got {self.K}")
-        if self.K < 0:
-            object.__setattr__(self, "K", 0.0)
+        if np.any(self.K < -1e-12):
+            raise ValueError(f"K must be non-negative, got {np.nanmin(self.K)}")
+        if np.any(self.K < 0):
+            object.__setattr__(self, "K", np.maximum(self.K, 0.0))
 
 
 def first_integrals(params: SchwarzschildParams, y, v):
@@ -62,16 +62,19 @@ def first_integrals(params: SchwarzschildParams, y, v):
     m = params.m
     r, alpha = y[..., 1], y[..., 2]
     sin_a, cos_a = np.sin(alpha), np.cos(alpha)
-    E = v[..., 0] * (1.0 - 2.0 * m / r)
-    L = v[..., 3] * r * r * sin_a * sin_a
-    # float_power is libm pow for every element, like ** on a scalar
-    K = np.float_power(r, 4) * (
-        np.float_power(v[..., 2], 2) + np.float_power(v[..., 3], 2) * sin_a * sin_a * cos_a * cos_a
-    )
-    rm, J = r - 2.0 * m, K + L * L
-    C = (
-        np.float_power(v[..., 1], 2) * np.float_power(r, 3) + J * rm - 2.0 * m * E * E * r * r
-    ) / (r * r * rm)
+    # far out the powers of r overflow to inf, and C to nan, which the
+    # callers' checks read
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = v[..., 0] * (1.0 - 2.0 * m / r)
+        L = v[..., 3] * r * r * sin_a * sin_a
+        # float_power is libm pow for every element, like ** on a scalar
+        K = np.float_power(r, 4) * (
+            np.float_power(v[..., 2], 2) + np.float_power(v[..., 3], 2) * sin_a * sin_a * cos_a * cos_a
+        )
+        rm, J = r - 2.0 * m, K + L * L
+        C = (
+            np.float_power(v[..., 1], 2) * np.float_power(r, 3) + J * rm - 2.0 * m * E * E * r * r
+        ) / (r * r * rm)
     return E, L, K, C
 
 

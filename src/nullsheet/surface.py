@@ -207,8 +207,10 @@ def build_surface(
                 y, xt = np.split(chart.back(np.concatenate([y, xt], axis=1)), 2, axis=1)
             ind = induced_metric(spacetime, y, xt, xth)
             # scale stays positive on null surfaces, where g00 and g01 both
-            # vanish and the naive g01^2 + |g00 g11| collapses to zero
-            scale = (np.abs(ind.g00) + np.abs(ind.g01) + np.abs(ind.g11)) ** 2
+            # vanish and the naive g01^2 + |g00 g11| collapses to zero; it
+            # overflows to inf far out, which still types nodes by delta
+            with np.errstate(over="ignore"):
+                scale = (np.abs(ind.g00) + np.abs(ind.g01) + np.abs(ind.g11)) ** 2
             lightlike = np.abs(ind.delta) <= np.maximum(EPS_DELTA, 1e-6 * scale)
 
             node = rows[slot], cols

@@ -781,6 +781,28 @@ class TestShippedConfigs:
         assert main(["validate", "--config", str(cfg)]) == 0
         assert main(["compare", "--config", str(cfg)]) == 0
 
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    @pytest.mark.parametrize("t_end", [1e100, 1e300, 1e308])
+    def test_far_t_end_ends_in_an_exit_code(self, command, t_end, tmp_path, capsys):
+        # the first integrals, the node scales and the dense output overflow
+        # far out; each run still ends in a documented exit code, and solve
+        # shows the nan drift instead of folding it away as 0
+        raw = yaml.safe_load((SHIPPED / "radial_null.yaml").read_text())
+        raw["initial_data"]["samples"] = 8
+        raw["solver"]["t_end"] = t_end
+        raw["output"]["path"] = str(tmp_path / "far.csv")
+        cfg = tmp_path / "far.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        rc = main([command, "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert rc in (0, 1, 2)
+        if rc == 0:
+            assert err == ""
+        elif "verdict                  : FAIL" not in out:
+            assert err.count("\n") == 1 and "Traceback" not in err
+        if command == "solve" and t_end == 1e100:
+            assert "max conserved drift      : nan\n" in out
+
 
 def test_commands_leave_out_scipy(tmp_path):
     """No command loads scipy, on the shipped configs or an elliptic compare."""

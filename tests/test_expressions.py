@@ -1,9 +1,11 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nullsheet as ns
@@ -82,6 +84,58 @@ def test_bad_values_raise_expression_error(text):
     if not expr.is_constant():
         with pytest.raises(ns.ExpressionError):
             expr.deriv(1.0)
+
+
+# every function of the grammar, and ** with each operand varying; on
+# intermediates, ** and tan's derivative give other bits on a numpy scalar
+# than in an array, which a float run as a 0-d array would meet
+ONE_ROUTE = [
+    "sin(vartheta)", "cos(vartheta)", "tan(vartheta)", "sqrt(vartheta)", "exp(vartheta)",
+    "log(vartheta)", "atan(vartheta)", "arctan(vartheta)", "abs(vartheta - 1.5)",
+    "vartheta**1.37", "1.37**vartheta", "vartheta**vartheta", "vartheta**2",
+    "(vartheta + 0.5)**1.37", "(vartheta + 0.5)**(vartheta + 0.25)", "tan(vartheta/2)",
+]
+
+
+@pytest.mark.parametrize("text", ONE_ROUTE)
+def test_an_array_gives_each_element_its_bits_alone(text):
+    # a float runs as an array of one, so its bits do not depend on the batch
+    expr = CurveExpression(text)
+    points = np.random.default_rng(7).uniform(0.05, 3.0, 2000)
+    points[:2] = 1.5, 1.0  # abs at its kink, log at its zero
+    for fn in (expr, expr.deriv):
+        batch = fn(points)
+        assert batch.shape == points.shape and batch.dtype == np.float64
+        for k, v in enumerate(points.tolist()):
+            alone = fn(v)
+            assert type(alone) is float
+            assert np.float64(alone).tobytes() == batch[k].tobytes(), (fn, v)
+        assert fn(points.reshape(40, 50)).tobytes() == batch.tobytes()
+
+
+def test_a_constant_spreads_over_the_points():
+    expr = CurveExpression("pi/2 + sqrt(3)")
+    assert expr(np.zeros((2, 3))).tolist() == [[math.pi / 2 + math.sqrt(3)] * 3] * 2
+    assert expr.deriv(np.zeros(4)).tolist() == [0.0] * 4
+    assert expr(np.empty(0)).shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "text, points, first",
+    [("sqrt(vartheta - 1)", [2.0, 0.5, 3.0, 0.25], "0.5"),
+     ("log(vartheta - 2)", [3.0, 2.5, 2.0, 1.0], "2.0"),
+     ("1/(vartheta - 3)", [1.0, 2.0, 3.0], "3.0")],
+)
+def test_an_array_names_the_first_failing_vartheta(text, points, first):
+    with pytest.raises(ns.ExpressionError, match=rf"^'{re.escape(text)}' at vartheta = {first} is "):
+        CurveExpression(text)(np.array(points))
+
+
+@pytest.mark.parametrize("text", ["1/0 + vartheta", "2**10**10 * vartheta", "abs((-1)**0.5)",
+                                  "vartheta + (-8)**(1/3)"])
+def test_a_failing_constant_subexpression_raises_expression_error(text):
+    with pytest.raises(ns.ExpressionError):
+        CurveExpression(text)(np.array([1.0, 2.0]))
 
 
 def test_cli_import_leaves_out_sympy():

@@ -422,6 +422,68 @@ def test_array_call_equals_a_call_per_node(source, tmp_path):
         assert np.float64(alone_residual).tobytes() == residual[k].tobytes()
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_conserved_over_the_nodes_equals_a_call_per_node(seed, tmp_path):
+    """``outside`` and ``evaluate`` take E and sqrt(K) from one ``conserved``
+    call over all the nodes of an infall-ring compare: the bits of a call per node."""
+    workload = _perfbench_workloads().InfallRing(seed, tmp_path)
+    cfg = load_config(workload.config)
+    oracle = ns.make_oracle(cfg.oracle.example, cfg.oracle.case, ns.OracleParams(**cfg.oracle.params))
+    assert oracle.kind is OracleKind.EX2_INNER
+    mesh = run_pipeline(cfg, build_spacetime(cfg), build_curve(cfg)).mesh
+    i, j = np.nonzero(~mesh.truncated)
+    t, vartheta = mesh.t_grid[i], mesh.vartheta[i, j]
+    conserved, calls = oracle.conserved, []
+    oracle.conserved = lambda v: calls.append((v, conserved(v))) or calls[-1][1]
+    keep = ~oracle.outside(t, vartheta)
+    oracle.evaluate(t[keep], vartheta[keep])
+    assert [len(v) for v, _ in calls] == [len(t), keep.sum()]
+    for v, c in calls:
+        E, sqrt_k = np.broadcast_to(c.E, v.shape), np.broadcast_to(np.sqrt(c.K), v.shape)
+        for k, v_k in enumerate(v.tolist()):
+            alone = conserved(v_k)
+            assert np.float64(alone.E).tobytes() == E[k].tobytes()
+            assert np.float64(math.sqrt(alone.K)).tobytes() == sqrt_k[k].tobytes()
+
+
+def _max_tau_error(cfg, rel_tol):
+    """Max |tau - oracle tau| over the nodes a compare of ``cfg`` checks, at ``rel_tol``."""
+    cfg = dataclasses.replace(
+        cfg, solver=dataclasses.replace(cfg.solver, rel_tol=rel_tol, abs_tol=rel_tol / 100)
+    )
+    oracle = ns.make_oracle(cfg.oracle.example, cfg.oracle.case, ns.OracleParams(**cfg.oracle.params))
+    mesh = run_pipeline(cfg, build_spacetime(cfg), build_curve(cfg)).mesh
+    i, j = np.nonzero(~mesh.truncated)
+    t, vartheta, x = mesh.t_grid[i], mesh.vartheta[i, j], mesh.x[i, j]
+    keep = ~oracle.outside(t, vartheta, x)
+    return np.abs(x[keep, 0] - oracle.evaluate(t[keep], vartheta[keep])[:, 0]).max()
+
+
+@pytest.mark.parametrize("source", ["radial_null", "infall-ring-0"])
+def test_tau_error_is_proportional_to_the_tolerance(source, tmp_path):
+    """The max tau error falls at least 16x per two decades of ``rel_tol``, and stays
+    within 200 rel_tol, at 32 x 11 with ``abs_tol = rel_tol/100``.
+
+    Measured: radial_null 4.0e-8, 7.8e-10, 2.4e-11 at rel_tol 1e-8, 1e-10, 1e-12
+    (falls 51x and 32x; at most 24 rel_tol); infall-ring seed 0 8.3e-7, 7.5e-9,
+    8.7e-11 (falls 110x and 86x; at most 87 rel_tol).  Next to the horizon tau
+    carries r's error times 2m/(r - 2m), some 380 at this ring's nearest node
+    (r = 2.005m), so the ceiling holds for this ring's nodes, not for every ring.
+    """
+    if source.startswith("infall-ring"):
+        path = _perfbench_workloads().InfallRing(int(source[-1]), tmp_path).config
+    else:
+        path = SHIPPED / f"{source}.yaml"
+    cfg = load_config(path)
+    assert (cfg.initial_data.samples, cfg.output.t_samples) == (32, 11)
+    tols = (1e-8, 1e-10, 1e-12)
+    errors = [_max_tau_error(cfg, rel_tol) for rel_tol in tols]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse >= 16.0 * fine, errors
+    for error, rel_tol in zip(errors, tols):
+        assert error <= 200.0 * rel_tol, errors
+
+
 def test_tau_next_to_the_horizon_cap_against_quad():
     """tau 1e-6 before the certified end of infall-ring's sec branch, against QUADPACK.
 
